@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 10);
   mopts.noise_sigma = 0.02;
   mopts.engine = opts.engine;
-  mopts.batch = opts.batch;
 
   const sparse::RowPartition part =
       sparse::RowPartition::contiguous(n, gpus);

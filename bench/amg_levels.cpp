@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 10);
   mopts.noise_sigma = 0.02;
   mopts.engine = opts.engine;
-  mopts.batch = opts.batch;
 
   const Advisor advisor(topo, params);
   Table table({"level", "rows", "nnz/row", "inter msgs", "best (measured)",

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
   mopts.seed = opts.seed;
   mopts.noise_sigma = 0.02;
   mopts.engine = opts.engine;
-  mopts.batch = opts.batch;
 
   const std::vector<int> gpu_counts =
       opts.quick ? std::vector<int>{16, 32} : std::vector<int>{8, 16, 32, 64};

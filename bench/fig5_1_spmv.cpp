@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   mopts.seed = opts.seed;
   mopts.noise_sigma = 0.02;
   mopts.engine = opts.engine;
-  mopts.batch = opts.batch;
 
   const std::vector<StrategyConfig> strategies = table5_strategies();
 

@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
   mopts.seed = opts.seed;
   mopts.noise_sigma = 0.02;
   mopts.engine = opts.engine;
-  mopts.batch = opts.batch;
 
   // Grid: machine x strategy, measured cells fanned across the pool.
   struct Cell {

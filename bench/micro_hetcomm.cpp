@@ -169,14 +169,11 @@ void BM_DesThroughputMeasureJobs(benchmark::State& state) {
   mopts.reps = 32;
   mopts.noise_sigma = 0.02;
   mopts.jobs = static_cast<int>(state.range(0));
-  int batch = 1;
   for (auto _ : state) {
     MeasureResult r = measure(f.plan, f.topo, f.params, mopts);
-    batch = r.batch;
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * mopts.reps);
-  state.counters["batch"] = static_cast<double>(batch);
 }
 BENCHMARK(BM_DesThroughputMeasureJobs)
     ->Arg(1)
@@ -256,37 +253,6 @@ void BM_RepCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_RepCompiled);
 
-// Lane-batched repetition: execute_batch() runs Arg(0) repetitions in
-// lockstep over the shared CompiledPlan.  Arg(1) is the serial A/B anchor;
-// items are repetitions either way, so
-// items_per_second(BM_RepBatched/16) / items_per_second(BM_RepCompiled)
-// is the batching speedup quoted in docs/simulator.md.
-void BM_RepBatched(benchmark::State& state) {
-  const Fig51Fixture& f = Fig51Fixture::get();
-  const CompiledPlan compiled(f.plan, f.topo, f.params);
-  Engine engine(f.topo, f.params, NoiseModel(1, 0.02));
-  const int width = static_cast<int>(state.range(0));
-  const std::size_t num_ranks =
-      static_cast<std::size_t>(f.topo.num_ranks());
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(width));
-  std::vector<double> clocks(static_cast<std::size_t>(width) * num_ranks);
-  std::int64_t block = 0;
-  for (auto _ : state) {
-    for (int l = 0; l < width; ++l) {
-      seeds[static_cast<std::size_t>(l)] = mix_seed(
-          1, static_cast<std::uint64_t>(block) *
-                     static_cast<std::uint64_t>(width) +
-                 static_cast<std::uint64_t>(l));
-    }
-    ++block;
-    engine.execute_batch(compiled, seeds, clocks);
-    benchmark::DoNotOptimize(clocks.data());
-  }
-  state.SetItemsProcessed(state.iterations() * width);
-  state.counters["batch"] = static_cast<double>(width);
-}
-BENCHMARK(BM_RepBatched)->Arg(1)->Arg(4)->Arg(16);
-
 // End-to-end measure() in both modes (compile cost included for Compiled).
 void BM_MeasureEngineMode(benchmark::State& state) {
   const Fig51Fixture& f = Fig51Fixture::get();
@@ -296,14 +262,11 @@ void BM_MeasureEngineMode(benchmark::State& state) {
   mopts.jobs = 1;
   mopts.engine = state.range(0) == 0 ? ExecMode::Compiled
                                      : ExecMode::Interpreted;
-  int batch = 1;
   for (auto _ : state) {
     MeasureResult r = measure(f.plan, f.topo, f.params, mopts);
-    batch = r.batch;
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * mopts.reps);
-  state.counters["batch"] = static_cast<double>(batch);
   state.SetLabel(to_string(mopts.engine));
 }
 BENCHMARK(BM_MeasureEngineMode)
@@ -320,14 +283,11 @@ void BM_MeasureMetricsOverhead(benchmark::State& state) {
   mopts.noise_sigma = 0.02;
   mopts.jobs = 1;
   mopts.collect_metrics = state.range(0) != 0;
-  int batch = 1;
   for (auto _ : state) {
     MeasureResult r = measure(f.plan, f.topo, f.params, mopts);
-    batch = r.batch;
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * mopts.reps);
-  state.counters["batch"] = static_cast<double>(batch);
   state.SetLabel(mopts.collect_metrics ? "metrics-on" : "metrics-off");
 }
 BENCHMARK(BM_MeasureMetricsOverhead)
@@ -376,7 +336,7 @@ void stamp_bench_json(const std::string& path) {
                            std::istreambuf_iterator<char>());
     JsonValue doc = JsonValue::parse(text);
     doc.set("hetcomm_stamp",
-            hetcomm::benchutil::artifact_stamp(/*jobs=*/0, /*batch=*/0));
+            hetcomm::benchutil::artifact_stamp(/*jobs=*/0));
     std::ofstream out(path);
     if (!out) throw std::runtime_error("cannot write " + path);
     doc.dump(out);

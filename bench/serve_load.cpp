@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
       JsonValue doc = JsonValue::object();
       doc.set("schema", "hetcomm.serve_load.v1");
       doc.set("hetcomm_stamp",
-              hetcomm::benchutil::artifact_stamp(/*jobs=*/0, /*batch=*/0));
+              hetcomm::benchutil::artifact_stamp(/*jobs=*/0));
       doc.set("queries", opts.queries);
       doc.set("hot_plans", kHotPlans);
       doc.set("reps", opts.reps);

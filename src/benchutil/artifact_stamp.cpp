@@ -36,13 +36,12 @@ std::string host_name() {
 
 }  // namespace
 
-obs::JsonValue artifact_stamp(int jobs, int batch) {
+obs::JsonValue artifact_stamp(int jobs) {
   obs::JsonValue stamp = obs::JsonValue::object();
   stamp.set("schema", kBenchStampSchema);
   stamp.set("git_sha", git_sha_from_env());
   stamp.set("utc", utc_now());
   stamp.set("jobs", jobs);
-  stamp.set("batch", batch);
   stamp.set("hostname", host_name());
   return stamp;
 }

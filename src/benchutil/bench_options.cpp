@@ -72,14 +72,6 @@ BenchOptions BenchOptions::parse_tokens(const std::vector<std::string>& args,
     } else if (arg == "--jobs") {
       opts.jobs = static_cast<int>(parse_positive(value(i, "--jobs"),
                                                   "--jobs"));
-    } else if (arg == "--batch") {
-      const std::string& text = value(i, "--batch");
-      // "auto" defers the width to measure(); anything else must be a
-      // strictly positive integer ("--batch 0" is rejected so the serial
-      // path is always an explicit "--batch 1", never a silent fallback).
-      opts.batch = text == "auto"
-                       ? 0
-                       : static_cast<int>(parse_positive(text, "--batch"));
     } else if (arg == "--seed") {
       opts.seed = parse_seed(value(i, "--seed"));
     } else if (arg == "--engine") {

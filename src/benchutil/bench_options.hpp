@@ -6,8 +6,6 @@
 //   --quick         reduce iteration counts / sweep sizes (CI-friendly)
 //   --reps N        override repetition count (positive integer)
 //   --jobs N        sweep worker threads (positive; default: hardware)
-//   --batch W       lane width for batched repetitions: auto (default),
-//                   1 = serial, or a positive width; 0 is rejected
 //   --seed S        base noise seed for reproducible runs
 //   --progress      per-cell progress lines on stderr
 //   --engine E      execution path: compiled (default) or interpreted
@@ -36,11 +34,6 @@ struct BenchOptions {
   bool progress = false;
   int reps = -1;               ///< -1 = bench default
   int jobs = 0;                ///< sweep workers; 0 = hardware concurrency
-  /// Lane width for batched repetition execution: 0 = auto (the default;
-  /// measure() picks a cache-friendly width), 1 = serial, N > 1 = run N
-  /// repetitions in lockstep.  `--batch 0` is a hard parse error -- auto
-  /// is spelled `--batch auto`.
-  int batch = 0;
   std::uint64_t seed = 0x5eedULL;
   /// Both engines are bit-identical; interpreted exists for A/B timing.
   core::ExecMode engine = core::ExecMode::Compiled;
@@ -51,7 +44,7 @@ struct BenchOptions {
   std::string metrics_path;
 
   static constexpr const char* kUsage =
-      "flags: --csv --quick --progress --reps N --jobs N --batch {auto,N} "
+      "flags: --csv --quick --progress --reps N --jobs N "
       "--seed S --engine {compiled,interpreted} --metrics FILE";
 
   /// Parse argv-style tokens (program name excluded).  Throws

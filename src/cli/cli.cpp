@@ -117,8 +117,6 @@ std::string usage() {
       "  --strategy NAME      for `trace`/`report` (e.g. \"split+MD\")\n"
       "  --taper T            attach a T:1 tapered fat-tree fabric\n"
       "  --jobs N             worker threads (default: hardware concurrency)\n"
-      "  --batch W            repetition lane width: auto (default), 1 =\n"
-      "                       serial, or a positive width\n"
       "  --metrics FILE       for `report`/`serve`: write the JSON metrics\n"
       "  --faults FILE.json   attach a hetcomm.fault.v1 degradation plan\n"
       "                       (compare, trace, report, ranking-stability)\n"
@@ -221,16 +219,6 @@ Options Options::parse(const std::vector<std::string>& args) {
       opts.reps = static_cast<int>(to_int(value(), "--reps"));
     } else if (flag == "--jobs") {
       opts.jobs = static_cast<int>(to_int(value(), "--jobs"));
-    } else if (flag == "--batch") {
-      const std::string& text = value();
-      if (text == "auto") {
-        opts.batch = 0;
-      } else {
-        opts.batch = static_cast<int>(to_int(text, "--batch"));
-        if (opts.batch < 1) {
-          throw std::invalid_argument("--batch must be >= 1 (or 'auto')");
-        }
-      }
     } else if (flag == "--seed") {
       opts.seed = static_cast<std::uint64_t>(to_int(value(), "--seed"));
     } else if (flag == "--csv") {
@@ -395,7 +383,6 @@ core::MeasureOptions measure_options(const Options& opts,
   core::MeasureOptions mopts;
   mopts.reps = opts.reps;
   mopts.seed = opts.seed;
-  mopts.batch = opts.batch;
   mopts.noise_sigma = 0.02;
   if (opts.taper > 0.0) {
     FatTreeConfig cfg;
@@ -436,11 +423,18 @@ int cmd_compare(const Options& opts, std::ostream& os) {
     double time = 0.0;
     core::PlanSummary summary;
   };
-  // One sweep cell per strategy; each cell compiles and simulates its plan.
+  // One sweep cell per measured strategy; each cell compiles and simulates
+  // its plan.  A variant that lowers to its base strategy's plan on this
+  // machine is not run: its row names the base it aliases.
   const std::vector<core::StrategyConfig> strategies =
       core::all_strategies();
+  const std::vector<int> alias = core::identity_aliases(strategies, params);
+  std::vector<core::StrategyConfig> measured;
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    if (alias[i] < 0) measured.push_back(strategies[i]);
+  }
   const std::vector<Row> rows = runtime::sweep(
-      strategies,
+      measured,
       [&](const core::StrategyConfig& cfg) {
         const core::CommPlan plan =
             core::build_plan(pattern, topo, params, cfg);
@@ -450,7 +444,15 @@ int cmd_compare(const Options& opts, std::ostream& os) {
       runtime::SweepOptions{opts.jobs, /*progress=*/false, nullptr});
   double best = 1e99;
   for (const Row& r : rows) best = std::min(best, r.time);
-  for (const Row& r : rows) {
+  auto row = rows.begin();
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    if (alias[i] >= 0) {
+      const core::StrategyConfig& base =
+          strategies[static_cast<std::size_t>(alias[i])];
+      table.add_row({strategies[i].name(), "= " + base.name(), "", "", ""});
+      continue;
+    }
+    const Row& r = *row++;
     table.add_row({r.name, Table::sci(r.time),
                    std::to_string(r.summary.internode_messages),
                    std::to_string(r.summary.internode_bytes),
@@ -836,6 +838,10 @@ int cmd_ranking_stability(const Options& opts, std::ostream& os) {
   Table table({"strategy", "nominal [s]", "wins", "failures"});
   for (std::size_t i = 0; i < report.strategies.size(); ++i) {
     const fault::StrategyOutcome& nom = report.nominal.outcomes[i];
+    if (!nom.alias_of.empty()) {
+      table.add_row({nom.strategy, "= " + nom.alias_of, "", ""});
+      continue;
+    }
     table.add_row({nom.strategy,
                    nom.failed ? std::string("failed") : Table::sci(nom.max_avg),
                    std::to_string(report.strategies[i].wins),
@@ -874,7 +880,6 @@ int cmd_serve(const Options& opts, std::ostream& os) {
   sopts.window = opts.window;
   sopts.cache_shards = opts.cache_shards;
   sopts.cache_capacity = static_cast<std::size_t>(opts.cache_entries);
-  sopts.batch = opts.batch;
   sopts.max_requests = opts.max_requests;
   sopts.max_queue = static_cast<std::size_t>(opts.max_queue);
   sopts.shed_policy = opts.shed_policy == "degrade"

@@ -23,7 +23,7 @@
 //            docs/faults.md)
 //   serve    persistent strategy-advisor service: NDJSON requests on
 //            stdin/stdout or a unix socket (--socket), with a sharded
-//            compiled-plan cache and batched request execution (see
+//            compiled-plan cache and windowed request execution (see
 //            docs/serve.md; --metrics FILE writes the serve artifact on
 //            exit)
 //
@@ -73,7 +73,6 @@ struct Options {
   double taper = 0.0;  ///< 0 = no fabric
   int reps = 15;
   int jobs = 0;        ///< worker threads; 0 = hardware concurrency
-  int batch = 0;       ///< repetition lane width; 0 = auto, 1 = serial
   std::uint64_t seed = 1;
   bool csv = false;
   std::string metrics_file;  ///< report/serve: also write the JSON metrics

@@ -274,8 +274,8 @@ namespace {
 /// (ready, index) strict total order with no double-compare branches.
 ///
 /// When `order` already holds a permutation of the right size -- the
-/// previous repetition's (or sibling lane's) schedule order -- the keys
-/// are built in that order and sorted by a warm-start insertion pass:
+/// previous repetition's schedule order -- the keys are built in that
+/// order and sorted by a warm-start insertion pass:
 /// jitter rarely reorders ready times between adjacent repetitions, so
 /// nearly every element stays put, where a comparison sort on freshly
 /// jittered keys pays a misprediction per comparison.  Any permutation
@@ -549,7 +549,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
 
         completion = t + noise_.perturb(fst.completion_base) + hop_latency;
 
-        if (fault_lost(fst, attempt, fault_stream_)) {
+        if (fault_lost(fst, attempt)) {
           ++attempt;
           if (attempt >= fst.loss->retry.max_attempts) {
             throw_retries_exhausted(msg.src, msg.dst, fault_path, attempt);
@@ -625,426 +625,6 @@ void Engine::execute(const core::CompiledPlan& plan) {
     network_messages_ += phase.network_messages;
     if (metrics_smp_) metrics_smp_->on_phase_end(max_clock());
   }
-}
-
-// Lane-batched replay: run N repetitions of one CompiledPlan in lockstep.
-// The plan tables are read once per batch; everything rep-varying lives in
-// lane-indexed scratch with lane-innermost layout ([entity * lanes + lane]),
-// so the posting pass is contiguous lane loops over shared op rows.  The
-// schedule pass is lane-outer: post-time noise makes transfer-ready times
-// lane-dependent, so each lane sorts its own (ready, index) schedule order
-// -- exactly the per-repetition sort the serial engine performs -- and then
-// drains its messages against its own servers.  Bit-identity with the
-// serial engine holds lane by lane because both paths evaluate the same
-// expression trees in the same per-repetition order, and the counter-based
-// noise/fault streams make draw values a pure function of (lane seed, draw
-// index), independent of lane interleaving.
-void Engine::execute_batch(const core::CompiledPlan& plan,
-                           std::span<const std::uint64_t> lane_seeds,
-                           std::span<double> clocks_out, int traced_lane) {
-  if (plan.num_ranks() != topo_.num_ranks() ||
-      plan.num_gpus() != topo_.num_gpus() ||
-      plan.num_nodes() != topo_.num_nodes() ||
-      plan.num_paths() != paths_.num_classes() ||
-      plan.nic_lanes() != params_.injection.nics_per_node) {
-    throw std::invalid_argument(
-        "Engine::execute_batch: plan compiled for a different machine shape");
-  }
-  if (has_pending()) {
-    throw std::logic_error(
-        "Engine::execute_batch: engine holds pending isend/irecv operations; "
-        "resolve() or reset() first");
-  }
-  const std::size_t lanes = lane_seeds.size();
-  const std::size_t num_ranks = clock_.size();
-  if (clocks_out.size() != lanes * num_ranks) {
-    throw std::invalid_argument(
-        "Engine::execute_batch: clocks_out must hold lanes * num_ranks "
-        "slots");
-  }
-  if (traced_lane >= static_cast<int>(lanes)) {
-    throw std::invalid_argument(
-        "Engine::execute_batch: traced_lane out of range");
-  }
-  if (lanes == 0) return;
-  const std::size_t L = lanes;
-
-  lane_clock_.assign(num_ranks * L, 0.0);
-  lane_send_port_.assign(num_ranks * L, BusyServer{});
-  lane_recv_port_.assign(num_ranks * L, BusyServer{});
-  lane_nic_out_.assign(nic_out_.size() * L, BusyServer{});
-  lane_nic_in_.assign(nic_in_.size() * L, BusyServer{});
-  lane_dma_h2d_.assign(dma_h2d_.size() * L, BusyServer{});
-  lane_dma_d2h_.assign(dma_d2h_.size() * L, BusyServer{});
-  lane_noise_stream_.assign(lane_seeds.begin(), lane_seeds.end());
-  lane_noise_draws_.assign(L, 0);
-  lane_alive_.assign(L, 1);
-  if (faults_) {
-    lane_fault_stream_.resize(L);
-    for (std::size_t l = 0; l < L; ++l) {
-      lane_fault_stream_[l] = fault_stream_for(lane_seeds[l]);
-    }
-    lane_fault_msg_.assign(L, 0);
-  }
-  if (fabric_) {
-    lane_fabric_.assign(L, *fabric_);
-    for (FatTreeFabric& fab : lane_fabric_) fab.reset();
-  }
-  const bool traced = tracing_ && traced_lane >= 0;
-  if (traced) trace_.clear();
-
-  // The lowest-indexed lane's abort -- the failure a serial jobs=1 sweep of
-  // the same repetitions would have surfaced first -- rethrown after every
-  // surviving lane finishes.
-  std::optional<FaultAbort> pending_abort;
-  std::size_t abort_lane = L;
-
-  const double post_overhead = params_.overheads.post_overhead;
-  const double sigma = noise_.sigma();
-  const auto lane_perturb = [&](std::size_t l, double base) {
-    if (sigma <= 0.0) return base;  // matches NoiseModel::perturb: no draw
-    return base * noise_factor(lane_noise_stream_[l],
-                               lane_noise_draws_[l]++, sigma);
-  };
-  const auto lane_max_clock = [&](std::size_t l) {
-    double m = 0.0;
-    for (std::size_t r = 0; r < num_ranks; ++r) {
-      const double c = lane_clock_[r * L + l];
-      m = m < c ? c : m;
-    }
-    return m;
-  };
-
-  if (sched_order_cache_.size() < plan.phases().size()) {
-    sched_order_cache_.resize(plan.phases().size());
-  }
-  std::size_t phase_index = 0;
-  for (const core::CompiledPhase& phase : plan.phases()) {
-    std::vector<std::uint32_t>& sched_order = sched_order_cache_[phase_index];
-    ++phase_index;
-    const std::size_t num_messages = phase.messages.size();
-    lane_post_send_.resize(num_messages * L);
-    lane_post_recv_.resize(num_messages * L);
-
-    // ---- Posting pass, in op order, lane-inner.  Dead lanes keep
-    // accumulating posting arithmetic (their private streams advance; no
-    // shared state is touched), which keeps these loops branch-free -- the
-    // rethrown abort makes their outputs unobservable anyway. ----
-    for (const core::CompiledStep& step : phase.steps) {
-      switch (step.kind) {
-        case core::StepKind::Message: {
-          const core::CompiledPhase::MessageSchedule& msg =
-              phase.messages[step.index];
-          double* src_clock =
-              lane_clock_.data() + static_cast<std::size_t>(msg.src) * L;
-          double* dst_clock =
-              lane_clock_.data() + static_cast<std::size_t>(msg.dst) * L;
-          double* post_send = lane_post_send_.data() + step.index * L;
-          double* post_recv = lane_post_recv_.data() + step.index * L;
-          for (std::size_t l = 0; l < L; ++l) {
-            src_clock[l] += post_overhead;  // isend posting
-            post_send[l] = src_clock[l];
-          }
-          for (std::size_t l = 0; l < L; ++l) {
-            dst_clock[l] += post_overhead;  // irecv posting
-            post_recv[l] = dst_clock[l];
-          }
-          break;
-        }
-        case core::StepKind::Copy: {
-          const core::CompiledPhase::CopyOp& op = phase.copies[step.index];
-          BusyServer* dma =
-              (op.dir == CopyDir::HostToDevice ? lane_dma_h2d_
-                                               : lane_dma_d2h_)
-                  .data() +
-              static_cast<std::size_t>(op.gpu) * L;
-          double* rank_clock =
-              lane_clock_.data() + static_cast<std::size_t>(op.rank) * L;
-          double base = op.duration_base;
-          if (faults_) base = faults_->rank_compute_factor(op.rank) * base;
-          for (std::size_t l = 0; l < L; ++l) {
-            const double ready = rank_clock[l];
-            const double start = dma[l].acquire(ready, op.occupancy);
-            const double duration = lane_perturb(l, base);
-            rank_clock[l] = start + duration;
-            if (l == 0 && (metrics_inv_ || metrics_smp_)) {
-              const obs::SimResource res = op.dir == CopyDir::HostToDevice
-                                               ? obs::SimResource::DmaH2D
-                                               : obs::SimResource::DmaD2H;
-              if (metrics_inv_) metrics_inv_->on_occupancy(res, op.occupancy);
-              if (metrics_smp_) {
-                metrics_smp_->on_wait(res, ready, start);
-                metrics_smp_->on_copy(op.dir, op.sharing_procs, op.bytes,
-                                      duration);
-              }
-            }
-            if (traced && static_cast<int>(l) == traced_lane) {
-              trace_.copies.push_back({op.rank, op.gpu, op.dir, op.bytes,
-                                       op.sharing_procs, start,
-                                       rank_clock[l]});
-            }
-          }
-          break;
-        }
-        case core::StepKind::Pack: {
-          const core::CompiledPhase::PackOp& op = phase.packs[step.index];
-          double* rank_clock =
-              lane_clock_.data() + static_cast<std::size_t>(op.rank) * L;
-          double base = op.duration_base;
-          if (faults_) base = faults_->rank_compute_factor(op.rank) * base;
-          for (std::size_t l = 0; l < L; ++l) {
-            const double duration = lane_perturb(l, base);
-            rank_clock[l] += duration;
-            if (l == 0 && metrics_smp_) metrics_smp_->on_pack(op.bytes,
-                                                              duration);
-          }
-          break;
-        }
-      }
-    }
-    if (num_messages == 0) {
-      if (metrics_smp_ && lane_alive_[0]) {
-        metrics_smp_->on_phase_end(lane_max_clock(0));
-      }
-      continue;
-    }
-
-    // ---- Schedule pass, lane-outer: each alive lane sorts and drains its
-    // own schedule, exactly as a serial repetition would.  The shared
-    // per-phase order is re-sorted for each lane in turn -- sibling lanes'
-    // jittered ready times rarely cross, so each refinement is a cheap
-    // near-sorted insertion pass. ----
-    lane_ready_.resize(num_messages);
-    for (std::size_t l = 0; l < L; ++l) {
-      if (!lane_alive_[l]) continue;
-      for (std::uint32_t i = 0; i < num_messages; ++i) {
-        lane_ready_[i] =
-            phase.messages[i].rendezvous
-                ? std::max(lane_post_send_[i * L + l],
-                           lane_post_recv_[phase.recv_of_send[i] * L + l])
-                : lane_post_send_[i * L + l];
-      }
-
-      // The metrics tiers record lane 0 only (core::measure samples rep 0);
-      // the traced lane records trace events.
-      obs::EngineMetrics* minv = l == 0 ? metrics_inv_ : nullptr;
-      obs::EngineMetrics* msmp = l == 0 ? metrics_smp_ : nullptr;
-      const bool trc = traced && static_cast<int>(l) == traced_lane;
-      const auto schedule_message = [&](std::uint32_t i,
-                                        double ready0) -> double {
-          const core::CompiledPhase::MessageSchedule& msg = phase.messages[i];
-
-          FaultMsgState fst;
-          fst.send_occupancy = msg.send_occupancy;
-          fst.drain_occupancy = msg.drain_occupancy;
-          fst.completion_base = msg.completion_base;
-          fst.nic_occupancy_src = msg.nic_occupancy;
-          fst.nic_occupancy_dst = msg.nic_occupancy;
-          std::uint8_t fault_path = 0;
-          if (faults_) {
-            fault_path = phase.message_meta[i].path_id;
-            fst = fault_prepare(msg.src, fault_path, msg.off_node,
-                                msg.src_node, msg.dst_node, msg.src_nic,
-                                msg.dst_nic, msg.send_occupancy,
-                                msg.drain_occupancy, msg.completion_base,
-                                msg.nic_occupancy, ready0,
-                                lane_fault_msg_[l]++);
-            if (fst.degraded && msmp) {
-              msmp->on_fault_degraded(fault_path, fst.extra_seconds);
-            }
-          }
-
-          const double hop_latency =
-              (msg.off_node && fabric_)
-                  ? lane_fabric_[l].hop_latency(msg.src_node, msg.dst_node)
-                  : 0.0;
-
-          double ready = ready0;
-          double t = 0.0;
-          double completion = 0.0;
-          std::int32_t egress_server = -1;  ///< last attempt's NIC server
-          BusyServer& send_port =
-              lane_send_port_[static_cast<std::size_t>(msg.src) * L + l];
-          for (int attempt = 0;;) {
-            t = send_port.acquire(ready, fst.send_occupancy);
-            if (minv) {
-              if (attempt == 0) {
-                const core::CompiledPhase::MessageMeta& meta =
-                    phase.message_meta[i];
-                minv->on_message(meta.path_id, meta.protocol, msg.bytes);
-              }
-              minv->on_occupancy(obs::SimResource::SendPort,
-                                 fst.send_occupancy);
-            }
-            if (msmp) {
-              msmp->on_wait(obs::SimResource::SendPort, ready, t);
-            }
-            if (msg.off_node) {
-              std::int32_t out_server = msg.src_nic;
-              if (faults_ && faults_->has_outages()) {
-                bool failover = false;
-                out_server = fault_route_nic(msg.src_node, msg.src_nic, t,
-                                             failover, msg.src, msg.dst,
-                                             fault_path);
-                if (failover && msmp) msmp->on_fault_failover();
-              }
-              egress_server = out_server;
-              const double t_out =
-                  lane_nic_out_[static_cast<std::size_t>(out_server) * L + l]
-                      .acquire(t, fst.nic_occupancy_src);
-              if (minv) {
-                minv->on_occupancy(obs::SimResource::NicOut,
-                                   fst.nic_occupancy_src);
-                if (attempt == 0) {
-                  minv->on_nic_egress(out_server, msg.bytes, msg.rail >= 0);
-                }
-              }
-              if (msmp) {
-                msmp->on_wait(obs::SimResource::NicOut, t, t_out);
-              }
-              t = t_out;
-              if (fabric_) {
-                const double t_fab = lane_fabric_[l].acquire(
-                    msg.src_node, msg.dst_node, msg.bytes, t);
-                if (msmp) {
-                  msmp->on_wait(obs::SimResource::FabricLink, t, t_fab);
-                }
-                t = t_fab;
-              }
-              std::int32_t in_server = msg.dst_nic;
-              if (faults_ && faults_->has_outages()) {
-                bool failover = false;
-                in_server = fault_route_nic(msg.dst_node, msg.dst_nic, t,
-                                            failover, msg.src, msg.dst,
-                                            fault_path);
-                if (failover && msmp) msmp->on_fault_failover();
-              }
-              const double t_in =
-                  lane_nic_in_[static_cast<std::size_t>(in_server) * L + l]
-                      .acquire(t, fst.nic_occupancy_dst);
-              if (minv) {
-                minv->on_occupancy(obs::SimResource::NicIn,
-                                   fst.nic_occupancy_dst);
-              }
-              if (msmp) {
-                msmp->on_wait(obs::SimResource::NicIn, t, t_in);
-              }
-              t = t_in;
-            }
-            const double t_drain =
-                lane_recv_port_[static_cast<std::size_t>(msg.dst) * L + l]
-                    .acquire(t, fst.drain_occupancy);
-            if (minv) {
-              minv->on_occupancy(obs::SimResource::RecvPort,
-                                 fst.drain_occupancy);
-            }
-            if (msmp) {
-              msmp->on_wait(obs::SimResource::RecvPort, t, t_drain);
-            }
-            t = t_drain;
-
-            completion =
-                t + lane_perturb(l, fst.completion_base) + hop_latency;
-
-            if (faults_ && fault_lost(fst, attempt, lane_fault_stream_[l])) {
-              ++attempt;
-              if (attempt >= fst.loss->retry.max_attempts) {
-                throw_retries_exhausted(msg.src, msg.dst, fault_path,
-                                        attempt);
-              }
-              const double delay = retry_delay(fst.loss->retry, attempt - 1);
-              if (msmp) {
-                const int lanes_per_node =
-                    std::max(1, params_.injection.nics_per_node);
-                msmp->on_fault_retry(
-                    delay, egress_server < 0
-                               ? -1
-                               : egress_server -
-                                     msg.src_node * lanes_per_node);
-              }
-              ready = completion + delay;
-              continue;
-            }
-            break;
-          }
-
-          const double sender_done =
-              msg.rendezvous ? completion : send_port.free_at();
-          double& src_clock =
-              lane_clock_[static_cast<std::size_t>(msg.src) * L + l];
-          double& dst_clock =
-              lane_clock_[static_cast<std::size_t>(msg.dst) * L + l];
-          src_clock = std::max(src_clock, sender_done);
-          dst_clock = std::max(dst_clock, completion);
-
-          if (trc) {
-            const core::CompiledPhase::MessageMeta& meta =
-                phase.message_meta[i];
-            trace_.messages.push_back({msg.src, msg.dst, msg.bytes, meta.tag,
-                                       meta.space, meta.protocol, meta.path,
-                                       ready0, t, completion});
-          }
-          return completion;
-      };
-      try {
-        if (phase.num_waves() == 1) {
-          sort_schedule_order(sched_order, sched_key_scratch_, num_messages,
-                              lane_ready_.data());
-          for (const std::uint32_t i : sched_order) {
-            schedule_message(i, lane_ready_[i]);
-          }
-        } else {
-          // Dependency waves, per lane: adjust each dependent message's
-          // ready time by its gating chunk's completion in this lane, then
-          // cold-sort the wave (the shared warm cache is never used with a
-          // subset membership; see sort_wave_order).
-          matched_completion_scratch_.assign(num_messages, 0.0);
-          for (std::size_t w = 0; w + 1 < phase.wave_begin.size(); ++w) {
-            const std::uint32_t* members =
-                phase.wave_members.data() + phase.wave_begin[w];
-            const std::size_t count =
-                phase.wave_begin[w + 1] - phase.wave_begin[w];
-            for (std::size_t k = 0; k < count; ++k) {
-              const std::uint32_t i = members[k];
-              const std::int32_t d = phase.msg_dep[i];
-              if (d >= 0) {
-                lane_ready_[i] =
-                    std::max(lane_ready_[i],
-                             matched_completion_scratch_[
-                                 static_cast<std::size_t>(d)]);
-              }
-            }
-            sort_wave_order(wave_order_scratch_, sched_key_scratch_, members,
-                            count, lane_ready_.data());
-            for (const std::uint32_t i : wave_order_scratch_) {
-              matched_completion_scratch_[i] =
-                  schedule_message(i, lane_ready_[i]);
-            }
-          }
-        }
-        network_bytes_ += phase.network_bytes;
-        network_messages_ += phase.network_messages;
-        if (msmp) msmp->on_phase_end(lane_max_clock(l));
-      } catch (FaultAbort& abort) {
-        // The lane dies; siblings keep running.  Keep the abort a serial
-        // jobs=1 sweep would have hit first (the lowest repetition index).
-        lane_alive_[l] = 0;
-        if (l < abort_lane) {
-          abort_lane = l;
-          pending_abort.emplace(std::move(abort));
-        }
-      }
-    }
-  }
-
-  // Transpose lane-major scratch into the caller's rep-major layout (lane
-  // l's ranks are contiguous, matching core::measure's rep_clocks rows).
-  for (std::size_t l = 0; l < L; ++l) {
-    for (std::size_t r = 0; r < num_ranks; ++r) {
-      clocks_out[l * num_ranks + r] = lane_clock_[r * L + l];
-    }
-  }
-  if (pending_abort) throw *pending_abort;
 }
 
 }  // namespace hetcomm

@@ -1,15 +1,15 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "obs/engine_metrics.hpp"
-
-#include "runtime/sweep.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace hetcomm::core {
@@ -109,10 +109,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   if (options.jobs < 0) {
     throw std::invalid_argument("measure: jobs must be >= 0 (0 = hardware)");
   }
-  if (options.batch < 0) {
-    throw std::invalid_argument(
-        "measure: batch must be >= 0 (0 = auto, 1 = serial)");
-  }
 
   MeasureResult result;
   result.summary = plan.summarize(topo);
@@ -134,7 +130,7 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   bool own_root = false;
   obs::SpanRecord root_span;
   std::uint16_t n_compile = 0, n_block = 0, n_phase = 0;
-  std::uint16_t k_block = 0, k_lanes = 0, k_phase = 0, k_sim = 0;
+  std::uint16_t k_block = 0, k_phase = 0, k_sim = 0;
   if (tracer != nullptr && trace_id == 0) trace_id = tracer->begin_trace();
   if (tracer != nullptr && !tracer->sampled(trace_id)) tracer = nullptr;
   if (tracer != nullptr) {
@@ -142,7 +138,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     n_block = tracer->intern("measure.block");
     n_phase = tracer->intern("engine.phase");
     k_block = tracer->intern("first_rep");
-    k_lanes = tracer->intern("lanes");
     k_phase = tracer->intern("phase");
     k_sim = tracer->intern("sim_ns");
     if (options.trace_parent == 0) {
@@ -168,37 +163,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
           obs::TraceContext{tracer, 0, trace_id, trace_root, 0}, n_compile);
       compiled_local.emplace(plan, topo, params);
       compiled = &*compiled_local;
-    }
-  }
-
-  // Effective lane width.  batch=0 auto-sizes: start at 16 lanes, halve
-  // while the per-rank lane scratch would outgrow a cache-friendly budget
-  // (~8192 doubles of lane clocks), then cap at ceil(reps / jobs) so every
-  // worker still gets a block (--jobs x batch compose; an explicit batch
-  // width wins over worker occupancy).  Interpreted mode has no compiled
-  // tables to batch over and always runs the serial path, as does width 1.
-  int width = options.batch;
-  if (width == 0) {
-    width = 16;
-    while (width > 1 && topo.num_ranks() * width > 8192) width /= 2;
-    width = std::min(width, static_cast<int>((options.reps + jobs - 1) / jobs));
-  }
-  width = std::min(width, options.reps);
-  const bool batched = compiled != nullptr && width > 1;
-  result.batch = batched ? width : 1;
-
-  // Lane blocks (batched path): contiguous repetition ranges handed to
-  // Engine::execute_batch, the trailing partial block included.  Workers
-  // pick up whole blocks, so --jobs composes with --batch.
-  std::vector<runtime::LaneBlock> blocks;
-  std::vector<std::uint64_t> rep_seeds;
-  if (batched) {
-    blocks = runtime::lane_blocks(options.reps, width);
-    jobs = std::min(jobs, static_cast<int>(blocks.size()));
-    rep_seeds.resize(static_cast<std::size_t>(options.reps));
-    for (std::int64_t rep = 0; rep < options.reps; ++rep) {
-      rep_seeds[static_cast<std::size_t>(rep)] =
-          mix_seed(options.seed, static_cast<std::uint64_t>(rep));
     }
   }
 
@@ -242,11 +206,11 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     worker_busy_seconds.assign(static_cast<std::size_t>(jobs), 0.0);
   }
 
-  // Tracing scratch.  The worker that runs repetition 0 (serial path) or
-  // the leading block (batched path) is the only writer of the lead_* /
-  // trace_phase_ends slots; they are read back serially after the pool
-  // joins.  Without collect_metrics a throwaway sink is attached to that
-  // one repetition so the engine still surfaces its phase-end clocks.
+  // Tracing scratch.  The worker that runs repetition 0 is the only
+  // writer of the lead_* / trace_phase_ends slots; they are read back
+  // serially after the pool joins.  Without collect_metrics a throwaway
+  // sink is attached to that one repetition so the engine still surfaces
+  // its phase-end clocks.
   obs::EngineMetrics trace_sink;
   const bool want_trace_phases = tracer != nullptr && !options.collect_metrics;
   std::vector<double> trace_phase_ends;
@@ -327,7 +291,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
       s.t_start = trace_t0;
       s.t_end = tracer->now();
       s.add_attr(k_block, rep);
-      s.add_attr(k_lanes, 1);
       if (rep == 0) {
         lead_span = s.span_id;
         lead_ring = worker;
@@ -342,111 +305,41 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     }
   };
 
-  // Batched counterpart of run_rep: one task per lane block, all lanes of
-  // the block run in lockstep by Engine::execute_batch.  Lane l of block b
-  // is bit-identical to run_rep(b.start + l), so the rep-keyed reduction
-  // below is oblivious to which path filled rep_clocks.
-  const auto run_block = [&](std::int64_t block, int worker) {
-    std::unique_ptr<Engine>& slot = engines[static_cast<std::size_t>(worker)];
-    if (!slot) {
-      slot = std::make_unique<Engine>(topo, params,
-                                      NoiseModel(0, options.noise_sigma));
-      if (options.fabric) slot->set_fabric(*options.fabric);
-      if (options.faults) slot->set_faults(options.faults);
-    }
-    const runtime::LaneBlock blk = blocks[static_cast<std::size_t>(block)];
-    const double trace_t0 = tracer != nullptr ? tracer->now() : 0.0;
-    if (want_trace_phases) {
-      const bool leading = blk.start == 0;
-      slot->set_metrics(leading ? &trace_sink : nullptr, false, leading);
-    }
-    if (options.collect_metrics) {
-      // execute_batch records lane 0 only, so attaching the sink to the
-      // block that starts at repetition 0 reproduces the serial sampling
-      // policy exactly: invariants and samples from repetition 0, nothing
-      // from any other repetition (sample_stride == reps).
-      const bool leading = blk.start == 0;
-      slot->set_metrics(leading
-                            ? &worker_metrics[static_cast<std::size_t>(worker)]
-                            : nullptr,
-                        leading, leading);
-    }
-    Engine& engine = *slot;
-    const bool traced =
-        options.trace_last_rep &&
-        blk.start + blk.width == static_cast<std::int64_t>(options.reps);
-    engine.set_tracing(traced);
-    const auto block_start = options.collect_metrics
-                                 ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-    const std::span<const std::uint64_t> lane_seeds(
-        rep_seeds.data() + blk.start, static_cast<std::size_t>(blk.width));
-    const std::span<double> clocks_out(
-        rep_clocks.data() + static_cast<std::size_t>(blk.start) * num_ranks,
-        static_cast<std::size_t>(blk.width) * num_ranks);
-    engine.execute_batch(*compiled, lane_seeds, clocks_out,
-                         traced ? blk.width - 1 : -1);
-    if (options.collect_metrics) {
-      obs::EngineMetrics& sink =
-          worker_metrics[static_cast<std::size_t>(worker)];
-      // Only the leading block's sink holds phase-end clocks (lane 0 ==
-      // repetition 0); move them into that repetition's row.
-      for (std::size_t p = 0; p < sink.phase_makespan.size(); ++p) {
-        phase_ends[static_cast<std::size_t>(blk.start) * num_phases + p] =
-            sink.phase_makespan[p];
-      }
-      sink.phase_makespan.clear();
-      worker_rep_count[static_cast<std::size_t>(worker)] += blk.width;
-      worker_busy_seconds[static_cast<std::size_t>(worker)] +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        block_start)
-              .count();
-    }
-    if (traced) {
-      last_trace = engine.trace();
-      engine.set_tracing(false);
-    }
-    if (tracer != nullptr) {
-      obs::SpanRecord s;
-      s.trace_id = trace_id;
-      s.span_id = tracer->new_span_id();
-      s.parent = trace_root;
-      s.name = n_block;
-      s.track = static_cast<std::uint16_t>(worker);
-      s.t_start = trace_t0;
-      s.t_end = tracer->now();
-      s.add_attr(k_block, blk.start);
-      s.add_attr(k_lanes, blk.width);
-      if (blk.start == 0) {
-        lead_span = s.span_id;
-        lead_ring = worker;
-        lead_t0 = s.t_start;
-        lead_t1 = s.t_end;
-        if (want_trace_phases) {
-          trace_phase_ends = trace_sink.phase_makespan;
-          trace_sink.phase_makespan.clear();
-        }
-      }
-      tracer->record(worker, s);
-    }
-  };
-
   const auto start = std::chrono::steady_clock::now();
+  // A FaultAbort is recorded against its repetition instead of failing the
+  // pool, and the lowest aborting repetition's error -- the one a jobs=1
+  // sweep reaches first -- is rethrown after the join, so the reported
+  // abort is the same at any jobs count.  Repetitions above the lowest
+  // abort seen so far are skipped: they can no longer change the outcome.
+  std::mutex abort_mu;
+  std::atomic<std::int64_t> abort_rep{options.reps};
+  std::optional<FaultAbort> abort;
   runtime::ThreadPool pool(jobs);
-  try {
-    if (batched) {
-      pool.parallel_for(static_cast<std::int64_t>(blocks.size()), run_block);
-    } else {
-      pool.parallel_for(options.reps, run_rep);
-    }
-  } catch (const FaultAbort& e) {
-    if (e.strategy.empty()) {
+  pool.parallel_for(
+      options.reps,
+      [&](std::int64_t rep, int worker) {
+        try {
+          run_rep(rep, worker);
+        } catch (FaultAbort& e) {
+          const std::lock_guard<std::mutex> lock(abort_mu);
+          if (rep < abort_rep.load()) {
+            abort_rep.store(rep);
+            abort.emplace(std::move(e));
+          }
+        }
+      },
+      runtime::ThreadPool::TraceHook(), [&](std::int64_t rep) {
+        return rep > abort_rep.load();
+      });
+  if (abort) {
+    if (abort->strategy.empty()) {
       // Stamp the structured error with the plan it killed; everything else
       // (ranks, path class, attempt count) came from the engine.
-      throw FaultAbort(e.reason, plan.strategy_name, e.src, e.dst, e.path_id,
-                       e.path, e.attempts);
+      throw FaultAbort(abort->reason, plan.strategy_name, abort->src,
+                       abort->dst, abort->path_id, abort->path,
+                       abort->attempts);
     }
-    throw;
+    throw std::move(*abort);
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -454,10 +347,10 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   result.reps_per_second =
       result.wall_seconds > 0.0 ? options.reps / result.wall_seconds : 0.0;
 
-  // Repetition-0 engine phase spans, nested inside the block span that ran
-  // it.  The engine reports *simulated* phase-end clocks; the spans scale
-  // them proportionally into the block's wall interval so the timeline
-  // shows each phase's share of the block, not wall truth.
+  // Repetition-0 engine phase spans, nested inside that repetition's
+  // span.  The engine reports *simulated* phase-end clocks; the spans scale
+  // them proportionally into the repetition's wall interval so the timeline
+  // shows each phase's share of it, not wall truth.
   if (tracer != nullptr && lead_span != 0) {
     const double* ends = nullptr;
     std::size_t count = 0;
@@ -526,7 +419,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     report.engine = to_string(options.engine);
     report.reps = options.reps;
     report.jobs = jobs;
-    report.batch = result.batch;
     report.seed = options.seed;
     report.noise_sigma = options.noise_sigma;
     report.ranks = topo.num_ranks();
@@ -577,7 +469,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     root_span.t_end = tracer->now();
     root_span.add_attr(tracer->intern("reps"), options.reps);
     root_span.add_attr(tracer->intern("jobs"), jobs);
-    root_span.add_attr(tracer->intern("batch"), result.batch);
     tracer->record(0, root_span);
   }
   return result;

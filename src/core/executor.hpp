@@ -56,15 +56,6 @@ struct MeasureOptions {
   /// Worker threads for repetitions: 1 = serial (default), 0 = hardware
   /// concurrency.  Results are bit-identical for every value.
   int jobs = 1;
-  /// Lane width for batched execution (Engine::execute_batch): repetitions
-  /// run `batch` at a time in lockstep over the shared CompiledPlan.
-  /// 0 = auto (a width sized to keep lane scratch cache-resident),
-  /// 1 = the historical one-rep-at-a-time path.  Composes with `jobs`
-  /// (workers pick up lane *blocks*; a trailing partial block is a
-  /// narrower batch, never a serial fallback) and is bit-identical to
-  /// batch=1 for every width.  Ignored (always serial) in Interpreted
-  /// mode, which has no compiled tables to batch over.
-  int batch = 0;
   /// Attach a tapered fat-tree fabric to every engine (what-if studies).
   std::optional<FatTreeConfig> fabric;
   /// Execution path; Compiled is the default fast path, Interpreted is the
@@ -78,8 +69,9 @@ struct MeasureOptions {
   /// or an empty model = unfaulted).  Faulted results stay bit-identical
   /// across `jobs` values and engine modes (the fault stream is keyed by
   /// repetition seed and schedule-order message id, never worker identity).
-  /// A FaultAbort raised mid-sweep is rethrown with the plan's strategy
-  /// name filled in; no partial result is returned.
+  /// When repetitions abort, the lowest aborting repetition's FaultAbort
+  /// is rethrown (the same one at every `jobs` value) with the plan's
+  /// strategy name filled in; no partial result is returned.
   const FaultModel* faults = nullptr;
   /// Caller-owned pre-compiled plan to replay instead of compiling inside
   /// measure() (Compiled mode only; ignored when Interpreted).  Must have
@@ -91,9 +83,9 @@ struct MeasureOptions {
   const CompiledPlan* precompiled = nullptr;
   /// Span tracing (null = off; see obs/trace.hpp and docs/tracing.md).
   /// When set -- and trace_id is on the tracer's sampled grid -- measure()
-  /// records a compile span, one span per execution block on the running
+  /// records a compile span, one span per repetition on the running
   /// worker's ring/track (the tracer needs rings >= effective jobs), and
-  /// repetition-0 engine phase spans scaled into that block's wall
+  /// repetition-0 engine phase spans scaled into that repetition's wall
   /// interval.  trace_id 0 allocates a fresh trace with a root `measure`
   /// span; a nonzero trace_id parents everything under `trace_parent`.
   /// Tracing never perturbs results: clocks and statistics stay
@@ -113,9 +105,6 @@ struct MeasureResult {
   Trace trace;                ///< last repetition's events (trace_last_rep)
   double wall_seconds = 0.0;  ///< wall time spent simulating repetitions
   double reps_per_second = 0.0;
-  /// Effective lane width the repetitions actually ran at (resolves
-  /// batch=0 auto; 1 whenever the serial path ran, e.g. Interpreted mode).
-  int batch = 1;
   /// Aggregated run report (collect_metrics).  `name` is left empty for the
   /// caller to label.  Simulated-time sections depend only on the plan,
   /// machine, seed and noise; the `workers` / wall-time sections describe

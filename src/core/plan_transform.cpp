@@ -44,8 +44,8 @@ std::vector<std::vector<char>> dep_targets(const CommPlan& plan) {
 
 CommPlan stripe(const CommPlan& plan, const Topology& topo,
                 const ParamSet& params, const SplitOptions& options) {
+  if (split_is_identity(SplitMode::Striped, params)) return plan;
   const int rails = params.injection.nics_per_node;
-  if (rails <= 1) return plan;  // one lane: nothing to stripe across
   const std::int64_t min_bytes = resolve_min_bytes(params, options);
   const int chunks = options.chunks > 0 ? options.chunks : rails;
   if (chunks <= 1) return plan;
@@ -209,6 +209,10 @@ CommPlan apply_split(const CommPlan& plan, const Topology& topo,
       return chunk_pipeline(plan, topo, params, options);
   }
   throw std::logic_error("apply_split: unknown split mode");
+}
+
+bool split_is_identity(SplitMode mode, const ParamSet& params) noexcept {
+  return mode == SplitMode::Striped && params.injection.nics_per_node <= 1;
 }
 
 }  // namespace hetcomm::core

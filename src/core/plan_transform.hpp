@@ -67,4 +67,11 @@ inline constexpr int kDefaultPipelineDepth = 4;
                                    const ParamSet& params, SplitMode mode,
                                    const SplitOptions& options = {});
 
+/// True when `mode` is a split that apply_split() with default SplitOptions
+/// lowers to the unchanged plan on a machine with `params`:
+/// SplitMode::Striped on a single-rail machine (nothing to stripe across).
+/// SplitMode::None is no split and reports false.
+[[nodiscard]] bool split_is_identity(SplitMode mode,
+                                     const ParamSet& params) noexcept;
+
 }  // namespace hetcomm::core

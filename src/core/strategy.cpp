@@ -1,5 +1,6 @@
 #include "core/strategy.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hetcomm::core {
@@ -140,6 +141,21 @@ std::vector<StrategyConfig> all_strategies() {
     out.push_back(cfg);
   }
   return out;
+}
+
+std::vector<int> identity_aliases(const std::vector<StrategyConfig>& roster,
+                                  const ParamSet& params) {
+  std::vector<int> alias(roster.size(), -1);
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    if (!split_is_identity(roster[i].split, params)) continue;
+    StrategyConfig base = roster[i];
+    base.split = SplitMode::None;
+    const auto it = std::find(roster.begin(), roster.end(), base);
+    if (it != roster.end()) {
+      alias[i] = static_cast<int>(it - roster.begin());
+    }
+  }
+  return alias;
 }
 
 }  // namespace hetcomm::core

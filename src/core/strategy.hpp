@@ -61,6 +61,8 @@ struct StrategyConfig {
   /// has no staging copy to pipeline; throws std::invalid_argument in
   /// either case.
   void validate() const;
+
+  bool operator==(const StrategyConfig&) const = default;
 };
 
 /// Compile `pattern` for the given machine.  The returned plan is
@@ -83,6 +85,15 @@ struct StrategyConfig {
 /// Fig-5.1 comparison, the advisor, `hetcomm serve`, and
 /// ranking-stability iterate.
 [[nodiscard]] std::vector<StrategyConfig> all_strategies();
+
+/// For each entry of `roster`, the index of the entry it duplicates on a
+/// machine with `params`, or -1.  A split variant whose lowering is the
+/// identity there (split_is_identity: striping on a single-rail machine)
+/// builds exactly its base strategy's plan, so callers report it as an
+/// alias of that base instead of measuring the same plan twice.  A variant
+/// whose base is not in the roster stays unaliased.
+[[nodiscard]] std::vector<int> identity_aliases(
+    const std::vector<StrategyConfig>& roster, const ParamSet& params);
 
 /// Parse a strategy name as produced by StrategyConfig::name(), e.g.
 /// "standard (staged)", "3-step (device-aware)", "split+MD".  Also accepts

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -16,13 +17,14 @@ namespace {
 
 using obs::JsonValue;
 
-/// Winner of one instance: the lowest non-failed max_avg, ties broken by
-/// Table-5 order (outcomes keep that order).  "" when everything failed.
+/// Winner of one instance: the lowest measured, non-failed max_avg, ties
+/// broken by Table-5 order (outcomes keep that order).  "" when everything
+/// failed.
 std::string pick_winner(const std::vector<StrategyOutcome>& outcomes) {
   double best = std::numeric_limits<double>::infinity();
   std::string winner;
   for (const StrategyOutcome& o : outcomes) {
-    if (!o.failed && o.max_avg < best) {
+    if (!o.failed && o.alias_of.empty() && o.max_avg < best) {
       best = o.max_avg;
       winner = o.strategy;
     }
@@ -30,13 +32,15 @@ std::string pick_winner(const std::vector<StrategyOutcome>& outcomes) {
   return winner;
 }
 
-/// Measure every Table-5 plan under one fault model (nullptr = nominal).
-/// `compiled` (when non-null, index-aligned with `plans`) carries the
-/// once-compiled form each measurement replays instead of recompiling.
+/// Measure every roster plan under one fault model (nullptr = nominal).
+/// `alias[i] >= 0` marks plan i as an alias of plan alias[i], reported but
+/// not measured.  `compiled` (index-aligned with `plans`) carries the
+/// once-compiled form each measurement replays instead of recompiling;
+/// empty entries compile inside measure().
 std::vector<StrategyOutcome> measure_all(
-    const std::vector<core::CommPlan>& plans,
-    const std::vector<core::CompiledPlan>* compiled, const Topology& topo,
-    const ParamSet& params, const FaultModel* faults,
+    const std::vector<core::CommPlan>& plans, const std::vector<int>& alias,
+    const std::vector<std::optional<core::CompiledPlan>>& compiled,
+    const Topology& topo, const ParamSet& params, const FaultModel* faults,
     const core::MeasureOptions& base) {
   std::vector<StrategyOutcome> outcomes;
   outcomes.reserve(plans.size());
@@ -44,9 +48,14 @@ std::vector<StrategyOutcome> measure_all(
     const core::CommPlan& plan = plans[i];
     StrategyOutcome o;
     o.strategy = plan.strategy_name;
+    if (alias[i] >= 0) {
+      o.alias_of = plans[static_cast<std::size_t>(alias[i])].strategy_name;
+      outcomes.push_back(std::move(o));
+      continue;
+    }
     core::MeasureOptions mopts = base;
     mopts.faults = faults;
-    if (compiled != nullptr) mopts.precompiled = &(*compiled)[i];
+    if (compiled[i]) mopts.precompiled = &*compiled[i];
     try {
       o.max_avg = core::measure(plan, topo, params, mopts).max_avg;
     } catch (const FaultAbort& e) {
@@ -61,7 +70,9 @@ std::vector<StrategyOutcome> measure_all(
 JsonValue outcome_json(const StrategyOutcome& o) {
   JsonValue v = JsonValue::object();
   v.set("strategy", o.strategy);
-  if (o.failed) {
+  if (!o.alias_of.empty()) {
+    v.set("alias_of", o.alias_of);
+  } else if (o.failed) {
     v.set("failed", true);
     v.set("error", o.error);
   } else {
@@ -142,9 +153,13 @@ StabilityReport ranking_stability(const core::CommPattern& pattern,
   plan.validate();
   { const FaultModel probe = plan.compile(topo, params); (void)probe; }
 
-  // Build each Table-5 plan once; plans are rep- and fault-invariant.
+  // Build each roster plan once; plans are rep- and fault-invariant.  A
+  // variant that lowers to its base's plan on this machine is an alias:
+  // reported, never compiled or measured.
+  const std::vector<core::StrategyConfig> roster = core::all_strategies();
+  const std::vector<int> alias = core::identity_aliases(roster, params);
   std::vector<core::CommPlan> plans;
-  for (const core::StrategyConfig& cfg : core::all_strategies()) {
+  for (const core::StrategyConfig& cfg : roster) {
     plans.push_back(core::build_plan(pattern, topo, params, cfg));
   }
 
@@ -153,20 +168,17 @@ StabilityReport ranking_stability(const core::CommPattern& pattern,
   // Fault models perturb execution (lane failures, retries), never the
   // compiled event tables, so reuse is exact -- measurements stay
   // bit-identical to the recompile-per-call path.
-  std::vector<core::CompiledPlan> compiled;
+  std::vector<std::optional<core::CompiledPlan>> compiled(plans.size());
   double compile_seconds = 0.0;
   const bool precompile = options.measure.engine == core::ExecMode::Compiled;
   if (precompile) {
-    compiled.reserve(plans.size());
     const auto t0 = std::chrono::steady_clock::now();
-    for (const core::CommPlan& p : plans) {
-      compiled.emplace_back(p, topo, params);
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      if (alias[i] < 0) compiled[i].emplace(plans[i], topo, params);
     }
     const auto t1 = std::chrono::steady_clock::now();
     compile_seconds = std::chrono::duration<double>(t1 - t0).count();
   }
-  const std::vector<core::CompiledPlan>* compiled_ptr =
-      precompile ? &compiled : nullptr;
 
   StabilityReport report;
   report.plans_precompiled = precompile;
@@ -183,7 +195,8 @@ StabilityReport ranking_stability(const core::CommPattern& pattern,
   report.engine = core::to_string(options.measure.engine);
 
   report.nominal.outcomes =
-      measure_all(plans, compiled_ptr, topo, params, nullptr, options.measure);
+      measure_all(plans, alias, compiled, topo, params, nullptr,
+                  options.measure);
   report.nominal.winner = pick_winner(report.nominal.outcomes);
 
   for (const core::CommPlan& p : plans) {
@@ -198,7 +211,7 @@ StabilityReport ranking_stability(const core::CommPattern& pattern,
     StabilityInstance inst;
     inst.instance = k;
     inst.fault_seed = member.seed;
-    inst.outcomes = measure_all(plans, compiled_ptr, topo, params, &model,
+    inst.outcomes = measure_all(plans, alias, compiled, topo, params, &model,
                                 options.measure);
     inst.winner = pick_winner(inst.outcomes);
 

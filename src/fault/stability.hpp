@@ -51,6 +51,10 @@ struct StrategyOutcome {
   double max_avg = 0.0;  ///< meaningless when failed
   bool failed = false;   ///< FaultAbort: undeliverable under this instance
   std::string error;     ///< structured FaultAbort message when failed
+  /// Base strategy whose plan this variant builds unchanged on the machine
+  /// (core::identity_aliases); such an outcome is not measured.  "" = a
+  /// measured outcome.
+  std::string alias_of;
 };
 
 /// One fault-seed ensemble member: every strategy measured under the same

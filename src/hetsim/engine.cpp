@@ -171,16 +171,13 @@ void Engine::set_faults(const FaultModel* faults) {
   refresh_fault_stream();
 }
 
-std::uint64_t Engine::fault_stream_for(std::uint64_t run_seed) const noexcept {
+void Engine::refresh_fault_stream() noexcept {
   // Salted double-mix: decoheres the fault stream from the noise stream
   // (which consumes the raw run seed) and from other fault-model seeds.
   constexpr std::uint64_t kFaultStreamSalt = 0xfa17'5eedULL;
-  return faults_ ? mix_seed(mix_seed(run_seed, kFaultStreamSalt), faults_->seed)
-                 : 0;
-}
-
-void Engine::refresh_fault_stream() noexcept {
-  fault_stream_ = fault_stream_for(run_seed_);
+  fault_stream_ =
+      faults_ ? mix_seed(mix_seed(run_seed_, kFaultStreamSalt), faults_->seed)
+              : 0;
 }
 
 void Engine::throw_retries_exhausted(std::int32_t src, std::int32_t dst,
@@ -529,7 +526,7 @@ double Engine::schedule(Matched& m, std::vector<int>& recv_queue_depth) {
 
     completion = t + noise_.perturb(fst.completion_base) + hop_latency;
 
-    if (fault_lost(fst, attempt, fault_stream_)) {
+    if (fault_lost(fst, attempt)) {
       ++attempt;
       if (attempt >= fst.loss->retry.max_attempts) {
         throw_retries_exhausted(s.self, s.peer, path_id, attempt);

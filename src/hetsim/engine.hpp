@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -116,35 +115,6 @@ class Engine {
   /// std::invalid_argument), and must not hold pending operations.
   /// Defined in core/compiled_plan.cpp; callers link hetcore.
   void execute(const core::CompiledPlan& plan);
-
-  /// Execute `plan` for lane_seeds.size() repetitions in lockstep over the
-  /// same compiled tables (lane-major replay): the plan is read once per
-  /// batch, and every per-repetition quantity -- clocks, queue free times,
-  /// NIC egress, noise and fault stream positions -- lives in lane-indexed
-  /// scratch with lane-innermost layout, so per-step lane loops are
-  /// contiguous and vectorizable.  Lane `l` is bit-identical -- clocks,
-  /// traces, counters, noise stream -- to `reset(lane_seeds[l]);
-  /// execute(plan)` on a serial engine (the counter-based noise and fault
-  /// streams are pure hashes of (seed, draw index), so lockstep replay
-  /// reproduces each repetition's draw sequence exactly).
-  ///
-  /// Rank r of lane l finishes at clocks_out[l * num_ranks + r];
-  /// clocks_out.size() must be lane_seeds.size() * num_ranks.  When
-  /// tracing is enabled and traced_lane >= 0, that lane's events replace
-  /// trace() (other lanes record nothing).  The metrics tiers
-  /// (set_metrics) record lane 0 only, mirroring core::measure()'s
-  /// rep-0-sampled recording.  Network counters accumulate each phase's
-  /// totals once per completing lane.
-  ///
-  /// A per-lane FaultAbort never poisons sibling lanes: the dead lane
-  /// stops scheduling, every other lane runs to completion (their
-  /// clocks_out slots are valid), and the abort of the lowest-indexed dead
-  /// lane -- the one a serial jobs=1 sweep would have hit first -- is
-  /// rethrown at the end.  The engine's serial state is untouched either
-  /// way; it stays fully reusable without an intervening reset().
-  void execute_batch(const core::CompiledPlan& plan,
-                     std::span<const std::uint64_t> lane_seeds,
-                     std::span<double> clocks_out, int traced_lane = -1);
 
   /// True if any isend/irecv has been posted and not yet resolved.
   [[nodiscard]] bool has_pending() const noexcept {
@@ -277,13 +247,12 @@ class Engine {
     double extra_seconds = 0.0;
   };
 
-  // The fault helpers are inline members so the interpreted (engine.cpp),
-  // compiled, and lane-batched (core/compiled_plan.cpp) scheduling paths
-  // share the exact same expression trees -- a requirement for the
-  // bit-identity contract between the engine modes.  The caller supplies
-  // the schedule-order message id and the fault stream (the serial paths
-  // pass fault_msg_counter_++ / fault_stream_; execute_batch passes its
-  // per-lane equivalents).  Only call them when faults_ != nullptr.
+  // The fault helpers are inline members so the interpreted (engine.cpp)
+  // and compiled (core/compiled_plan.cpp) scheduling paths share the exact
+  // same expression trees -- a requirement for the bit-identity contract
+  // between the engine modes.  The caller supplies the schedule-order
+  // message id (fault_msg_counter_++).  Only call them when
+  // faults_ != nullptr.
   [[nodiscard]] FaultMsgState fault_prepare(
       std::int32_t src, std::uint8_t path_id, bool off_node,
       std::int32_t src_node, std::int32_t dst_node, std::int32_t src_nic,
@@ -340,12 +309,12 @@ class Engine {
     return node * lanes + r.lane;
   }
 
-  /// Deterministic loss decision for send attempt `attempt` (0-based) drawn
-  /// from `stream` (the engine's fault_stream_, or a lane's own stream).
-  [[nodiscard]] bool fault_lost(const FaultMsgState& st, int attempt,
-                                std::uint64_t stream) const noexcept {
+  /// Deterministic loss decision for send attempt `attempt` (0-based),
+  /// drawn from the engine's fault stream.
+  [[nodiscard]] bool fault_lost(const FaultMsgState& st,
+                                int attempt) const noexcept {
     return st.loss != nullptr &&
-           fault_uniform(stream, st.msg_id,
+           fault_uniform(fault_stream_, st.msg_id,
                          static_cast<std::uint32_t>(attempt)) <
                st.loss->probability;
   }
@@ -358,12 +327,6 @@ class Engine {
                                             int attempts) const;
   [[noreturn]] void throw_nic_unavailable(std::int32_t src, std::int32_t dst,
                                           std::uint8_t path_id) const;
-  /// Fault stream for a run seed: the salted double-mix shared by the
-  /// serial engine (refresh_fault_stream) and execute_batch's per-lane
-  /// streams, so lane l's fault draws equal those of a serial run reseeded
-  /// with lane l's seed.
-  [[nodiscard]] std::uint64_t fault_stream_for(
-      std::uint64_t run_seed) const noexcept;
   void refresh_fault_stream() noexcept;
 
   Topology topo_;
@@ -401,39 +364,18 @@ class Engine {
   std::vector<double> post_send_scratch_;      ///< compiled: send post times
   std::vector<double> post_recv_scratch_;      ///< compiled: recv post times
   std::vector<double> ready_scratch_;          ///< compiled: transfer ready
-  /// Per-phase schedule orders, kept across execute()/execute_batch() calls
-  /// as the *starting permutation* for the next (ready, index) sort.  Noise
-  /// jitter rarely reorders ready times between repetitions (or sibling
-  /// lanes), so re-sorting from the previous order is a near-linear
-  /// insertion pass with predictable branches instead of an O(M log M)
-  /// comparison sort on freshly jittered keys.  Purely a warm start: the
+  /// Per-phase schedule orders, kept across execute() calls as the
+  /// *starting permutation* for the next (ready, index) sort.  Noise
+  /// jitter rarely reorders ready times between repetitions, so re-sorting
+  /// from the previous order is a near-linear insertion pass with
+  /// predictable branches instead of an O(M log M) comparison sort on
+  /// freshly jittered keys.  Purely a warm start: the
   /// sort result is the unique strict total order whatever the hint holds,
   /// so results never depend on engine history.
   std::vector<std::vector<std::uint32_t>> sched_order_cache_;
   /// Scratch for the schedule sort: (ready bit pattern, index) keys packed
   /// so the sort compares integers in place of gathered doubles.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> sched_key_scratch_;
-
-  // Lane-batched scratch (execute_batch; defined in core/compiled_plan.cpp).
-  // Lane-innermost layout: entity e of lane l lives at [e * lanes + l], so
-  // the posting pass's per-step lane loops touch contiguous memory.  Sized
-  // on entry, capacity retained across calls; never read across calls.
-  std::vector<double> lane_clock_;             ///< ranks x lanes
-  std::vector<BusyServer> lane_send_port_;     ///< ranks x lanes
-  std::vector<BusyServer> lane_recv_port_;     ///< ranks x lanes
-  std::vector<BusyServer> lane_nic_out_;       ///< NIC servers x lanes
-  std::vector<BusyServer> lane_nic_in_;        ///< NIC servers x lanes
-  std::vector<BusyServer> lane_dma_h2d_;       ///< GPUs x lanes
-  std::vector<BusyServer> lane_dma_d2h_;       ///< GPUs x lanes
-  std::vector<FatTreeFabric> lane_fabric_;     ///< per-lane fabric copies
-  std::vector<double> lane_post_send_;         ///< messages x lanes
-  std::vector<double> lane_post_recv_;         ///< messages x lanes
-  std::vector<double> lane_ready_;             ///< one lane at a time
-  std::vector<std::uint64_t> lane_noise_stream_;  ///< per-lane noise seeds
-  std::vector<std::uint64_t> lane_noise_draws_;   ///< per-lane draw counters
-  std::vector<std::uint64_t> lane_fault_stream_;  ///< per-lane fault streams
-  std::vector<std::uint64_t> lane_fault_msg_;     ///< per-lane message ids
-  std::vector<std::uint8_t> lane_alive_;          ///< 0 after a FaultAbort
 
   bool tracing_ = false;
   Trace trace_;

@@ -8,11 +8,8 @@
 // measurements while a fixed seed keeps unit tests deterministic.
 //
 // The stream is *counter-based*: draw `i` of stream `s` is a pure hash of
-// (s, i), with no generator state beyond the counter itself.  That is what
-// lets the lane-batched engine (Engine::execute_batch) replay any
-// repetition's draws out of order and in lockstep with other repetitions
-// while staying bit-identical to the serial engine -- the k-th draw of a
-// repetition has the same value no matter which lane, worker, or engine
+// (s, i), with no generator state beyond the counter itself, so the k-th
+// draw of a repetition has the same value no matter which worker or engine
 // mode produces it.  It is also several times cheaper than the historical
 // stateful mt19937_64 + lognormal_distribution draw (no transcendentals,
 // no rejection loops), which matters because noise draws are the dominant
@@ -42,7 +39,7 @@ namespace hetcomm {
 /// rescaled) built from four mix_seed hashes.  E[factor] == 1 exactly for
 /// any sigma, z is bounded to [-2*sqrt(3), 2*sqrt(3)], and the whole
 /// expression is branch-light straight-line arithmetic -- no libm calls --
-/// so per-lane draw loops vectorize.  The floor keeps pathological sigmas
+/// so draw loops vectorize.  The floor keeps pathological sigmas
 /// (> ~0.29, far beyond the calibrated 0.02-0.05 range) from producing
 /// non-positive durations; it is unreachable below that.
 [[nodiscard]] inline double noise_factor(std::uint64_t stream,
@@ -78,11 +75,6 @@ class NoiseModel {
   }
 
   [[nodiscard]] double sigma() const noexcept { return sigma_; }
-  /// Stream seed / draw counter, exposed so batched replay can mirror the
-  /// serial stream position exactly.
-  [[nodiscard]] std::uint64_t stream() const noexcept { return stream_; }
-  [[nodiscard]] std::uint64_t draws() const noexcept { return draws_; }
-
   /// Restart as a fresh stream at `seed` (draw counter rewinds to zero).
   void reseed(std::uint64_t seed) {
     stream_ = seed;

@@ -208,7 +208,6 @@ JsonValue RunReport::to_json() const {
   out.set("reps", reps);
   out.set("sampled_reps", sampled_reps);
   out.set("jobs", jobs);
-  out.set("batch", batch);
   out.set("seed", static_cast<std::int64_t>(seed));
   out.set("noise_sigma", noise_sigma);
   out.set("ranks", ranks);

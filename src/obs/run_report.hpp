@@ -140,9 +140,6 @@ struct RunReport {
   /// every repetition before sampling existed.
   int sampled_reps = 0;
   int jobs = 0;
-  /// Effective lane width of batched execution (Engine::execute_batch);
-  /// 1 = serial one-rep-at-a-time replay.
-  int batch = 1;
   std::uint64_t seed = 0;
   double noise_sigma = 0.0;
   int ranks = 0;

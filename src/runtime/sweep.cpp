@@ -4,7 +4,6 @@
 #include <chrono>
 #include <iostream>
 #include <mutex>
-#include <stdexcept>
 
 #include "runtime/thread_pool.hpp"
 
@@ -19,23 +18,6 @@ double seconds_since(Clock::time_point start) {
 }
 
 }  // namespace
-
-std::vector<LaneBlock> lane_blocks(std::int64_t total, int width) {
-  if (total < 0) {
-    throw std::invalid_argument("lane_blocks: total must be >= 0");
-  }
-  if (width < 1) {
-    throw std::invalid_argument("lane_blocks: width must be >= 1");
-  }
-  std::vector<LaneBlock> blocks;
-  blocks.reserve(static_cast<std::size_t>((total + width - 1) / width));
-  for (std::int64_t start = 0; start < total; start += width) {
-    const std::int64_t remaining = total - start;
-    blocks.push_back(
-        {start, remaining < width ? static_cast<int>(remaining) : width});
-  }
-  return blocks;
-}
 
 double SweepReport::total_cell_seconds() const noexcept {
   double total = 0.0;

@@ -31,25 +31,6 @@
 
 namespace hetcomm::runtime {
 
-/// One contiguous block of repetitions executed in lockstep by the
-/// lane-batched engine (Engine::execute_batch): repetitions
-/// [start, start + width).
-struct LaneBlock {
-  std::int64_t start = 0;
-  int width = 0;
-  bool operator==(const LaneBlock&) const = default;
-};
-
-/// Partition `total` repetitions into lane blocks of `width`:
-/// floor(total / width) full blocks plus one trailing partial block when
-/// total % width != 0.  The trailing block is a *narrower batch*, not a
-/// serial fallback -- every repetition runs through the same lane-batched
-/// code path, so results cannot diverge by block shape.  Blocks are
-/// returned in repetition order and cover [0, total) exactly.  Throws
-/// std::invalid_argument when total < 0 or width < 1.
-[[nodiscard]] std::vector<LaneBlock> lane_blocks(std::int64_t total,
-                                                int width);
-
 struct SweepOptions {
   int jobs = 0;       ///< worker threads; 0 = hardware concurrency
   bool progress = false;  ///< report each finished cell

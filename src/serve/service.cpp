@@ -7,7 +7,6 @@
 #include <istream>
 #include <memory>
 #include <ostream>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -30,7 +29,6 @@
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
 #include "runtime/plan_cache.hpp"
-#include "runtime/sweep.hpp"
 #include "runtime/thread_pool.hpp"
 
 #ifdef __unix__
@@ -213,7 +211,6 @@ struct Request {
   bool has_strategy = false;
   core::StrategyConfig strategy;
   std::shared_ptr<const FaultModel> faults;
-  std::uint64_t faults_fp = 0;
   int reps = 0;  ///< 0 = predict-only
   std::uint64_t seed = 0x5eedULL;
   bool staged_only = false;
@@ -245,12 +242,11 @@ struct Request {
   // per-request measured reduction
   double max_avg = 0.0;
   obs::Summary makespan;
-  int batch = 1;
 
   // -- timing ------------------------------------------------------------
   Clock::time_point enqueued;
   double queue_wait_seconds = 0.0;
-  double execute_seconds = 0.0;  ///< its group's total block wall time
+  double execute_seconds = 0.0;  ///< wall time of its repetitions
 
   // -- tracing (0 = this request is not sampled) -------------------------
   std::uint64_t trace_id = 0;
@@ -261,46 +257,6 @@ struct TimedLine {
   std::string text;
   Clock::time_point enqueued;
   Admission admission = Admission::Normal;
-};
-
-/// One (plan, machine, faults) coalescing group: lanes from every member
-/// request concatenated in input order.
-struct Group {
-  std::shared_ptr<const CachedPlan> plan;
-  std::shared_ptr<const FaultModel> faults;
-  const MachineEntry* machine = nullptr;
-  std::uint64_t engine_key = 0;
-  int num_ranks = 0;
-  std::vector<std::size_t> requests;   ///< window indices, input order
-  std::vector<std::int64_t> lane_base; ///< first lane of each member
-  std::vector<std::uint64_t> lane_seeds;
-  std::vector<double> clocks;          ///< lanes x num_ranks
-  double execute_seconds = 0.0;        ///< summed block wall time
-  // Tracer-epoch wall interval covering the group's blocks (tracing only).
-  double trace_t0 = 0.0;
-  double trace_t1 = 0.0;
-};
-
-/// One Engine::execute_batch call: lanes [start, start+width) of a group.
-/// `request` is the owning window index for fault-attributable blocks, or
-/// SIZE_MAX when the block spans requests (only possible unfaulted, where
-/// FaultAbort cannot occur).
-struct Block {
-  std::size_t group = 0;
-  std::int64_t start = 0;
-  int width = 0;
-  std::size_t request = SIZE_MAX;
-  double seconds = 0.0;
-  std::string error;
-  ErrorCode code = ErrorCode::None;
-  std::shared_ptr<FaultDetail> fault;
-  /// Skipped by the deadline CancelFn: every owning request had expired
-  /// when this block came up for execution.
-  bool cancelled = false;
-  // Tracing only: tracer-epoch wall interval and the block span's id.
-  double trace_t0 = 0.0;
-  double trace_t1 = 0.0;
-  std::uint32_t trace_span = 0;
 };
 
 }  // namespace
@@ -315,9 +271,6 @@ struct Service::Impl {
         engines(static_cast<std::size_t>(pool.num_threads())) {
     if (options.window < 1) {
       throw std::invalid_argument("serve: window must be >= 1");
-    }
-    if (options.batch < 0) {
-      throw std::invalid_argument("serve: batch must be >= 0 (0 = auto)");
     }
     if (options.trace) {
       obs::Tracer::Options topts;
@@ -352,11 +305,7 @@ struct Service::Impl {
       tn.k_nodes = tracer->intern("nodes");
       tn.k_error = tracer->intern("error");
       tn.k_requests = tracer->intern("requests");
-      tn.k_groups = tracer->intern("groups");
-      tn.k_blocks = tracer->intern("blocks");
-      tn.k_lanes = tracer->intern("lanes");
-      tn.k_group = tracer->intern("group");
-      tn.k_first_lane = tracer->intern("first_lane");
+      tn.k_request = tracer->intern("request");
       tn.k_src = tracer->intern("src");
       tn.k_dst = tracer->intern("dst");
       tn.k_bytes = tracer->intern("bytes");
@@ -395,8 +344,7 @@ struct Service::Impl {
                   render = 0, block = 0, engine_msg = 0, engine_copy = 0;
     std::uint16_t k_pattern = 0, k_machine = 0, k_strategy = 0, k_cache = 0,
                   k_hit = 0, k_miss = 0, k_reps = 0, k_nodes = 0, k_error = 0,
-                  k_requests = 0, k_groups = 0, k_blocks = 0, k_lanes = 0,
-                  k_group = 0, k_first_lane = 0, k_src = 0, k_dst = 0,
+                  k_requests = 0, k_request = 0, k_src = 0, k_dst = 0,
                   k_bytes = 0, k_path = 0, k_rank = 0, k_gpu = 0, k_dir = 0;
   } tn;
 
@@ -410,7 +358,7 @@ struct Service::Impl {
   std::int64_t shed_overloaded = 0;  ///< lines admitted over the queue bound
   std::int64_t shed_shutdown = 0;    ///< lines shed by the shutdown drain
   std::int64_t deadline_partials = 0;
-  std::int64_t cancelled_blocks = 0;
+  std::int64_t cancelled_requests = 0;  ///< deadline hit mid-execution
   std::int64_t queue_depth = 0;       ///< pending depth behind this window
   std::int64_t queue_depth_peak = 0;
   /// EWMA of requests retired per busy second, the denominator behind
@@ -421,10 +369,6 @@ struct Service::Impl {
   std::int64_t compiles = 0;
   std::int64_t windows = 0;
   std::int64_t window_max = 0;
-  std::int64_t groups_total = 0;
-  std::int64_t blocks_total = 0;
-  std::int64_t lanes_total = 0;
-  std::int64_t max_group_lanes = 0;
   double compile_seconds_total = 0.0;
   double execute_seconds_total = 0.0;
   double busy_seconds = 0.0;
@@ -432,7 +376,7 @@ struct Service::Impl {
   std::vector<double> latency_samples;
   std::vector<double> queue_samples;
   std::vector<double> compile_samples;
-  std::vector<double> block_samples;
+  std::vector<double> execute_samples;
 
   void add_sample(std::vector<double>& v, double s) {
     if (v.size() < kMaxSamples) v.push_back(s);
@@ -472,18 +416,6 @@ struct Service::Impl {
     return topos
         .emplace(req.engine_key, req.machine->model.topology(req.nodes))
         .first->second;
-  }
-
-  /// Effective execute_batch lane width for a machine size.  Mirrors
-  /// core::measure's auto policy (minus its reps/jobs occupancy cap, which
-  /// does not apply when lanes from many requests coalesce).
-  [[nodiscard]] int lane_width(int num_ranks) const {
-    int width = options.batch;
-    if (width == 0) {
-      width = 16;
-      while (width > 1 && num_ranks * width > 8192) width /= 2;
-    }
-    return std::max(1, width);
   }
 
   // ---------------------------------------------------------------------
@@ -625,7 +557,6 @@ struct Service::Impl {
         it = faults.emplace(key, std::move(model)).first;
       }
       req.faults = it->second;
-      req.faults_fp = fnv1a_bytes(key);
     }
 
     // Model ranking: same Advisor call the `advise` subcommand makes, so a
@@ -789,8 +720,14 @@ struct Service::Impl {
   }
 
   // ---------------------------------------------------------------------
-  // Phases B+C: compile unique plans, then execute coalesced lane groups.
+  // Phases B+C: compile unique plans, then execute one task per repetition.
   // ---------------------------------------------------------------------
+
+  /// A request that reaches the engine: valid, measured, not shed.
+  static bool measured(const Request& req) {
+    return !req.control && req.error.empty() && req.reps > 0 &&
+           !req.degraded;
+  }
 
   void execute_window(std::vector<Request>& reqs, std::uint64_t wtrace,
                       std::uint32_t wspan) {
@@ -801,12 +738,8 @@ struct Service::Impl {
     {
       std::unordered_map<std::uint64_t, std::size_t> first;
       for (std::size_t i = 0; i < reqs.size(); ++i) {
-        Request& req = reqs[i];
-        if (req.control || !req.error.empty() || req.reps == 0 ||
-            req.degraded) {
-          continue;
-        }
-        if (first.emplace(req.plan_key, i).second) unique.push_back(i);
+        if (!measured(reqs[i])) continue;
+        if (first.emplace(reqs[i].plan_key, i).second) unique.push_back(i);
       }
     }
 
@@ -854,10 +787,7 @@ struct Service::Impl {
       for (const std::size_t i : unique) rep.emplace(reqs[i].plan_key, i);
       for (std::size_t i = 0; i < reqs.size(); ++i) {
         Request& req = reqs[i];
-        if (req.control || !req.error.empty() || req.reps == 0 ||
-            req.degraded) {
-          continue;
-        }
+        if (!measured(req)) continue;
         const std::size_t r = rep.at(req.plan_key);
         if (r == i) continue;
         if (!reqs[r].error.empty()) {
@@ -870,161 +800,130 @@ struct Service::Impl {
       }
     }
 
-    // Group measured requests by (plan, faults); lanes concatenate in
-    // input order, each request contributing reps lanes seeded
-    // mix_seed(req.seed, rep) -- the exact per-repetition seeds
-    // core::measure derives, which is what keeps coalesced replies
-    // bit-identical to one-shot measurement.
-    std::vector<Group> groups;
-    std::unordered_map<std::uint64_t, std::size_t> group_of;
+    // One pool task per (measured request, repetition) pair, requests in
+    // input order, so a single large-reps request spreads over every
+    // worker.  Task t is repetition t - first_task[k] of range k, the last
+    // range starting at or before t.  A task writes its rank clocks into
+    // its request's reps x ranks buffer, folded after the join.
+    struct RepSlot {
+      bool ran = false;
+      double seconds = 0.0;  ///< wall time of the repetition
+      double t0 = 0.0;       ///< tracer interval (tracing only)
+      double t1 = 0.0;
+    };
+    struct RepRange {
+      std::size_t request = 0;  ///< index into reqs
+      std::size_t num_ranks = 0;
+      std::vector<double> clocks;  ///< reps x ranks, row = repetition
+      std::vector<RepSlot> slots;  ///< one per repetition
+      // The lowest failed repetition's outcome (written under fail_mu).
+      ErrorCode code = ErrorCode::None;
+      std::string error;
+      std::shared_ptr<FaultDetail> fault;
+    };
+    std::vector<RepRange> ranges;
+    std::vector<std::int64_t> first_task;
+    std::int64_t num_tasks = 0;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      Request& req = reqs[i];
-      if (req.control || !req.error.empty() || req.reps == 0 ||
-          req.degraded) {
-        continue;
-      }
-      const std::uint64_t gkey = mix_seed(req.plan_key, req.faults_fp);
-      auto [it, inserted] = group_of.emplace(gkey, groups.size());
-      if (inserted) {
-        Group g;
-        g.plan = req.plan;
-        g.faults = req.faults;
-        g.machine = req.machine;
-        g.engine_key = req.engine_key;
-        g.num_ranks = topos.at(req.engine_key).num_ranks();
-        groups.push_back(std::move(g));
-      }
-      Group& g = groups[it->second];
-      g.lane_base.push_back(static_cast<std::int64_t>(g.lane_seeds.size()));
-      g.requests.push_back(i);
-      for (int rep = 0; rep < req.reps; ++rep) {
-        g.lane_seeds.push_back(
-            mix_seed(req.seed, static_cast<std::uint64_t>(rep)));
-      }
+      if (!measured(reqs[i])) continue;
+      RepRange& range = ranges.emplace_back();
+      range.request = i;
+      range.num_ranks =
+          static_cast<std::size_t>(topos.at(reqs[i].engine_key).num_ranks());
+      range.clocks.resize(static_cast<std::size_t>(reqs[i].reps) *
+                          range.num_ranks);
+      range.slots.resize(static_cast<std::size_t>(reqs[i].reps));
+      first_task.push_back(num_tasks);
+      num_tasks += reqs[i].reps;
     }
+    const auto range_of = [&first_task](std::int64_t t) {
+      return static_cast<std::size_t>(
+          std::upper_bound(first_task.begin(), first_task.end(), t) -
+          first_task.begin() - 1);
+    };
 
-    // Carve each group into execute_batch blocks.  Unfaulted groups
-    // coalesce lanes across requests (an unfaulted lane cannot abort, so
-    // no error ever needs attributing across a block); faulted groups keep
-    // blocks within one request so a FaultAbort maps to exactly one reply.
-    std::vector<Block> blocks;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      Group& g = groups[gi];
-      g.clocks.assign(g.lane_seeds.size() *
-                          static_cast<std::size_t>(g.num_ranks),
-                      0.0);
-      const int width = lane_width(g.num_ranks);
-      if (g.faults == nullptr) {
-        for (const runtime::LaneBlock& b : runtime::lane_blocks(
-                 static_cast<std::int64_t>(g.lane_seeds.size()), width)) {
-          Block blk;
-          blk.group = gi;
-          blk.start = b.start;
-          blk.width = b.width;
-          blocks.push_back(std::move(blk));
-        }
-      } else {
-        for (std::size_t m = 0; m < g.requests.size(); ++m) {
-          const Request& req = reqs[g.requests[m]];
-          for (const runtime::LaneBlock& b :
-               runtime::lane_blocks(req.reps, std::min(width, req.reps))) {
-            Block blk;
-            blk.group = gi;
-            blk.start = g.lane_base[m] + b.start;
-            blk.width = b.width;
-            blk.request = g.requests[m];
-            blocks.push_back(std::move(blk));
-          }
-        }
-      }
+    // A request's reply is its lowest failed repetition -- a FaultAbort, an
+    // engine error, or a deadline found expired when the repetition was
+    // claimed -- the one a serial loop stops at, so the reply is the same
+    // at any jobs count (as in core::measure).  stop_rep[k] holds that
+    // repetition (reps while none failed); repetitions above it are
+    // skipped unrun.
+    std::mutex fail_mu;
+    std::vector<std::atomic<int>> stop_rep(ranges.size());
+    for (std::size_t k = 0; k < ranges.size(); ++k) {
+      stop_rep[k].store(reqs[ranges[k].request].reps);
     }
+    const auto fail = [&](std::size_t k, int rep, ErrorCode code,
+                          std::string error,
+                          std::shared_ptr<FaultDetail> fault) {
+      const std::lock_guard<std::mutex> lock(fail_mu);
+      if (rep >= stop_rep[k].load()) return;
+      stop_rep[k].store(rep);
+      ranges[k].code = code;
+      ranges[k].error = std::move(error);
+      ranges[k].fault = std::move(fault);
+    };
+    const auto cancel = [&](std::int64_t t) {
+      const std::size_t k = range_of(t);
+      const int rep = static_cast<int>(t - first_task[k]);
+      if (rep > stop_rep[k].load()) return true;
+      const Request& req = reqs[ranges[k].request];
+      if (req.has_deadline && Clock::now() >= req.deadline) {
+        fail(k, rep, ErrorCode::DeadlineExceeded,
+             "deadline exceeded during execution (remaining repetitions "
+             "cancelled)",
+             nullptr);
+        return true;
+      }
+      return false;
+    };
 
-    // Engine-event merge: lane 0 of the window's first block records the
-    // engine's message/copy events, converted below onto engine-rank
-    // tracks of the window trace.  One lane per window bounds the cost;
-    // set_tracing never perturbs clocks, so replies stay bit-identical.
+    // Engine-event merge: task 0 (the first request's repetition 0) records
+    // the engine's message/copy events, converted below onto engine-rank
+    // tracks of the window trace.  One repetition per window bounds the
+    // cost; set_tracing never perturbs clocks, so replies stay
+    // bit-identical.  Only task 0 writes engine_trace / lead_*.
     Trace engine_trace;
-    const bool merge_engine = wtrace != 0 && !blocks.empty();
-
-    // Deadline cancellation between blocks: a claimed block is skipped when
-    // every request owning its lanes has expired.  Coalesced (unfaulted)
-    // blocks mix lanes from several requests, so they cancel only when ALL
-    // owners expired -- a live request's lanes always run, which is what
-    // keeps its reply bit-identical to an unloaded server's.  The predicate
-    // runs on the claiming worker; each block index is claimed exactly
-    // once, so writing block.cancelled here is race-free.
-    runtime::ThreadPool::CancelFn cancel;
-    bool any_deadline = false;
-    for (const Request& req : reqs) {
-      if (req.has_deadline && req.error.empty() && !req.control) {
-        any_deadline = true;
-        break;
-      }
-    }
-    if (any_deadline) {
-      cancel = [&](std::int64_t bi) {
-        Block& block = blocks[static_cast<std::size_t>(bi)];
-        const Group& g = groups[block.group];
-        const auto now = Clock::now();
-        const auto expired = [&](const Request& r) {
-          return r.has_deadline && now >= r.deadline;
-        };
-        bool skip = false;
-        if (block.request != SIZE_MAX) {
-          skip = expired(reqs[block.request]);
-        } else {
-          skip = !g.requests.empty();
-          for (const std::size_t r : g.requests) {
-            if (!expired(reqs[r])) {
-              skip = false;
-              break;
-            }
-          }
-        }
-        if (skip) block.cancelled = true;
-        return skip;
-      };
-    }
+    const bool merge_engine = wtrace != 0 && num_tasks > 0;
+    double lead_t0 = 0.0;
+    double lead_t1 = 0.0;
+    std::uint32_t lead_span = 0;
 
     pool.parallel_for(
-        static_cast<std::int64_t>(blocks.size()),
-        [&](std::int64_t bi, int worker) {
-          Block& block = blocks[static_cast<std::size_t>(bi)];
-          Group& g = groups[block.group];
+        num_tasks,
+        [&](std::int64_t t, int worker) {
+          const std::size_t k = range_of(t);
+          RepRange& range = ranges[k];
+          const Request& req = reqs[range.request];
+          const int rep = static_cast<int>(t - first_task[k]);
+          RepSlot& slot = range.slots[static_cast<std::size_t>(rep)];
           const auto t0 = Clock::now();
-          const double bt0 = tracer != nullptr ? tracer->now() : 0.0;
+          const double tt0 = tracer != nullptr ? tracer->now() : 0.0;
           try {
-            std::unique_ptr<Engine>& slot =
-                engines[static_cast<std::size_t>(worker)][g.engine_key];
-            if (!slot) {
-              slot = std::make_unique<Engine>(
-                  topos.at(g.engine_key), g.machine->model.params,
+            std::unique_ptr<Engine>& engine =
+                engines[static_cast<std::size_t>(worker)][req.engine_key];
+            if (!engine) {
+              engine = std::make_unique<Engine>(
+                  topos.at(req.engine_key), req.machine->model.params,
                   NoiseModel(0, options.noise_sigma));
             }
-            slot->set_faults(g.faults.get());
-            const std::span<const std::uint64_t> seeds(
-                g.lane_seeds.data() + block.start,
-                static_cast<std::size_t>(block.width));
-            const std::span<double> clocks(
-                g.clocks.data() + static_cast<std::size_t>(block.start) *
-                                      static_cast<std::size_t>(g.num_ranks),
-                static_cast<std::size_t>(block.width) *
-                    static_cast<std::size_t>(g.num_ranks));
-            const bool etrace = merge_engine && bi == 0;
-            if (etrace) slot->set_tracing(true);
-            slot->execute_batch(g.plan->compiled, seeds, clocks,
-                                etrace ? 0 : -1);
-            if (etrace) {
-              engine_trace = slot->trace();
-              slot->set_tracing(false);
+            engine->set_faults(req.faults.get());
+            const bool traced = merge_engine && t == 0;
+            engine->reset(mix_seed(req.seed, static_cast<std::uint64_t>(rep)));
+            engine->set_tracing(traced);
+            engine->execute(req.plan->compiled);
+            if (traced) {
+              engine_trace = engine->trace();
+              engine->set_tracing(false);
             }
+            const std::vector<double>& clocks = engine->clocks();
+            std::copy(clocks.begin(), clocks.end(),
+                      range.clocks.data() +
+                          static_cast<std::size_t>(rep) * range.num_ranks);
           } catch (const FaultAbort& e) {
-            // Structured abort: the reply carries the fault's coordinates
-            // (strategy filled in at attribution -- the engine throws with
-            // it empty).  Faulted groups never coalesce blocks across
-            // requests, so this maps to exactly one reply.
-            block.error = e.what();
-            block.code = ErrorCode::FaultAborted;
+            // Structured abort: the reply carries the fault's coordinates;
+            // the strategy is filled in after the join (the engine throws
+            // with it empty).
             auto detail = std::make_shared<FaultDetail>();
             detail->reason = abort_reason_name(e.reason);
             detail->src = e.src;
@@ -1032,96 +931,104 @@ struct Service::Impl {
             detail->path_id = e.path_id;
             detail->path = e.path;
             detail->attempts = e.attempts;
-            block.fault = std::move(detail);
+            fail(k, rep, ErrorCode::FaultAborted, e.what(), std::move(detail));
           } catch (const std::exception& e) {
-            block.error = e.what();
-            if (block.error.empty()) block.error = "execution failed";
-            block.code = ErrorCode::Internal;
+            std::string error = e.what();
+            if (error.empty()) error = "execution failed";
+            fail(k, rep, ErrorCode::Internal, std::move(error), nullptr);
           }
-          block.seconds = seconds_between(t0, Clock::now());
-          if (tracer != nullptr) {
-            block.trace_t0 = bt0;
-            block.trace_t1 = tracer->now();
-          }
-          if (wtrace != 0) {
-            obs::SpanRecord s;
-            s.trace_id = wtrace;
-            s.span_id = tracer->new_span_id();
-            s.parent = wspan;
-            s.name = tn.block;
-            s.track = static_cast<std::uint16_t>(worker);
-            s.t_start = block.trace_t0;
-            s.t_end = block.trace_t1;
-            s.add_attr(tn.k_group, static_cast<std::int64_t>(block.group));
-            s.add_attr(tn.k_first_lane, block.start);
-            s.add_attr(tn.k_lanes, block.width);
-            block.trace_span = s.span_id;
-            tracer->record(worker, s);
+          slot.ran = true;
+          slot.seconds = seconds_between(t0, Clock::now());
+          if (tracer == nullptr) return;
+          slot.t0 = tt0;
+          slot.t1 = tracer->now();
+          if (wtrace == 0) return;
+          obs::SpanRecord s;
+          s.trace_id = wtrace;
+          s.span_id = tracer->new_span_id();
+          s.parent = wspan;
+          s.name = tn.block;
+          s.track = static_cast<std::uint16_t>(worker);
+          s.t_start = slot.t0;
+          s.t_end = slot.t1;
+          s.add_attr(tn.k_request, static_cast<std::int64_t>(range.request));
+          tracer->record(worker, s);
+          if (t == 0) {
+            lead_t0 = slot.t0;
+            lead_t1 = slot.t1;
+            lead_span = s.span_id;
           }
         },
         whook, cancel);
 
-    for (const Block& block : blocks) {
-      Group& g = groups[block.group];
-      if (block.cancelled) {
-        // The deadline predicate only skips a block when every owner had
-        // expired, so marking them all deadline_exceeded is exact.  The
-        // ranking (when the request asked for one) rides along as the
-        // partial result -- it was computed at parse time.
-        cancelled_blocks += 1;
-        const auto expire = [&](Request& r) {
-          if (!r.error.empty()) return;
-          r.error = "deadline exceeded during execution (lanes cancelled "
-                    "between blocks)";
-          r.code = ErrorCode::DeadlineExceeded;
-          r.partial = !r.ranking.empty();
-        };
-        if (block.request != SIZE_MAX) {
-          expire(reqs[block.request]);
-        } else {
-          for (const std::size_t r : g.requests) expire(reqs[r]);
-        }
-        continue;
+    // Per request: its execute time is the summed wall time of the
+    // repetitions that ran and its `execute` span covers them.  Its reply
+    // is the lowest failed repetition's error, or else the clocks folded in
+    // repetition order as core::measure folds them, so the numbers are
+    // bit-identical to a one-shot measurement of the same query.
+    for (RepRange& range : ranges) {
+      Request& req = reqs[range.request];
+      double span_t0 = 0.0;
+      double span_t1 = 0.0;
+      bool any = false;
+      for (const RepSlot& slot : range.slots) {
+        if (!slot.ran) continue;
+        req.execute_seconds += slot.seconds;
+        span_t0 = any ? std::min(span_t0, slot.t0) : slot.t0;
+        span_t1 = any ? std::max(span_t1, slot.t1) : slot.t1;
+        any = true;
       }
-      g.execute_seconds += block.seconds;
-      add_sample(block_samples, block.seconds);
-      if (tracer != nullptr) {
-        // Group wall interval = union of its blocks' intervals; it backs
-        // each member request's `execute` span.
-        if (g.trace_t1 == 0.0) {
-          g.trace_t0 = block.trace_t0;
-          g.trace_t1 = block.trace_t1;
-        } else {
-          g.trace_t0 = std::min(g.trace_t0, block.trace_t0);
-          g.trace_t1 = std::max(g.trace_t1, block.trace_t1);
+      execute_seconds_total += req.execute_seconds;
+      add_sample(execute_samples, req.execute_seconds);
+      if (range.code != ErrorCode::None) {
+        req.error = std::move(range.error);
+        req.code = range.code;
+        if (range.fault) {
+          range.fault->strategy = req.strategy.name();
+          req.fault = std::move(range.fault);
         }
-      }
-      if (!block.error.empty()) {
-        const auto apply = [&](Request& r) {
-          if (!r.error.empty()) return;
-          r.error = block.error;
-          r.code = block.code;
-          if (block.fault != nullptr) {
-            r.fault = std::make_shared<FaultDetail>(*block.fault);
-            r.fault->strategy = r.strategy.name();
+        if (req.code == ErrorCode::DeadlineExceeded) {
+          req.partial = !req.ranking.empty();
+          cancelled_requests += 1;
+        }
+      } else {
+        std::vector<double> per_rank_mean(range.num_ranks, 0.0);
+        std::vector<double> makespans;
+        makespans.reserve(range.slots.size());
+        for (std::size_t rep = 0; rep < range.slots.size(); ++rep) {
+          const double* row = range.clocks.data() + rep * range.num_ranks;
+          double makespan = 0.0;
+          for (std::size_t r = 0; r < range.num_ranks; ++r) {
+            per_rank_mean[r] += row[r];
+            makespan = std::max(makespan, row[r]);
           }
-        };
-        if (block.request != SIZE_MAX) {
-          apply(reqs[block.request]);
-        } else {
-          for (const std::size_t r : g.requests) apply(reqs[r]);
+          makespans.push_back(makespan);
         }
+        const double inv = 1.0 / req.reps;
+        for (double& mean : per_rank_mean) mean *= inv;
+        req.max_avg =
+            *std::max_element(per_rank_mean.begin(), per_rank_mean.end());
+        req.makespan = obs::summarize(makespans);
+      }
+      if (tracer != nullptr && req.trace_id != 0 && any) {
+        obs::SpanRecord s;
+        s.trace_id = req.trace_id;
+        s.span_id = tracer->new_span_id();
+        s.parent = req.trace_root;
+        s.name = tn.execute;
+        s.t_start = span_t0;
+        s.t_end = span_t1;
+        s.add_attr(tn.k_reps, req.reps);
+        tracer->record(0, s);
       }
     }
-    blocks_total += static_cast<std::int64_t>(blocks.size());
 
     // Convert the captured engine events onto engine-rank tracks, nested
-    // inside the first block's span and scaled proportionally from
-    // simulated time into that block's wall interval (the engine reports
-    // simulated clocks; the timeline shows their *shares* of the block).
-    if (merge_engine && blocks[0].trace_span != 0 &&
+    // inside the first task's span and scaled proportionally from
+    // simulated time into that task's wall interval (the engine reports
+    // simulated clocks; the timeline shows their *shares* of the task).
+    if (merge_engine && lead_span != 0 &&
         (!engine_trace.messages.empty() || !engine_trace.copies.empty())) {
-      const Block& b0 = blocks[0];
       double sim_total = 0.0;
       for (const MessageTrace& m : engine_trace.messages) {
         sim_total = std::max(sim_total, m.completion);
@@ -1129,8 +1036,8 @@ struct Service::Impl {
       for (const CopyTrace& c : engine_trace.copies) {
         sim_total = std::max(sim_total, c.completion);
       }
-      if (sim_total > 0.0 && b0.trace_t1 > b0.trace_t0) {
-        const double scale = (b0.trace_t1 - b0.trace_t0) / sim_total;
+      if (sim_total > 0.0 && lead_t1 > lead_t0) {
+        const double scale = (lead_t1 - lead_t0) / sim_total;
         const auto rank_track = [&](int rank) -> std::uint16_t {
           const int t = static_cast<int>(obs::kEngineTrackBase) + rank;
           if (rank < 0 || t > 0xffff) return 0;  // off the display range
@@ -1147,11 +1054,11 @@ struct Service::Impl {
           obs::SpanRecord s;
           s.trace_id = wtrace;
           s.span_id = tracer->new_span_id();
-          s.parent = b0.trace_span;
+          s.parent = lead_span;
           s.name = tn.engine_msg;
           s.track = track;
-          s.t_start = b0.trace_t0 + m.start * scale;
-          s.t_end = b0.trace_t0 + m.completion * scale;
+          s.t_start = lead_t0 + m.start * scale;
+          s.t_end = lead_t0 + m.completion * scale;
           s.add_attr(tn.k_src, m.src);
           s.add_attr(tn.k_dst, m.dst);
           s.add_attr(tn.k_bytes, m.bytes);
@@ -1166,11 +1073,11 @@ struct Service::Impl {
           obs::SpanRecord s;
           s.trace_id = wtrace;
           s.span_id = tracer->new_span_id();
-          s.parent = b0.trace_span;
+          s.parent = lead_span;
           s.name = tn.engine_copy;
           s.track = track;
-          s.t_start = b0.trace_t0 + c.start * scale;
-          s.t_end = b0.trace_t0 + c.completion * scale;
+          s.t_start = lead_t0 + c.start * scale;
+          s.t_end = lead_t0 + c.completion * scale;
           s.add_attr(tn.k_rank, c.rank);
           s.add_attr(tn.k_gpu, c.gpu);
           s.add_attr(tn.k_bytes, c.bytes);
@@ -1178,66 +1085,6 @@ struct Service::Impl {
           tracer->record(0, s);
         }
       }
-    }
-
-    // Serial per-request reduction in repetition order: the same fold
-    // core::measure runs, so max_avg / makespan stats are bit-identical to
-    // a one-shot measurement of the same (plan, reps, seed).
-    for (Group& g : groups) {
-      groups_total += 1;
-      lanes_total += static_cast<std::int64_t>(g.lane_seeds.size());
-      max_group_lanes = std::max(
-          max_group_lanes, static_cast<std::int64_t>(g.lane_seeds.size()));
-      const std::size_t num_ranks = static_cast<std::size_t>(g.num_ranks);
-      std::vector<double> per_rank_mean(num_ranks);
-      std::vector<double> makespans;
-      for (std::size_t m = 0; m < g.requests.size(); ++m) {
-        Request& req = reqs[g.requests[m]];
-        if (!req.error.empty()) continue;
-        per_rank_mean.assign(num_ranks, 0.0);
-        makespans.clear();
-        makespans.reserve(static_cast<std::size_t>(req.reps));
-        for (int rep = 0; rep < req.reps; ++rep) {
-          const double* clocks =
-              g.clocks.data() +
-              (static_cast<std::size_t>(g.lane_base[m]) +
-               static_cast<std::size_t>(rep)) *
-                  num_ranks;
-          double makespan = 0.0;
-          for (std::size_t r = 0; r < num_ranks; ++r) {
-            per_rank_mean[r] += clocks[r];
-            makespan = std::max(makespan, clocks[r]);
-          }
-          makespans.push_back(makespan);
-        }
-        const double inv = 1.0 / req.reps;
-        for (double& t : per_rank_mean) t *= inv;
-        req.max_avg =
-            *std::max_element(per_rank_mean.begin(), per_rank_mean.end());
-        req.makespan = obs::summarize(makespans);
-        req.batch = std::min(lane_width(g.num_ranks),
-                             static_cast<int>(g.lane_seeds.size()));
-        req.execute_seconds = 0.0;  // filled below, once per group
-      }
-      for (const std::size_t r : g.requests) {
-        reqs[r].execute_seconds = g.execute_seconds;
-        if (reqs[r].trace_id != 0) {
-          // The request's measured lanes ran somewhere inside its group's
-          // wall interval (lanes coalesce, so a per-request cut does not
-          // exist); record the group interval as this request's execute
-          // span.
-          obs::SpanRecord s;
-          s.trace_id = reqs[r].trace_id;
-          s.span_id = tracer->new_span_id();
-          s.parent = reqs[r].trace_root;
-          s.name = tn.execute;
-          s.t_start = g.trace_t0;
-          s.t_end = g.trace_t1;
-          s.add_attr(tn.k_lanes, reqs[r].reps);
-          tracer->record(0, s);
-        }
-      }
-      execute_seconds_total += g.execute_seconds;
     }
   }
 
@@ -1322,7 +1169,7 @@ struct Service::Impl {
     }
 
     if (req.degraded) {
-      // Model-only answer under load shedding: no engine lanes ran, so
+      // Model-only answer under load shedding: no engine work ran, so
       // there is no "measured" section; the ranking above *is* the reply.
       doc.set("degraded", true);
       doc.set("confidence", req.confidence);
@@ -1332,7 +1179,6 @@ struct Service::Impl {
       measured.set("strategy", req.strategy.name());
       measured.set("reps", req.reps);
       measured.set("seed", static_cast<std::int64_t>(req.seed));
-      measured.set("batch", req.batch);
       measured.set("max_avg", req.max_avg);
       measured.set("makespan", req.makespan.to_json());
       doc.set("measured", std::move(measured));
@@ -1405,7 +1251,7 @@ struct Service::Impl {
 
   std::vector<std::string> process(std::vector<TimedLine> lines) {
     const auto window_start = Clock::now();
-    // Window trace (pool queue/run spans, execute blocks, engine events)
+    // Window trace (pool queue/run spans, request tasks, engine events)
     // and per-request traces draw ids from the same dense sequence, so one
     // --trace-sample period governs both.
     std::uint64_t wtrace = 0;
@@ -1458,8 +1304,8 @@ struct Service::Impl {
 
     const auto exec_start = Clock::now();
     for (Request& req : reqs) {
-      // Deadline checkpoint 1 of 2 (checkpoint 2 is the between-blocks
-      // CancelFn): a request whose budget ran out while queued or parsing
+      // Deadline checkpoint 1 of 2 (checkpoint 2 runs between repetitions,
+      // in run_request): a request whose budget ran out while queued or parsing
       // never reaches the engine.  Parsing already computed the model
       // ranking, so the reply still carries it as "partial".
       if (!req.control && req.error.empty() && req.has_deadline &&
@@ -1655,10 +1501,6 @@ struct Service::Impl {
     obs::JsonValue batching = obs::JsonValue::object();
     batching.set("windows", windows);
     batching.set("max_window_requests", window_max);
-    batching.set("groups", groups_total);
-    batching.set("blocks", blocks_total);
-    batching.set("lanes", lanes_total);
-    batching.set("max_group_lanes", max_group_lanes);
     serve.set("batching", std::move(batching));
 
     obs::JsonValue timing = obs::JsonValue::object();
@@ -1668,7 +1510,7 @@ struct Service::Impl {
     timing.set("compile", std::move(compile));
     obs::JsonValue execute = obs::JsonValue::object();
     execute.set("total_seconds", execute_seconds_total);
-    execute.set("per_block", obs::summarize(block_samples).to_json());
+    execute.set("per_request", obs::summarize(execute_samples).to_json());
     timing.set("execute", std::move(execute));
     timing.set("latency", obs::summarize(latency_samples).to_json());
     timing.set("queue_wait", obs::summarize(queue_samples).to_json());
@@ -1690,7 +1532,7 @@ struct Service::Impl {
     resilience.set(
         "fault_aborts",
         errors_by_code[static_cast<std::size_t>(ErrorCode::FaultAborted)]);
-    resilience.set("cancelled_blocks", cancelled_blocks);
+    resilience.set("cancelled_requests", cancelled_requests);
     resilience.set("queue_depth_peak", queue_depth_peak);
     resilience.set("drain_rate_rps", drain_rate_rps);
     resilience.set("retry_after_ms_hint", retry_after_ms());

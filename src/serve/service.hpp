@@ -4,7 +4,7 @@
 // A Service answers newline-delimited JSON requests -- "which strategy for
 // this pattern on this machine, and how fast is it?" -- the way a
 // production placement service would: persistent process, plan reuse, and
-// batched execution instead of one cold simulation per query.
+// windowed execution instead of one cold simulation per query.
 //
 // The performance core, in request order:
 //
@@ -12,13 +12,14 @@
 //      mix_seed over core::pattern_hash, the machine fingerprint, the node
 //      count and the strategy name): a repeated query skips build_plan +
 //      CompiledPlan construction entirely and goes straight to replay.
-//   2. **Request batching**: every request drained in one input window is
-//      grouped by (plan, machine, faults, sigma); a group's repetitions
-//      become *lanes* of Engine::execute_batch calls (lane l of request r
-//      seeded mix_seed(r.seed, l), exactly what core::measure would use),
-//      and groups fan out across the runtime::ThreadPool.  Responses are
-//      bit-identical to one-shot Advisor::rank + core::measure for the
-//      same query at any --jobs / window / batch width.
+//   2. **Request windowing**: every request drained in one input window
+//      shares one compile per distinct plan; every repetition of every
+//      measured request then becomes one runtime::ThreadPool task that
+//      runs Engine::execute (repetition k seeded mix_seed(seed, k),
+//      exactly what core::measure would use), and each request's clocks
+//      are folded in repetition order after the tasks join.
+//      Responses are bit-identical to one-shot Advisor::rank +
+//      core::measure for the same query at any --jobs / window size.
 //   3. **Per-request accounting** reusing src/obs/: cache hits/misses,
 //      queue wait, compile vs execute time and request latency p50/p99,
 //      exported as the hetcomm.metrics.v1 serve artifact
@@ -45,8 +46,8 @@
 // errors (ShedPolicy::Reject) or by answering from the Table-6 model layer
 // alone -- no engine execution -- with `"degraded": true` plus a
 // `"confidence"` score (ShedPolicy::Degrade).  Requests carry an optional
-// `deadline_ms`; past-deadline work is cancelled between execute blocks
-// (runtime::ThreadPool's CancelFn) and answered `deadline_exceeded`, with
+// `deadline_ms`; past-deadline work is cancelled between repetitions and
+// answered `deadline_exceeded`, with
 // the model ranking attached as `"partial"` when it was already computed.
 // Every error reply names a machine-readable `error_code`
 // (bad_request | overloaded | deadline_exceeded | shutting_down |
@@ -77,13 +78,14 @@ namespace hetcomm::serve {
 enum class ShedPolicy {
   /// Reply {"ok": false, "error_code": "overloaded", "retry_after_ms": N}.
   Reject,
-  /// Answer from the strategy model + plan cache only (no engine lanes):
+  /// Answer from the strategy model + plan cache only (no engine work):
   /// {"ok": true, "degraded": true, "confidence": C, ...ranking...}.
   Degrade,
 };
 
 struct ServiceOptions {
-  /// Worker threads executing request groups (0 = hardware concurrency).
+  /// Worker threads executing measured requests (0 = hardware
+  /// concurrency).
   int jobs = 0;
   /// Max requests drained into one batch window.  Input beyond the first
   /// line is taken only when already buffered, so an interactive client
@@ -95,9 +97,6 @@ struct ServiceOptions {
   std::size_t cache_capacity = 256;
   /// Pattern registry entries (patterns addressable by {"ref": hash}).
   std::size_t pattern_capacity = 1024;
-  /// Lane width for batched replay: 0 = auto (core::measure's policy),
-  /// 1 = serial replay, N = fixed width.
-  int batch = 0;
   /// Stop run() after this many data requests (0 = unlimited); control
   /// lines do not count.  CI smoke uses this as a safety stop.
   std::int64_t max_requests = 0;
@@ -145,8 +144,8 @@ class Service {
   [[nodiscard]] std::string handle_line(const std::string& line);
 
   /// Answer a window of request lines; responses come back in input
-  /// order.  This is the batching entry point: all measured requests in
-  /// the window share compiles and coalesce into execute_batch lanes.
+  /// order.  This is the windowing entry point: all measured requests in
+  /// the window share compiles and run as one pool task per repetition.
   [[nodiscard]] std::vector<std::string> handle_window(
       const std::vector<std::string>& lines);
 

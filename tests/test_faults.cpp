@@ -1,7 +1,8 @@
 // Fault-injection subsystem tests: retry/backoff math, the
 // hetcomm.fault.v1 round trip, plan-to-model compilation, the
 // zero-overhead-when-off and faulted bit-identity guarantees, the
-// FaultAbort failure contract (engine reusable afterwards), the metrics
+// FaultAbort failure contract (engine reusable afterwards, the lowest
+// aborting repetition reported at any jobs count), the metrics
 // fault section, and ranking-stability determinism.
 
 #include "fault/plan.hpp"
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/comm_pattern.hpp"
+#include "core/compiled_plan.hpp"
 #include "core/executor.hpp"
 #include "core/strategy.hpp"
 #include "fault/fault_json.hpp"
@@ -495,6 +497,79 @@ TEST(FaultSim, EngineReusableAfterFaultAbort) {
       measure_with(plan, topo, mach.params, nullptr, ExecMode::Compiled, 1);
   EXPECT_EQ(after, measure_with(plan, topo, mach.params, nullptr,
                                 ExecMode::Compiled, 1));
+}
+
+TEST(FaultSim, MeasureReportsLowestAbortingRepetitionAtAnyJobs) {
+  const machine::MachineModel mach = machine::preset_machine("lassen");
+  const Topology topo = mach.topology(2);
+  const core::CommPattern pattern = core::random_pattern(topo, 16, 4096, 5);
+  const core::CommPlan plan = core::build_plan(pattern, topo, mach.params,
+                                               core::table5_strategies()[0]);
+
+  // faults/flaky_abort.json's retry budget (two attempts) at a loss rate
+  // where many repetitions abort, each at its own message, so concurrent
+  // workers routinely race to abort and only the lowest-repetition rule
+  // keeps the reported error fixed.
+  FaultPlan flaky;
+  flaky.seed = 3;
+  {
+    fault::MessageLoss loss;
+    loss.path = "off-node";
+    loss.probability = 0.12;
+    loss.retry.max_attempts = 2;
+    flaky.message_loss.push_back(loss);
+  }
+  const FaultModel model = flaky.compile(topo, mach.params);
+
+  // Serial reference: the first repetition that aborts, run by hand.
+  constexpr int kReps = 48;
+  constexpr std::uint64_t kSeed = 3;
+  const core::CompiledPlan compiled(plan, topo, mach.params);
+  Engine engine(topo, mach.params, NoiseModel(0, 0.02));
+  engine.set_faults(&model);
+  std::vector<FaultAbort> aborts;
+  std::vector<int> abort_reps;
+  for (int rep = 0; rep < kReps; ++rep) {
+    engine.reset(mix_seed(kSeed, static_cast<std::uint64_t>(rep)));
+    try {
+      engine.execute(compiled);
+    } catch (const FaultAbort& e) {
+      aborts.push_back(e);
+      abort_reps.push_back(rep);
+    }
+  }
+  // The fixture is only a test of ordering if clean repetitions precede
+  // the first abort and later aborts name other messages.
+  ASSERT_GE(aborts.size(), 3u);
+  ASSERT_GT(abort_reps.front(), 0);
+  bool other_message = false;
+  for (const FaultAbort& e : aborts) {
+    other_message |= e.src != aborts.front().src || e.dst != aborts.front().dst;
+  }
+  ASSERT_TRUE(other_message);
+
+  const FaultAbort& first = aborts.front();
+  core::MeasureOptions opts;
+  opts.reps = kReps;
+  opts.seed = kSeed;
+  opts.noise_sigma = 0.02;
+  opts.faults = &model;
+  for (const int jobs : {1, 4, 0}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      opts.jobs = jobs;
+      try {
+        (void)core::measure(plan, topo, mach.params, opts);
+        ADD_FAILURE() << "expected FaultAbort at jobs " << jobs;
+      } catch (const FaultAbort& e) {
+        EXPECT_EQ(e.reason, first.reason) << "jobs " << jobs;
+        EXPECT_EQ(e.src, first.src) << "jobs " << jobs;
+        EXPECT_EQ(e.dst, first.dst) << "jobs " << jobs;
+        EXPECT_EQ(e.path_id, first.path_id) << "jobs " << jobs;
+        EXPECT_EQ(e.attempts, first.attempts) << "jobs " << jobs;
+        EXPECT_EQ(e.strategy, plan.strategy_name) << "jobs " << jobs;
+      }
+    }
+  }
 }
 
 TEST(FaultSim, MetricsGrowFaultSectionOnlyWhenFaulted) {

@@ -8,7 +8,8 @@
 //   * plan_check validation of split plans (rail bounds, dependency rules);
 //   * engine semantics: rail pinning, dependency waves, validation throws;
 //   * bit-identity of the split variants across {compiled, interpreted} x
-//     batch widths x jobs;
+//     jobs;
+//   * identity lowerings reported as aliases of their base strategy;
 //   * a machine/pattern where a multi-rail variant beats every single-rail
 //     Table-5 strategy, and rail-outage-mid-stripe degradation.
 
@@ -100,6 +101,35 @@ TEST_F(SplitLoweringTest, StripeIsIdentityOnSingleRailMachines) {
     EXPECT_EQ(a.messages, b.messages) << cfg.name();
     EXPECT_TRUE(b.rails.empty()) << cfg.name();
   }
+
+  // So on a single-rail machine each striped variant is an alias of its
+  // base strategy, whose plan it builds op for op; on dual-rail nvisland
+  // no variant is an alias.
+  const std::vector<StrategyConfig> roster = all_strategies();
+  const std::vector<int> lassen_alias = identity_aliases(roster, lassen);
+  int aliases = 0;
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    if (lassen_alias[i] < 0) {
+      EXPECT_NE(roster[i].split, SplitMode::Striped) << roster[i].name();
+      continue;
+    }
+    ++aliases;
+    const StrategyConfig& base =
+        roster[static_cast<std::size_t>(lassen_alias[i])];
+    EXPECT_EQ(roster[i].split, SplitMode::Striped) << roster[i].name();
+    EXPECT_EQ(base.split, SplitMode::None) << roster[i].name();
+    EXPECT_EQ(base.kind, roster[i].kind) << roster[i].name();
+    EXPECT_EQ(base.transport, roster[i].transport) << roster[i].name();
+    const CommPlan variant = build_plan(pattern(), topo_, lassen, roster[i]);
+    const CommPlan original = build_plan(pattern(), topo_, lassen, base);
+    ASSERT_EQ(variant.phases.size(), original.phases.size());
+    for (std::size_t p = 0; p < variant.phases.size(); ++p) {
+      EXPECT_EQ(variant.phases[p].ops.size(), original.phases[p].ops.size())
+          << roster[i].name() << " phase " << p;
+    }
+  }
+  EXPECT_EQ(aliases, 4);
+  for (const int a : identity_aliases(roster, params_)) EXPECT_EQ(a, -1);
 }
 
 TEST_F(SplitLoweringTest, ChunkedPipelineCarvesCopyIntoDependentPairs) {
@@ -338,31 +368,28 @@ TEST_F(SplitLoweringTest, ExplicitRailOverridesHashAssignment) {
 
 // -- Bit identity ----------------------------------------------------------
 
-TEST_F(SplitLoweringTest, VariantsBitIdenticalAcrossEnginesJobsAndBatch) {
+TEST_F(SplitLoweringTest, VariantsBitIdenticalAcrossEnginesAndJobs) {
   for (const StrategyConfig& cfg : split_variant_strategies()) {
     const CommPlan plan = build_plan(pattern(), topo_, params_, cfg);
-    for (const int jobs : {1, 4}) {
-      MeasureOptions opts;
-      opts.reps = 6;
-      opts.seed = 0xfeedULL;
-      opts.noise_sigma = 0.04;
-      opts.trace_last_rep = true;
+    MeasureOptions opts;
+    opts.reps = 6;
+    opts.seed = 0xfeedULL;
+    opts.noise_sigma = 0.04;
+    opts.trace_last_rep = true;
+    opts.jobs = 1;
+    opts.engine = ExecMode::Interpreted;
+    const MeasureResult ref = measure(plan, topo_, params_, opts);
+    for (const int jobs : {1, 4, 0}) {
+      opts.engine = ExecMode::Compiled;
       opts.jobs = jobs;
-      opts.engine = ExecMode::Interpreted;
-      const MeasureResult ref = measure(plan, topo_, params_, opts);
-      for (const int batch : {1, 3, 0}) {
-        opts.engine = ExecMode::Compiled;
-        opts.batch = batch;
-        const MeasureResult got = measure(plan, topo_, params_, opts);
-        EXPECT_EQ(ref.max_avg, got.max_avg)
-            << cfg.name() << " jobs=" << jobs << " batch=" << batch;
-        EXPECT_EQ(ref.makespan_mean, got.makespan_mean)
-            << cfg.name() << " jobs=" << jobs << " batch=" << batch;
-        ASSERT_EQ(ref.per_rank_mean.size(), got.per_rank_mean.size());
-        for (std::size_t r = 0; r < ref.per_rank_mean.size(); ++r) {
-          EXPECT_EQ(ref.per_rank_mean[r], got.per_rank_mean[r])
-              << cfg.name() << " rank " << r;
-        }
+      const MeasureResult got = measure(plan, topo_, params_, opts);
+      EXPECT_EQ(ref.max_avg, got.max_avg) << cfg.name() << " jobs=" << jobs;
+      EXPECT_EQ(ref.makespan_mean, got.makespan_mean)
+          << cfg.name() << " jobs=" << jobs;
+      ASSERT_EQ(ref.per_rank_mean.size(), got.per_rank_mean.size());
+      for (std::size_t r = 0; r < ref.per_rank_mean.size(); ++r) {
+        EXPECT_EQ(ref.per_rank_mean[r], got.per_rank_mean[r])
+            << cfg.name() << " rank " << r;
       }
     }
   }

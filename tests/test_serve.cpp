@@ -4,16 +4,23 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/advisor.hpp"
 #include "core/comm_pattern.hpp"
+#include "core/compiled_plan.hpp"
 #include "core/executor.hpp"
 #include "core/pattern_io.hpp"
 #include "core/plan.hpp"
 #include "core/strategy.hpp"
+#include "fault/fault_json.hpp"
+#include "fault/plan.hpp"
+#include "hetsim/engine.hpp"
+#include "hetsim/faults.hpp"
+#include "hetsim/noise.hpp"
 #include "machine/machine_json.hpp"
 #include "obs/json.hpp"
 
@@ -88,23 +95,22 @@ TEST(ServeTest, MeasuredIsBitIdenticalToOneShotMeasure) {
   const std::string request =
       R"({"machine": "lassen", "nodes": 2, )" + pattern_body() +
       R"(, "strategy": "split+MD", "reps": 6, "seed": 99})";
-  // Identical answers at every service geometry: the batching / caching /
+  // Identical answers at every service geometry: the windowing / caching /
   // jobs knobs must never leak into the numbers.
-  for (const int jobs : {1, 3}) {
-    for (const int batch : {0, 1, 4}) {
-      ServiceOptions options;
-      options.jobs = jobs;
-      options.batch = batch;
-      Service service(options);
-      const JsonValue doc = parse(service.handle_line(request));
-      ASSERT_TRUE(doc.at("ok").as_bool())
-          << "jobs=" << jobs << " batch=" << batch;
-      const JsonValue& measured = doc.at("measured");
-      EXPECT_DOUBLE_EQ(measured.at("max_avg").as_double(), expect.max_avg)
-          << "jobs=" << jobs << " batch=" << batch;
-      EXPECT_EQ(measured.at("strategy").as_string(), "split+MD");
-      EXPECT_EQ(measured.at("reps").as_int(), 6);
-    }
+  for (const int jobs : {1, 3, 0}) {
+    ServiceOptions options;
+    options.jobs = jobs;
+    Service service(options);
+    const JsonValue doc = parse(service.handle_line(request));
+    ASSERT_TRUE(doc.at("ok").as_bool()) << "jobs=" << jobs;
+    const JsonValue& measured = doc.at("measured");
+    EXPECT_DOUBLE_EQ(measured.at("max_avg").as_double(), expect.max_avg)
+        << "jobs=" << jobs;
+    EXPECT_DOUBLE_EQ(measured.at("makespan").at("mean").as_double(),
+                     expect.makespan_mean)
+        << "jobs=" << jobs;
+    EXPECT_EQ(measured.at("strategy").as_string(), "split+MD");
+    EXPECT_EQ(measured.at("reps").as_int(), 6);
   }
 }
 
@@ -123,7 +129,7 @@ TEST(ServeTest, WindowedDuplicatesShareOneCompile) {
   for (const std::string& line : replies) {
     const JsonValue doc = parse(line);
     ASSERT_TRUE(doc.at("ok").as_bool());
-    // Same query, same answer -- coalesced lanes do not perturb results.
+    // Same query, same answer -- shared plans do not perturb results.
     EXPECT_DOUBLE_EQ(doc.at("measured").at("max_avg").as_double(), max_avg);
     if (doc.at("cache").as_string() == "hit") ++hits;
   }
@@ -354,6 +360,81 @@ TEST(ServeTest, FaultAbortIsStructuredAndSparesWindowSiblings) {
   EXPECT_EQ(serve.at("resilience").at("fault_aborts").as_int(), 1);
   EXPECT_EQ(
       serve.at("requests").at("errors_by_code").at("fault_abort").as_int(), 1);
+}
+
+TEST(ServeTest, FaultAbortIsTheLowestAbortingRepetitionAtAnyJobs) {
+  // A loss rate at which many repetitions abort, each at its own message.
+  // A request's repetitions run on several workers at once, so only the
+  // lowest-repetition rule keeps the reply's fault fixed.
+  const std::string faults_path =
+      ::testing::TempDir() + "serve_lowest_abort.json";
+  {
+    std::ofstream out(faults_path);
+    out << R"({"schema": "hetcomm.fault.v1", "name": "lossy-abort", )"
+           R"("seed": 3, "message_loss": [{"path": "off-node", )"
+           R"("probability": 0.2, "retry": {"timeout": 1e-4, )"
+           R"("backoff": 2.0, "max_delay": 1e-3, "max_attempts": 2}}]})";
+  }
+  constexpr int kReps = 48;
+  constexpr std::uint64_t kSeed = 3;
+
+  // Serial reference: every aborting repetition, run by hand.
+  const machine::MachineModel model = machine::resolve_machine("lassen");
+  const Topology topo = model.topology(2);
+  const core::CommPlan plan =
+      core::build_plan(reference_pattern(), topo, model.params,
+                       core::parse_strategy("split+MD"));
+  const core::CompiledPlan compiled(plan, topo, model.params);
+  const FaultModel faults =
+      fault::load_fault_file(faults_path).compile(topo, model.params);
+  Engine engine(topo, model.params,
+                NoiseModel(0, core::MeasureOptions{}.noise_sigma));
+  engine.set_faults(&faults);
+  std::vector<FaultAbort> aborts;
+  int first_abort = -1;
+  for (int rep = 0; rep < kReps; ++rep) {
+    engine.reset(mix_seed(kSeed, static_cast<std::uint64_t>(rep)));
+    try {
+      engine.execute(compiled);
+    } catch (const FaultAbort& e) {
+      if (aborts.empty()) first_abort = rep;
+      aborts.push_back(e);
+    }
+  }
+  // The fixture only tests ordering if clean repetitions precede the first
+  // abort and later aborts name other messages.
+  ASSERT_GE(aborts.size(), 3u);
+  ASSERT_GT(first_abort, 0);
+  bool other_message = false;
+  for (const FaultAbort& e : aborts) {
+    other_message |= e.src != aborts.front().src || e.dst != aborts.front().dst;
+  }
+  ASSERT_TRUE(other_message);
+
+  const std::string request =
+      R"({"machine": "lassen", "nodes": 2, )" + pattern_body() +
+      R"(, "strategy": "split+MD", "reps": )" + std::to_string(kReps) +
+      R"(, "seed": )" + std::to_string(kSeed) + R"(, "faults": ")" +
+      faults_path + R"("})";
+  const FaultAbort& expect = aborts.front();
+  for (const int jobs : {1, 4, 0}) {
+    ServiceOptions options;
+    options.jobs = jobs;
+    Service service(options);
+    for (int trial = 0; trial < 3; ++trial) {
+      const JsonValue doc = parse(service.handle_line(request));
+      ASSERT_EQ(doc.at("error_code").as_string(), "fault_abort")
+          << "jobs=" << jobs;
+      const JsonValue& fault = doc.at("fault");
+      EXPECT_EQ(fault.at("src").as_int(), expect.src) << "jobs=" << jobs;
+      EXPECT_EQ(fault.at("dst").as_int(), expect.dst) << "jobs=" << jobs;
+      EXPECT_EQ(fault.at("path_id").as_int(), expect.path_id)
+          << "jobs=" << jobs;
+      EXPECT_EQ(fault.at("attempts").as_int(), expect.attempts)
+          << "jobs=" << jobs;
+    }
+  }
+  std::remove(faults_path.c_str());
 }
 
 TEST(ServeTest, StatsCountersBalanceAfterMixedTraffic) {

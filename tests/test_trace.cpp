@@ -211,8 +211,7 @@ TEST(ServeTraceTest, RequestSpanTreeMatchesReportedLatency) {
   EXPECT_EQ(count_spans(artifact, "parse"), 2);
   EXPECT_EQ(count_spans(artifact, "execute"), 2);
   EXPECT_EQ(count_spans(artifact, "window"), 1);
-  // Identical queries coalesce into one group: one cache lookup, one
-  // compile, shared by both requests.
+  // Identical queries share one cache lookup and one compile.
   EXPECT_EQ(count_spans(artifact, "cache.lookup"), 1);
   EXPECT_EQ(count_spans(artifact, "cache.build"), 1);
 
@@ -295,8 +294,8 @@ TEST(ServeTraceTest, TracingNeverPerturbsTheNumbers) {
     const JsonValue db = JsonValue::parse(b[i]);
     ASSERT_TRUE(da.at("ok").as_bool());
     ASSERT_TRUE(db.at("ok").as_bool());
-    // Whole measured blocks (max_avg, makespan summary, batch geometry)
-    // must be bit-identical, not merely close.
+    // Whole measured blocks (max_avg, makespan summary) must be
+    // bit-identical, not merely close.
     std::ostringstream ma, mb;
     da.at("measured").dump(ma);
     db.at("measured").dump(mb);

@@ -4,8 +4,10 @@ the hetcomm.bench_stamp.v1 provenance stamp injected by micro_hetcomm
 --json).
 
 Usage:
-    tools/bench_trend.py BASELINE.json CURRENT.json [--threshold PCT]
+    tools/bench_trend.py BASELINE.json CURRENT.json [--threshold PCT] [--force]
 
+Numbers from different hosts do not compare, so two artifacts whose stamps
+name different hostnames are refused (exit 2) unless --force is given.
 Prints the provenance of both artifacts, then one line per benchmark
 series present in both files with the throughput delta.  Series are
 compared on items_per_second when the benchmark reports it (the engine /
@@ -14,7 +16,8 @@ better, so the sign is flipped to keep "+" meaning "got faster").
 
 Exit codes: 0 on success, 1 when any series regressed by more than
 --threshold percent (default: report-only, never fails), 2 on usage or
-file-format errors.  Stdlib only -- CI runs this with a bare python3.
+file-format errors and on a refused cross-host diff.  Stdlib only -- CI
+runs this with a bare python3.
 """
 
 from __future__ import annotations
@@ -45,7 +48,12 @@ def describe_stamp(path: str, doc: dict) -> None:
     print(f"  {path}: {stamp.get('git_sha', 'unknown')[:12]}"
           f" @ {stamp.get('utc', '?')}"
           f" on {stamp.get('hostname', '?')}"
-          f" (jobs={stamp.get('jobs', '?')}, batch={stamp.get('batch', '?')})")
+          f" (jobs={stamp.get('jobs', '?')})")
+
+
+def hostname(doc: dict) -> str | None:
+    stamp = doc.get("hetcomm_stamp")
+    return stamp.get("hostname") if isinstance(stamp, dict) else None
 
 
 def series(doc: dict) -> dict[str, tuple[float, str]]:
@@ -76,6 +84,8 @@ def main() -> int:
                     help="only compare series whose name matches REGEX "
                          "(re.search), e.g. --filter '^BM_Rep' for the "
                          "repetition-throughput gate")
+    ap.add_argument("--force", action="store_true",
+                    help="diff artifacts stamped on different hosts")
     args = ap.parse_args()
 
     base_doc = load(args.baseline)
@@ -84,6 +94,12 @@ def main() -> int:
     describe_stamp(args.baseline, base_doc)
     describe_stamp(args.current, cur_doc)
     print()
+    base_host, cur_host = hostname(base_doc), hostname(cur_doc)
+    if base_host and cur_host and base_host != cur_host and not args.force:
+        print(f"bench_trend: refusing to diff {base_host!r} against "
+              f"{cur_host!r}: numbers from different hosts do not compare "
+              "(pass --force to diff anyway)", file=sys.stderr)
+        return 2
 
     base = series(base_doc)
     cur = series(cur_doc)

@@ -61,7 +61,7 @@ void check_report(const std::string& file, const JsonValue& report) {
       require(file, report, "name", JsonValue::Kind::String).as_string();
   const std::string where = "report \"" + name + "\"";
   require(file, report, "engine", JsonValue::Kind::String);
-  for (const char* key : {"reps", "jobs", "batch", "seed", "ranks", "nodes"}) {
+  for (const char* key : {"reps", "jobs", "seed", "ranks", "nodes"}) {
     require_number(file, report, key);
   }
   if (require(file, report, "reps", JsonValue::Kind::Int).as_int() <= 0) {

@@ -8,7 +8,7 @@
 // counters that add up (control + errors + degraded + predict_only +
 // measured == total; errors_by_code sums to errors), cache sections
 // (plan + pattern) whose hit/miss accounting is internally consistent,
-// batching counters, the resilience section (shed/deadline/fault-abort
+// window counters, the resilience section (shed/deadline/fault-abort
 // counters consistent with errors_by_code, retry hint in range), and the
 // timing summaries (compile, execute, latency, queue_wait).  Exits
 // non-zero with
@@ -171,24 +171,9 @@ void validate_file(const std::string& file) {
       require_count(file, batching, "windows", "serve.batching");
   const std::int64_t window_max =
       require_count(file, batching, "max_window_requests", "serve.batching");
-  const std::int64_t groups =
-      require_count(file, batching, "groups", "serve.batching");
-  const std::int64_t blocks =
-      require_count(file, batching, "blocks", "serve.batching");
-  const std::int64_t lanes =
-      require_count(file, batching, "lanes", "serve.batching");
-  const std::int64_t max_lanes =
-      require_count(file, batching, "max_group_lanes", "serve.batching");
   if (total > 0 && windows < 1) fail(file, "requests served without a window");
   if (window_max > window) {
     fail(file, "serve.batching.max_window_requests exceeds the window size");
-  }
-  if (blocks < groups) fail(file, "every group needs at least one block");
-  if (lanes < max_lanes) {
-    fail(file, "serve.batching.max_group_lanes exceeds total lanes");
-  }
-  if (measured > 0 && (groups < 1 || lanes < measured)) {
-    fail(file, "measured requests imply >= 1 group and >= 1 lane each");
   }
 
   const JsonValue& timing =
@@ -207,8 +192,8 @@ void validate_file(const std::string& file) {
     fail(file, "serve.timing.execute.total_seconds must be >= 0");
   }
   check_summary(file,
-                require(file, execute, "per_block", JsonValue::Kind::Object),
-                "serve.timing.execute.per_block");
+                require(file, execute, "per_request", JsonValue::Kind::Object),
+                "serve.timing.execute.per_request");
   check_summary(file, require(file, timing, "latency", JsonValue::Kind::Object),
                 "serve.timing.latency");
   check_summary(file,
@@ -252,7 +237,11 @@ void validate_file(const std::string& file) {
       fa != nullptr && fa->as_int() != fault_aborts) {
     fail(file, "serve.resilience.fault_aborts disagrees with errors_by_code");
   }
-  require_count(file, resil, "cancelled_blocks", "serve.resilience");
+  if (require_count(file, resil, "cancelled_requests", "serve.resilience") >
+      deadline_errors) {
+    fail(file, "serve.resilience.cancelled_requests exceeds "
+               "deadline_exceeded");
+  }
   require_count(file, resil, "queue_depth_peak", "serve.resilience");
   if (require_number(file, resil, "drain_rate_rps").as_double() < 0.0) {
     fail(file, "serve.resilience.drain_rate_rps must be >= 0");

@@ -6,12 +6,14 @@
 // contract CI relies on: schema tag, identity fields, a nominal instance
 // with one outcome per strategy, one result per declared ensemble
 // instance (each with the same strategy set, a winner drawn from it, and
-// outcomes that are either a numeric max_avg or a structured failure),
+// outcomes that are a numeric max_avg, a structured failure, or an alias
+// naming an earlier strategy),
 // and a summary whose wins / survival counts are internally consistent
 // with the per-instance winners.  Exits non-zero with a one-line
 // diagnostic on the first violation so a malformed stability artifact
 // fails the pipeline instead of uploading.
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -67,6 +69,21 @@ std::vector<std::string> check_outcomes(const std::string& file,
     const JsonValue& o = outcomes.at(i);
     const std::string name =
         require(file, o, "strategy", JsonValue::Kind::String).as_string();
+    if (o.contains("alias_of")) {
+      const std::string base =
+          require(file, o, "alias_of", JsonValue::Kind::String).as_string();
+      if (std::find(strategies.begin(), strategies.end(), base) ==
+          strategies.end()) {
+        fail(file, where + ": alias_of \"" + base +
+                       "\" does not name an earlier outcome");
+      }
+      if (o.contains("max_avg") || o.contains("failed")) {
+        fail(file, where + ": alias outcome must not carry a measurement");
+      }
+      if (name == winner) fail(file, where + ": an alias cannot win");
+      strategies.push_back(name);
+      continue;
+    }
     strategies.push_back(name);
     if (name == winner) winner_found = true;
     if (o.contains("failed")) {
