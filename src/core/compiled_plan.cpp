@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <string>
@@ -207,16 +206,6 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
               recv_depth[static_cast<std::size_t>(msg.dst)];
     }
 
-    // FIFO send/receive matching by (src, dst, tag).  Every Message op
-    // posts its send and its matching receive together (run_plan's
-    // contract), and FIFO pairing per key preserves posting order on both
-    // sides, so the k-th send of a key always pairs with the k-th receive
-    // of that key -- which is the same op.  The matching is therefore the
-    // identity permutation; resolve()'s per-repetition map rebuild is what
-    // this hoists away.
-    out.recv_of_send.resize(out.messages.size());
-    std::iota(out.recv_of_send.begin(), out.recv_of_send.end(), 0u);
-
     // Dependency waves: bucket messages by dep-chain depth.  msg_dep edges
     // always point at earlier messages (resolve_dep enforces it), so one
     // forward pass computes depths and acyclicity is structural.  Phases
@@ -352,6 +341,25 @@ void Engine::execute(const core::CompiledPlan& plan) {
         "resolve() or reset() first");
   }
 
+  // A copy or pack draws one factor and a message one per send attempt, so
+  // the step count is the exact draw count of an unfaulted repetition and a
+  // lower bound when lost messages retry; perturb() computes the rest.
+  std::size_t steps = 0;
+  for (const core::CompiledPhase& phase : plan.phases()) {
+    steps += phase.steps.size();
+  }
+  noise_.prefetch(steps);
+  // Steady-state repetitions attach none of these, so they run the
+  // instantiation with every hook compiled away.
+  if (faults_ || metrics_inv_ || metrics_smp_ || tracing_ || fabric_) {
+    execute_phases<true>(plan);
+  } else {
+    execute_phases<false>(plan);
+  }
+}
+
+template <bool Observed>
+void Engine::execute_phases(const core::CompiledPlan& plan) {
   const double post_overhead = params_.overheads.post_overhead;
   if (sched_order_cache_.size() < plan.phases().size()) {
     sched_order_cache_.resize(plan.phases().size());
@@ -361,20 +369,24 @@ void Engine::execute(const core::CompiledPlan& plan) {
     std::vector<std::uint32_t>& sched_order = sched_order_cache_[phase_index];
     ++phase_index;
     const std::size_t num_messages = phase.messages.size();
-    post_send_scratch_.resize(num_messages);
-    post_recv_scratch_.resize(num_messages);
+    ready_scratch_.resize(num_messages);
 
     // ---- Posting pass, in op order.  Copies and packs draw noise here,
-    // exactly where the interpreted path draws it. ----
+    // exactly where the interpreted path draws it.  Each message op posts
+    // its send and its FIFO-matched receive, so its ready time is known
+    // here: the later of the two postings under rendezvous, else the send
+    // posting. ----
     for (const core::CompiledStep& step : phase.steps) {
       switch (step.kind) {
         case core::StepKind::Message: {
           const core::CompiledPhase::MessageSchedule& msg =
               phase.messages[step.index];
           clock_[msg.src] += post_overhead;  // isend posting
-          post_send_scratch_[step.index] = clock_[msg.src];
+          const double send_post = clock_[msg.src];
           clock_[msg.dst] += post_overhead;  // irecv posting
-          post_recv_scratch_[step.index] = clock_[msg.dst];
+          ready_scratch_[step.index] =
+              msg.rendezvous ? std::max(send_post, clock_[msg.dst])
+                             : send_post;
           break;
         }
         case core::StepKind::Copy: {
@@ -385,10 +397,12 @@ void Engine::execute(const core::CompiledPlan& plan) {
           const double ready = clock_[op.rank];
           const double start = dma.acquire(ready, op.occupancy);
           double base = op.duration_base;
-          if (faults_) base = faults_->rank_compute_factor(op.rank) * base;
+          if (Observed && faults_) {
+            base = faults_->rank_compute_factor(op.rank) * base;
+          }
           const double duration = noise_.perturb(base);
           clock_[op.rank] = start + duration;
-          if (metrics_inv_ || metrics_smp_) {
+          if (Observed && (metrics_inv_ || metrics_smp_)) {
             const obs::SimResource res = op.dir == CopyDir::HostToDevice
                                              ? obs::SimResource::DmaH2D
                                              : obs::SimResource::DmaD2H;
@@ -399,7 +413,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
                                     duration);
             }
           }
-          if (tracing_) {
+          if (Observed && tracing_) {
             trace_.copies.push_back({op.rank, op.gpu, op.dir, op.bytes,
                                      op.sharing_procs, start,
                                      clock_[op.rank]});
@@ -409,10 +423,14 @@ void Engine::execute(const core::CompiledPlan& plan) {
         case core::StepKind::Pack: {
           const core::CompiledPhase::PackOp& op = phase.packs[step.index];
           double base = op.duration_base;
-          if (faults_) base = faults_->rank_compute_factor(op.rank) * base;
+          if (Observed && faults_) {
+            base = faults_->rank_compute_factor(op.rank) * base;
+          }
           const double duration = noise_.perturb(base);
           clock_[op.rank] += duration;
-          if (metrics_smp_) metrics_smp_->on_pack(op.bytes, duration);
+          if (Observed && metrics_smp_) {
+            metrics_smp_->on_pack(op.bytes, duration);
+          }
           break;
         }
       }
@@ -420,19 +438,10 @@ void Engine::execute(const core::CompiledPlan& plan) {
     if (num_messages == 0) {
       // Phase-end clocks ride the sampled tier: max_clock() over every rank
       // is too hot for steady-state repetitions (see core::measure).
-      if (metrics_smp_) metrics_smp_->on_phase_end(max_clock());
+      if (Observed && metrics_smp_) metrics_smp_->on_phase_end(max_clock());
       continue;
     }
 
-    // ---- Ready times; schedule order by (ready, posting order). ----
-    ready_scratch_.resize(num_messages);
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      ready_scratch_[i] =
-          phase.messages[i].rendezvous
-              ? std::max(post_send_scratch_[i],
-                         post_recv_scratch_[phase.recv_of_send[i]])
-              : post_send_scratch_[i];
-    }
     // ---- Schedule: only queueing, one noise draw, clock advancement. ----
     // Mirrors Engine::schedule's send/resend loop step for step (same
     // resource order, same metric hooks, same fault helpers), so faulted
@@ -448,7 +457,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
       fst.nic_occupancy_src = msg.nic_occupancy;
       fst.nic_occupancy_dst = msg.nic_occupancy;
       std::uint8_t fault_path = 0;
-      if (faults_) {
+      if (Observed && faults_) {
         fault_path = phase.message_meta[i].path_id;
         fst = fault_prepare(msg.src, fault_path, msg.off_node, msg.src_node,
                             msg.dst_node, msg.src_nic, msg.dst_nic,
@@ -461,7 +470,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
       }
 
       const double hop_latency =
-          (msg.off_node && fabric_)
+          (Observed && msg.off_node && fabric_)
               ? fabric_->hop_latency(msg.src_node, msg.dst_node)
               : 0.0;
 
@@ -471,7 +480,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
       std::int32_t egress_server = -1;  ///< last attempt's NIC lane server
       for (int attempt = 0;;) {
         t = send_port_[msg.src].acquire(ready, fst.send_occupancy);
-        if (metrics_inv_) {
+        if (Observed && metrics_inv_) {
           if (attempt == 0) {
             const core::CompiledPhase::MessageMeta& meta =
                 phase.message_meta[i];
@@ -480,12 +489,12 @@ void Engine::execute(const core::CompiledPlan& plan) {
           metrics_inv_->on_occupancy(obs::SimResource::SendPort,
                                      fst.send_occupancy);
         }
-        if (metrics_smp_) {
+        if (Observed && metrics_smp_) {
           metrics_smp_->on_wait(obs::SimResource::SendPort, ready, t);
         }
         if (msg.off_node) {
           std::int32_t out_server = msg.src_nic;
-          if (faults_ && faults_->has_outages()) {
+          if (Observed && faults_ && faults_->has_outages()) {
             bool failover = false;
             out_server = fault_route_nic(msg.src_node, msg.src_nic, t,
                                          failover, msg.src, msg.dst,
@@ -495,7 +504,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
           egress_server = out_server;
           const double t_out =
               nic_out_[out_server].acquire(t, fst.nic_occupancy_src);
-          if (metrics_inv_) {
+          if (Observed && metrics_inv_) {
             metrics_inv_->on_occupancy(obs::SimResource::NicOut,
                                        fst.nic_occupancy_src);
             if (attempt == 0) {
@@ -503,11 +512,11 @@ void Engine::execute(const core::CompiledPlan& plan) {
                                           msg.rail >= 0);
             }
           }
-          if (metrics_smp_) {
+          if (Observed && metrics_smp_) {
             metrics_smp_->on_wait(obs::SimResource::NicOut, t, t_out);
           }
           t = t_out;
-          if (fabric_) {
+          if (Observed && fabric_) {
             const double t_fab =
                 fabric_->acquire(msg.src_node, msg.dst_node, msg.bytes, t);
             // Fabric wait folds queueing and link serialization together
@@ -518,7 +527,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
             t = t_fab;
           }
           std::int32_t in_server = msg.dst_nic;
-          if (faults_ && faults_->has_outages()) {
+          if (Observed && faults_ && faults_->has_outages()) {
             bool failover = false;
             in_server = fault_route_nic(msg.dst_node, msg.dst_nic, t,
                                         failover, msg.src, msg.dst,
@@ -527,29 +536,29 @@ void Engine::execute(const core::CompiledPlan& plan) {
           }
           const double t_in =
               nic_in_[in_server].acquire(t, fst.nic_occupancy_dst);
-          if (metrics_inv_) {
+          if (Observed && metrics_inv_) {
             metrics_inv_->on_occupancy(obs::SimResource::NicIn,
                                        fst.nic_occupancy_dst);
           }
-          if (metrics_smp_) {
+          if (Observed && metrics_smp_) {
             metrics_smp_->on_wait(obs::SimResource::NicIn, t, t_in);
           }
           t = t_in;
         }
         const double t_drain =
             recv_port_[msg.dst].acquire(t, fst.drain_occupancy);
-        if (metrics_inv_) {
+        if (Observed && metrics_inv_) {
           metrics_inv_->on_occupancy(obs::SimResource::RecvPort,
                                      fst.drain_occupancy);
         }
-        if (metrics_smp_) {
+        if (Observed && metrics_smp_) {
           metrics_smp_->on_wait(obs::SimResource::RecvPort, t, t_drain);
         }
         t = t_drain;
 
         completion = t + noise_.perturb(fst.completion_base) + hop_latency;
 
-        if (fault_lost(fst, attempt)) {
+        if (Observed && fault_lost(fst, attempt)) {
           ++attempt;
           if (attempt >= fst.loss->retry.max_attempts) {
             throw_retries_exhausted(msg.src, msg.dst, fault_path, attempt);
@@ -573,7 +582,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
       clock_[msg.src] = std::max(clock_[msg.src], sender_done);
       clock_[msg.dst] = std::max(clock_[msg.dst], completion);
 
-      if (tracing_) {
+      if (Observed && tracing_) {
         const core::CompiledPhase::MessageMeta& meta = phase.message_meta[i];
         trace_.messages.push_back({msg.src, msg.dst, msg.bytes, meta.tag,
                                    meta.space, meta.protocol, meta.path,
@@ -623,7 +632,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
     }
     network_bytes_ += phase.network_bytes;
     network_messages_ += phase.network_messages;
-    if (metrics_smp_) metrics_smp_->on_phase_end(max_clock());
+    if (Observed && metrics_smp_) metrics_smp_->on_phase_end(max_clock());
   }
 }
 

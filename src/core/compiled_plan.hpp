@@ -77,13 +77,13 @@ struct CompiledPhase {
     std::uint8_t path_id = 0;         ///< taxonomy class id (metrics slot)
     PathClass path = PathClass::OnSocket;  ///< base locality (traces)
   };
-  std::vector<MessageSchedule> messages;  ///< in posting order
+  /// In posting order.  Each entry is one send together with the receive
+  /// FIFO matching pairs it with: a Message op posts both ends (run_plan's
+  /// contract), and FIFO pairing per (src, dst, tag) preserves posting
+  /// order on both sides, so the k-th send of a key meets the k-th receive
+  /// of that key -- the same op.
+  std::vector<MessageSchedule> messages;
   std::vector<MessageMeta> message_meta;  ///< index-aligned with messages
-  /// messages[i]'s send is FIFO-matched to messages[recv_of_send[i]]'s
-  /// receive.  (For plans built by run_plan semantics -- send and matching
-  /// receive posted by the same op -- this is the identity permutation, but
-  /// compilation derives it from first principles.)
-  std::vector<std::uint32_t> recv_of_send;
   /// Message-to-message dependency: messages[i] becomes ready no earlier
   /// than messages[msg_dep[i]]'s completion (-1 = independent).  Deps on
   /// copies/packs compile away -- blocking posting on the sending rank

@@ -106,8 +106,10 @@ class Engine {
   /// Execute a compiled plan: the rep-invariant work (send/recv matching,
   /// path classification, protocol selection, alpha/beta lookups, queue
   /// depths) was hoisted into the CompiledPlan at compile time, so this
-  /// inner loop only draws noise, queues on contended resources, and
-  /// advances clocks.  Event-for-event identical -- clocks, traces,
+  /// inner loop only draws noise (prefetched in one batch per call),
+  /// queues on contended resources, and advances clocks; with no fault
+  /// model, metrics tier, trace or fabric attached it runs with those
+  /// hooks compiled out.  Event-for-event identical -- clocks, traces,
   /// counters, noise stream -- to posting the original CommPlan through
   /// isend/irecv/copy/pack + resolve().  The engine must have been
   /// constructed with the same Topology and ParamSet the plan was
@@ -231,6 +233,11 @@ class Engine {
   /// transfers into dependency waves and schedules wave by wave.
   void resolve_waves();
   void fail_resolve(const std::string& what);  ///< clear pending, then throw
+  /// execute()'s body.  `Observed` is false when no fault model, metrics
+  /// tier, trace or fabric is attached; that instantiation compiles their
+  /// hooks away.  Defined in core/compiled_plan.cpp.
+  template <bool Observed>
+  void execute_phases(const core::CompiledPlan& plan);
 
   /// Per-message fault state resolved once before the (re)send loop.
   /// Occupancies default to the unfaulted inputs; loss stays null when no
@@ -361,8 +368,6 @@ class Engine {
   std::vector<std::int32_t> matched_depth_scratch_;   ///< dep-chain depth
   std::vector<double> matched_completion_scratch_;    ///< per-transfer finish
   std::vector<std::uint32_t> wave_order_scratch_;     ///< one wave's members
-  std::vector<double> post_send_scratch_;      ///< compiled: send post times
-  std::vector<double> post_recv_scratch_;      ///< compiled: recv post times
   std::vector<double> ready_scratch_;          ///< compiled: transfer ready
   /// Per-phase schedule orders, kept across execute() calls as the
   /// *starting permutation* for the next (ready, index) sort.  Noise

@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -132,10 +133,14 @@ void JsonValue::dump_impl(std::ostream& os, int indent, int depth) const {
         os << "null";
         break;
       }
-      std::ostringstream tmp;
-      tmp.precision(std::numeric_limits<double>::max_digits10);
-      tmp << double_;
-      os << tmp.str();
+      // to_chars at max_digits10 is defined as printf("%.17g"): the bytes
+      // an ostream at that precision writes, without building a stream.
+      char buf[32];
+      const std::to_chars_result res =
+          std::to_chars(buf, buf + sizeof buf, double_,
+                        std::chars_format::general,
+                        std::numeric_limits<double>::max_digits10);
+      os.write(buf, res.ptr - buf);
       break;
     }
     case Kind::String: os << '"' << json_escape(string_) << '"'; break;

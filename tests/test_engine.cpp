@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <utility>
+#include <vector>
 
 namespace hetcomm {
 namespace {
@@ -419,6 +421,101 @@ TEST(EngineNoise, NoiseMeanIsUnbiased) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += noise.perturb(1.0);
   EXPECT_NEAR(sum / n, 1.0, 0.01);
+}
+
+/// Checks `batch` against the scalar reference noise_factor, element for
+/// element, over 1080 (stream, first draw, n) triples at two sigmas; 0.5
+/// reaches the 2^-6 floor.  Sizes straddle the kernel's 8-draw vectors.
+void expect_batch_matches_reference(NoiseBatchFn batch) {
+  std::mt19937_64 rng(0xba7c4ULL);
+  const std::size_t sizes[] = {0, 1, 7, 8, 9, 63, 64, 65, 1000};
+  bool floored = false;
+  std::vector<double> out;
+  for (int round = 0; round < 120; ++round) {
+    const std::uint64_t stream = rng();
+    for (const std::size_t n : sizes) {
+      // Small first draws, as in a repetition, and arbitrary ones, whose
+      // 4 * draw sequence numbers wrap.
+      const std::uint64_t first = round % 2 == 0 ? rng() % 4096 : rng();
+      for (const double sigma : {0.02, 0.5}) {
+        out.assign(n + 1, -1.0);
+        batch(stream, first, sigma, out.data(), n);
+        for (std::size_t k = 0; k < n; ++k) {
+          const double want = noise_factor(stream, first + k, sigma);
+          ASSERT_EQ(out[k], want) << "stream " << stream << " draw "
+                                  << first + k << " sigma " << sigma;
+          floored = floored || want == 0x1.0p-6;
+        }
+        ASSERT_EQ(out[n], -1.0) << "wrote past n = " << n;
+      }
+    }
+  }
+  EXPECT_TRUE(floored);
+}
+
+TEST(EngineNoise, BatchMatchesScalarReference) {
+  expect_batch_matches_reference(&noise_factors);
+}
+
+TEST(EngineNoise, Avx512dqKernelMatchesScalarReference) {
+  const NoiseBatchFn kernel = noise_factors_avx512dq();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "this build or CPU has no AVX-512DQ kernel";
+  }
+  expect_batch_matches_reference(kernel);
+}
+
+TEST(EngineNoise, DrawsPastThePrefetchedBatchContinueTheSequence) {
+  // execute() prefetches one factor per step; lost-message retries draw
+  // past the batch, and a second prefetch replaces an unread remainder.
+  for (const std::size_t n : {0, 1, 9, 64}) {
+    for (const std::size_t k : {0, 1, 5, 17}) {
+      NoiseModel batched(77, 0.05);
+      NoiseModel plain(77, 0.05);
+      ASSERT_EQ(batched.perturb(1.0), plain.perturb(1.0));  // mid-stream
+      batched.prefetch(n);
+      for (std::size_t i = 0; i < n + k; ++i) {
+        if (i == n / 2) batched.prefetch(k);
+        ASSERT_EQ(batched.perturb(3.5e-6), plain.perturb(3.5e-6));
+      }
+      EXPECT_EQ(batched.draws(), plain.draws());
+    }
+  }
+}
+
+TEST(EngineNoise, CopiesAndMovesMidBatchContinueExactly) {
+  NoiseModel reference(9, 0.05);
+  NoiseModel batched(9, 0.05);
+  batched.prefetch(40);
+  for (int i = 0; i < 13; ++i) {
+    ASSERT_EQ(batched.perturb(1.0), reference.perturb(1.0));
+  }
+  NoiseModel copied = batched;
+  NoiseModel assigned(1, 0.3);
+  assigned = batched;
+  NoiseModel moved = std::move(batched);
+  for (int i = 0; i < 40; ++i) {
+    const double want = reference.perturb(1.0);
+    ASSERT_EQ(copied.perturb(1.0), want);
+    ASSERT_EQ(assigned.perturb(1.0), want);
+    ASSERT_EQ(moved.perturb(1.0), want);
+  }
+}
+
+TEST(EngineNoise, ReseedDropsTheBatchAndZeroSigmaConsumesNothing) {
+  NoiseModel model(5, 0.05);
+  model.prefetch(16);
+  (void)model.perturb(1.0);
+  model.reseed(6);
+  NoiseModel fresh(6, 0.05);
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_EQ(model.perturb(1.0), fresh.perturb(1.0));
+  }
+
+  NoiseModel silent(5, 0.0);
+  silent.prefetch(16);
+  EXPECT_EQ(silent.perturb(2.5), 2.5);
+  EXPECT_EQ(silent.draws(), 0u);
 }
 
 }  // namespace

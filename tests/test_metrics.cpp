@@ -11,6 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -204,6 +209,42 @@ TEST(Json, RoundTripsDoublesExactly) {
   obs::JsonValue v(0.00017337684630217592);
   const obs::JsonValue back = obs::JsonValue::parse(v.dump_string());
   EXPECT_EQ(back.as_double(), 0.00017337684630217592);
+}
+
+TEST(Json, DoublesDumpAsAStreamAtMaxDigits10Would) {
+  // dump() must write each double byte for byte as the ostringstream at
+  // max_digits10 precision it replaced (both are printf "%.17g").
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> corpus = {0.0,
+                                -0.0,
+                                Limits::denorm_min(),
+                                -Limits::denorm_min(),
+                                Limits::min() / 3.0,
+                                Limits::min(),
+                                Limits::max(),
+                                Limits::lowest(),
+                                Limits::epsilon(),
+                                0.1,
+                                1.0 / 3.0,
+                                0x1.0p53,
+                                0x1.0p53 + 2.0,
+                                1e17,
+                                123456789012345678.0};
+  for (int e = -324; e <= 308; ++e) corpus.push_back(std::pow(10.0, e));
+  for (int i = -1000; i <= 1000; ++i) corpus.push_back(i);
+  std::mt19937_64 rng(0x6a50aULL);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) corpus.push_back(d);
+  }
+  for (const double d : corpus) {
+    std::ostringstream want;
+    want.precision(Limits::max_digits10);
+    want << d << '\n';
+    ASSERT_EQ(obs::JsonValue(d).dump_string(0), want.str());
+  }
 }
 
 // ---------------------------------------------------------------------------
