@@ -8,8 +8,14 @@ namespace hetcomm::core {
 std::vector<Recommendation> Advisor::rank(const CommPattern& pattern,
                                           const AdvisorOptions& options) const {
   const PatternStats stats = compute_stats(pattern, topo_);
+  const std::vector<StrategyConfig> roster = all_strategies();
+  // A variant whose lowering is the identity on this machine builds its
+  // base's plan: list the base once, as compare and ranking-stability do.
+  const std::vector<int> alias = identity_aliases(roster, params_);
   std::vector<Recommendation> out;
-  for (const StrategyConfig& cfg : all_strategies()) {
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    const StrategyConfig& cfg = roster[i];
+    if (alias[i] >= 0) continue;
     if (options.staged_only && cfg.transport == MemSpace::Device) continue;
     out.push_back(
         {cfg, models::predict(cfg, stats, params_, topo_, options.predict),

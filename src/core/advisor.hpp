@@ -33,7 +33,8 @@ class Advisor {
   Advisor(const Topology& topo, ParamSet params)
       : topo_(topo), params_(std::move(params)) {}
 
-  /// All strategies ranked fastest-first.
+  /// All strategies ranked fastest-first.  A split variant that lowers to
+  /// its base's plan on this machine (core::identity_aliases) is left out.
   [[nodiscard]] std::vector<Recommendation> rank(
       const CommPattern& pattern, const AdvisorOptions& options = {}) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -23,11 +24,19 @@ void CommPattern::check_gpu(int gpu) const {
   }
 }
 
+void CommPattern::check_room(std::int64_t extra) const {
+  if (extra > std::numeric_limits<std::int64_t>::max() - total_bytes_ -
+                  dedup_bytes_) {
+    throw std::invalid_argument("CommPattern: total bytes overflow int64");
+  }
+}
+
 void CommPattern::add(int src_gpu, int dst_gpu, std::int64_t bytes) {
   check_gpu(src_gpu);
   check_gpu(dst_gpu);
   if (bytes < 0) throw std::invalid_argument("CommPattern::add: negative size");
   if (bytes == 0 || src_gpu == dst_gpu) return;
+  check_room(bytes);
   Cell& cell = sends_[static_cast<std::size_t>(src_gpu)][dst_gpu];
   cell.bytes += bytes;
   ++cell.count;
@@ -89,6 +98,10 @@ void CommPattern::set_node_dedup(int src_gpu, int dst_node,
   if (bytes < 0) {
     throw std::invalid_argument("CommPattern::set_node_dedup: negative size");
   }
+  const auto it = node_dedup_.find({src_gpu, dst_node});
+  const std::int64_t old = it == node_dedup_.end() ? 0 : it->second;
+  if (bytes > old) check_room(bytes - old);
+  dedup_bytes_ += bytes - old;
   node_dedup_[{src_gpu, dst_node}] = bytes;
 }
 

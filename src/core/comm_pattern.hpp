@@ -85,6 +85,11 @@ class CommPattern {
 
  private:
   void check_gpu(int gpu) const;
+  /// Throws std::invalid_argument unless `extra` more bytes keep payload
+  /// plus dedup bytes within int64: every byte total derived from the
+  /// pattern (per GPU, node or pair, with or without dedup) is at most
+  /// that sum, so none of them can overflow.
+  void check_room(std::int64_t extra) const;
 
   struct Cell {
     std::int64_t bytes = 0;
@@ -95,6 +100,7 @@ class CommPattern {
   // (src_gpu, dst_node) -> deduplicated bytes
   std::map<std::pair<int, int>, std::int64_t> node_dedup_;
   std::int64_t total_bytes_ = 0;
+  std::int64_t dedup_bytes_ = 0;  ///< sum of node_dedup_ values
   std::int64_t total_messages_ = 0;
 };
 

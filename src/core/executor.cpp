@@ -28,45 +28,28 @@ void check_clock_span(const Engine& engine, std::span<double> clocks_out) {
 void run_plan(Engine& engine, const CommPlan& plan,
               std::span<double> clocks_out) {
   check_clock_span(engine, clocks_out);
-  // Split plans (rails / dependency edges) thread per-op state into isend;
-  // the scan keeps dep-free plans on the exact historical posting loop.
-  bool has_split_ops = false;
-  for (const PlanPhase& phase : plan.phases) {
-    for (const PlanOp& op : phase.ops) {
-      if (op.rail >= 0 || op.depends_on >= 0) {
-        has_split_ops = true;
-        break;
-      }
-    }
-    if (has_split_ops) break;
-  }
   std::vector<int> send_req;  // phase-local op index -> isend request id
   for (const PlanPhase& phase : plan.phases) {
-    if (has_split_ops) send_req.assign(phase.ops.size(), -1);
+    send_req.assign(phase.ops.size(), -1);
     for (std::size_t oi = 0; oi < phase.ops.size(); ++oi) {
       const PlanOp& op = phase.ops[oi];
       switch (op.type) {
-        case OpType::Message:
-          if (!has_split_ops) {
-            engine.isend(op.src_rank, op.dst_rank, op.bytes, op.tag,
-                         op.space);
-          } else {
-            // Only message-target deps reach the engine: deps on copies or
-            // packs are already enforced by blocking posting on the
-            // sender's clock (the engine would reject them as non-send
-            // request ids).
-            int dep_req = -1;
-            if (op.depends_on >= 0 &&
-                static_cast<std::size_t>(op.depends_on) < phase.ops.size() &&
-                phase.ops[static_cast<std::size_t>(op.depends_on)].type ==
-                    OpType::Message) {
-              dep_req = send_req[static_cast<std::size_t>(op.depends_on)];
-            }
-            send_req[oi] = engine.isend(op.src_rank, op.dst_rank, op.bytes,
-                                        op.tag, op.space, op.rail, dep_req);
+        case OpType::Message: {
+          // Only message-target deps reach the engine: deps on copies or
+          // packs are already enforced by blocking posting on the sender's
+          // clock (the engine would reject them as non-send request ids).
+          int dep_req = -1;
+          if (op.depends_on >= 0 &&
+              static_cast<std::size_t>(op.depends_on) < phase.ops.size() &&
+              phase.ops[static_cast<std::size_t>(op.depends_on)].type ==
+                  OpType::Message) {
+            dep_req = send_req[static_cast<std::size_t>(op.depends_on)];
           }
+          send_req[oi] = engine.isend(op.src_rank, op.dst_rank, op.bytes,
+                                      op.tag, op.space, op.rail, dep_req);
           engine.irecv(op.dst_rank, op.src_rank, op.bytes, op.tag, op.space);
           break;
+        }
         case OpType::Copy:
           engine.copy(op.rank, op.gpu, op.dir, op.bytes, op.sharing_procs);
           break;
@@ -101,6 +84,30 @@ void run_plan(Engine& engine, const CompiledPlan& plan,
   std::copy(clocks.begin(), clocks.end(), clocks_out.begin());
 }
 
+RepFold fold_repetitions(std::span<const double> clocks,
+                         std::size_t num_ranks) {
+  const std::size_t reps = clocks.size() / num_ranks;
+  RepFold fold;
+  fold.per_rank_mean.assign(num_ranks, 0.0);
+  // Stored by index, not push_back(const double&): taking the running
+  // maximum's address would keep it in memory through the inner loop.
+  fold.makespans.resize(reps);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const double* row = clocks.data() + rep * num_ranks;
+    double makespan = 0.0;
+    for (std::size_t r = 0; r < num_ranks; ++r) {
+      fold.per_rank_mean[r] += row[r];
+      makespan = std::max(makespan, row[r]);
+    }
+    fold.makespans[rep] = makespan;
+  }
+  const double inv = 1.0 / static_cast<double>(reps);
+  for (double& mean : fold.per_rank_mean) mean *= inv;
+  fold.max_avg =
+      *std::max_element(fold.per_rank_mean.begin(), fold.per_rank_mean.end());
+  return fold;
+}
+
 MeasureResult measure(const CommPlan& plan, const Topology& topo,
                       const ParamSet& params, const MeasureOptions& options) {
   if (options.reps < 1) {
@@ -112,7 +119,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
 
   MeasureResult result;
   result.summary = plan.summarize(topo);
-  result.per_rank_mean.assign(static_cast<std::size_t>(topo.num_ranks()), 0.0);
   result.makespan_min = std::numeric_limits<double>::infinity();
   result.makespan_max = 0.0;
 
@@ -128,7 +134,7 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   std::uint64_t trace_id = options.trace_id;
   std::uint32_t trace_root = options.trace_parent;
   bool own_root = false;
-  obs::SpanRecord root_span;
+  double root_t0 = 0.0;
   std::uint16_t n_compile = 0, n_block = 0, n_phase = 0;
   std::uint16_t k_block = 0, k_phase = 0, k_sim = 0;
   if (tracer != nullptr && trace_id == 0) trace_id = tracer->begin_trace();
@@ -142,11 +148,8 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     k_sim = tracer->intern("sim_ns");
     if (options.trace_parent == 0) {
       own_root = true;
-      root_span.trace_id = trace_id;
-      root_span.span_id = tracer->new_span_id();
-      root_span.name = tracer->intern("measure");
-      root_span.t_start = tracer->now();
-      trace_root = root_span.span_id;
+      trace_root = tracer->new_span_id();
+      root_t0 = tracer->now();
     }
   }
 
@@ -282,26 +285,21 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
       engine.set_tracing(false);
     }
     if (tracer != nullptr) {
-      obs::SpanRecord s;
-      s.trace_id = trace_id;
-      s.span_id = tracer->new_span_id();
-      s.parent = trace_root;
-      s.name = n_block;
-      s.track = static_cast<std::uint16_t>(worker);
-      s.t_start = trace_t0;
-      s.t_end = tracer->now();
-      s.add_attr(k_block, rep);
+      const double trace_t1 = tracer->now();
+      const obs::TraceAttr attr[] = {{k_block, false, rep}};
+      const std::uint32_t span = tracer->record_span(
+          worker, trace_id, trace_root, n_block,
+          static_cast<std::uint16_t>(worker), trace_t0, trace_t1, attr);
       if (rep == 0) {
-        lead_span = s.span_id;
+        lead_span = span;
         lead_ring = worker;
-        lead_t0 = s.t_start;
-        lead_t1 = s.t_end;
+        lead_t0 = trace_t0;
+        lead_t1 = trace_t1;
         if (want_trace_phases) {
           trace_phase_ends = trace_sink.phase_makespan;
           trace_sink.phase_makespan.clear();
         }
       }
-      tracer->record(worker, s);
     }
   };
 
@@ -366,46 +364,28 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
       const double scale = (lead_t1 - lead_t0) / total;
       double prev = 0.0;
       for (std::size_t p = 0; p < count; ++p) {
-        obs::SpanRecord s;
-        s.trace_id = trace_id;
-        s.span_id = tracer->new_span_id();
-        s.parent = lead_span;
-        s.name = n_phase;
-        s.track = static_cast<std::uint16_t>(lead_ring);
-        s.t_start = lead_t0 + prev * scale;
-        s.t_end = lead_t0 + ends[p] * scale;
-        s.add_attr(k_phase, static_cast<std::int64_t>(p));
-        s.add_attr(k_sim, std::llround((ends[p] - prev) * 1e9));
-        tracer->record(lead_ring, s);
+        const obs::TraceAttr attrs[] = {
+            {k_phase, false, static_cast<std::int64_t>(p)},
+            {k_sim, false, std::llround((ends[p] - prev) * 1e9)}};
+        tracer->record_span(lead_ring, trace_id, lead_span, n_phase,
+                            static_cast<std::uint16_t>(lead_ring),
+                            lead_t0 + prev * scale, lead_t0 + ends[p] * scale,
+                            attrs);
         prev = ends[p];
       }
     }
   }
 
   // Serial reduction in repetition order: bit-identical at any jobs count.
-  std::vector<double> makespans;
-  if (options.collect_metrics) {
-    makespans.reserve(static_cast<std::size_t>(options.reps));
-  }
-  for (int rep = 0; rep < options.reps; ++rep) {
-    const double* clocks =
-        rep_clocks.data() + static_cast<std::size_t>(rep) * num_ranks;
-    double makespan = 0.0;
-    for (std::size_t r = 0; r < num_ranks; ++r) {
-      result.per_rank_mean[r] += clocks[r];
-      makespan = std::max(makespan, clocks[r]);
-    }
+  RepFold fold = fold_repetitions(rep_clocks, num_ranks);
+  for (const double makespan : fold.makespans) {
     result.makespan_mean += makespan;
     result.makespan_min = std::min(result.makespan_min, makespan);
     result.makespan_max = std::max(result.makespan_max, makespan);
-    if (options.collect_metrics) makespans.push_back(makespan);
   }
-
-  const double inv = 1.0 / options.reps;
-  result.makespan_mean *= inv;
-  for (double& t : result.per_rank_mean) t *= inv;
-  result.max_avg =
-      *std::max_element(result.per_rank_mean.begin(), result.per_rank_mean.end());
+  result.makespan_mean *= 1.0 / options.reps;
+  result.per_rank_mean = std::move(fold.per_rank_mean);
+  result.max_avg = fold.max_avg;
   result.trace = std::move(last_trace);
 
   if (options.collect_metrics) {
@@ -423,7 +403,7 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     report.noise_sigma = options.noise_sigma;
     report.ranks = topo.num_ranks();
     report.nodes = topo.num_nodes();
-    report.makespan = obs::summarize(makespans);
+    report.makespan = obs::summarize(fold.makespans);
     report.max_avg = result.max_avg;
     report.wall_seconds = result.wall_seconds;
     report.reps_per_second = result.reps_per_second;
@@ -466,10 +446,11 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   }
 
   if (tracer != nullptr && own_root) {
-    root_span.t_end = tracer->now();
-    root_span.add_attr(tracer->intern("reps"), options.reps);
-    root_span.add_attr(tracer->intern("jobs"), jobs);
-    tracer->record(0, root_span);
+    const obs::TraceAttr attrs[] = {
+        {tracer->intern("reps"), false, options.reps},
+        {tracer->intern("jobs"), false, jobs}};
+    tracer->record_span(0, trace_id, 0, tracer->intern("measure"), 0, root_t0,
+                        tracer->now(), attrs, trace_root);
   }
   return result;
 }

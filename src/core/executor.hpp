@@ -127,6 +127,19 @@ std::vector<double> run_plan(Engine& engine, const CommPlan& plan);
 void run_plan(Engine& engine, const CompiledPlan& plan,
               std::span<double> clocks_out);
 
+/// The paper's reduction of repeated runs, folded in repetition order.
+struct RepFold {
+  std::vector<double> per_rank_mean;  ///< each rank's mean final clock
+  double max_avg = 0.0;               ///< the largest of those means
+  std::vector<double> makespans;      ///< per repetition, its largest clock
+};
+
+/// Fold `clocks`, reps x `num_ranks` final rank clocks (row = repetition).
+/// measure() and serve both reduce through here, so a serve reply and a
+/// one-shot measurement of the same query are bit-identical.
+[[nodiscard]] RepFold fold_repetitions(std::span<const double> clocks,
+                                       std::size_t num_ranks);
+
 /// Repeatedly execute `plan` with per-repetition reseeded noise -- on
 /// per-worker reused engines, fanned across `options.jobs` threads -- and
 /// aggregate.  Deterministic: the result depends only on (plan, topo,

@@ -95,6 +95,27 @@ std::uint32_t Tracer::new_span_id() noexcept {
   return impl_->next_span.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::uint32_t Tracer::record_span(int ring, std::uint64_t trace_id,
+                                  std::uint32_t parent, std::uint16_t name,
+                                  std::uint16_t track, double t0, double t1,
+                                  std::span<const TraceAttr> attrs,
+                                  std::uint32_t span_id) noexcept {
+  SpanRecord s;
+  s.trace_id = trace_id;
+  s.span_id = span_id != 0 ? span_id : new_span_id();
+  s.parent = parent;
+  s.name = name;
+  s.track = track;
+  s.t_start = t0;
+  s.t_end = t1;
+  for (const TraceAttr& a : attrs.first(
+           std::min<std::size_t>(attrs.size(), SpanRecord::kMaxAttrs))) {
+    s.attrs[s.num_attrs++] = a;
+  }
+  record(ring, s);
+  return s.span_id;
+}
+
 std::uint16_t Tracer::intern(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->names_mu);
   const std::string key(name);

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -125,6 +126,16 @@ class Tracer {
   /// Record one completed span into ring `ring` (clamped into range).
   /// Allocation-free; drops the ring's oldest span when full.
   void record(int ring, const SpanRecord& span) noexcept;
+
+  /// Record the finished span [t0, t1] of trace `trace_id` under `parent`
+  /// into ring `ring`, shown on display track `track`, and return its id:
+  /// a fresh one, or `span_id` for a root its children already name.
+  /// Attributes past SpanRecord::kMaxAttrs are dropped.
+  std::uint32_t record_span(int ring, std::uint64_t trace_id,
+                            std::uint32_t parent, std::uint16_t name,
+                            std::uint16_t track, double t0, double t1,
+                            std::span<const TraceAttr> attrs = {},
+                            std::uint32_t span_id = 0) noexcept;
 
   [[nodiscard]] std::int64_t dropped() const noexcept;
   [[nodiscard]] std::int64_t recorded() const noexcept;

@@ -22,10 +22,8 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -107,50 +105,6 @@ auto sweep(const std::vector<Item>& items, Fn&& fn,
                [&out, &items, &fn, i] { out[i] = fn(items[i]); });
   }
   runner.run();
-  return out;
-}
-
-/// sweep() with workload dedup: `keys[i]` is a stable fingerprint of item
-/// i's work (e.g. core::pattern_hash of the pattern a cell simulates).
-/// `fn` runs once per *distinct* key -- on the first item carrying it --
-/// and every later duplicate copies that representative's result instead
-/// of recomputing.  Results still land in item order and are bit-identical
-/// to plain sweep() for any jobs count, because equal keys promise equal
-/// work.  Throws std::invalid_argument when keys and items disagree in
-/// length.
-template <typename Item, typename Fn>
-auto sweep_keyed(const std::vector<Item>& items,
-                 const std::vector<std::uint64_t>& keys, Fn&& fn,
-                 const SweepOptions& options = {})
-    -> std::vector<std::invoke_result_t<Fn&, const Item&>> {
-  using Result = std::invoke_result_t<Fn&, const Item&>;
-  static_assert(!std::is_void_v<Result>,
-                "sweep_keyed: fn must return a value");
-  if (keys.size() != items.size()) {
-    throw std::invalid_argument("sweep_keyed: one key per item required");
-  }
-  // representative[i]: index of the first item with items[i]'s key.
-  std::vector<std::size_t> representative(items.size());
-  std::vector<std::size_t> unique;  // first-occurrence indices, item order
-  {
-    std::unordered_map<std::uint64_t, std::size_t> first;
-    first.reserve(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const auto [it, inserted] = first.emplace(keys[i], i);
-      representative[i] = it->second;
-      if (inserted) unique.push_back(i);
-    }
-  }
-  std::vector<Result> out(items.size());
-  SweepRunner runner(options);
-  for (const std::size_t i : unique) {
-    runner.add("cell " + std::to_string(i),
-               [&out, &items, &fn, i] { out[i] = fn(items[i]); });
-  }
-  runner.run();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (representative[i] != i) out[i] = out[representative[i]];
-  }
   return out;
 }
 

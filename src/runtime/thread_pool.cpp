@@ -61,26 +61,16 @@ struct ThreadPool::Impl {
         }
         if (skip) continue;
       }
-      obs::SpanRecord run_span;
+      const obs::TraceAttr task_attr[] = {{task_key, false, i}};
+      const auto track = static_cast<std::uint16_t>(worker);
+      double claimed = 0.0;
+      std::uint32_t run_span = 0;
       if (trace.tracer != nullptr) {
-        const double claimed = trace.tracer->now();
-        obs::SpanRecord wait;
-        wait.trace_id = trace.trace_id;
-        wait.span_id = trace.tracer->new_span_id();
-        wait.parent = trace.parent;
-        wait.name = wait_name;
-        wait.track = static_cast<std::uint16_t>(worker);
-        wait.t_start = submit_time;
-        wait.t_end = claimed;
-        wait.add_attr(task_key, i);
-        trace.tracer->record(worker, wait);
-        run_span.trace_id = trace.trace_id;
-        run_span.span_id = trace.tracer->new_span_id();
-        run_span.parent = trace.parent;
-        run_span.name = run_name;
-        run_span.track = static_cast<std::uint16_t>(worker);
-        run_span.t_start = claimed;
-        run_span.add_attr(task_key, i);
+        claimed = trace.tracer->now();
+        trace.tracer->record_span(worker, trace.trace_id, trace.parent,
+                                  wait_name, track, submit_time, claimed,
+                                  task_attr);
+        run_span = trace.tracer->new_span_id();
       }
       try {
         (*task)(i, worker);
@@ -91,8 +81,9 @@ struct ThreadPool::Impl {
         return;
       }
       if (trace.tracer != nullptr) {
-        run_span.t_end = trace.tracer->now();
-        trace.tracer->record(worker, run_span);
+        trace.tracer->record_span(worker, trace.trace_id, trace.parent,
+                                  run_name, track, claimed,
+                                  trace.tracer->now(), task_attr, run_span);
       }
     }
   }

@@ -30,6 +30,10 @@ using obs::JsonValue;
 
 constexpr int kHotPatterns = 4;
 constexpr const char* kStrategies[] = {"split+MD", "split+DD"};
+/// Storm lines replaced by malformed ones, and storm lines carrying a
+/// deadline_ms drawn from {0, 10000} (deterministic expiry vs never).
+constexpr double kMalformedFraction = 0.10;
+constexpr double kDeadlineFraction = 0.20;
 
 std::string pattern_spec(int pattern) {
   return "{\"random\": {\"msgs_per_gpu\": 4, \"bytes\": 4096, \"seed\": " +
@@ -217,7 +221,7 @@ struct Harness {
     std::map<std::string, std::int64_t> deadline_zero;  // id -> expected
     std::size_t bad = 0;
     for (std::size_t k = 0; k < n; ++k) {
-      if (coin(rng) < opts.malformed_fraction) {
+      if (coin(rng) < kMalformedFraction) {
         lines.push_back(malformed[bad++ % malformed.size()]);
         continue;
       }
@@ -231,7 +235,7 @@ struct Harness {
         spec.faults = opts.faults_path;
         spec.strategy = kStrategies[k % 2];  // faulted lanes never coalesce
       }
-      if (coin(rng) < opts.deadline_fraction) {
+      if (coin(rng) < kDeadlineFraction) {
         spec.deadline_ms = coin(rng) < 0.5 ? 0 : 10000;
         if (spec.deadline_ms == 0) deadline_zero[spec.id] = 1;
       }
@@ -692,6 +696,28 @@ std::vector<std::string> builtin_malformed_lines() {
       "{\"id\": \"bad-nodes\", \"nodes\": 0}",         // out of range
       "{\"id\": \"bad-deadline\", \"deadline_ms\": -5}",  // bad deadline
       "{\"id\": \"bad-pattern\", \"pattern\": 12}",    // wrong type
+      // Integers past the int range, which once narrowed into range.
+      "{\"id\": \"wide-nodes\", \"nodes\": 4294967298}",
+      "{\"id\": \"wide-reps\", \"reps\": 4294967297}",
+      "{\"id\": \"wide-msgs\", \"pattern\": {\"random\": "
+      "{\"msgs_per_gpu\": 4294967297}}}",
+      "{\"id\": \"wide-gpus\", \"nodes\": 2, \"pattern\": "
+      "{\"gpus\": 4294967304, \"msgs\": []}}",
+      "{\"id\": \"wide-msg-id\", \"nodes\": 2, \"pattern\": "
+      "{\"gpus\": 8, \"msgs\": [[4294967296, 4, 64]]}}",
+      "{\"id\": \"wide-dedup-id\", \"nodes\": 2, \"pattern\": "
+      "{\"gpus\": 8, \"msgs\": [[0, 4, 64]], "
+      "\"dedup\": [[0, 4294967297, 64]]}}",
+      // 32 GPUs x 65536 messages: past the generated-pattern cap.
+      "{\"id\": \"huge-random\", \"pattern\": {\"random\": "
+      "{\"msgs_per_gpu\": 65536}}}",
+      // Two 2^62-byte messages, or dedup sizes: byte totals past int64.
+      "{\"id\": \"byte-overflow\", \"nodes\": 2, \"pattern\": "
+      "{\"gpus\": 8, \"msgs\": [[0, 4, 4611686018427387904], "
+      "[1, 5, 4611686018427387904]]}}",
+      "{\"id\": \"dedup-overflow\", \"nodes\": 3, \"pattern\": "
+      "{\"gpus\": 12, \"msgs\": [[0, 4, 64], [0, 8, 64]], \"dedup\": "
+      "[[0, 1, 4611686018427387904], [0, 2, 4611686018427387904]]}}",
   };
 }
 

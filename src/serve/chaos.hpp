@@ -45,11 +45,6 @@ struct ChaosOptions {
   /// Storm size as a multiple of max_queue (the ISSUE-10 acceptance run
   /// uses 4x with ~10% malformed lines mixed in).
   int storm_factor = 4;
-  /// Fraction of storm lines replaced by malformed ones.
-  double malformed_fraction = 0.10;
-  /// Fraction of storm lines carrying a randomized deadline_ms (drawn
-  /// from {0, 10000}: deterministic expiry vs never-expires).
-  double deadline_fraction = 0.20;
   /// Admission bound and policy of the service under test.
   std::size_t max_queue = 16;
   ShedPolicy shed_policy = ShedPolicy::Reject;
@@ -108,7 +103,8 @@ struct ChaosReport {
 };
 
 /// Built-in malformed request lines (a superset of the failure shapes in
-/// tests/data/bad): bad JSON, non-objects, unknown keys/cmds, bad types.
+/// tests/data/bad): bad JSON, non-objects, unknown keys/cmds, bad types,
+/// out-of-range integers.  Each answers bad_request when admitted.
 [[nodiscard]] std::vector<std::string> builtin_malformed_lines();
 
 /// Run the full chaos schedule against fresh Service instances.

@@ -1,12 +1,12 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <deque>
+#include <atomic>
 #include <istream>
 #include <memory>
+#include <mutex>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -30,6 +30,8 @@
 #include "obs/trace.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/thread_pool.hpp"
+#include "serve/intake.hpp"
+#include "serve/protocol.hpp"
 
 #ifdef __unix__
 #include <sys/socket.h>
@@ -40,92 +42,6 @@
 namespace hetcomm::serve {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_between(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-/// Machine-readable error taxonomy: every error reply carries exactly one
-/// of these as "error_code" (docs/serve.md "Resilience").  None is the
-/// internal "no error yet" state and renders as bad_request if a message
-/// ever reaches a reply without a classified code.
-enum class ErrorCode : std::uint8_t {
-  None = 0,
-  BadRequest,        ///< malformed line / invalid field / unbuildable plan
-  Overloaded,        ///< shed by admission control (ShedPolicy::Reject)
-  DeadlineExceeded,  ///< request ran out of deadline budget
-  ShuttingDown,      ///< shed by the shutdown drain
-  FaultAborted,      ///< engine FaultAbort (see the "fault" reply object)
-  Internal,          ///< unexpected execution failure
-};
-constexpr std::size_t kNumErrorCodes = 7;
-
-const char* error_code_name(ErrorCode code) noexcept {
-  switch (code) {
-    case ErrorCode::Overloaded:
-      return "overloaded";
-    case ErrorCode::DeadlineExceeded:
-      return "deadline_exceeded";
-    case ErrorCode::ShuttingDown:
-      return "shutting_down";
-    case ErrorCode::FaultAborted:
-      return "fault_abort";
-    case ErrorCode::Internal:
-      return "internal";
-    case ErrorCode::None:
-    case ErrorCode::BadRequest:
-      break;
-  }
-  return "bad_request";
-}
-
-/// Whether a reply with this code should tell the client when to retry.
-bool carries_retry_hint(ErrorCode code) noexcept {
-  return code == ErrorCode::Overloaded ||
-         code == ErrorCode::DeadlineExceeded ||
-         code == ErrorCode::ShuttingDown;
-}
-
-/// Parse-phase failure that already knows its error code (shed lines,
-/// shutdown drain).  Plain std::exception failures classify as BadRequest.
-struct ServeError : std::runtime_error {
-  ServeError(ErrorCode code_in, const std::string& what)
-      : std::runtime_error(what), code(code_in) {}
-  ErrorCode code;
-};
-
-/// Admission verdict stamped on a line when it enters the service, before
-/// anything is parsed.  Control lines ignore it (stats/shutdown are never
-/// shed); data lines shed per the service's ShedPolicy.
-enum class Admission : std::uint8_t {
-  Normal,        ///< inside the pending-queue bound
-  ShedOverload,  ///< arrived with the pending queue at max_queue
-  ShedShutdown,  ///< arrived after a shutdown request (bounded drain)
-};
-
-/// Structured payload of a fault_abort reply, copied off the engine's
-/// FaultAbort exception on the worker that caught it.
-struct FaultDetail {
-  std::string reason;
-  std::string strategy;
-  int src = -1;
-  int dst = -1;
-  int path_id = -1;
-  std::string path;
-  int attempts = 0;
-};
-
-const char* abort_reason_name(FaultAbort::Reason reason) noexcept {
-  switch (reason) {
-    case FaultAbort::Reason::RetriesExhausted:
-      return "retries_exhausted";
-    case FaultAbort::Reason::NicUnavailable:
-      return "nic_unavailable";
-  }
-  return "unknown";
-}
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -139,125 +55,12 @@ std::uint64_t fnv1a_bytes(std::string_view text,
   return h;
 }
 
-std::string hash_hex(std::uint64_t h) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf);
+/// Pattern registry entries (patterns addressable by {"ref": hash}).
+constexpr std::size_t kPatternCapacity = 1024;
+
+bool blank(const std::string& line) {
+  return line.find_first_not_of(" \t\r") == std::string::npos;
 }
-
-/// Render a document as one NDJSON line (dump() appends a newline; the
-/// protocol frames lines itself).
-std::string to_line(const obs::JsonValue& doc) {
-  std::string text = doc.dump_string(0);
-  while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
-    text.pop_back();
-  }
-  return text;
-}
-
-/// Strict hex fingerprint parse ("0x" prefix optional); rejects partial
-/// consumption, so a typoed ref errors instead of aliasing another hash.
-std::uint64_t parse_hash(const std::string& text) {
-  std::size_t pos = 0;
-  std::uint64_t h = 0;
-  try {
-    h = std::stoull(text, &pos, 16);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad pattern ref '" + text + "'");
-  }
-  if (pos != text.size()) {
-    throw std::invalid_argument("bad pattern ref '" + text + "'");
-  }
-  return h;
-}
-
-/// One resolved --machine argument, reused across requests.  The
-/// fingerprint hashes the exact serialized model (hetcomm.machine.v1 dumps
-/// doubles with max_digits10), so two machine files describing the same
-/// calibration share cache entries and two differing in any parameter
-/// never collide on purpose.
-struct MachineEntry {
-  machine::MachineModel model;
-  std::uint64_t fingerprint = 0;
-};
-
-/// Cached value of the compiled-plan cache: everything a repeated query
-/// needs that does not depend on reps/seed.
-struct CachedPlan {
-  CachedPlan(const core::CommPattern& pattern, const Topology& topo,
-             const ParamSet& params, const core::StrategyConfig& config)
-      : plan(core::build_plan(pattern, topo, params, config)),
-        compiled(plan, topo, params),
-        summary(plan.summarize(topo)) {}
-
-  core::CommPlan plan;
-  core::CompiledPlan compiled;
-  core::PlanSummary summary;
-  double compile_seconds = 0.0;  ///< wall time build_plan + compile took
-};
-
-/// A parsed request plus everything computed for its response.
-struct Request {
-  // -- inputs ------------------------------------------------------------
-  obs::JsonValue id;  ///< echoed verbatim (null when absent)
-  bool control = false;
-  std::string cmd;  ///< "stats" or "shutdown" when control
-  const MachineEntry* machine = nullptr;
-  int nodes = 8;
-  std::shared_ptr<const core::CommPattern> pattern;
-  std::uint64_t pattern_fp = 0;
-  bool pattern_was_ref = false;
-  bool has_strategy = false;
-  core::StrategyConfig strategy;
-  std::shared_ptr<const FaultModel> faults;
-  int reps = 0;  ///< 0 = predict-only
-  std::uint64_t seed = 0x5eedULL;
-  bool staged_only = false;
-  /// "rank": false skips the Advisor sweep and omits recommended/ranking
-  /// from the response -- the hot-path shape for clients that already know
-  /// their strategy and only want measurements.  Needs an explicit
-  /// strategy (the default strategy *is* the ranking winner).
-  bool want_ranking = true;
-
-  // -- resilience --------------------------------------------------------
-  Admission admission = Admission::Normal;
-  bool degraded = false;    ///< answered from the model layer, no engine
-  double confidence = 0.0;  ///< degraded replies: model top-2 separation
-  bool plan_cached = false; ///< degraded replies: plan was cache-resident
-  bool has_deadline = false;
-  Clock::time_point deadline;  ///< meaningful only when has_deadline
-  bool partial = false;  ///< deadline_exceeded reply can attach the ranking
-
-  // -- outcome -----------------------------------------------------------
-  std::string error;  ///< nonempty = error response
-  ErrorCode code = ErrorCode::None;
-  std::shared_ptr<FaultDetail> fault;  ///< fault_abort replies only
-  std::vector<core::Recommendation> ranking;
-  std::shared_ptr<const CachedPlan> plan;
-  std::uint64_t plan_key = 0;
-  std::uint64_t engine_key = 0;
-  bool cache_hit = false;       ///< measured request served without a compile
-  bool compiled_here = false;   ///< this request ran the builder
-  // per-request measured reduction
-  double max_avg = 0.0;
-  obs::Summary makespan;
-
-  // -- timing ------------------------------------------------------------
-  Clock::time_point enqueued;
-  double queue_wait_seconds = 0.0;
-  double execute_seconds = 0.0;  ///< wall time of its repetitions
-
-  // -- tracing (0 = this request is not sampled) -------------------------
-  std::uint64_t trace_id = 0;
-  std::uint32_t trace_root = 0;  ///< preallocated root `request` span id
-};
-
-struct TimedLine {
-  std::string text;
-  Clock::time_point enqueued;
-  Admission admission = Admission::Normal;
-};
 
 }  // namespace
 
@@ -266,8 +69,7 @@ struct Service::Impl {
       : options(std::move(opts)),
         pool(options.jobs),
         plans(options.cache_shards, options.cache_capacity),
-        patterns(std::max(1, options.cache_shards / 2),
-                 options.pattern_capacity),
+        patterns(std::max(1, options.cache_shards / 2), kPatternCapacity),
         engines(static_cast<std::size_t>(pool.num_threads())) {
     if (options.window < 1) {
       throw std::invalid_argument("serve: window must be >= 1");
@@ -318,7 +120,9 @@ struct Service::Impl {
 
   ServiceOptions options;
   runtime::ThreadPool pool;
-  runtime::ShardedLruCache<CachedPlan> plans;
+  /// Compiled plans keyed by mix_seed(pattern, machine, nodes, strategy):
+  /// everything a repeated query needs that does not depend on reps/seed.
+  runtime::ShardedLruCache<core::CompiledPlan> plans;
   runtime::ShardedLruCache<core::CommPattern> patterns;
 
   // Serial-phase caches (touched only by the window-driving thread).
@@ -366,7 +170,6 @@ struct Service::Impl {
   double drain_rate_rps = 0.0;
   std::int64_t measured_requests = 0;
   std::int64_t measured_cache_hits = 0;
-  std::int64_t compiles = 0;
   std::int64_t windows = 0;
   std::int64_t window_max = 0;
   double compile_seconds_total = 0.0;
@@ -427,139 +230,26 @@ struct Service::Impl {
   }
 
   // ---------------------------------------------------------------------
-  // Phase A: parse one line into a Request (serial).
+  // Phase A: resolve a parsed data request (serial).
   // ---------------------------------------------------------------------
 
-  void parse_request(const std::string& line, Request& req) {
-    // Length guard before the JSON parse: run_socket feeds an oversized
-    // partial buffer through here so the abusive client gets one bounded
-    // `bad_request` reply instead of growing the server's memory.
-    if (options.max_line_bytes > 0 && line.size() > options.max_line_bytes) {
-      throw ServeError(ErrorCode::BadRequest,
-                       "request line is " + std::to_string(line.size()) +
-                           " bytes (max_line_bytes is " +
-                           std::to_string(options.max_line_bytes) + ")");
-    }
-    const obs::JsonValue doc = obs::JsonValue::parse(line);
-    if (!doc.is_object()) {
-      throw std::invalid_argument("request must be a JSON object");
-    }
-    if (const obs::JsonValue* id = doc.find("id")) req.id = *id;
-
-    if (const obs::JsonValue* cmd = doc.find("cmd")) {
-      req.control = true;
-      req.cmd = cmd->as_string();
-      if (req.cmd != "stats" && req.cmd != "trace" && req.cmd != "shutdown") {
-        throw std::invalid_argument("unknown cmd '" + req.cmd +
-                                    "' (stats|trace|shutdown)");
-      }
-      for (const auto& member : doc.members()) {
-        if (member.first != "cmd" && member.first != "id") {
-          throw std::invalid_argument("cmd lines accept only 'cmd' and 'id'");
-        }
-      }
-      return;
-    }
-
-    for (const auto& member : doc.members()) {
-      const std::string& key = member.first;
-      if (key != "id" && key != "machine" && key != "nodes" &&
-          key != "pattern" && key != "strategy" && key != "faults" &&
-          key != "reps" && key != "seed" && key != "staged_only" &&
-          key != "rank" && key != "deadline_ms") {
-        throw std::invalid_argument("unknown request key '" + key + "'");
-      }
-    }
-
-    // Admission verdicts bite here, after the control check above (control
-    // lines are never shed) but before any expensive work.
-    if (req.admission == Admission::ShedShutdown) {
-      throw ServeError(ErrorCode::ShuttingDown,
-                       "server is shutting down; request was shed from the "
-                       "queue unprocessed");
-    }
-    if (req.admission == Admission::ShedOverload &&
-        options.shed_policy == ShedPolicy::Reject) {
-      throw ServeError(ErrorCode::Overloaded,
-                       "server overloaded: pending queue is at max_queue (" +
-                           std::to_string(options.max_queue) + ")");
-    }
-
-    std::string machine_arg = options.default_machine;
-    if (const obs::JsonValue* m = doc.find("machine")) {
-      machine_arg = m->as_string();
-    }
-    req.machine = &resolve_machine(machine_arg);
-
-    if (const obs::JsonValue* n = doc.find("nodes")) {
-      req.nodes = static_cast<int>(n->as_int());
-      if (req.nodes < 1 || req.nodes > 65536) {
-        throw std::invalid_argument("nodes must be in [1, 65536]");
-      }
-    }
+  void resolve(Request& req) {
+    req.machine = &resolve_machine(req.machine_name);
     req.engine_key =
         mix_seed(req.machine->fingerprint,
                  static_cast<std::uint64_t>(req.nodes));
     const Topology& topo = topology_for(req);
+    resolve_pattern(req, topo);
 
-    if (const obs::JsonValue* r = doc.find("reps")) {
-      req.reps = static_cast<int>(r->as_int());
-      if (req.reps < 0 || req.reps > 100000) {
-        throw std::invalid_argument("reps must be in [0, 100000]");
-      }
-    }
-    if (const obs::JsonValue* s = doc.find("seed")) {
-      req.seed = static_cast<std::uint64_t>(s->as_int());
-    }
-    if (const obs::JsonValue* so = doc.find("staged_only")) {
-      req.staged_only = so->as_bool();
-    }
-    if (const obs::JsonValue* rk = doc.find("rank")) {
-      req.want_ranking = rk->as_bool();
-    }
-
-    // Deadline budget: an explicit "deadline_ms" wins (0 = expire as soon
-    // as the window reaches execution -- the deterministic shape the
-    // deadline tests use); otherwise the service default applies.
-    std::int64_t deadline_ms = -1;
-    if (const obs::JsonValue* d = doc.find("deadline_ms")) {
-      deadline_ms = d->as_int();
-      if (deadline_ms < 0 || deadline_ms > 86400000) {
-        throw std::invalid_argument("deadline_ms must be in [0, 86400000]");
-      }
-    } else if (options.default_deadline_ms > 0) {
-      deadline_ms = options.default_deadline_ms;
-    }
-    if (deadline_ms >= 0) {
-      req.has_deadline = true;
-      req.deadline = req.enqueued + std::chrono::milliseconds(deadline_ms);
-    }
-
-    // Overloaded + Degrade: measured requests fall back to the model-only
-    // answer.  The ranking *is* that answer, so it is always computed for
-    // degraded requests, even for "rank": false clients.  Predict-only
-    // requests are already engine-free and answer normally.
-    if (req.admission == Admission::ShedOverload && req.reps > 0) {
-      req.degraded = true;
-      req.want_ranking = true;
-    }
-
-    parse_pattern(doc.find("pattern"), topo, req);
-
-    if (const obs::JsonValue* strat = doc.find("strategy")) {
-      req.has_strategy = true;
-      req.strategy = core::parse_strategy(strat->as_string());
-    }
-
-    if (const obs::JsonValue* f = doc.find("faults")) {
-      const std::string path = f->as_string();
+    if (req.faults_path) {
       // Fault models compile against a concrete machine; key the cache by
       // (path, machine, nodes).  The file is read once per key -- edits to
       // a fault file are not observed by a running server.
-      const std::string key = path + "\x1f" + hash_hex(req.engine_key);
+      const std::string key =
+          *req.faults_path + "\x1f" + hash_hex(req.engine_key);
       auto it = faults.find(key);
       if (it == faults.end()) {
-        const fault::FaultPlan plan = fault::load_fault_file(path);
+        const fault::FaultPlan plan = fault::load_fault_file(*req.faults_path);
         auto model = std::make_shared<FaultModel>(
             plan.compile(topo, req.machine->model.params));
         it = faults.emplace(key, std::move(model)).first;
@@ -604,121 +294,57 @@ struct Service::Impl {
     }
   }
 
-  void parse_pattern(const obs::JsonValue* spec, const Topology& topo,
-                     Request& req) {
-    if (spec == nullptr) {
-      throw std::invalid_argument(
-          "request needs a pattern (inline object, file path, {\"random\": "
-          "...} or {\"ref\": hash})");
-    }
-    if (spec->is_string()) {
-      register_pattern(core::read_pattern_file(spec->as_string()), topo, req);
-      return;
-    }
-    if (!spec->is_object()) {
-      throw std::invalid_argument("pattern must be a string or an object");
-    }
-    if (const obs::JsonValue* ref = spec->find("ref")) {
-      if (spec->size() != 1) {
-        throw std::invalid_argument("a pattern ref carries no other keys");
-      }
-      std::uint64_t h = 0;
-      if (ref->is_string()) {
-        h = parse_hash(ref->as_string());
-      } else {
-        h = static_cast<std::uint64_t>(ref->as_int());
-      }
-      std::shared_ptr<const core::CommPattern> found = patterns.find(h);
-      if (found == nullptr) {
-        throw std::invalid_argument("unknown pattern ref " + hash_hex(h) +
-                                    " (the server has not seen it)");
-      }
-      if (found->num_gpus() != topo.num_gpus()) {
-        throw std::invalid_argument("pattern ref GPU count (" +
-                                    std::to_string(found->num_gpus()) +
-                                    ") does not match the machine (" +
-                                    std::to_string(topo.num_gpus()) + ")");
-      }
-      req.pattern = std::move(found);
-      req.pattern_fp = h;
-      req.pattern_was_ref = true;
-      return;
-    }
-    if (const obs::JsonValue* rnd = spec->find("random")) {
-      if (spec->size() != 1 || !rnd->is_object()) {
-        throw std::invalid_argument(
-            "random pattern spec: {\"random\": {\"msgs_per_gpu\": M, "
-            "\"bytes\": B, \"seed\": S}}");
-      }
-      int msgs = 16;
-      std::int64_t bytes = 4096;
-      std::uint64_t seed = 1;
-      for (const auto& [key, value] : rnd->members()) {
-        if (key == "msgs_per_gpu") {
-          msgs = static_cast<int>(value.as_int());
-        } else if (key == "bytes") {
-          bytes = value.as_int();
-        } else if (key == "seed") {
-          seed = static_cast<std::uint64_t>(value.as_int());
-        } else {
-          throw std::invalid_argument("unknown random-pattern key '" + key +
-                                      "'");
+  void resolve_pattern(Request& req, const Topology& topo) {
+    PatternSource& src = req.source;
+    switch (src.kind) {
+      case PatternSource::Kind::File:
+        register_pattern(core::read_pattern_file(src.path), topo, req);
+        return;
+      case PatternSource::Kind::Ref: {
+        std::shared_ptr<const core::CommPattern> found = patterns.find(src.ref);
+        if (found == nullptr) {
+          throw std::invalid_argument("unknown pattern ref " +
+                                      hash_hex(src.ref) +
+                                      " (the server has not seen it)");
         }
+        check_gpus(*found, topo, "pattern ref");
+        req.pattern = std::move(found);
+        req.pattern_fp = src.ref;
+        return;
       }
-      if (msgs < 1 || bytes < 1) {
-        throw std::invalid_argument(
-            "random pattern needs msgs_per_gpu >= 1 and bytes >= 1");
-      }
-      register_pattern(core::random_pattern(topo, msgs, bytes, seed), topo,
-                       req);
-      return;
-    }
-    // Inline pattern: {"gpus": N, "msgs": [[src, dst, bytes], ...],
-    // "dedup": [[src_gpu, dst_node, bytes], ...]}.
-    const obs::JsonValue* gpus = spec->find("gpus");
-    const obs::JsonValue* msgs = spec->find("msgs");
-    if (gpus == nullptr || msgs == nullptr) {
-      throw std::invalid_argument(
-          "inline pattern needs 'gpus' and 'msgs' ([[src, dst, bytes], ...])");
-    }
-    for (const auto& member : spec->members()) {
-      if (member.first != "gpus" && member.first != "msgs" &&
-          member.first != "dedup") {
-        throw std::invalid_argument("unknown pattern key '" + member.first +
-                                    "'");
-      }
-    }
-    core::CommPattern pattern(static_cast<int>(gpus->as_int()));
-    for (const obs::JsonValue& triple : msgs->items()) {
-      if (!triple.is_array() || triple.size() != 3) {
-        throw std::invalid_argument("msgs entries are [src, dst, bytes]");
-      }
-      pattern.add(static_cast<int>(triple.at(0).as_int()),
-                  static_cast<int>(triple.at(1).as_int()),
-                  triple.at(2).as_int());
-    }
-    if (const obs::JsonValue* dedup = spec->find("dedup")) {
-      for (const obs::JsonValue& triple : dedup->items()) {
-        if (!triple.is_array() || triple.size() != 3) {
+      case PatternSource::Kind::Random: {
+        const std::int64_t messages =
+            std::int64_t{topo.num_gpus()} * src.msgs_per_gpu;
+        if (messages > kMaxPatternSize) {
           throw std::invalid_argument(
-              "dedup entries are [src_gpu, dst_node, bytes]");
+              "random pattern would generate " + std::to_string(messages) +
+              " messages (gpus x msgs_per_gpu); the limit is " +
+              std::to_string(kMaxPatternSize));
         }
-        pattern.set_node_dedup(static_cast<int>(triple.at(0).as_int()),
-                               static_cast<int>(triple.at(1).as_int()),
-                               triple.at(2).as_int());
+        register_pattern(
+            core::random_pattern(topo, src.msgs_per_gpu, src.bytes, src.seed),
+            topo, req);
+        return;
       }
+      case PatternSource::Kind::Inline:
+        register_pattern(std::move(*src.pattern), topo, req);
+        return;
     }
-    register_pattern(std::move(pattern), topo, req);
   }
 
-  void register_pattern(core::CommPattern pattern, const Topology& topo,
-                        Request& req) {
+  static void check_gpus(const core::CommPattern& pattern,
+                         const Topology& topo, const char* what) {
     if (pattern.num_gpus() != topo.num_gpus()) {
-      throw std::invalid_argument("pattern GPU count (" +
+      throw std::invalid_argument(std::string(what) + " GPU count (" +
                                   std::to_string(pattern.num_gpus()) +
                                   ") does not match the machine (" +
                                   std::to_string(topo.num_gpus()) + ")");
     }
+  }
+
+  void register_pattern(core::CommPattern pattern, const Topology& topo,
+                        Request& req) {
+    check_gpus(pattern, topo, "pattern");
     req.pattern_fp = core::pattern_hash(pattern);
     // Park the pattern in the registry so later requests can say
     // {"ref": "<hash>"} and skip re-sending (and re-parsing) the body.
@@ -742,13 +368,11 @@ struct Service::Impl {
     // Unique plan keys of this window's measured requests: one cache
     // lookup per distinct key, so N identical queries arriving together
     // cost one compile even on a cold cache.
+    std::unordered_map<std::uint64_t, std::size_t> first;  // key -> request
     std::vector<std::size_t> unique;  // representative request indices
-    {
-      std::unordered_map<std::uint64_t, std::size_t> first;
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (!measured(reqs[i])) continue;
-        if (first.emplace(reqs[i].plan_key, i).second) unique.push_back(i);
-      }
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (!measured(reqs[i])) continue;
+      if (first.emplace(reqs[i].plan_key, i).second) unique.push_back(i);
     }
 
     // Queue/run spans for both fan-outs land in the *window* trace; the
@@ -770,10 +394,13 @@ struct Service::Impl {
                 req.plan_key,
                 [&] {
                   const auto t0 = Clock::now();
-                  auto built = std::make_shared<CachedPlan>(
-                      *req.pattern, topos.at(req.engine_key),
-                      req.machine->model.params, req.strategy);
-                  built->compile_seconds = seconds_between(t0, Clock::now());
+                  const Topology& topo = topos.at(req.engine_key);
+                  const ParamSet& params = req.machine->model.params;
+                  auto built = std::make_shared<core::CompiledPlan>(
+                      core::build_plan(*req.pattern, topo, params,
+                                       req.strategy),
+                      topo, params);
+                  req.compile_seconds = seconds_between(t0, Clock::now());
                   req.compiled_here = true;
                   return built;
                 },
@@ -790,22 +417,18 @@ struct Service::Impl {
         whook);
     // Duplicates adopt the representative's plan: within-window reuse is a
     // cache hit from the requester's point of view.
-    {
-      std::unordered_map<std::uint64_t, std::size_t> rep;
-      for (const std::size_t i : unique) rep.emplace(reqs[i].plan_key, i);
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        Request& req = reqs[i];
-        if (!measured(req)) continue;
-        const std::size_t r = rep.at(req.plan_key);
-        if (r == i) continue;
-        if (!reqs[r].error.empty()) {
-          req.error = reqs[r].error;
-          req.code = reqs[r].code;
-          continue;
-        }
-        req.plan = reqs[r].plan;
-        req.cache_hit = true;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      Request& req = reqs[i];
+      if (!measured(req)) continue;
+      const std::size_t r = first.at(req.plan_key);
+      if (r == i) continue;
+      if (!reqs[r].error.empty()) {
+        req.error = reqs[r].error;
+        req.code = reqs[r].code;
+        continue;
       }
+      req.plan = reqs[r].plan;
+      req.cache_hit = true;
     }
 
     // One pool task per (measured request, repetition) pair, requests in
@@ -827,7 +450,7 @@ struct Service::Impl {
       // The lowest failed repetition's outcome (written under fail_mu).
       ErrorCode code = ErrorCode::None;
       std::string error;
-      std::shared_ptr<FaultDetail> fault;
+      std::optional<FaultAbort> fault;
     };
     std::vector<RepRange> ranges;
     std::vector<std::int64_t> first_task;
@@ -863,7 +486,7 @@ struct Service::Impl {
     }
     const auto fail = [&](std::size_t k, int rep, ErrorCode code,
                           std::string error,
-                          std::shared_ptr<FaultDetail> fault) {
+                          std::optional<FaultAbort> fault) {
       const std::lock_guard<std::mutex> lock(fail_mu);
       if (rep >= stop_rep[k].load()) return;
       stop_rep[k].store(rep);
@@ -876,11 +499,11 @@ struct Service::Impl {
       const int rep = static_cast<int>(t - first_task[k]);
       if (rep > stop_rep[k].load()) return true;
       const Request& req = reqs[ranges[k].request];
-      if (req.has_deadline && Clock::now() >= req.deadline) {
+      if (req.deadline && Clock::now() >= *req.deadline) {
         fail(k, rep, ErrorCode::DeadlineExceeded,
              "deadline exceeded during execution (remaining repetitions "
              "cancelled)",
-             nullptr);
+             std::nullopt);
         return true;
       }
       return false;
@@ -911,15 +534,16 @@ struct Service::Impl {
             std::unique_ptr<Engine>& engine =
                 engines[static_cast<std::size_t>(worker)][req.engine_key];
             if (!engine) {
+              // Measurement noise matches the CLI's measure defaults.
               engine = std::make_unique<Engine>(
                   topos.at(req.engine_key), req.machine->model.params,
-                  NoiseModel(0, options.noise_sigma));
+                  NoiseModel(0, core::MeasureOptions{}.noise_sigma));
             }
             engine->set_faults(req.faults.get());
             const bool traced = merge_engine && t == 0;
             engine->reset(mix_seed(req.seed, static_cast<std::uint64_t>(rep)));
             engine->set_tracing(traced);
-            engine->execute(req.plan->compiled);
+            engine->execute(*req.plan);
             if (traced) {
               engine_trace = engine->trace();
               engine->set_tracing(false);
@@ -932,18 +556,11 @@ struct Service::Impl {
             // Structured abort: the reply carries the fault's coordinates;
             // the strategy is filled in after the join (the engine throws
             // with it empty).
-            auto detail = std::make_shared<FaultDetail>();
-            detail->reason = abort_reason_name(e.reason);
-            detail->src = e.src;
-            detail->dst = e.dst;
-            detail->path_id = e.path_id;
-            detail->path = e.path;
-            detail->attempts = e.attempts;
-            fail(k, rep, ErrorCode::FaultAborted, e.what(), std::move(detail));
+            fail(k, rep, ErrorCode::FaultAborted, e.what(), e);
           } catch (const std::exception& e) {
             std::string error = e.what();
             if (error.empty()) error = "execution failed";
-            fail(k, rep, ErrorCode::Internal, std::move(error), nullptr);
+            fail(k, rep, ErrorCode::Internal, std::move(error), std::nullopt);
           }
           slot.ran = true;
           slot.seconds = seconds_between(t0, Clock::now());
@@ -951,20 +568,15 @@ struct Service::Impl {
           slot.t0 = tt0;
           slot.t1 = tracer->now();
           if (wtrace == 0) return;
-          obs::SpanRecord s;
-          s.trace_id = wtrace;
-          s.span_id = tracer->new_span_id();
-          s.parent = wspan;
-          s.name = tn.block;
-          s.track = static_cast<std::uint16_t>(worker);
-          s.t_start = slot.t0;
-          s.t_end = slot.t1;
-          s.add_attr(tn.k_request, static_cast<std::int64_t>(range.request));
-          tracer->record(worker, s);
+          const obs::TraceAttr attr[] = {
+              {tn.k_request, false, static_cast<std::int64_t>(range.request)}};
+          const std::uint32_t span = tracer->record_span(
+              worker, wtrace, wspan, tn.block,
+              static_cast<std::uint16_t>(worker), slot.t0, slot.t1, attr);
           if (t == 0) {
             lead_t0 = slot.t0;
             lead_t1 = slot.t1;
-            lead_span = s.span_id;
+            lead_span = span;
           }
         },
         whook, cancel);
@@ -995,39 +607,17 @@ struct Service::Impl {
           range.fault->strategy = req.strategy.name();
           req.fault = std::move(range.fault);
         }
-        if (req.code == ErrorCode::DeadlineExceeded) {
-          req.partial = !req.ranking.empty();
-          cancelled_requests += 1;
-        }
+        if (req.code == ErrorCode::DeadlineExceeded) cancelled_requests += 1;
       } else {
-        std::vector<double> per_rank_mean(range.num_ranks, 0.0);
-        std::vector<double> makespans;
-        makespans.reserve(range.slots.size());
-        for (std::size_t rep = 0; rep < range.slots.size(); ++rep) {
-          const double* row = range.clocks.data() + rep * range.num_ranks;
-          double makespan = 0.0;
-          for (std::size_t r = 0; r < range.num_ranks; ++r) {
-            per_rank_mean[r] += row[r];
-            makespan = std::max(makespan, row[r]);
-          }
-          makespans.push_back(makespan);
-        }
-        const double inv = 1.0 / req.reps;
-        for (double& mean : per_rank_mean) mean *= inv;
-        req.max_avg =
-            *std::max_element(per_rank_mean.begin(), per_rank_mean.end());
-        req.makespan = obs::summarize(makespans);
+        const core::RepFold fold =
+            core::fold_repetitions(range.clocks, range.num_ranks);
+        req.max_avg = fold.max_avg;
+        req.makespan = obs::summarize(fold.makespans);
       }
       if (tracer != nullptr && req.trace_id != 0 && any) {
-        obs::SpanRecord s;
-        s.trace_id = req.trace_id;
-        s.span_id = tracer->new_span_id();
-        s.parent = req.trace_root;
-        s.name = tn.execute;
-        s.t_start = span_t0;
-        s.t_end = span_t1;
-        s.add_attr(tn.k_reps, req.reps);
-        tracer->record(0, s);
+        const obs::TraceAttr attr[] = {{tn.k_reps, false, req.reps}};
+        tracer->record_span(0, req.trace_id, req.trace_root, tn.execute, 0,
+                            span_t0, span_t1, attr);
       }
     }
 
@@ -1046,165 +636,43 @@ struct Service::Impl {
       }
       if (sim_total > 0.0 && lead_t1 > lead_t0) {
         const double scale = (lead_t1 - lead_t0) / sim_total;
-        const auto rank_track = [&](int rank) -> std::uint16_t {
-          const int t = static_cast<int>(obs::kEngineTrackBase) + rank;
-          if (rank < 0 || t > 0xffff) return 0;  // off the display range
-          tracer->name_track(static_cast<std::uint16_t>(t),
-                             "engine rank " + std::to_string(rank));
-          return static_cast<std::uint16_t>(t);
-        };
         std::size_t budget = 256;  // bound the per-window conversion cost
-        for (const MessageTrace& m : engine_trace.messages) {
-          if (budget == 0) break;
-          const std::uint16_t track = rank_track(m.src);
-          if (track == 0) continue;
+        const auto emit = [&](int rank, std::uint16_t name, double start,
+                              double completion,
+                              std::span<const obs::TraceAttr> attrs) {
+          const int track = static_cast<int>(obs::kEngineTrackBase) + rank;
+          if (budget == 0 || rank < 0 || track > 0xffff) return;
           --budget;
-          obs::SpanRecord s;
-          s.trace_id = wtrace;
-          s.span_id = tracer->new_span_id();
-          s.parent = lead_span;
-          s.name = tn.engine_msg;
-          s.track = track;
-          s.t_start = lead_t0 + m.start * scale;
-          s.t_end = lead_t0 + m.completion * scale;
-          s.add_attr(tn.k_src, m.src);
-          s.add_attr(tn.k_dst, m.dst);
-          s.add_attr(tn.k_bytes, m.bytes);
-          s.add_attr(tn.k_path, static_cast<std::int64_t>(m.path));
-          tracer->record(0, s);
+          tracer->name_track(static_cast<std::uint16_t>(track),
+                             "engine rank " + std::to_string(rank));
+          tracer->record_span(0, wtrace, lead_span, name,
+                              static_cast<std::uint16_t>(track),
+                              lead_t0 + start * scale,
+                              lead_t0 + completion * scale, attrs);
+        };
+        for (const MessageTrace& m : engine_trace.messages) {
+          const obs::TraceAttr attrs[] = {
+              {tn.k_src, false, m.src},
+              {tn.k_dst, false, m.dst},
+              {tn.k_bytes, false, m.bytes},
+              {tn.k_path, false, static_cast<std::int64_t>(m.path)}};
+          emit(m.src, tn.engine_msg, m.start, m.completion, attrs);
         }
         for (const CopyTrace& c : engine_trace.copies) {
-          if (budget == 0) break;
-          const std::uint16_t track = rank_track(c.rank);
-          if (track == 0) continue;
-          --budget;
-          obs::SpanRecord s;
-          s.trace_id = wtrace;
-          s.span_id = tracer->new_span_id();
-          s.parent = lead_span;
-          s.name = tn.engine_copy;
-          s.track = track;
-          s.t_start = lead_t0 + c.start * scale;
-          s.t_end = lead_t0 + c.completion * scale;
-          s.add_attr(tn.k_rank, c.rank);
-          s.add_attr(tn.k_gpu, c.gpu);
-          s.add_attr(tn.k_bytes, c.bytes);
-          s.add_attr(tn.k_dir, static_cast<std::int64_t>(c.dir));
-          tracer->record(0, s);
+          const obs::TraceAttr attrs[] = {
+              {tn.k_rank, false, c.rank},
+              {tn.k_gpu, false, c.gpu},
+              {tn.k_bytes, false, c.bytes},
+              {tn.k_dir, false, static_cast<std::int64_t>(c.dir)}};
+          emit(c.rank, tn.engine_copy, c.start, c.completion, attrs);
         }
       }
     }
   }
 
   // ---------------------------------------------------------------------
-  // Response rendering + accounting.
+  // Accounting, and one window from lines to replies.
   // ---------------------------------------------------------------------
-
-  static obs::JsonValue ranking_json(const Request& req) {
-    obs::JsonValue ranking = obs::JsonValue::array();
-    for (const core::Recommendation& r : req.ranking) {
-      obs::JsonValue row = obs::JsonValue::object();
-      row.set("strategy", r.config.name());
-      row.set("predicted_seconds", r.predicted_seconds);
-      row.set("relative", r.relative);
-      ranking.push_back(std::move(row));
-    }
-    return ranking;
-  }
-
-  std::string render(const Request& req, Clock::time_point done) {
-    obs::JsonValue doc = obs::JsonValue::object();
-    doc.set("id", req.id);
-    // Every reply -- data, control or error -- reports its own latency so
-    // clients never need to time the wire themselves.
-    doc.set("latency_seconds", seconds_between(req.enqueued, done));
-    if (!req.error.empty()) {
-      const ErrorCode code =
-          req.code == ErrorCode::None ? ErrorCode::BadRequest : req.code;
-      doc.set("ok", false);
-      doc.set("error", req.error);
-      doc.set("error_code", error_code_name(code));
-      if (carries_retry_hint(code)) {
-        doc.set("retry_after_ms", retry_after_ms());
-      }
-      if (req.fault != nullptr) {
-        obs::JsonValue fault = obs::JsonValue::object();
-        fault.set("reason", req.fault->reason);
-        fault.set("strategy", req.fault->strategy);
-        fault.set("src", req.fault->src);
-        fault.set("dst", req.fault->dst);
-        fault.set("path_id", req.fault->path_id);
-        fault.set("path", req.fault->path);
-        fault.set("attempts", req.fault->attempts);
-        doc.set("fault", std::move(fault));
-      }
-      if (code == ErrorCode::DeadlineExceeded && req.partial &&
-          !req.ranking.empty()) {
-        // The model ranking was already computed when the deadline fired;
-        // hand it over rather than discarding mid-flight work.
-        obs::JsonValue partial = obs::JsonValue::object();
-        partial.set("recommended", req.ranking.front().config.name());
-        partial.set("ranking", ranking_json(req));
-        doc.set("partial", std::move(partial));
-      }
-      return to_line(doc);
-    }
-    doc.set("ok", true);
-    if (req.control) {
-      if (req.cmd == "stats") {
-        doc.set("stats", metrics());
-      } else if (req.cmd == "trace") {
-        if (tracer == nullptr) {
-          doc.set("ok", false);
-          doc.set("error",
-                  "tracing is disabled (start the server with --trace)");
-        } else {
-          doc.set("trace", tracer->to_json());
-        }
-      } else {
-        doc.set("shutdown", true);
-      }
-      return to_line(doc);
-    }
-
-    doc.set("machine", req.machine->model.name);
-    doc.set("nodes", req.nodes);
-    doc.set("gpus", req.pattern->num_gpus());
-    doc.set("pattern_hash", hash_hex(req.pattern_fp));
-    if (!req.ranking.empty()) {
-      doc.set("recommended", req.ranking.front().config.name());
-      doc.set("ranking", ranking_json(req));
-    }
-
-    if (req.degraded) {
-      // Model-only answer under load shedding: no engine work ran, so
-      // there is no "measured" section; the ranking above *is* the reply.
-      doc.set("degraded", true);
-      doc.set("confidence", req.confidence);
-      doc.set("cache", req.plan_cached ? "hit" : "miss");
-    } else if (req.reps > 0) {
-      obs::JsonValue measured = obs::JsonValue::object();
-      measured.set("strategy", req.strategy.name());
-      measured.set("reps", req.reps);
-      measured.set("seed", static_cast<std::int64_t>(req.seed));
-      measured.set("max_avg", req.max_avg);
-      measured.set("makespan", req.makespan.to_json());
-      doc.set("measured", std::move(measured));
-      doc.set("cache", req.cache_hit ? "hit" : "miss");
-      if (req.compiled_here) {
-        doc.set("compile_seconds", req.plan->compile_seconds);
-      }
-    }
-
-    obs::JsonValue timing = obs::JsonValue::object();
-    timing.set("queue_wait_seconds", req.queue_wait_seconds);
-    timing.set("compile_seconds",
-               req.compiled_here ? req.plan->compile_seconds : 0.0);
-    timing.set("execute_seconds", req.execute_seconds);
-    timing.set("latency_seconds", seconds_between(req.enqueued, done));
-    doc.set("timing", std::move(timing));
-    return to_line(doc);
-  }
 
   void account(const Request& req, Clock::time_point done) {
     requests_total += 1;
@@ -1215,6 +683,8 @@ struct Service::Impl {
     if (!req.control) {
       if (req.admission == Admission::ShedOverload) shed_overloaded += 1;
       if (req.admission == Admission::ShedShutdown) shed_shutdown += 1;
+      add_sample(latency_samples, seconds_between(req.enqueued, done));
+      add_sample(queue_samples, req.queue_wait_seconds);
     }
     // Exactly one bucket per request: error beats control (a malformed
     // cmd line is an error, full stop -- counting it in both buckets
@@ -1225,12 +695,8 @@ struct Service::Impl {
       const ErrorCode code =
           req.code == ErrorCode::None ? ErrorCode::BadRequest : req.code;
       errors_by_code[static_cast<std::size_t>(code)] += 1;
-      if (code == ErrorCode::DeadlineExceeded && req.partial) {
+      if (code == ErrorCode::DeadlineExceeded && !req.ranking.empty()) {
         deadline_partials += 1;
-      }
-      if (!req.control) {
-        add_sample(latency_samples, seconds_between(req.enqueued, done));
-        add_sample(queue_samples, req.queue_wait_seconds);
       }
       return;
     }
@@ -1238,8 +704,6 @@ struct Service::Impl {
       control_requests += 1;
       return;
     }
-    add_sample(latency_samples, seconds_between(req.enqueued, done));
-    add_sample(queue_samples, req.queue_wait_seconds);
     if (req.degraded) {
       degraded_requests += 1;
       return;
@@ -1251,61 +715,61 @@ struct Service::Impl {
     measured_requests += 1;
     if (req.cache_hit) measured_cache_hits += 1;
     if (req.compiled_here) {
-      compiles += 1;
-      compile_seconds_total += req.plan->compile_seconds;
-      add_sample(compile_samples, req.plan->compile_seconds);
+      compile_seconds_total += req.compile_seconds;
+      add_sample(compile_samples, req.compile_seconds);
     }
   }
 
-  std::vector<std::string> process(std::vector<TimedLine> lines) {
+  /// What a control line returns: the live stats or the span trace.
+  [[nodiscard]] obs::JsonValue control_body(const Request& req) const {
+    if (!req.control || !req.error.empty()) return {};
+    if (req.cmd == "stats") return metrics();
+    if (req.cmd == "trace" && tracer != nullptr) return tracer->to_json();
+    return {};
+  }
+
+  /// Answer one window; adds the data requests it admitted (lines that
+  /// parse as data requests and were not shed) to `data_requests`.
+  std::vector<std::string> process(std::vector<TimedLine> lines,
+                                   std::int64_t& data_requests) {
     const auto window_start = Clock::now();
     // Window trace (pool queue/run spans, request tasks, engine events)
     // and per-request traces draw ids from the same dense sequence, so one
-    // --trace-sample period governs both.
-    std::uint64_t wtrace = 0;
-    std::uint32_t wspan = 0;
-    if (tracer != nullptr) {
-      wtrace = tracer->begin_trace();
-      if (tracer->sampled(wtrace)) {
-        wspan = tracer->new_span_id();
-      } else {
-        wtrace = 0;
-      }
-    }
+    // --trace-sample period governs both.  0 = not sampled.
+    const auto sampled_trace = [this]() -> std::uint64_t {
+      if (tracer == nullptr) return 0;
+      const std::uint64_t id = tracer->begin_trace();
+      return tracer->sampled(id) ? id : 0;
+    };
+    const std::uint64_t wtrace = sampled_trace();
+    const std::uint32_t wspan = wtrace != 0 ? tracer->new_span_id() : 0;
     std::vector<Request> reqs(lines.size());
     for (std::size_t i = 0; i < lines.size(); ++i) {
-      reqs[i].enqueued = lines[i].enqueued;
-      reqs[i].admission = lines[i].admission;
-      if (tracer != nullptr) {
-        const std::uint64_t id = tracer->begin_trace();
-        if (tracer->sampled(id)) {
-          reqs[i].trace_id = id;
-          reqs[i].trace_root = tracer->new_span_id();
-        }
-      }
+      Request& req = reqs[i];
+      req.enqueued = lines[i].enqueued;
+      req.admission = lines[i].admission;
+      req.trace_id = sampled_trace();
+      if (req.trace_id != 0) req.trace_root = tracer->new_span_id();
       const double parse_t0 = tracer != nullptr ? tracer->now() : 0.0;
       try {
-        parse_request(lines[i].text, reqs[i]);
+        parse_request(lines[i].text, options, req);
+        if (!req.control) {
+          if (req.admission == Admission::Normal) ++data_requests;
+          resolve(req);
+        }
       } catch (const ServeError& e) {
-        reqs[i].error = e.what();
-        reqs[i].code = e.code;
+        req.error = e.what();
+        req.code = e.code;
       } catch (const std::exception& e) {
-        reqs[i].error = e.what();
-        if (reqs[i].error.empty()) reqs[i].error = "bad request";
-        reqs[i].code = ErrorCode::BadRequest;
+        req.error = e.what();
+        if (req.error.empty()) req.error = "bad request";
+        req.code = ErrorCode::BadRequest;
       }
-      if (reqs[i].trace_id != 0) {
-        obs::SpanRecord s;
-        s.trace_id = reqs[i].trace_id;
-        s.span_id = tracer->new_span_id();
-        s.parent = reqs[i].trace_root;
-        s.name = tn.parse;
-        s.t_start = parse_t0;
-        s.t_end = tracer->now();
-        tracer->record(0, s);
+      if (req.trace_id != 0) {
+        tracer->record_span(0, req.trace_id, req.trace_root, tn.parse, 0,
+                            parse_t0, tracer->now());
       }
-      if (reqs[i].control && reqs[i].error.empty() &&
-          reqs[i].cmd == "shutdown") {
+      if (req.control && req.error.empty() && req.cmd == "shutdown") {
         shutdown = true;
       }
     }
@@ -1313,14 +777,13 @@ struct Service::Impl {
     const auto exec_start = Clock::now();
     for (Request& req : reqs) {
       // Deadline checkpoint 1 of 2 (checkpoint 2 runs between repetitions,
-      // in run_request): a request whose budget ran out while queued or parsing
-      // never reaches the engine.  Parsing already computed the model
-      // ranking, so the reply still carries it as "partial".
-      if (!req.control && req.error.empty() && req.has_deadline &&
-          exec_start >= req.deadline) {
+      // in execute_window): a request whose budget ran out while queued or
+      // parsing never reaches the engine.  Parsing already computed the
+      // model ranking, so the reply still carries it as "partial".
+      if (!req.control && req.error.empty() && req.deadline &&
+          exec_start >= *req.deadline) {
         req.error = "deadline exceeded before execution";
         req.code = ErrorCode::DeadlineExceeded;
-        req.partial = !req.ranking.empty();
       }
       req.queue_wait_seconds = seconds_between(
           req.enqueued,
@@ -1328,14 +791,9 @@ struct Service::Impl {
       if (req.trace_id != 0 && !req.control) {
         // Exactly the interval the response's timing.queue_wait_seconds
         // reports.
-        obs::SpanRecord s;
-        s.trace_id = req.trace_id;
-        s.span_id = tracer->new_span_id();
-        s.parent = req.trace_root;
-        s.name = tn.queue_wait;
-        s.t_start = tracer->seconds_since_epoch(req.enqueued);
-        s.t_end = s.t_start + req.queue_wait_seconds;
-        tracer->record(0, s);
+        const double t0 = tracer->seconds_since_epoch(req.enqueued);
+        tracer->record_span(0, req.trace_id, req.trace_root, tn.queue_wait,
+                            0, t0, t0 + req.queue_wait_seconds);
       }
     }
     execute_window(reqs, wtrace, wspan);
@@ -1346,17 +804,11 @@ struct Service::Impl {
     const double render_t0 = wtrace != 0 ? tracer->now() : 0.0;
     for (Request& req : reqs) {
       account(req, done);
-      out.push_back(render(req, done));
+      out.push_back(render(req, done, retry_after_ms(), control_body(req)));
     }
     if (wtrace != 0) {
-      obs::SpanRecord s;
-      s.trace_id = wtrace;
-      s.span_id = tracer->new_span_id();
-      s.parent = wspan;
-      s.name = tn.render;
-      s.t_start = render_t0;
-      s.t_end = tracer->now();
-      tracer->record(0, s);
+      tracer->record_span(0, wtrace, wspan, tn.render, 0, render_t0,
+                          tracer->now());
     }
     if (tracer != nullptr) {
       const double done_s = tracer->seconds_since_epoch(done);
@@ -1365,71 +817,57 @@ struct Service::Impl {
         // Zero-width markers under the request root: error (with the
         // message interned), plus the resilience outcomes -- shed by
         // admission, answered degraded, expired on deadline.
-        const auto marker = [&](std::uint16_t name) {
-          obs::SpanRecord m;
-          m.trace_id = req.trace_id;
-          m.span_id = tracer->new_span_id();
-          m.parent = req.trace_root;
-          m.name = name;
-          m.t_start = done_s;
-          m.t_end = done_s;
-          return m;
+        const auto marker = [&](std::uint16_t name,
+                                std::span<const obs::TraceAttr> attrs = {}) {
+          tracer->record_span(0, req.trace_id, req.trace_root, name, 0,
+                              done_s, done_s, attrs);
         };
         if (!req.error.empty()) {
-          obs::SpanRecord e = marker(tn.error);
-          e.add_attr_slot(tn.k_error,
-                          tracer->intern(req.error.substr(0, 64)));
-          tracer->record(0, e);
+          const obs::TraceAttr attr[] = {
+              {tn.k_error, true, tracer->intern(req.error.substr(0, 64))}};
+          marker(tn.error, attr);
         }
         if (req.admission != Admission::Normal && !req.control) {
-          obs::SpanRecord s = marker(tn.shed);
-          s.add_attr_slot(tn.k_error,
-                          tracer->intern(error_code_name(
-                              req.admission == Admission::ShedShutdown
-                                  ? ErrorCode::ShuttingDown
-                                  : ErrorCode::Overloaded)));
-          tracer->record(0, s);
+          const obs::TraceAttr attr[] = {
+              {tn.k_error, true,
+               tracer->intern(error_code_name(
+                   req.admission == Admission::ShedShutdown
+                       ? ErrorCode::ShuttingDown
+                       : ErrorCode::Overloaded))}};
+          marker(tn.shed, attr);
         }
-        if (req.degraded && req.error.empty()) {
-          tracer->record(0, marker(tn.degraded));
-        }
-        if (req.code == ErrorCode::DeadlineExceeded) {
-          tracer->record(0, marker(tn.deadline));
-        }
+        if (req.degraded && req.error.empty()) marker(tn.degraded);
+        if (req.code == ErrorCode::DeadlineExceeded) marker(tn.deadline);
         // Root span [enqueued, done]: its duration IS the reply's
         // latency_seconds, by construction.
-        obs::SpanRecord s;
-        s.trace_id = req.trace_id;
-        s.span_id = req.trace_root;
-        s.parent = 0;
-        s.name = tn.request;
-        s.t_start = tracer->seconds_since_epoch(req.enqueued);
-        s.t_end = done_s;
+        obs::TraceAttr attrs[obs::SpanRecord::kMaxAttrs];
+        std::size_t n = 0;
         if (req.pattern) {
-          s.add_attr(tn.k_pattern, static_cast<std::int64_t>(req.pattern_fp));
+          attrs[n++] = {tn.k_pattern, false,
+                        static_cast<std::int64_t>(req.pattern_fp)};
         }
         if (req.machine != nullptr) {
-          s.add_attr_slot(tn.k_machine,
-                          tracer->intern(req.machine->model.name));
+          attrs[n++] = {tn.k_machine, true,
+                        tracer->intern(req.machine->model.name)};
         }
         if (!req.control && req.error.empty() && req.reps > 0) {
-          s.add_attr_slot(tn.k_strategy, tracer->intern(req.strategy.name()));
-          s.add_attr_slot(tn.k_cache, req.cache_hit ? tn.k_hit : tn.k_miss);
+          attrs[n++] = {tn.k_strategy, true,
+                        tracer->intern(req.strategy.name())};
+          attrs[n++] = {tn.k_cache, true,
+                        req.cache_hit ? tn.k_hit : tn.k_miss};
         }
-        s.add_attr(tn.k_reps, req.reps);
-        s.add_attr(tn.k_nodes, req.nodes);
-        tracer->record(0, s);
+        attrs[n++] = {tn.k_reps, false, req.reps};
+        attrs[n++] = {tn.k_nodes, false, req.nodes};
+        tracer->record_span(0, req.trace_id, 0, tn.request, 0,
+                            tracer->seconds_since_epoch(req.enqueued), done_s,
+                            {attrs, n}, req.trace_root);
       }
       if (wtrace != 0) {
-        obs::SpanRecord s;
-        s.trace_id = wtrace;
-        s.span_id = wspan;
-        s.parent = 0;
-        s.name = tn.window;
-        s.t_start = tracer->seconds_since_epoch(window_start);
-        s.t_end = tracer->now();
-        s.add_attr(tn.k_requests, static_cast<std::int64_t>(lines.size()));
-        tracer->record(0, s);
+        const obs::TraceAttr attr[] = {
+            {tn.k_requests, false, static_cast<std::int64_t>(reqs.size())}};
+        tracer->record_span(0, wtrace, 0, tn.window, 0,
+                            tracer->seconds_since_epoch(window_start),
+                            tracer->now(), attr, wspan);
       }
     }
     windows += 1;
@@ -1453,6 +891,55 @@ struct Service::Impl {
           drain_rate_rps == 0.0 ? rate : 0.7 * drain_rate_rps + 0.3 * rate;
     }
     return out;
+  }
+
+  // ---------------------------------------------------------------------
+  // The serve loop, shared by run() and run_socket().
+  // ---------------------------------------------------------------------
+
+  /// Shutdown requested, or `served` data requests reached max_requests.
+  [[nodiscard]] bool stopping(std::int64_t served) const {
+    return shutdown ||
+           (options.max_requests > 0 && served >= options.max_requests);
+  }
+
+  /// Serve one request stream until it ends or stopping(); `served`
+  /// counts its data requests and is checked between windows.
+  /// `read(lines, block)` appends the non-blank lines that arrived
+  /// (waiting for input first when `block`) and is false once the stream
+  /// ended; `write(replies)` is false once the peer is gone.  Admission
+  /// control lives at this boundary: lines past `max_queue` are stamped
+  /// ShedOverload and answered in the next window (they never wait in the
+  /// queue -- that is the point), so a reply may precede the reply of an
+  /// earlier admitted line.  Clients correlate by id (docs/serve.md
+  /// "Resilience").
+  template <typename Read, typename Write>
+  void serve(Read&& read, Write&& write, std::int64_t& served) {
+    Intake intake{options.max_queue, {}, {}};
+    const auto window = static_cast<std::size_t>(options.window);
+    std::vector<std::string> lines;
+    bool alive = true;
+    while (alive && !stopping(served)) {
+      // Block only when nothing is queued: a client that bursts more than
+      // one window of lines and then waits for its replies must not
+      // deadlock on the server also waiting.
+      lines.clear();
+      if (!read(lines, intake.pending.empty() && intake.shed.empty())) break;
+      for (std::string& line : lines) intake.admit(std::move(line), shutdown);
+      note_queue_depth(intake.pending.size());
+      std::vector<TimedLine> batch = intake.take(window);
+      if (!batch.empty()) alive = write(process(std::move(batch), served));
+    }
+    if (!shutdown || !alive) return;
+    // Bounded shutdown drain: everything still queued or readable without
+    // blocking gets a structured `shutting_down` reply -- no request ends
+    // the session unanswered (the chaos harness asserts exactly this).
+    lines.clear();
+    read(lines, false);
+    for (std::string& line : lines) intake.admit(std::move(line), true);
+    std::vector<TimedLine> leftovers = intake.take(intake.pending.size());
+    for (TimedLine& line : leftovers) line.admission = Admission::ShedShutdown;
+    if (!leftovers.empty()) write(process(std::move(leftovers), served));
   }
 
   [[nodiscard]] obs::JsonValue metrics() const {
@@ -1570,27 +1057,15 @@ std::string Service::handle_line(const std::string& line) {
 
 std::vector<std::string> Service::handle_window(
     const std::vector<std::string>& lines) {
-  std::vector<TimedLine> timed;
-  timed.reserve(lines.size());
-  const auto now = Clock::now();
   // Synchronous callers get the same admission contract as run(): lines
   // beyond max_queue are shed (per shed_policy), and after a shutdown
-  // request only control lines still answer normally.
-  const std::size_t limit = impl_->options.max_queue;
-  std::size_t admitted = 0;
-  for (const std::string& line : lines) {
-    Admission a = Admission::Normal;
-    if (impl_->shutdown) {
-      a = Admission::ShedShutdown;
-    } else if (limit > 0 && admitted >= limit) {
-      a = Admission::ShedOverload;
-    } else {
-      ++admitted;
-    }
-    timed.push_back({line, now, a});
-  }
-  impl_->note_queue_depth(admitted);
-  return impl_->process(std::move(timed));
+  // request only control lines still answer normally.  All of them form
+  // one window, in input order.
+  Intake intake{impl_->options.max_queue, {}, {}};
+  for (const std::string& line : lines) intake.admit(line, impl_->shutdown);
+  impl_->note_queue_depth(intake.pending.size());
+  std::int64_t data_requests = 0;
+  return impl_->process(intake.take(lines.size()), data_requests);
 }
 
 bool Service::shutdown_requested() const noexcept { return impl_->shutdown; }
@@ -1609,90 +1084,27 @@ obs::JsonValue Service::trace_json() const {
   return impl_->tracer->to_json();
 }
 
-namespace {
-
-bool blank(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-}  // namespace
-
 void Service::run(std::istream& in, std::ostream& out) {
-  std::int64_t served = 0;
-  // Admission control lives at this boundary: lines past `max_queue` are
-  // stamped ShedOverload and answered in the same flush as the window they
-  // overflowed (they never wait in the queue -- that is the point), so a
-  // reply may precede the reply of an earlier admitted line.  Clients
-  // correlate by id (docs/serve.md "Resilience").
-  std::deque<TimedLine> pending;
-  std::vector<TimedLine> shed;
-  const std::size_t limit = impl_->options.max_queue;
-  const auto admit = [&](std::string text) {
-    if (blank(text)) return;
-    TimedLine tl{std::move(text), Clock::now()};
-    if (limit > 0 && pending.size() >= limit) {
-      tl.admission = Admission::ShedOverload;
-      shed.push_back(std::move(tl));
-    } else {
-      pending.push_back(std::move(tl));
+  // A non-blocking read takes the lines already buffered (in_avail), so a
+  // bursty producer forms a batch while an interactive one stays per-line.
+  const auto read = [&in](std::vector<std::string>& lines, bool block) {
+    std::string line;
+    if (block) {
+      if (!std::getline(in, line)) return false;
+      if (!blank(line)) lines.push_back(std::move(line));
     }
+    while (in.rdbuf()->in_avail() > 0 && std::getline(in, line)) {
+      if (!blank(line)) lines.push_back(std::move(line));
+    }
+    return true;
   };
-  std::string line;
-  while (!impl_->shutdown &&
-         (impl_->options.max_requests == 0 ||
-          served < impl_->options.max_requests)) {
-    if (pending.empty() && shed.empty()) {
-      if (!std::getline(in, line)) break;
-      admit(std::move(line));
-    }
-    // Drain whatever is already buffered (never blocking on more input):
-    // a bursty producer forms a batch, an interactive one stays per-line.
-    while (in.rdbuf()->in_avail() > 0 && std::getline(in, line)) {
-      admit(std::move(line));
-    }
-    impl_->note_queue_depth(pending.size());
-    std::vector<TimedLine> window;
-    window.reserve(std::min<std::size_t>(
-        pending.size() + shed.size(),
-        static_cast<std::size_t>(impl_->options.window) + shed.size()));
-    while (static_cast<int>(window.size()) < impl_->options.window &&
-           !pending.empty()) {
-      window.push_back(std::move(pending.front()));
-      pending.pop_front();
-    }
-    for (TimedLine& tl : shed) window.push_back(std::move(tl));
-    shed.clear();
-    if (window.empty()) continue;
-    served += static_cast<std::int64_t>(window.size());
-    for (const std::string& response : impl_->process(std::move(window))) {
-      out << response << "\n";
-    }
+  const auto write = [&out](const std::vector<std::string>& replies) {
+    for (const std::string& reply : replies) out << reply << "\n";
     out.flush();
-  }
-  // Bounded shutdown drain: everything still queued or readable without
-  // blocking gets a structured `shutting_down` reply -- no request ends
-  // the session unanswered (the chaos harness asserts exactly this).
-  if (impl_->shutdown) {
-    while (in.rdbuf()->in_avail() > 0 && std::getline(in, line)) {
-      if (!blank(line)) pending.push_back({std::move(line), Clock::now()});
-    }
-    for (TimedLine& tl : shed) pending.push_back(std::move(tl));
-    shed.clear();
-    if (!pending.empty()) {
-      std::vector<TimedLine> leftovers;
-      leftovers.reserve(pending.size());
-      for (TimedLine& tl : pending) {
-        tl.admission = Admission::ShedShutdown;
-        leftovers.push_back(std::move(tl));
-      }
-      pending.clear();
-      for (const std::string& response :
-           impl_->process(std::move(leftovers))) {
-        out << response << "\n";
-      }
-      out.flush();
-    }
-  }
+    return true;
+  };
+  std::int64_t served = 0;
+  impl_->serve(read, write, served);
 }
 
 #ifdef __unix__
@@ -1717,121 +1129,61 @@ void Service::run_socket(const std::string& path) {
     throw std::runtime_error("serve: cannot bind/listen on " + path);
   }
 
+  const std::size_t max_line = impl_->options.max_line_bytes;
   std::int64_t served = 0;
-  while (!impl_->shutdown && (impl_->options.max_requests == 0 ||
-                              served < impl_->options.max_requests)) {
+  while (!impl_->stopping(served)) {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) break;
+    // Only a blocking read reads: lines already queued are served without
+    // more input.  A partial line longer than max_line_bytes is handed on
+    // as one line -- the parse-side length guard turns it into one
+    // accounted `bad_request` reply -- and the rest of it, up to its
+    // newline, is dropped.
     std::string buffer;
-    char chunk[4096];
-    std::deque<TimedLine> pending;
-    std::vector<TimedLine> shed;
-    const std::size_t limit = impl_->options.max_queue;
-    // After an oversized partial line is answered, the remainder of that
-    // line (bytes up to the next newline) is discarded, not re-parsed.
     bool skipping_oversize = false;
-    const auto admit = [&](std::string text) {
-      if (blank(text)) return;
-      TimedLine tl{std::move(text), Clock::now()};
-      if (limit > 0 && pending.size() >= limit) {
-        tl.admission = Admission::ShedOverload;
-        shed.push_back(std::move(tl));
-      } else {
-        pending.push_back(std::move(tl));
-      }
-    };
-    const auto write_all = [&](const std::string& reply) {
-      std::size_t written = 0;
-      while (written < reply.size()) {
-        const ssize_t w =
-            ::write(fd, reply.data() + written, reply.size() - written);
-        if (w <= 0) return false;
-        written += static_cast<std::size_t>(w);
-      }
-      return true;
-    };
-    const auto respond = [&](std::vector<TimedLine> window) {
-      std::string reply;
-      for (const std::string& response : impl_->process(std::move(window))) {
-        reply += response;
-        reply += '\n';
-      }
-      return write_all(reply);
-    };
-    bool alive = true;
-    while (alive && !impl_->shutdown) {
-      // Block on read() only when nothing actionable is buffered: a client
-      // that bursts more than one window of lines and then waits for its
-      // replies must not deadlock on the server also waiting.
-      if (pending.empty() && shed.empty()) {
-        const ssize_t n = ::read(fd, chunk, sizeof chunk);
-        if (n <= 0) break;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t pos = 0;
-        for (std::size_t nl = buffer.find('\n'); nl != std::string::npos;
-             nl = buffer.find('\n', pos)) {
-          std::string one = buffer.substr(pos, nl - pos);
-          pos = nl + 1;
-          if (skipping_oversize) {
-            skipping_oversize = false;  // tail of the answered line; drop it
-          } else {
-            admit(std::move(one));
-          }
-        }
-        buffer.erase(0, pos);
-        if (skipping_oversize) {
-          buffer.clear();  // still inside the oversized line
-        } else if (buffer.size() > impl_->options.max_line_bytes &&
-                   impl_->options.max_line_bytes > 0) {
-          // Feed the oversized partial through the normal pipeline: the
-          // parse-side length guard turns it into one accounted
-          // `bad_request` reply, and we skip until its newline arrives.
-          admit(std::move(buffer));
-          buffer.clear();
-          skipping_oversize = true;
-        }
-        if (pending.empty() && shed.empty()) continue;
-      }
-      impl_->note_queue_depth(pending.size());
-      std::vector<TimedLine> window;
-      while (static_cast<int>(window.size()) < impl_->options.window &&
-             !pending.empty()) {
-        window.push_back(std::move(pending.front()));
-        pending.pop_front();
-      }
-      for (TimedLine& tl : shed) window.push_back(std::move(tl));
-      shed.clear();
-      served += static_cast<std::int64_t>(window.size());
-      alive = respond(std::move(window));
-    }
-    // Bounded shutdown drain: answer everything this client already sent
-    // (queued lines plus any complete buffered ones) with structured
-    // `shutting_down` errors before closing.
-    if (impl_->shutdown && alive) {
+    const auto read = [&](std::vector<std::string>& lines, bool block) {
+      if (!block) return true;
+      char chunk[4096];
+      const ssize_t n = ::read(fd, chunk, sizeof chunk);
+      if (n <= 0) return false;
+      buffer.append(chunk, static_cast<std::size_t>(n));
       std::size_t pos = 0;
       for (std::size_t nl = buffer.find('\n'); nl != std::string::npos;
            nl = buffer.find('\n', pos)) {
         std::string one = buffer.substr(pos, nl - pos);
         pos = nl + 1;
         if (skipping_oversize) {
-          skipping_oversize = false;
+          skipping_oversize = false;  // tail of the answered line; drop it
         } else if (!blank(one)) {
-          pending.push_back({std::move(one), Clock::now()});
+          lines.push_back(std::move(one));
         }
       }
-      for (TimedLine& tl : shed) pending.push_back(std::move(tl));
-      shed.clear();
-      if (!pending.empty()) {
-        std::vector<TimedLine> leftovers;
-        leftovers.reserve(pending.size());
-        for (TimedLine& tl : pending) {
-          tl.admission = Admission::ShedShutdown;
-          leftovers.push_back(std::move(tl));
-        }
-        pending.clear();
-        (void)respond(std::move(leftovers));
+      buffer.erase(0, pos);
+      if (skipping_oversize) {
+        buffer.clear();  // still inside the oversized line
+      } else if (max_line > 0 && buffer.size() > max_line) {
+        if (!blank(buffer)) lines.push_back(std::move(buffer));
+        buffer.clear();
+        skipping_oversize = true;
       }
-    }
+      return true;
+    };
+    const auto write = [fd](const std::vector<std::string>& replies) {
+      std::string out;
+      for (const std::string& reply : replies) {
+        out += reply;
+        out += '\n';
+      }
+      std::size_t written = 0;
+      while (written < out.size()) {
+        const ssize_t w =
+            ::write(fd, out.data() + written, out.size() - written);
+        if (w <= 0) return false;
+        written += static_cast<std::size_t>(w);
+      }
+      return true;
+    };
+    impl_->serve(read, write, served);
     ::close(fd);
   }
   ::close(listener);

@@ -95,10 +95,11 @@ struct ServiceOptions {
   /// query compiles; the serve_load bench uses that as the cold baseline.
   int cache_shards = 8;
   std::size_t cache_capacity = 256;
-  /// Pattern registry entries (patterns addressable by {"ref": hash}).
-  std::size_t pattern_capacity = 1024;
-  /// Stop run() after this many data requests (0 = unlimited); control
-  /// lines do not count.  CI smoke uses this as a safety stop.
+  /// Stop run() / run_socket() after this many data requests (0 =
+  /// unlimited): lines that parse as data requests and were not shed.
+  /// Control, malformed and shed lines do not count.  Checked between
+  /// windows, so the window that crosses the limit is answered whole.  CI
+  /// smoke uses this as a safety stop.
   std::int64_t max_requests = 0;
   /// Admission control: data requests pending beyond this bound are shed
   /// per `shed_policy` (0 = unbounded, the backward-compatible default).
@@ -118,8 +119,6 @@ struct ServiceOptions {
   std::size_t max_line_bytes = 1u << 20;
   /// Machine used when a request names none.
   std::string default_machine = "lassen";
-  /// Measurement noise level, matching the CLI's measure defaults.
-  double noise_sigma = 0.02;
   /// Span tracing (hetcomm.trace.v1; see docs/tracing.md).  false = no
   /// tracer is constructed and every instrumentation site is one null
   /// check; true = record request/window span trees, sampled per request.
@@ -151,11 +150,12 @@ class Service {
 
   /// NDJSON loop: drain up to `window` buffered lines per batch, write one
   /// response line each, flush per window.  Returns on EOF, on a shutdown
-  /// request, or after max_requests data requests.
+  /// request, or once max_requests data requests were answered.
   void run(std::istream& in, std::ostream& out);
 
   /// Serve the same protocol over a Unix-domain stream socket (one client
-  /// at a time; returns when a client sends {"cmd": "shutdown"}).  Throws
+  /// at a time; returns when a client sends {"cmd": "shutdown"} or once
+  /// max_requests data requests were answered).  Throws
   /// std::runtime_error when the socket cannot be created or bound.
   void run_socket(const std::string& path);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/models/scenario.hpp"
+#include "machine/machine_json.hpp"
 
 namespace hetcomm::core {
 namespace {
@@ -16,9 +17,13 @@ class AdvisorTest : public ::testing::Test {
 TEST_F(AdvisorTest, RanksFullStrategyRoster) {
   const CommPattern p = random_pattern(topo_, 8, 2048, 3);
   const std::vector<Recommendation> ranked = advisor_.rank(p);
-  // Eight Table-5 strategies plus the striped / chunked-pipeline variants.
-  EXPECT_EQ(ranked.size(), all_strategies().size());
-  EXPECT_EQ(ranked.size(), 14u);
+  // Eight Table-5 strategies plus the chunked-pipeline variants: Lassen's
+  // NICs are single-rail, so its four striped variants alias their bases.
+  EXPECT_EQ(all_strategies().size(), 14u);
+  EXPECT_EQ(ranked.size(), 10u);
+  for (const Recommendation& r : ranked) {
+    EXPECT_NE(r.config.split, SplitMode::Striped) << r.config.name();
+  }
   for (std::size_t i = 1; i < ranked.size(); ++i) {
     EXPECT_LE(ranked[i - 1].predicted_seconds, ranked[i].predicted_seconds);
   }
@@ -31,10 +36,21 @@ TEST_F(AdvisorTest, StagedOnlyFiltersDeviceAware) {
   AdvisorOptions opts;
   opts.staged_only = true;
   const std::vector<Recommendation> ranked = advisor_.rank(p, opts);
-  EXPECT_EQ(ranked.size(), 9u);
+  EXPECT_EQ(ranked.size(), 7u);  // 9 staged, 2 of them striped aliases
   for (const Recommendation& r : ranked) {
     EXPECT_EQ(r.config.transport, MemSpace::Host) << r.config.name();
   }
+}
+
+TEST(AdvisorRosterTest, MultiRailMachineRanksEveryVariant) {
+  // nvisland's dual-rail NICs give striping something to split, so no
+  // variant is an alias there and all 14 are ranked.
+  const machine::MachineModel model = machine::resolve_machine("nvisland");
+  const Topology topo = model.topology(4);
+  const Advisor advisor(topo, model.params);
+  const std::vector<Recommendation> ranked =
+      advisor.rank(random_pattern(topo, 8, 65536, 3));
+  EXPECT_EQ(ranked.size(), all_strategies().size());
 }
 
 TEST_F(AdvisorTest, BestMatchesRankFront) {

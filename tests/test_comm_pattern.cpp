@@ -34,6 +34,20 @@ TEST(CommPattern, RejectsBadInput) {
   EXPECT_THROW((void)p.add(-1, 0, 10), std::out_of_range);
   EXPECT_THROW((void)p.add(0, 1, -1), std::invalid_argument);
   EXPECT_THROW((void)CommPattern(0), std::invalid_argument);
+  // Payload plus dedup bytes past int64 are rejected, and the pattern
+  // keeps its state.
+  const std::int64_t half = std::int64_t{1} << 62;
+  p.add(0, 1, half);
+  EXPECT_THROW((void)p.add(1, 0, half), std::invalid_argument);
+  EXPECT_THROW((void)p.set_node_dedup(1, 0, half), std::invalid_argument);
+  EXPECT_EQ(p.total_bytes(), half);
+  EXPECT_EQ(p.total_messages(), 1);
+  EXPECT_FALSE(p.has_dedup_info());
+  p.set_node_dedup(1, 0, half - 1);  // payload + dedup fill int64 exactly
+  EXPECT_THROW((void)p.add(1, 0, 1), std::invalid_argument);
+  p.set_node_dedup(1, 0, 5);  // overwriting frees the old size's room
+  p.add(1, 0, half / 2);
+  EXPECT_EQ(p.node_dedup_bytes(1, 0), 5);
 }
 
 TEST(CommPattern, RecvsMirrorSends) {

@@ -234,52 +234,5 @@ TEST(SweepTest, EmptyReportUtilizationIsZero) {
   EXPECT_EQ(report.utilization(), 0.0);
 }
 
-TEST(SweepKeyedTest, RunsOncePerDistinctKey) {
-  const std::vector<int> items = {10, 11, 12, 13, 14, 15};
-  const std::vector<std::uint64_t> keys = {7, 9, 7, 7, 9, 3};
-  std::atomic<int> calls{0};
-  const std::vector<int> out =
-      sweep_keyed(items, keys, [&](const int& i) {
-        ++calls;
-        return i * 2;
-      });
-  EXPECT_EQ(calls.load(), 3);  // keys 7, 9, 3
-  // Duplicates copy the *representative* (first occurrence) result.
-  const std::vector<int> expect = {20, 22, 20, 20, 22, 30};
-  EXPECT_EQ(out, expect);
-}
-
-TEST(SweepKeyedTest, DistinctKeysDegenerateToPlainSweep) {
-  const std::vector<int> items = {1, 2, 3, 4};
-  const std::vector<std::uint64_t> keys = {1, 2, 3, 4};
-  const auto keyed = sweep_keyed(items, keys, [](const int& i) { return i + 1; });
-  const auto plain = sweep(items, [](const int& i) { return i + 1; });
-  EXPECT_EQ(keyed, plain);
-}
-
-TEST(SweepKeyedTest, MismatchedKeyCountThrows) {
-  const std::vector<int> items = {1, 2, 3};
-  const std::vector<std::uint64_t> keys = {1, 2};
-  EXPECT_THROW((void)sweep_keyed(items, keys, [](const int& i) { return i; }),
-               std::invalid_argument);
-}
-
-TEST(SweepKeyedTest, DedupIsStableUnderContention) {
-  std::vector<int> items(64);
-  std::vector<std::uint64_t> keys(64);
-  for (int i = 0; i < 64; ++i) {
-    items[static_cast<std::size_t>(i)] = i;
-    keys[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(i % 5);
-  }
-  SweepOptions options;
-  options.jobs = 4;
-  const std::vector<int> out =
-      sweep_keyed(items, keys, [](const int& i) { return i * 100; }, options);
-  for (int i = 0; i < 64; ++i) {
-    // Every item maps to its key's first occurrence: index i % 5.
-    EXPECT_EQ(out[static_cast<std::size_t>(i)], (i % 5) * 100);
-  }
-}
-
 }  // namespace
 }  // namespace hetcomm::runtime

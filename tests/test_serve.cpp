@@ -23,6 +23,8 @@
 #include "hetsim/noise.hpp"
 #include "machine/machine_json.hpp"
 #include "obs/json.hpp"
+#include "serve/chaos.hpp"
+#include "serve/protocol.hpp"
 
 namespace hetcomm::serve {
 namespace {
@@ -462,6 +464,98 @@ TEST(ServeTest, StatsCountersBalanceAfterMixedTraffic) {
     code_sum += member.second.as_int();
   }
   EXPECT_EQ(code_sum, requests.at("errors").as_int());
+}
+
+TEST(ServeTest, MaxRequestsCountsDataRequestsOnly) {
+  // Control lines do not count toward max_requests, and the stop is
+  // checked between windows: at window 1 the run answers exactly two data
+  // requests and leaves the third unread.
+  ServiceOptions options;
+  options.window = 1;
+  options.max_requests = 2;
+  Service service(options);
+  const std::string stats = R"({"id": "s", "cmd": "stats"})";
+  const std::string data =
+      R"({"id": "d", "machine": "lassen", "nodes": 2, )" + pattern_body() +
+      R"(, "reps": 0})";
+  std::istringstream in(stats + "\n" + data + "\n" + stats + "\n" + data +
+                        "\n" + data + "\n");
+  std::ostringstream out;
+  service.run(in, out);
+
+  std::vector<std::string> ids;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    const JsonValue doc = parse(line);
+    EXPECT_TRUE(doc.at("ok").as_bool()) << line;
+    ids.push_back(doc.at("id").as_string());
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"s", "d", "s", "d"}));
+}
+
+TEST(ServeTest, DegradedConfidenceSeparatesDistinctStrategies) {
+  // On single-rail lassen the device-aware striped variant lowers to
+  // standard (device-aware); were it ranked as its own row, the top two
+  // would tie and every degraded reply would report confidence 0.
+  ServiceOptions options;
+  options.max_queue = 1;
+  options.shed_policy = ShedPolicy::Degrade;
+  Service service(options);
+  const std::string r =
+      R"({"nodes": 4, "pattern": {"random": {"msgs_per_gpu": 8, )"
+      R"("bytes": 65536, "seed": 3}}, "reps": 3})";
+  const std::vector<std::string> replies = service.handle_window({r, r, r});
+  ASSERT_EQ(replies.size(), 3u);
+  for (std::size_t i = 1; i < replies.size(); ++i) {
+    const JsonValue doc = parse(replies[i]);
+    ASSERT_TRUE(doc.at("degraded").as_bool());
+    const JsonValue& ranking = doc.at("ranking");
+    EXPECT_NE(ranking.at(0).at("strategy").as_string(),
+              ranking.at(1).at("strategy").as_string());
+    EXPECT_GT(doc.at("confidence").as_double(), 0.0);
+  }
+}
+
+TEST(ServeTest, BuiltinMalformedLinesAreBadRequests) {
+  for (const std::string& line : chaos::builtin_malformed_lines()) {
+    Service service;
+    const JsonValue doc = parse(service.handle_line(line));
+    EXPECT_FALSE(doc.at("ok").as_bool()) << line;
+    EXPECT_EQ(doc.at("error_code").as_string(), "bad_request") << line;
+  }
+}
+
+TEST(ServeProtocolTest, IntegersAreRangeCheckedBeforeNarrowing) {
+  // Each of these once narrowed into range (2^32 + k is k as an int) or,
+  // for the byte sizes, overflowed an int64 byte total.
+  const std::string cases[] = {
+      R"({"nodes": 4294967298, "reps": 4294967297})",
+      R"({"reps": 4294967297})",
+      R"({"pattern": {"random": {"msgs_per_gpu": 4294967297}}})",
+      R"({"pattern": {"gpus": 4294967304, "msgs": []}})",
+      R"({"pattern": {"gpus": 8, "msgs": [[0, 4294967300, 64]]}})",
+      R"({"pattern": {"gpus": 8, "msgs": [[0, 4, 64]], )"
+      R"("dedup": [[4294967296, 1, 64]]}})",
+      R"({"pattern": {"gpus": 8, "msgs": [[0, 4, 4611686018427387904], )"
+      R"([1, 5, 4611686018427387904]]}})",
+      R"({"pattern": {"gpus": 12, "msgs": [[0, 4, 64], [0, 8, 64]], )"
+      R"("dedup": [[0, 1, 4611686018427387904], )"
+      R"([0, 2, 4611686018427387904]]}})",
+  };
+  const ServiceOptions options;
+  for (const std::string& line : cases) {
+    Request req;
+    EXPECT_THROW(parse_request(line, options, req), std::invalid_argument)
+        << line;
+  }
+  Request ok;
+  parse_request(R"({"nodes": 65536, "reps": 100000, "pattern": )"
+                R"({"gpus": 8, "msgs": [[7, 0, 64]], "dedup": [[7, 1, 64]]}})",
+                options, ok);
+  EXPECT_EQ(ok.nodes, 65536);
+  EXPECT_EQ(ok.reps, 100000);
+  ASSERT_TRUE(ok.source.pattern.has_value());
+  EXPECT_EQ(ok.source.pattern->total_bytes(), 64);
 }
 
 TEST(ServeTest, ZeroCapacityCacheCompilesEveryQuery) {
