@@ -1,7 +1,6 @@
 #include "core/compiled_plan.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 #include <string>
@@ -252,77 +251,6 @@ std::int64_t CompiledPlan::total_messages() const noexcept {
 
 namespace hetcomm {
 
-namespace {
-
-/// Sort `order` into exact (ready, index)-ascending order.
-///
-/// Keys are packed as (bit pattern of ready, index) integer pairs: ready
-/// times are sums and maxima of nonnegative finite durations, and the
-/// IEEE-754 bit patterns of nonnegative doubles order identically to their
-/// values, so one integer pair comparison reproduces the exact
-/// (ready, index) strict total order with no double-compare branches.
-///
-/// When `order` already holds a permutation of the right size -- the
-/// previous repetition's schedule order -- the keys are built in that
-/// order and sorted by a warm-start insertion pass:
-/// jitter rarely reorders ready times between adjacent repetitions, so
-/// nearly every element stays put, where a comparison sort on freshly
-/// jittered keys pays a misprediction per comparison.  Any permutation
-/// yields the same unique total order, so results never depend on engine
-/// history; a stale hint only costs time.
-void sort_schedule_order(std::vector<std::uint32_t>& order,
-                         std::vector<std::pair<std::uint64_t, std::uint32_t>>&
-                             keyed,
-                         std::size_t count, const double* ready) {
-  const bool warm = order.size() == count;
-  keyed.resize(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint32_t i = warm ? order[k] : static_cast<std::uint32_t>(k);
-    std::uint64_t bits;
-    std::memcpy(&bits, &ready[i], sizeof bits);
-    keyed[k] = {bits, i};
-  }
-  if (warm) {
-    for (std::size_t k = 1; k < count; ++k) {
-      const std::pair<std::uint64_t, std::uint32_t> v = keyed[k];
-      std::size_t j = k;
-      while (j > 0 && v < keyed[j - 1]) {
-        keyed[j] = keyed[j - 1];
-        --j;
-      }
-      keyed[j] = v;
-    }
-  } else {
-    order.resize(count);
-    std::sort(keyed.begin(), keyed.end());
-  }
-  for (std::size_t k = 0; k < count; ++k) order[k] = keyed[k].second;
-}
-
-/// Subset variant of sort_schedule_order for one dependency wave: sorts the
-/// explicit `members` list into (ready, index) order.  Always a cold sort --
-/// the warm-start cache slots are shared across plans on a reused engine,
-/// and a stale hint with the *wrong membership* would schedule the wrong
-/// messages, so wave scheduling never reads or writes that cache.
-void sort_wave_order(std::vector<std::uint32_t>& order,
-                     std::vector<std::pair<std::uint64_t, std::uint32_t>>&
-                         keyed,
-                     const std::uint32_t* members, std::size_t count,
-                     const double* ready) {
-  keyed.resize(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint32_t i = members[k];
-    std::uint64_t bits;
-    std::memcpy(&bits, &ready[i], sizeof bits);
-    keyed[k] = {bits, i};
-  }
-  std::sort(keyed.begin(), keyed.end());
-  order.resize(count);
-  for (std::size_t k = 0; k < count; ++k) order[k] = keyed[k].second;
-}
-
-}  // namespace
-
 // Defined here (not engine.cpp) so the hetsim layer never depends on core's
 // plan types; Engine::execute is a member, so it keeps access to the
 // engine's resources and scratch.
@@ -361,13 +289,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
 template <bool Observed>
 void Engine::execute_phases(const core::CompiledPlan& plan) {
   const double post_overhead = params_.overheads.post_overhead;
-  if (sched_order_cache_.size() < plan.phases().size()) {
-    sched_order_cache_.resize(plan.phases().size());
-  }
-  std::size_t phase_index = 0;
   for (const core::CompiledPhase& phase : plan.phases()) {
-    std::vector<std::uint32_t>& sched_order = sched_order_cache_[phase_index];
-    ++phase_index;
     const std::size_t num_messages = phase.messages.size();
     ready_scratch_.resize(num_messages);
 
@@ -592,20 +514,18 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
     };
 
     if (phase.num_waves() == 1) {
-      // Posting order is send-seq order, so this is the same strict total
-      // order resolve() sorts by; the schedule sequence (and with it the
-      // noise-draw sequence) is bit-identical.  The per-phase cache warm-
-      // starts the sort from the previous repetition's order.
-      sort_schedule_order(sched_order, sched_key_scratch_, num_messages,
-                          ready_scratch_.data());
-      for (const std::uint32_t i : sched_order) {
+      // Posting order is send-seq order, so (ready, index) is the same
+      // strict total order resolve() sorts by; the schedule sequence (and
+      // with it the noise-draw sequence) is bit-identical.
+      for (const std::uint32_t i :
+           schedule_order_.sort(ready_scratch_.data(), nullptr,
+                                num_messages)) {
         schedule_message(i, ready_scratch_[i]);
       }
     } else {
       // Dependency waves (split plans): a dependent message is ready no
-      // earlier than its gating chunk's completion.  Each wave sorts its
-      // own members cold -- see sort_wave_order on why the warm cache
-      // must not be used here.
+      // earlier than its gating chunk's completion, and each wave is
+      // ordered like a whole phase.
       matched_completion_scratch_.assign(num_messages, 0.0);
       for (std::size_t w = 0; w + 1 < phase.wave_begin.size(); ++w) {
         const std::uint32_t* members =
@@ -622,9 +542,8 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
                              static_cast<std::size_t>(d)]);
           }
         }
-        sort_wave_order(wave_order_scratch_, sched_key_scratch_, members,
-                        count, ready_scratch_.data());
-        for (const std::uint32_t i : wave_order_scratch_) {
+        for (const std::uint32_t i :
+             schedule_order_.sort(ready_scratch_.data(), members, count)) {
           matched_completion_scratch_[i] =
               schedule_message(i, ready_scratch_[i]);
         }

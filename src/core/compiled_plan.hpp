@@ -14,10 +14,11 @@
 // quantity pre-folded into the exact floating-point values the interpreter
 // would compute:
 //
-//   * messages: matched send/receive pairing (FIFO per (src,dst,tag), the
-//     same pairing Engine::resolve() derives each call), path class,
-//     protocol, sender occupancy alpha+beta*s, receiver drain beta*s,
-//     completion base alpha+beta*s+queue_cost, NIC occupancy, node ids;
+//   * messages: one entry per Message op, which posts both the send and
+//     the receive, so nothing is left to match (see `messages` below);
+//     path class, protocol, sender occupancy alpha+beta*s, receiver drain
+//     beta*s, completion base alpha+beta*s+queue_cost, NIC occupancy,
+//     node ids;
 //   * copies: interpolated copy parameters, DMA occupancy, base duration;
 //   * packs: base duration.
 //
@@ -92,8 +93,7 @@ struct CompiledPhase {
   /// Dependency waves: when any msg_dep edge exists, wave w's message
   /// indices are wave_members[wave_begin[w] .. wave_begin[w+1]), bucketed
   /// by dep-chain depth, index-ascending within a wave.  Empty wave_begin
-  /// means one wave of all messages -- the historical schedule path with
-  /// its warm-start sort cache.
+  /// means one wave of all messages.
   std::vector<std::uint32_t> wave_members;
   std::vector<std::uint32_t> wave_begin;
   [[nodiscard]] std::size_t num_waves() const noexcept {
@@ -131,11 +131,12 @@ struct CompiledPhase {
 /// mutates only the executing Engine.
 class CompiledPlan {
  public:
-  /// Compile `plan` against `topo`/`params`.  Performs the same
-  /// validation the interpreted path would: bad ranks/GPUs and negative
-  /// sizes throw (std::out_of_range / std::invalid_argument), and a phase
-  /// whose sends and receives cannot be fully FIFO-matched throws
-  /// std::logic_error -- at compile time, before any repetition runs.
+  /// Compile `plan` against `topo`/`params`, validating at compile time,
+  /// before any repetition runs: bad ranks or GPUs throw
+  /// std::out_of_range; negative sizes, a copy shared by fewer than one
+  /// process, a rail past the machine's NIC lanes and a depends_on edge
+  /// the engine cannot honour throw std::invalid_argument.  Every Message op posts both of its ends, so
+  /// no phase can hold an unmatched send or receive.
   CompiledPlan(const CommPlan& plan, const Topology& topo,
                const ParamSet& params);
 

@@ -25,39 +25,44 @@ void check_clock_span(const Engine& engine, std::span<double> clocks_out) {
 
 }  // namespace
 
+void post_phase(Engine& engine, const PlanPhase& phase,
+                std::vector<int>& send_req) {
+  send_req.assign(phase.ops.size(), -1);
+  for (std::size_t oi = 0; oi < phase.ops.size(); ++oi) {
+    const PlanOp& op = phase.ops[oi];
+    switch (op.type) {
+      case OpType::Message: {
+        // Only message-target deps reach the engine: deps on copies or
+        // packs are already enforced by blocking posting on the sender's
+        // clock (the engine would reject them as non-send request ids).
+        int dep_req = -1;
+        if (op.depends_on >= 0 &&
+            static_cast<std::size_t>(op.depends_on) < phase.ops.size() &&
+            phase.ops[static_cast<std::size_t>(op.depends_on)].type ==
+                OpType::Message) {
+          dep_req = send_req[static_cast<std::size_t>(op.depends_on)];
+        }
+        send_req[oi] = engine.isend(op.src_rank, op.dst_rank, op.bytes,
+                                    op.tag, op.space, op.rail, dep_req);
+        engine.irecv(op.dst_rank, op.src_rank, op.bytes, op.tag, op.space);
+        break;
+      }
+      case OpType::Copy:
+        engine.copy(op.rank, op.gpu, op.dir, op.bytes, op.sharing_procs);
+        break;
+      case OpType::Pack:
+        engine.pack(op.rank, op.bytes);
+        break;
+    }
+  }
+}
+
 void run_plan(Engine& engine, const CommPlan& plan,
               std::span<double> clocks_out) {
   check_clock_span(engine, clocks_out);
   std::vector<int> send_req;  // phase-local op index -> isend request id
   for (const PlanPhase& phase : plan.phases) {
-    send_req.assign(phase.ops.size(), -1);
-    for (std::size_t oi = 0; oi < phase.ops.size(); ++oi) {
-      const PlanOp& op = phase.ops[oi];
-      switch (op.type) {
-        case OpType::Message: {
-          // Only message-target deps reach the engine: deps on copies or
-          // packs are already enforced by blocking posting on the sender's
-          // clock (the engine would reject them as non-send request ids).
-          int dep_req = -1;
-          if (op.depends_on >= 0 &&
-              static_cast<std::size_t>(op.depends_on) < phase.ops.size() &&
-              phase.ops[static_cast<std::size_t>(op.depends_on)].type ==
-                  OpType::Message) {
-            dep_req = send_req[static_cast<std::size_t>(op.depends_on)];
-          }
-          send_req[oi] = engine.isend(op.src_rank, op.dst_rank, op.bytes,
-                                      op.tag, op.space, op.rail, dep_req);
-          engine.irecv(op.dst_rank, op.src_rank, op.bytes, op.tag, op.space);
-          break;
-        }
-        case OpType::Copy:
-          engine.copy(op.rank, op.gpu, op.dir, op.bytes, op.sharing_procs);
-          break;
-        case OpType::Pack:
-          engine.pack(op.rank, op.bytes);
-          break;
-      }
-    }
+    post_phase(engine, phase, send_req);
     if (engine.has_pending()) engine.resolve();
     // One phase-end sample per phase on the sampled tier, matching
     // Engine::execute.
@@ -89,20 +94,22 @@ RepFold fold_repetitions(std::span<const double> clocks,
   const std::size_t reps = clocks.size() / num_ranks;
   RepFold fold;
   fold.per_rank_mean.assign(num_ranks, 0.0);
-  // Stored by index, not push_back(const double&): taking the running
-  // maximum's address would keep it in memory through the inner loop.
   fold.makespans.resize(reps);
+  fold.makespan_min = std::numeric_limits<double>::infinity();
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const double* row = clocks.data() + rep * num_ranks;
-    double makespan = 0.0;
     for (std::size_t r = 0; r < num_ranks; ++r) {
       fold.per_rank_mean[r] += row[r];
-      makespan = std::max(makespan, row[r]);
     }
+    const double makespan = max_nonnegative(row, num_ranks);
     fold.makespans[rep] = makespan;
+    fold.makespan_mean += makespan;
+    fold.makespan_min = std::min(fold.makespan_min, makespan);
+    fold.makespan_max = std::max(fold.makespan_max, makespan);
   }
   const double inv = 1.0 / static_cast<double>(reps);
   for (double& mean : fold.per_rank_mean) mean *= inv;
+  fold.makespan_mean *= inv;
   fold.max_avg =
       *std::max_element(fold.per_rank_mean.begin(), fold.per_rank_mean.end());
   return fold;
@@ -119,8 +126,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
 
   MeasureResult result;
   result.summary = plan.summarize(topo);
-  result.makespan_min = std::numeric_limits<double>::infinity();
-  result.makespan_max = 0.0;
 
   int jobs = options.jobs == 0 ? runtime::hardware_jobs() : options.jobs;
   jobs = std::min(jobs, options.reps);
@@ -378,12 +383,9 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
 
   // Serial reduction in repetition order: bit-identical at any jobs count.
   RepFold fold = fold_repetitions(rep_clocks, num_ranks);
-  for (const double makespan : fold.makespans) {
-    result.makespan_mean += makespan;
-    result.makespan_min = std::min(result.makespan_min, makespan);
-    result.makespan_max = std::max(result.makespan_max, makespan);
-  }
-  result.makespan_mean *= 1.0 / options.reps;
+  result.makespan_mean = fold.makespan_mean;
+  result.makespan_min = fold.makespan_min;
+  result.makespan_max = fold.makespan_max;
   result.per_rank_mean = std::move(fold.per_rank_mean);
   result.max_avg = fold.max_avg;
   result.trace = std::move(last_trace);

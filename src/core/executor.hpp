@@ -112,6 +112,14 @@ struct MeasureResult {
   std::optional<obs::RunReport> metrics;
 };
 
+/// Post every op of `phase` on `engine` in op order: a Message op posts
+/// its isend -- with its rail, and with its depends_on edge when that edge
+/// targets a message -- then the matching irecv; copies and packs run
+/// blocking.  Resolving is left to the caller.  `send_req` is scratch
+/// (op index -> isend request id).
+void post_phase(Engine& engine, const PlanPhase& phase,
+                std::vector<int>& send_req);
+
 /// Run `plan` once on `engine` (which must be reset by the caller),
 /// writing rank r's final clock into `clocks_out[r]`.  `clocks_out.size()`
 /// must equal the engine's rank count (throws std::invalid_argument
@@ -132,11 +140,17 @@ struct RepFold {
   std::vector<double> per_rank_mean;  ///< each rank's mean final clock
   double max_avg = 0.0;               ///< the largest of those means
   std::vector<double> makespans;      ///< per repetition, its largest clock
+  double makespan_mean = 0.0;         ///< mean, min and max of makespans
+  double makespan_min = 0.0;
+  double makespan_max = 0.0;
 };
 
 /// Fold `clocks`, reps x `num_ranks` final rank clocks (row = repetition).
-/// measure() and serve both reduce through here, so a serve reply and a
-/// one-shot measurement of the same query are bit-identical.
+/// measure(), NeighborhoodExchange::measure_overlapped() and serve all
+/// reduce through here, so a serve reply and a one-shot measurement of the
+/// same query are bit-identical.  Each rank's sum runs in repetition
+/// order, which is why the whole buffer is kept: the result is the same at
+/// any `--jobs`.
 [[nodiscard]] RepFold fold_repetitions(std::span<const double> clocks,
                                        std::size_t num_ranks);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -36,22 +35,9 @@ NeighborhoodExchange::NeighborhoodExchange(const CommPattern& pattern,
 
 void NeighborhoodExchange::run(Engine& engine, double compute_seconds,
                                bool overlap) const {
+  std::vector<int> send_req;
   for (std::size_t i = 0; i < plan_.phases.size(); ++i) {
-    const PlanPhase& phase = plan_.phases[i];
-    for (const PlanOp& op : phase.ops) {
-      switch (op.type) {
-        case OpType::Message:
-          engine.isend(op.src_rank, op.dst_rank, op.bytes, op.tag, op.space);
-          engine.irecv(op.dst_rank, op.src_rank, op.bytes, op.tag, op.space);
-          break;
-        case OpType::Copy:
-          engine.copy(op.rank, op.gpu, op.dir, op.bytes, op.sharing_procs);
-          break;
-        case OpType::Pack:
-          engine.pack(op.rank, op.bytes);
-          break;
-      }
-    }
+    post_phase(engine, plan_.phases[i], send_req);
     // Overlap: issue the local computation while the inter-node traffic is
     // in flight (posted but not yet resolved).  Eager messages then land
     // during the computation; rendezvous transfers still synchronize.
@@ -95,31 +81,26 @@ MeasureResult NeighborhoodExchange::measure_overlapped(
   if (opts.reps < 1) {
     throw std::invalid_argument("measure_overlapped: reps must be >= 1");
   }
+  // measure()'s repetitions -- one reused engine, reseeded with
+  // mix_seed(seed, rep) -- with the overlapped run in place of the plan.
+  const std::size_t num_ranks = static_cast<std::size_t>(topo_.num_ranks());
+  std::vector<double> clocks(static_cast<std::size_t>(opts.reps) * num_ranks);
+  Engine engine(topo_, params_, NoiseModel(0, opts.noise_sigma));
+  for (int rep = 0; rep < opts.reps; ++rep) {
+    engine.reset(mix_seed(opts.seed, static_cast<std::uint64_t>(rep)));
+    execute_overlapped(engine, compute_seconds);
+    std::copy(engine.clocks().begin(), engine.clocks().end(),
+              clocks.begin() + static_cast<std::ptrdiff_t>(
+                                   static_cast<std::size_t>(rep) * num_ranks));
+  }
+  RepFold fold = fold_repetitions(clocks, num_ranks);
   MeasureResult result;
   result.summary = plan_.summarize(topo_);
-  result.per_rank_mean.assign(static_cast<std::size_t>(topo_.num_ranks()),
-                              0.0);
-  result.makespan_min = std::numeric_limits<double>::infinity();
-  result.makespan_max = 0.0;
-  for (int rep = 0; rep < opts.reps; ++rep) {
-    Engine engine(topo_, params_,
-                  NoiseModel(opts.seed + static_cast<std::uint64_t>(rep),
-                             opts.noise_sigma));
-    execute_overlapped(engine, compute_seconds);
-    double makespan = 0.0;
-    for (int r = 0; r < topo_.num_ranks(); ++r) {
-      result.per_rank_mean[static_cast<std::size_t>(r)] += engine.clock(r);
-      makespan = std::max(makespan, engine.clock(r));
-    }
-    result.makespan_mean += makespan;
-    result.makespan_min = std::min(result.makespan_min, makespan);
-    result.makespan_max = std::max(result.makespan_max, makespan);
-  }
-  const double inv = 1.0 / opts.reps;
-  result.makespan_mean *= inv;
-  for (double& t : result.per_rank_mean) t *= inv;
-  result.max_avg = *std::max_element(result.per_rank_mean.begin(),
-                                     result.per_rank_mean.end());
+  result.max_avg = fold.max_avg;
+  result.makespan_mean = fold.makespan_mean;
+  result.makespan_min = fold.makespan_min;
+  result.makespan_max = fold.makespan_max;
+  result.per_rank_mean = std::move(fold.per_rank_mean);
   return result;
 }
 

@@ -46,7 +46,10 @@ class NeighborhoodExchange {
   /// Convenience: fresh-engine repetition measurement (no overlap).
   [[nodiscard]] MeasureResult measure(const MeasureOptions& opts = {}) const;
 
-  /// Measurement with overlapped local computation per repetition.
+  /// Measurement with overlapped local computation per repetition.  Each
+  /// repetition runs the plan measure() runs, seeded the same way, so a
+  /// zero compute time reproduces measure() bit for bit.  Uses reps, seed
+  /// and noise_sigma of `opts`; the other options are ignored.
   [[nodiscard]] MeasureResult measure_overlapped(
       double compute_seconds, const MeasureOptions& opts = {}) const;
 

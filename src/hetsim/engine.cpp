@@ -565,30 +565,23 @@ double Engine::clock(int rank) const {
   return clock_[rank];
 }
 
-void Engine::set_clock(int rank, double time) {
-  check_rank(rank);
-  clock_[rank] = time;
+double Engine::max_clock() const {
+  return max_nonnegative(clock_.data(), clock_.size());
 }
 
-double Engine::max_clock() const {
-  // Four independent accumulators: a single running max is a chain of
-  // data-dependent maxsd ops (3-4 cycles each), which dominates the metrics
-  // phase-end path on wide topologies.  Clocks are non-negative, so 0 is a
-  // safe identity.
-  const double* p = clock_.data();
-  const std::size_t n = clock_.size();
+double max_nonnegative(const double* values, std::size_t n) noexcept {
   double m0 = 0.0;
   double m1 = 0.0;
   double m2 = 0.0;
   double m3 = 0.0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    m0 = m0 < p[i] ? p[i] : m0;
-    m1 = m1 < p[i + 1] ? p[i + 1] : m1;
-    m2 = m2 < p[i + 2] ? p[i + 2] : m2;
-    m3 = m3 < p[i + 3] ? p[i + 3] : m3;
+    m0 = m0 < values[i] ? values[i] : m0;
+    m1 = m1 < values[i + 1] ? values[i + 1] : m1;
+    m2 = m2 < values[i + 2] ? values[i + 2] : m2;
+    m3 = m3 < values[i + 3] ? values[i + 3] : m3;
   }
-  for (; i < n; ++i) m0 = m0 < p[i] ? p[i] : m0;
+  for (; i < n; ++i) m0 = m0 < values[i] ? values[i] : m0;
   m0 = m0 < m1 ? m1 : m0;
   m2 = m2 < m3 ? m3 : m2;
   return m0 < m2 ? m2 : m0;

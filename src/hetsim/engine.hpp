@@ -28,6 +28,7 @@
 #include "hetsim/noise.hpp"
 #include "hetsim/params.hpp"
 #include "hetsim/resources.hpp"
+#include "hetsim/schedule_order.hpp"
 #include "hetsim/topology.hpp"
 #include "hetsim/trace.hpp"
 
@@ -128,7 +129,6 @@ class Engine {
   [[nodiscard]] const std::vector<double>& clocks() const noexcept {
     return clock_;
   }
-  void set_clock(int rank, double t);
   /// Maximum clock over all ranks (makespan so far).
   [[nodiscard]] double max_clock() const;
   /// Reset all clocks, resources, counters and traces to time zero,
@@ -367,20 +367,11 @@ class Engine {
   std::vector<std::int32_t> matched_dep_scratch_;     ///< matched -> matched
   std::vector<std::int32_t> matched_depth_scratch_;   ///< dep-chain depth
   std::vector<double> matched_completion_scratch_;    ///< per-transfer finish
-  std::vector<std::uint32_t> wave_order_scratch_;     ///< one wave's members
+  std::vector<std::uint32_t> wave_order_scratch_;     ///< resolve: a wave
   std::vector<double> ready_scratch_;          ///< compiled: transfer ready
-  /// Per-phase schedule orders, kept across execute() calls as the
-  /// *starting permutation* for the next (ready, index) sort.  Noise
-  /// jitter rarely reorders ready times between repetitions, so re-sorting
-  /// from the previous order is a near-linear insertion pass with
-  /// predictable branches instead of an O(M log M) comparison sort on
-  /// freshly jittered keys.  Purely a warm start: the
-  /// sort result is the unique strict total order whatever the hint holds,
-  /// so results never depend on engine history.
-  std::vector<std::vector<std::uint32_t>> sched_order_cache_;
-  /// Scratch for the schedule sort: (ready bit pattern, index) keys packed
-  /// so the sort compares integers in place of gathered doubles.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> sched_key_scratch_;
+  /// compiled: each phase's (or wave's) schedule order, rebuilt from the
+  /// ready times on every call (hetsim/schedule_order.hpp).
+  ReadyOrder schedule_order_;
 
   bool tracing_ = false;
   Trace trace_;
@@ -403,6 +394,14 @@ class Engine {
   std::uint64_t fault_stream_ = 0;
   std::uint64_t fault_msg_counter_ = 0;
 };
+
+/// Largest of values[0..n), which must not be negative; 0 when n == 0.
+/// Four independent accumulators replace a serial std::max chain, whose
+/// dependent compares (3-4 cycles each) set its speed; the maximum of
+/// nonnegative values is exact in any grouping, so the result is the
+/// serial chain's bit for bit.
+[[nodiscard]] double max_nonnegative(const double* values,
+                                     std::size_t n) noexcept;
 
 /// Copy parameters for `np` processes sharing one GPU's DMA engine.
 /// np == 1 and np == table.shared_procs return measured rows; intermediate

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "machine/machine.hpp"
+
 namespace hetcomm::core {
 namespace {
 
@@ -76,11 +78,42 @@ TEST_F(NeighborhoodTest, OverlapNoWorseThanSequentialForAllStrategies) {
 }
 
 TEST_F(NeighborhoodTest, ZeroComputeOverlapEqualsPlainExecution) {
-  const NeighborhoodExchange exchange(
-      pattern(), topo_, params_, {StrategyKind::Standard, MemSpace::Host});
-  const MeasureOptions opts{4, 9, 0.0, false};
-  EXPECT_DOUBLE_EQ(exchange.measure_overlapped(0.0, opts).max_avg,
-                   exchange.measure(opts).max_avg);
+  // With no compute to overlap, measure_overlapped() runs the plan
+  // measure() runs, seeded the same way, so the two agree bit for bit:
+  // noisy or not, for every strategy, and on nvisland, whose striped
+  // variants pin NIC rails.
+  const machine::MachineModel nvisland = machine::nvisland_machine();
+  const Topology nvisland_topo = nvisland.topology(2);
+  const Topology lassen_topo = machine::lassen_machine().topology(2);
+  struct Case {
+    const char* name;
+    const Topology& topo;
+    const ParamSet& params;
+    CommPattern pattern;
+  };
+  const Case cases[] = {
+      {"lassen x4, fixture", topo_, params_, pattern()},
+      {"lassen x2, random", lassen_topo, params_,
+       random_pattern(lassen_topo, 8, 65536, 9)},
+      {"nvisland x2, random", nvisland_topo, nvisland.params,
+       random_pattern(nvisland_topo, 8, 65536, 9)},
+  };
+  for (const Case& c : cases) {
+    for (const double sigma : {0.0, 0.02}) {
+      const MeasureOptions opts{4, 9, sigma, false};
+      for (const StrategyConfig& cfg : all_strategies()) {
+        const NeighborhoodExchange exchange(c.pattern, c.topo, c.params, cfg);
+        const MeasureResult overlapped = exchange.measure_overlapped(0.0, opts);
+        const MeasureResult plain = exchange.measure(opts);
+        EXPECT_EQ(overlapped.max_avg, plain.max_avg)
+            << c.name << ", sigma " << sigma << ", " << cfg.name();
+        EXPECT_EQ(overlapped.per_rank_mean, plain.per_rank_mean)
+            << c.name << ", sigma " << sigma << ", " << cfg.name();
+        EXPECT_EQ(overlapped.makespan_mean, plain.makespan_mean)
+            << c.name << ", sigma " << sigma << ", " << cfg.name();
+      }
+    }
+  }
 }
 
 TEST_F(NeighborhoodTest, RejectsNegativeCompute) {
