@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   MeasureOptions mopts;
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 10);
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   Table table({"block size", "standard (staged) [s]", "split+MD [s]",
                "3-step (staged) [s]", "split speedup vs standard"});

@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   MeasureOptions mopts;
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 10);
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   Table table({"mapping", "strategy", "time [s]", "vs identity+standard"});
   double baseline = 0.0;

@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   MeasureOptions mopts;
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 15);
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   Table table({"message cap", "time [s]", "inter-node msgs", "vs default"});
   double default_time = 0.0;

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   MeasureOptions mopts;
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 10);
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   for (const StrategyConfig& cfg :
        {StrategyConfig{StrategyKind::Standard, MemSpace::Host},

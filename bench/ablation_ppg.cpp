@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   MeasureOptions mopts;
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 15);
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   // Split+MD as the baseline.
   double md_time = 0.0;

@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
   MeasureOptions mopts;
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 10);
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   const sparse::RowPartition part =
       sparse::RowPartition::contiguous(n, gpus);

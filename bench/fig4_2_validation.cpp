@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 25);
   mopts.seed = opts.seed;
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   const std::vector<int> gpu_counts =
       opts.quick ? std::vector<int>{16, 32} : std::vector<int>{8, 16, 32, 64};

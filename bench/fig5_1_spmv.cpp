@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 15);
   mopts.seed = opts.seed;
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   const std::vector<StrategyConfig> strategies = table5_strategies();
 

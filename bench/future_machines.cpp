@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 10);
   mopts.seed = opts.seed;
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   // Grid: machine x strategy, measured cells fanned across the pool.
   struct Cell {

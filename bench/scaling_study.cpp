@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   mopts.reps = opts.reps > 0 ? opts.reps : (opts.quick ? 3 : 10);
   mopts.seed = opts.seed;
   mopts.noise_sigma = 0.02;
-  mopts.engine = opts.engine;
 
   const std::vector<int> node_counts =
       opts.quick ? std::vector<int>{2, 8, 32} : std::vector<int>{2, 4, 8, 16, 32};

@@ -37,9 +37,12 @@
 #include <string>
 #include <vector>
 
+#include "benchutil/bench_options.hpp"
 #include "serve/chaos.hpp"
 
 namespace {
+
+using hetcomm::benchutil::parse_number;
 
 struct ChaosArgs {
   bool duration_short = false;
@@ -75,19 +78,19 @@ ChaosArgs parse_args(int argc, char** argv) {
     } else if (arg == "--no-socket") {
       args.no_socket = true;
     } else if (arg == "--seed") {
-      args.seed = static_cast<std::uint64_t>(std::stoull(value(i)));
+      args.seed = parse_number<std::uint64_t>(value(i), "--seed");
     } else if (arg == "--requests") {
-      args.requests = std::stoi(value(i));
+      args.requests = parse_number<int>(value(i), "--requests");
       if (args.requests < 1) {
         throw std::invalid_argument("--requests must be >= 1");
       }
     } else if (arg == "--storm-factor") {
-      args.storm_factor = std::stoi(value(i));
+      args.storm_factor = parse_number<int>(value(i), "--storm-factor");
       if (args.storm_factor < 1) {
         throw std::invalid_argument("--storm-factor must be >= 1");
       }
     } else if (arg == "--max-queue") {
-      args.max_queue = std::stoi(value(i));
+      args.max_queue = parse_number<int>(value(i), "--max-queue");
       if (args.max_queue < 1) {
         throw std::invalid_argument("--max-queue must be >= 1");
       }

@@ -29,11 +29,13 @@
 #include <string>
 #include <vector>
 
-#include "benchutil/artifact_stamp.hpp"
+#include "benchutil/bench_options.hpp"
 #include "obs/json.hpp"
 #include "serve/service.hpp"
 
 namespace {
+
+using hetcomm::benchutil::parse_number;
 
 struct LoadOptions {
   bool quick = false;
@@ -58,10 +60,10 @@ LoadOptions parse_args(int argc, char** argv) {
     if (arg == "--quick") {
       opts.quick = true;
     } else if (arg == "--queries") {
-      opts.queries = std::stoi(value(i));
+      opts.queries = parse_number<int>(value(i), "--queries");
       if (opts.queries < 1) throw std::invalid_argument("--queries must be >= 1");
     } else if (arg == "--reps") {
-      opts.reps = std::stoi(value(i));
+      opts.reps = parse_number<int>(value(i), "--reps");
       if (opts.reps < 1) throw std::invalid_argument("--reps must be >= 1");
     } else if (arg == "--json") {
       opts.json_path = value(i);
@@ -234,8 +236,6 @@ int main(int argc, char** argv) {
       using hetcomm::obs::JsonValue;
       JsonValue doc = JsonValue::object();
       doc.set("schema", "hetcomm.serve_load.v1");
-      doc.set("hetcomm_stamp",
-              hetcomm::benchutil::artifact_stamp(/*jobs=*/0));
       doc.set("queries", opts.queries);
       doc.set("hot_plans", kHotPlans);
       doc.set("reps", opts.reps);

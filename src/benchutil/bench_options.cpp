@@ -1,10 +1,12 @@
 #include "benchutil/bench_options.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
+#include <system_error>
+#include <type_traits>
 
 #include "obs/json.hpp"
 
@@ -16,38 +18,31 @@ namespace {
   throw std::invalid_argument(message);
 }
 
-/// Strict positive-integer parse: the whole token must be a number >= 1
-/// (no "--reps x" silently becoming 0 via atoi).
-long long parse_positive(const std::string& text, const char* flag) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' || v < 1) {
-    bad(std::string(flag) + " needs a positive integer, got '" + text + "'");
-  }
-  return v;
-}
-
-/// Only the exact spellings are accepted -- "compile", "Compiled" or other
-/// near-misses abort with usage text rather than running the default path
-/// under a misleading label.
-core::ExecMode parse_engine(const std::string& text) {
-  if (text == "compiled") return core::ExecMode::Compiled;
-  if (text == "interpreted") return core::ExecMode::Interpreted;
-  bad("--engine must be 'compiled' or 'interpreted', got '" + text + "'");
-}
-
-std::uint64_t parse_seed(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') {
-    bad("--seed needs an unsigned integer, got '" + text + "'");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
 }  // namespace
+
+template <typename T>
+T parse_number(const std::string& text, const char* flag) {
+  T value{};
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec == std::errc::result_out_of_range) {
+    bad(std::string(flag) + ": '" + text + "' is out of range");
+  }
+  if (ec != std::errc() || end != last) {
+    const char* kind = std::is_floating_point_v<T> ? "a number"
+                       : std::is_signed_v<T>       ? "an integer"
+                                                   : "an unsigned integer";
+    bad(std::string(flag) + " needs " + kind + ", got '" + text + "'");
+  }
+  return value;
+}
+
+template int parse_number<int>(const std::string&, const char*);
+template std::int64_t parse_number<std::int64_t>(const std::string&,
+                                                 const char*);
+template std::uint64_t parse_number<std::uint64_t>(const std::string&,
+                                                   const char*);
+template double parse_number<double>(const std::string&, const char*);
 
 BenchOptions BenchOptions::parse_tokens(const std::vector<std::string>& args,
                                         bool* help, bool metrics_supported) {
@@ -66,21 +61,17 @@ BenchOptions BenchOptions::parse_tokens(const std::vector<std::string>& args,
       opts.quick = true;
     } else if (arg == "--progress") {
       opts.progress = true;
-    } else if (arg == "--reps") {
-      opts.reps = static_cast<int>(parse_positive(value(i, "--reps"),
-                                                  "--reps"));
-    } else if (arg == "--jobs") {
-      opts.jobs = static_cast<int>(parse_positive(value(i, "--jobs"),
-                                                  "--jobs"));
+    } else if (arg == "--reps" || arg == "--jobs") {
+      const std::string& text = value(i, arg.c_str());
+      const int n = parse_number<int>(text, arg.c_str());
+      if (n < 1) bad(arg + " needs a positive integer, got '" + text + "'");
+      (arg == "--reps" ? opts.reps : opts.jobs) = n;
     } else if (arg == "--seed") {
-      opts.seed = parse_seed(value(i, "--seed"));
-    } else if (arg == "--engine") {
-      opts.engine = parse_engine(value(i, "--engine"));
+      opts.seed = parse_number<std::uint64_t>(value(i, "--seed"), "--seed");
     } else if (arg == "--metrics") {
       if (!metrics_supported) {
         bad("--metrics: this bench does not produce a metrics report "
-            "(supported by micro_hetcomm, report_phase_breakdown, and "
-            "'hetcomm report')");
+            "(supported by report_phase_breakdown and 'hetcomm report')");
       }
       const std::string& path = value(i, "--metrics");
       if (path.empty()) bad("--metrics needs a non-empty file path");

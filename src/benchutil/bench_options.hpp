@@ -8,21 +8,20 @@
 //   --jobs N        sweep worker threads (positive; default: hardware)
 //   --seed S        base noise seed for reproducible runs
 //   --progress      per-cell progress lines on stderr
-//   --engine E      execution path: compiled (default) or interpreted
 //   --metrics FILE  write a hetcomm.metrics.v1 JSON run report to FILE
 //
 // Unknown flags and malformed values are hard errors -- a typo'd sweep must
 // not silently run with default settings.  parse() is the process entry
 // point (prints usage and exits 2 on error, 0 on --help); parse_tokens() is
 // the same grammar as a throwing function, so tests can exercise the
-// rejection paths in-process.
+// rejection paths in-process.  parse_number() is the numeric-value parser
+// the benches, the hetcomm CLI, serve_load and serve_chaos share.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "benchutil/table.hpp"
-#include "core/executor.hpp"
 #include "obs/run_report.hpp"
 #include "runtime/sweep.hpp"
 
@@ -35,8 +34,6 @@ struct BenchOptions {
   int reps = -1;               ///< -1 = bench default
   int jobs = 0;                ///< sweep workers; 0 = hardware concurrency
   std::uint64_t seed = 0x5eedULL;
-  /// Both engines are bit-identical; interpreted exists for A/B timing.
-  core::ExecMode engine = core::ExecMode::Compiled;
   /// --metrics FILE: write the run's metrics report here ("-" = stdout).
   /// Empty = no report.  Only binaries that actually build a RunReport
   /// opt in via `metrics_supported`; everywhere else --metrics is a hard
@@ -45,7 +42,7 @@ struct BenchOptions {
 
   static constexpr const char* kUsage =
       "flags: --csv --quick --progress --reps N --jobs N "
-      "--seed S --engine {compiled,interpreted} --metrics FILE";
+      "--seed S --metrics FILE";
 
   /// Parse argv-style tokens (program name excluded).  Throws
   /// std::invalid_argument on unknown flags, missing values, malformed
@@ -70,6 +67,16 @@ struct BenchOptions {
 
   void emit(const Table& table, const std::string& title) const;
 };
+
+/// Strict numeric flag value: the whole token must be one base-10 number
+/// (decimal or exponent form for double) that fits in T, so "2x", "1.9"
+/// for an int, "-1" for an unsigned and "4294967298" for an int are all
+/// errors rather than a silently truncated or wrapped value.  Throws
+/// std::invalid_argument naming `flag`.  Instantiated for int,
+/// std::int64_t, std::uint64_t and double; range minimums stay with the
+/// caller.
+template <typename T>
+[[nodiscard]] T parse_number(const std::string& text, const char* flag);
 
 /// Write `reports` as a hetcomm.metrics.v1 document to `path` ("-" =
 /// stdout).  Throws std::runtime_error when the file cannot be written.

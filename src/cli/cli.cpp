@@ -37,25 +37,8 @@ namespace hetcomm::cli {
 
 namespace {
 
+using benchutil::parse_number;
 using benchutil::Table;
-
-std::int64_t to_int(const std::string& v, const char* flag) {
-  try {
-    return std::stoll(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("bad value for ") + flag + ": " +
-                                v);
-  }
-}
-
-double to_double(const std::string& v, const char* flag) {
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("bad value for ") + flag + ": " +
-                                v);
-  }
-}
 
 /// The single subcommand table: usage(), the unknown-command diagnostic and
 /// parse validation all enumerate this, so a new subcommand registered here
@@ -202,7 +185,7 @@ Options Options::parse(const std::vector<std::string>& args) {
     } else if (flag == "--out") {
       opts.out_file = value();
     } else if (flag == "--nodes") {
-      opts.nodes = static_cast<int>(to_int(value(), "--nodes"));
+      opts.nodes = parse_number<int>(value(), "--nodes");
     } else if (flag == "--pattern") {
       opts.pattern_file = value();
     } else if (flag == "--matrix") {
@@ -210,17 +193,17 @@ Options Options::parse(const std::vector<std::string>& args) {
     } else if (flag == "--standin") {
       opts.standin = value();
     } else if (flag == "--gpus") {
-      opts.gpus = static_cast<int>(to_int(value(), "--gpus"));
+      opts.gpus = parse_number<int>(value(), "--gpus");
     } else if (flag == "--strategy") {
       opts.strategy = value();
     } else if (flag == "--taper") {
-      opts.taper = to_double(value(), "--taper");
+      opts.taper = parse_number<double>(value(), "--taper");
     } else if (flag == "--reps") {
-      opts.reps = static_cast<int>(to_int(value(), "--reps"));
+      opts.reps = parse_number<int>(value(), "--reps");
     } else if (flag == "--jobs") {
-      opts.jobs = static_cast<int>(to_int(value(), "--jobs"));
+      opts.jobs = parse_number<int>(value(), "--jobs");
     } else if (flag == "--seed") {
-      opts.seed = static_cast<std::uint64_t>(to_int(value(), "--seed"));
+      opts.seed = parse_number<std::uint64_t>(value(), "--seed");
     } else if (flag == "--csv") {
       opts.csv = true;
     } else if (flag == "--metrics") {
@@ -234,30 +217,29 @@ Options Options::parse(const std::vector<std::string>& args) {
         throw std::invalid_argument("--faults needs a non-empty file path");
       }
     } else if (flag == "--fault-seeds") {
-      opts.fault_seeds = static_cast<int>(to_int(value(), "--fault-seeds"));
+      opts.fault_seeds = parse_number<int>(value(), "--fault-seeds");
     } else if (flag == "--socket") {
       opts.socket_path = value();
       if (opts.socket_path.empty()) {
         throw std::invalid_argument("--socket needs a non-empty path");
       }
     } else if (flag == "--window") {
-      opts.window = static_cast<int>(to_int(value(), "--window"));
+      opts.window = parse_number<int>(value(), "--window");
     } else if (flag == "--cache-entries") {
       opts.cache_entries =
-          static_cast<std::int64_t>(to_int(value(), "--cache-entries"));
+          parse_number<std::int64_t>(value(), "--cache-entries");
     } else if (flag == "--cache-shards") {
-      opts.cache_shards = static_cast<int>(to_int(value(), "--cache-shards"));
+      opts.cache_shards = parse_number<int>(value(), "--cache-shards");
     } else if (flag == "--max-requests") {
       opts.max_requests =
-          static_cast<std::int64_t>(to_int(value(), "--max-requests"));
+          parse_number<std::int64_t>(value(), "--max-requests");
     } else if (flag == "--max-queue") {
-      opts.max_queue =
-          static_cast<std::int64_t>(to_int(value(), "--max-queue"));
+      opts.max_queue = parse_number<std::int64_t>(value(), "--max-queue");
     } else if (flag == "--shed-policy") {
       opts.shed_policy = value();
     } else if (flag == "--default-deadline") {
       opts.default_deadline =
-          static_cast<std::int64_t>(to_int(value(), "--default-deadline"));
+          parse_number<std::int64_t>(value(), "--default-deadline");
     } else if (flag == "--trace") {
       opts.trace_file = value();
       if (opts.trace_file.empty()) {
@@ -265,14 +247,14 @@ Options Options::parse(const std::vector<std::string>& args) {
       }
     } else if (flag == "--trace-sample") {
       opts.trace_sample =
-          static_cast<std::uint64_t>(to_int(value(), "--trace-sample"));
+          parse_number<std::uint64_t>(value(), "--trace-sample");
     } else if (flag == "--in") {
       opts.in_file = value();
       if (opts.in_file.empty()) {
         throw std::invalid_argument("--in needs a non-empty file path");
       }
     } else if (flag == "--top") {
-      opts.top = static_cast<int>(to_int(value(), "--top"));
+      opts.top = parse_number<int>(value(), "--top");
     } else {
       throw std::invalid_argument("unknown flag '" + flag + "'\n" + usage());
     }

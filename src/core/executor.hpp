@@ -59,7 +59,7 @@ struct MeasureOptions {
   /// Attach a tapered fat-tree fabric to every engine (what-if studies).
   std::optional<FatTreeConfig> fabric;
   /// Execution path; Compiled is the default fast path, Interpreted is the
-  /// reference path (bench `--engine interpreted` A/Bs them).
+  /// bit-identical reference the equivalence tests compare it against.
   ExecMode engine = ExecMode::Compiled;
   /// Collect per-phase/per-path metrics into MeasureResult::metrics.
   /// Recording never perturbs the simulation: clocks, traces and statistics

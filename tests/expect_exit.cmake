@@ -1,0 +1,17 @@
+# Runs TOOL on FILE and fails unless it exits with EXPECT and its standard
+# error matches the regular expression MATCH:
+#
+#   cmake -DTOOL=validate_trace -DFILE=t.json -DEXPECT=1 -DMATCH=missing
+#         -P expect_exit.cmake
+#
+# ctest's WILL_FAIL accepts any non-zero exit; the validators promise
+# exactly 1 for a bad file (2 is a usage error).
+execute_process(COMMAND "${TOOL}" "${FILE}"
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+message("${err}")
+if(NOT rc STREQUAL EXPECT)
+  message(FATAL_ERROR "${TOOL} exited ${rc}, expected ${EXPECT}")
+endif()
+if(NOT err MATCHES "${MATCH}")
+  message(FATAL_ERROR "${TOOL} stderr does not match '${MATCH}'")
+endif()

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "benchutil/bench_options.hpp"
@@ -191,14 +192,13 @@ TEST(BenchOptions, DefaultsWhenNoFlags) {
   EXPECT_FALSE(opts.quick);
   EXPECT_EQ(opts.reps, -1);
   EXPECT_EQ(opts.jobs, 0);
-  EXPECT_EQ(opts.engine, core::ExecMode::Compiled);
   EXPECT_FALSE(opts.wants_metrics());
 }
 
 TEST(BenchOptions, ParsesEveryFlag) {
   const BenchOptions opts = BenchOptions::parse_tokens(
       {"--csv", "--quick", "--progress", "--reps", "12", "--jobs", "3",
-       "--seed", "99", "--engine", "interpreted", "--metrics", "out.json"},
+       "--seed", "99", "--metrics", "out.json"},
       nullptr, /*metrics_supported=*/true);
   EXPECT_TRUE(opts.csv);
   EXPECT_TRUE(opts.quick);
@@ -206,7 +206,6 @@ TEST(BenchOptions, ParsesEveryFlag) {
   EXPECT_EQ(opts.reps, 12);
   EXPECT_EQ(opts.jobs, 3);
   EXPECT_EQ(opts.seed, 99u);
-  EXPECT_EQ(opts.engine, core::ExecMode::Interpreted);
   EXPECT_TRUE(opts.wants_metrics());
   EXPECT_EQ(opts.metrics_path, "out.json");
 }
@@ -257,7 +256,45 @@ TEST(BenchOptions, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)BenchOptions::parse_tokens({"--seed", "xyz"}),
                std::invalid_argument);
-  EXPECT_THROW((void)BenchOptions::parse_tokens({"--engine", "vectorized"}),
+  // Values that do not fit the destination type: no narrowing into range,
+  // no wrap-around of a negative seed.
+  EXPECT_THROW((void)BenchOptions::parse_tokens({"--reps", "4294967297"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)BenchOptions::parse_tokens({"--jobs", "4294967296"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)BenchOptions::parse_tokens({"--seed", "-1"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)BenchOptions::parse_tokens({"--seed", "1x"}),
+               std::invalid_argument);
+  // The engine is not a bench flag; the interpreted reference is reached
+  // through core::MeasureOptions::engine.
+  try {
+    (void)BenchOptions::parse_tokens({"--engine", "interpreted"});
+    ADD_FAILURE() << "--engine was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ParseNumber, WholeTokenInRange) {
+  EXPECT_EQ(parse_number<int>("42", "--n"), 42);
+  EXPECT_EQ(parse_number<int>("-7", "--n"), -7);
+  EXPECT_EQ(parse_number<std::int64_t>("4294967298", "--n"), 4294967298LL);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615", "--n"),
+            18446744073709551615ULL);
+  EXPECT_EQ(parse_number<double>("2.5", "--x"), 2.5);
+  EXPECT_EQ(parse_number<double>("1e3", "--x"), 1000.0);
+  for (const char* text : {"", "2x", "1.9", " 3", "3 ", "0x10", "4294967298"}) {
+    EXPECT_THROW((void)parse_number<int>(text, "--n"), std::invalid_argument)
+        << "'" << text << "'";
+  }
+  EXPECT_THROW((void)parse_number<std::uint64_t>("-1", "--n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_number<std::int64_t>("9223372036854775808", "--n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>("2x", "--x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>("1e999", "--x"),
                std::invalid_argument);
 }
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/pattern_io.hpp"
 #include "core/strategy.hpp"
@@ -46,6 +48,21 @@ TEST(CliParse, RejectsBadInput) {
   EXPECT_THROW((void)parse({"compare", "--bogus", "1"}), std::invalid_argument);
   EXPECT_THROW((void)parse({"compare", "--matrix", "a.mtx", "--standin", "ldoor"}),
                std::invalid_argument);
+  // Every numeric flag takes the whole token and must fit its field: no
+  // trailing garbage, no truncated fractions, no narrowing or wrap-around.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"compare", "--nodes", "4294967298"},
+           {"compare", "--nodes", "2x"},
+           {"compare", "--reps", "1.9"},
+           {"compare", "--jobs", "4294967296"},
+           {"compare", "--seed", "-1"},
+           {"compare", "--taper", "2x"},
+           {"serve", "--trace-sample", "-1"},
+           {"serve", "--max-queue", "9223372036854775808"}}) {
+    EXPECT_THROW((void)Options::parse(args), std::invalid_argument)
+        << args[1] << " " << args[2];
+  }
 }
 
 TEST(CliParse, UsageMentionsAllCommands) {

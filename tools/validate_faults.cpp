@@ -18,6 +18,7 @@
 #include "fault/fault_json.hpp"
 #include "fault/plan.hpp"
 #include "machine/machine.hpp"
+#include "validate_common.hpp"
 
 namespace {
 
@@ -49,15 +50,5 @@ void validate_file(const std::string& file) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: validate_faults FILE...\n";
-    return 2;
-  }
-  try {
-    for (int i = 1; i < argc; ++i) validate_file(argv[i]);
-  } catch (const std::exception& e) {
-    std::cerr << "validate_faults: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+  return hetcomm::validate::run("validate_faults", argc, argv, validate_file);
 }

@@ -11,9 +11,11 @@
 // machines/ fails the pipeline instead of shipping.
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "machine/machine_json.hpp"
+#include "validate_common.hpp"
 
 namespace {
 
@@ -39,15 +41,5 @@ void validate_file(const std::string& file) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: validate_machine FILE...\n";
-    return 2;
-  }
-  try {
-    for (int i = 1; i < argc; ++i) validate_file(argv[i]);
-  } catch (const std::exception& e) {
-    std::cerr << "validate_machine: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+  return hetcomm::validate::run("validate_machine", argc, argv, validate_file);
 }

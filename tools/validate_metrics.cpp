@@ -7,44 +7,18 @@
 // non-empty reports array, required identity/summary fields, internally
 // consistent traffic totals, and phase shares that cover the makespan.
 // Exits non-zero with a one-line diagnostic on the first violation so a
-// malformed perf-smoke artifact fails the pipeline instead of uploading.
+// malformed metrics artifact fails the pipeline instead of uploading.
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
-#include "obs/json.hpp"
 #include "obs/run_report.hpp"
+#include "validate_common.hpp"
 
+namespace hetcomm::validate {
 namespace {
-
-using hetcomm::obs::JsonValue;
-
-[[noreturn]] void fail(const std::string& file, const std::string& what) {
-  throw std::runtime_error(file + ": " + what);
-}
-
-const JsonValue& require(const std::string& file, const JsonValue& obj,
-                         const std::string& key, JsonValue::Kind kind) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) fail(file, "missing field \"" + key + "\"");
-  if (v->kind() != kind) fail(file, "field \"" + key + "\" has wrong type");
-  return *v;
-}
-
-const JsonValue& require_number(const std::string& file, const JsonValue& obj,
-                                const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) fail(file, "missing field \"" + key + "\"");
-  if (v->kind() != JsonValue::Kind::Int &&
-      v->kind() != JsonValue::Kind::Double) {
-    fail(file, "field \"" + key + "\" is not a number");
-  }
-  return *v;
-}
 
 void check_summary(const std::string& file, const JsonValue& s,
                    const std::string& where) {
@@ -116,15 +90,11 @@ void check_report(const std::string& file, const JsonValue& report) {
 }
 
 void validate_file(const std::string& file) {
-  std::ifstream in(file);
-  if (!in) fail(file, "cannot open");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const JsonValue doc = JsonValue::parse(buf.str());
+  const JsonValue doc = read_json(file);
 
   const std::string schema =
       require(file, doc, "schema", JsonValue::Kind::String).as_string();
-  if (schema != hetcomm::obs::kMetricsSchema) {
+  if (schema != obs::kMetricsSchema) {
     fail(file, "unexpected schema \"" + schema + "\"");
   }
   const JsonValue& reports =
@@ -138,17 +108,9 @@ void validate_file(const std::string& file) {
 }
 
 }  // namespace
+}  // namespace hetcomm::validate
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: validate_metrics FILE...\n";
-    return 2;
-  }
-  try {
-    for (int i = 1; i < argc; ++i) validate_file(argv[i]);
-  } catch (const std::exception& e) {
-    std::cerr << "validate_metrics: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+  return hetcomm::validate::run("validate_metrics", argc, argv,
+                                hetcomm::validate::validate_file);
 }

@@ -15,43 +15,16 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "validate_common.hpp"
 
+namespace hetcomm::validate {
 namespace {
 
-using hetcomm::obs::JsonValue;
-
 constexpr const char* kStabilitySchema = "hetcomm.stability.v1";
-
-[[noreturn]] void fail(const std::string& file, const std::string& what) {
-  throw std::runtime_error(file + ": " + what);
-}
-
-const JsonValue& require(const std::string& file, const JsonValue& obj,
-                         const std::string& key, JsonValue::Kind kind) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) fail(file, "missing field \"" + key + "\"");
-  if (v->kind() != kind) fail(file, "field \"" + key + "\" has wrong type");
-  return *v;
-}
-
-const JsonValue& require_number(const std::string& file, const JsonValue& obj,
-                                const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) fail(file, "missing field \"" + key + "\"");
-  if (v->kind() != JsonValue::Kind::Int &&
-      v->kind() != JsonValue::Kind::Double) {
-    fail(file, "field \"" + key + "\" is not a number");
-  }
-  return *v;
-}
 
 /// Check one instance's outcomes; returns the strategy names in order.
 std::vector<std::string> check_outcomes(const std::string& file,
@@ -111,11 +84,7 @@ std::vector<std::string> check_outcomes(const std::string& file,
 }
 
 void validate_file(const std::string& file) {
-  std::ifstream in(file);
-  if (!in) fail(file, "cannot open");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const JsonValue doc = JsonValue::parse(buf.str());
+  const JsonValue doc = read_json(file);
 
   const std::string schema =
       require(file, doc, "schema", JsonValue::Kind::String).as_string();
@@ -224,17 +193,9 @@ void validate_file(const std::string& file) {
 }
 
 }  // namespace
+}  // namespace hetcomm::validate
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: validate_stability FILE...\n";
-    return 2;
-  }
-  try {
-    for (int i = 1; i < argc; ++i) validate_file(argv[i]);
-  } catch (const std::exception& e) {
-    std::cerr << "validate_stability: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+  return hetcomm::validate::run("validate_stability", argc, argv,
+                                hetcomm::validate::validate_file);
 }
