@@ -279,7 +279,7 @@ void Engine::execute(const core::CompiledPlan& plan) {
   noise_.prefetch(steps);
   // Steady-state repetitions attach none of these, so they run the
   // instantiation with every hook compiled away.
-  if (faults_ || metrics_inv_ || metrics_smp_ || tracing_ || fabric_) {
+  if (faults_ || metrics_ || tracing_ || fabric_) {
     execute_phases<true>(plan);
   } else {
     execute_phases<false>(plan);
@@ -324,16 +324,13 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
           }
           const double duration = noise_.perturb(base);
           clock_[op.rank] = start + duration;
-          if (Observed && (metrics_inv_ || metrics_smp_)) {
+          if (Observed && metrics_) {
             const obs::SimResource res = op.dir == CopyDir::HostToDevice
                                              ? obs::SimResource::DmaH2D
                                              : obs::SimResource::DmaD2H;
-            if (metrics_inv_) metrics_inv_->on_occupancy(res, op.occupancy);
-            if (metrics_smp_) {
-              metrics_smp_->on_wait(res, ready, start);
-              metrics_smp_->on_copy(op.dir, op.sharing_procs, op.bytes,
-                                    duration);
-            }
+            metrics_->on_occupancy(res, op.occupancy);
+            metrics_->on_wait(res, ready, start);
+            metrics_->on_copy(op.dir, op.sharing_procs, op.bytes, duration);
           }
           if (Observed && tracing_) {
             trace_.copies.push_back({op.rank, op.gpu, op.dir, op.bytes,
@@ -350,17 +347,13 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
           }
           const double duration = noise_.perturb(base);
           clock_[op.rank] += duration;
-          if (Observed && metrics_smp_) {
-            metrics_smp_->on_pack(op.bytes, duration);
-          }
+          if (Observed && metrics_) metrics_->on_pack(op.bytes, duration);
           break;
         }
       }
     }
     if (num_messages == 0) {
-      // Phase-end clocks ride the sampled tier: max_clock() over every rank
-      // is too hot for steady-state repetitions (see core::measure).
-      if (Observed && metrics_smp_) metrics_smp_->on_phase_end(max_clock());
+      if (Observed && metrics_) metrics_->on_phase_end(max_clock());
       continue;
     }
 
@@ -386,8 +379,8 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
                             msg.send_occupancy, msg.drain_occupancy,
                             msg.completion_base, msg.nic_occupancy, ready0,
                             fault_msg_counter_++);
-        if (fst.degraded && metrics_smp_) {
-          metrics_smp_->on_fault_degraded(fault_path, fst.extra_seconds);
+        if (fst.degraded && metrics_) {
+          metrics_->on_fault_degraded(fault_path, fst.extra_seconds);
         }
       }
 
@@ -402,17 +395,15 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
       std::int32_t egress_server = -1;  ///< last attempt's NIC lane server
       for (int attempt = 0;;) {
         t = send_port_[msg.src].acquire(ready, fst.send_occupancy);
-        if (Observed && metrics_inv_) {
+        if (Observed && metrics_) {
           if (attempt == 0) {
             const core::CompiledPhase::MessageMeta& meta =
                 phase.message_meta[i];
-            metrics_inv_->on_message(meta.path_id, meta.protocol, msg.bytes);
+            metrics_->on_message(meta.path_id, meta.protocol, msg.bytes);
           }
-          metrics_inv_->on_occupancy(obs::SimResource::SendPort,
-                                     fst.send_occupancy);
-        }
-        if (Observed && metrics_smp_) {
-          metrics_smp_->on_wait(obs::SimResource::SendPort, ready, t);
+          metrics_->on_occupancy(obs::SimResource::SendPort,
+                                 fst.send_occupancy);
+          metrics_->on_wait(obs::SimResource::SendPort, ready, t);
         }
         if (msg.off_node) {
           std::int32_t out_server = msg.src_nic;
@@ -421,21 +412,18 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
             out_server = fault_route_nic(msg.src_node, msg.src_nic, t,
                                          failover, msg.src, msg.dst,
                                          fault_path);
-            if (failover && metrics_smp_) metrics_smp_->on_fault_failover();
+            if (failover && metrics_) metrics_->on_fault_failover();
           }
           egress_server = out_server;
           const double t_out =
               nic_out_[out_server].acquire(t, fst.nic_occupancy_src);
-          if (Observed && metrics_inv_) {
-            metrics_inv_->on_occupancy(obs::SimResource::NicOut,
-                                       fst.nic_occupancy_src);
+          if (Observed && metrics_) {
+            metrics_->on_occupancy(obs::SimResource::NicOut,
+                                   fst.nic_occupancy_src);
             if (attempt == 0) {
-              metrics_inv_->on_nic_egress(out_server, msg.bytes,
-                                          msg.rail >= 0);
+              metrics_->on_nic_egress(out_server, msg.bytes, msg.rail >= 0);
             }
-          }
-          if (Observed && metrics_smp_) {
-            metrics_smp_->on_wait(obs::SimResource::NicOut, t, t_out);
+            metrics_->on_wait(obs::SimResource::NicOut, t, t_out);
           }
           t = t_out;
           if (Observed && fabric_) {
@@ -443,8 +431,8 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
                 fabric_->acquire(msg.src_node, msg.dst_node, msg.bytes, t);
             // Fabric wait folds queueing and link serialization together
             // (the fabric returns only the final acquire time).
-            if (metrics_smp_) {
-              metrics_smp_->on_wait(obs::SimResource::FabricLink, t, t_fab);
+            if (metrics_) {
+              metrics_->on_wait(obs::SimResource::FabricLink, t, t_fab);
             }
             t = t_fab;
           }
@@ -454,27 +442,23 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
             in_server = fault_route_nic(msg.dst_node, msg.dst_nic, t,
                                         failover, msg.src, msg.dst,
                                         fault_path);
-            if (failover && metrics_smp_) metrics_smp_->on_fault_failover();
+            if (failover && metrics_) metrics_->on_fault_failover();
           }
           const double t_in =
               nic_in_[in_server].acquire(t, fst.nic_occupancy_dst);
-          if (Observed && metrics_inv_) {
-            metrics_inv_->on_occupancy(obs::SimResource::NicIn,
-                                       fst.nic_occupancy_dst);
-          }
-          if (Observed && metrics_smp_) {
-            metrics_smp_->on_wait(obs::SimResource::NicIn, t, t_in);
+          if (Observed && metrics_) {
+            metrics_->on_occupancy(obs::SimResource::NicIn,
+                                   fst.nic_occupancy_dst);
+            metrics_->on_wait(obs::SimResource::NicIn, t, t_in);
           }
           t = t_in;
         }
         const double t_drain =
             recv_port_[msg.dst].acquire(t, fst.drain_occupancy);
-        if (Observed && metrics_inv_) {
-          metrics_inv_->on_occupancy(obs::SimResource::RecvPort,
-                                     fst.drain_occupancy);
-        }
-        if (Observed && metrics_smp_) {
-          metrics_smp_->on_wait(obs::SimResource::RecvPort, t, t_drain);
+        if (Observed && metrics_) {
+          metrics_->on_occupancy(obs::SimResource::RecvPort,
+                                 fst.drain_occupancy);
+          metrics_->on_wait(obs::SimResource::RecvPort, t, t_drain);
         }
         t = t_drain;
 
@@ -486,9 +470,9 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
             throw_retries_exhausted(msg.src, msg.dst, fault_path, attempt);
           }
           const double delay = retry_delay(fst.loss->retry, attempt - 1);
-          if (metrics_smp_) {
+          if (metrics_) {
             const int lanes = std::max(1, params_.injection.nics_per_node);
-            metrics_smp_->on_fault_retry(
+            metrics_->on_fault_retry(
                 delay, egress_server < 0
                            ? -1
                            : egress_server - msg.src_node * lanes);
@@ -551,7 +535,7 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
     }
     network_bytes_ += phase.network_bytes;
     network_messages_ += phase.network_messages;
-    if (Observed && metrics_smp_) metrics_smp_->on_phase_end(max_clock());
+    if (Observed && metrics_) metrics_->on_phase_end(max_clock());
   }
 }
 

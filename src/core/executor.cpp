@@ -64,10 +64,9 @@ void run_plan(Engine& engine, const CommPlan& plan,
   for (const PlanPhase& phase : plan.phases) {
     post_phase(engine, phase, send_req);
     if (engine.has_pending()) engine.resolve();
-    // One phase-end sample per phase on the sampled tier, matching
-    // Engine::execute.
-    if (engine.sampled_metrics() != nullptr) {
-      engine.sampled_metrics()->on_phase_end(engine.max_clock());
+    // One phase-end clock per phase, matching Engine::execute.
+    if (engine.metrics() != nullptr) {
+      engine.metrics()->on_phase_end(engine.max_clock());
     }
   }
   const std::vector<double>& clocks = engine.clocks();
@@ -184,44 +183,22 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   // One reusable engine per worker, constructed lazily on first use.
   std::vector<std::unique_ptr<Engine>> engines(static_cast<std::size_t>(jobs));
 
-  // Metrics plumbing (collect_metrics).  Each worker accumulates into its
-  // own sink; phase-end clocks land in a flat reps x phases buffer keyed by
-  // repetition, so aggregation below never depends on which worker ran
-  // which repetition.
-  const std::size_t num_phases = plan.phases.size();
-  // Noise-dependent statistics (queue waits, copy/pack durations, phase-end
-  // clocks) are sampled on repetitions where rep % sample_stride == 0 --
-  // with the stride at `reps`, exactly repetition 0.  One profiled
-  // repetition already pools hundreds of per-event wait samples at paper
-  // scale, and every repetition that records pays for a full rank-clock
-  // scan per phase, so bounding the sampled count is what holds the
-  // enabled-mode overhead under the <2% budget (plan-invariant counters
-  // record once; see Engine::set_metrics).  Keying the choice on the
-  // repetition index alone keeps the aggregate identical at any jobs
-  // count.
-  const std::int64_t sample_stride = std::max<std::int64_t>(1, options.reps);
-  const int sampled_reps = static_cast<int>(
-      (options.reps + sample_stride - 1) / sample_stride);
-  std::vector<obs::EngineMetrics> worker_metrics;
-  std::vector<double> phase_ends;
+  // Repetition 0 alone records into `sink` (metrics, and the phase-end
+  // clocks behind the engine.phase spans); every other repetition runs
+  // with no sink, so it takes the engine's hook-free path.  Whichever
+  // worker runs repetition 0 is the sink's only writer, and it is read
+  // after the pool joins, so the report is the same at any jobs count.
+  const bool observe_rep0 = options.collect_metrics || tracer != nullptr;
+  obs::EngineMetrics sink;
   std::vector<std::int64_t> worker_rep_count;
   std::vector<double> worker_busy_seconds;
   if (options.collect_metrics) {
-    worker_metrics.resize(static_cast<std::size_t>(jobs));
-    phase_ends.assign(static_cast<std::size_t>(options.reps) * num_phases,
-                      0.0);
     worker_rep_count.assign(static_cast<std::size_t>(jobs), 0);
     worker_busy_seconds.assign(static_cast<std::size_t>(jobs), 0.0);
   }
 
-  // Tracing scratch.  The worker that runs repetition 0 is the only
-  // writer of the lead_* / trace_phase_ends slots; they are read back
-  // serially after the pool joins.  Without collect_metrics a throwaway
-  // sink is attached to that one repetition so the engine still surfaces
-  // its phase-end clocks.
-  obs::EngineMetrics trace_sink;
-  const bool want_trace_phases = tracer != nullptr && !options.collect_metrics;
-  std::vector<double> trace_phase_ends;
+  // Tracing scratch, written only by the worker that runs repetition 0
+  // and read back serially after the pool joins.
   std::uint32_t lead_span = 0;
   int lead_ring = 0;
   double lead_t0 = 0.0;
@@ -236,24 +213,7 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
       if (options.faults) slot->set_faults(options.faults);
     }
     const double trace_t0 = tracer != nullptr ? tracer->now() : 0.0;
-    if (want_trace_phases) {
-      slot->set_metrics(rep == 0 ? &trace_sink : nullptr, false, rep == 0);
-    }
-    if (options.collect_metrics) {
-      // Plan-invariant slots record on repetition 0 only (exactly once per
-      // measure() call, whichever worker runs it); waits, copy/pack
-      // durations, and phase-end clocks record on the sampled repetitions.
-      // Steady-state repetitions detach the sink entirely, so they run the
-      // exact metrics-off code path -- that is what keeps the enabled-mode
-      // overhead inside the <2% budget.
-      const bool invariant_rep = rep == 0;
-      const bool sampled_rep = rep % sample_stride == 0;
-      slot->set_metrics(
-          invariant_rep || sampled_rep
-              ? &worker_metrics[static_cast<std::size_t>(worker)]
-              : nullptr,
-          invariant_rep, sampled_rep);
-    }
+    if (observe_rep0) slot->set_metrics(rep == 0 ? &sink : nullptr);
     Engine& engine = *slot;
     engine.reset(mix_seed(options.seed, static_cast<std::uint64_t>(rep)));
     const bool traced =
@@ -271,14 +231,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
       run_plan(engine, plan, clocks_out);
     }
     if (options.collect_metrics) {
-      obs::EngineMetrics& sink = worker_metrics[static_cast<std::size_t>(worker)];
-      // Move this repetition's phase-end clocks into the rep-keyed buffer;
-      // every other sink slot keeps accumulating across repetitions.
-      for (std::size_t p = 0; p < sink.phase_makespan.size(); ++p) {
-        phase_ends[static_cast<std::size_t>(rep) * num_phases + p] =
-            sink.phase_makespan[p];
-      }
-      sink.phase_makespan.clear();
       ++worker_rep_count[static_cast<std::size_t>(worker)];
       worker_busy_seconds[static_cast<std::size_t>(worker)] +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -300,10 +252,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
         lead_ring = worker;
         lead_t0 = trace_t0;
         lead_t1 = trace_t1;
-        if (want_trace_phases) {
-          trace_phase_ends = trace_sink.phase_makespan;
-          trace_sink.phase_makespan.clear();
-        }
       }
     }
   };
@@ -354,30 +302,20 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   // span.  The engine reports *simulated* phase-end clocks; the spans scale
   // them proportionally into the repetition's wall interval so the timeline
   // shows each phase's share of it, not wall truth.
-  if (tracer != nullptr && lead_span != 0) {
-    const double* ends = nullptr;
-    std::size_t count = 0;
-    if (want_trace_phases) {
-      ends = trace_phase_ends.data();
-      count = trace_phase_ends.size();
-    } else if (options.collect_metrics && num_phases > 0) {
-      ends = phase_ends.data();  // row 0 == repetition 0
-      count = num_phases;
-    }
-    const double total = count > 0 ? ends[count - 1] : 0.0;
-    if (total > 0.0) {
-      const double scale = (lead_t1 - lead_t0) / total;
-      double prev = 0.0;
-      for (std::size_t p = 0; p < count; ++p) {
-        const obs::TraceAttr attrs[] = {
-            {k_phase, false, static_cast<std::int64_t>(p)},
-            {k_sim, false, std::llround((ends[p] - prev) * 1e9)}};
-        tracer->record_span(lead_ring, trace_id, lead_span, n_phase,
-                            static_cast<std::uint16_t>(lead_ring),
-                            lead_t0 + prev * scale, lead_t0 + ends[p] * scale,
-                            attrs);
-        prev = ends[p];
-      }
+  const std::vector<double>& ends = sink.phase_makespan;
+  if (tracer != nullptr && lead_span != 0 && !ends.empty() &&
+      ends.back() > 0.0) {
+    const double scale = (lead_t1 - lead_t0) / ends.back();
+    double prev = 0.0;
+    for (std::size_t p = 0; p < ends.size(); ++p) {
+      const obs::TraceAttr attrs[] = {
+          {k_phase, false, static_cast<std::int64_t>(p)},
+          {k_sim, false, std::llround((ends[p] - prev) * 1e9)}};
+      tracer->record_span(lead_ring, trace_id, lead_span, n_phase,
+                          static_cast<std::uint16_t>(lead_ring),
+                          lead_t0 + prev * scale, lead_t0 + ends[p] * scale,
+                          attrs);
+      prev = ends[p];
     }
   }
 
@@ -391,12 +329,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   result.trace = std::move(last_trace);
 
   if (options.collect_metrics) {
-    // Counter merges are commutative integer adds and histogram merges are
-    // commutative bin adds, so folding per-worker sinks in worker order
-    // yields the same aggregate however repetitions were partitioned.
-    obs::EngineMetrics aggregate;
-    for (const obs::EngineMetrics& wm : worker_metrics) aggregate.merge(wm);
-
     obs::RunReport report;
     report.engine = to_string(options.engine);
     report.reps = options.reps;
@@ -410,34 +342,7 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     report.wall_seconds = result.wall_seconds;
     report.reps_per_second = result.reps_per_second;
 
-    // Per-phase makespan contributions: delta between consecutive phase-end
-    // clocks within each sampled repetition, summarized across the sampled
-    // repetitions (phase-end clocks ride the sampled tier).
-    std::vector<double> deltas(static_cast<std::size_t>(sampled_reps));
-    double share_total = 0.0;
-    for (std::size_t p = 0; p < num_phases; ++p) {
-      for (int s = 0; s < sampled_reps; ++s) {
-        const std::int64_t rep = static_cast<std::int64_t>(s) * sample_stride;
-        const std::size_t base =
-            static_cast<std::size_t>(rep) * num_phases;
-        const double prev = p == 0 ? 0.0 : phase_ends[base + p - 1];
-        deltas[static_cast<std::size_t>(s)] = phase_ends[base + p] - prev;
-      }
-      obs::PhaseStat stat;
-      stat.phase = static_cast<int>(p);
-      stat.makespan = obs::summarize(deltas);
-      report.phases.push_back(std::move(stat));
-      share_total += report.phases.back().makespan.mean;
-    }
-    if (share_total > 0.0) {
-      for (obs::PhaseStat& stat : report.phases) {
-        stat.share = stat.makespan.mean / share_total;
-      }
-    }
-
-    obs::fill_from_engine_metrics(report, aggregate, options.reps,
-                                  /*invariant_reps=*/1, sampled_reps);
-    report.sampled_reps = sampled_reps;
+    obs::fill_from_engine_metrics(report, sink);
     for (int w = 0; w < jobs; ++w) {
       if (worker_rep_count[static_cast<std::size_t>(w)] == 0) continue;
       report.workers.push_back(

@@ -101,17 +101,13 @@ void Engine::copy(int rank, int gpu, CopyDir dir, std::int64_t bytes,
   const double duration = noise_.perturb(base);
   clock_[rank] = start + duration;
 
-  if (metrics_inv_ || metrics_smp_) {
+  if (metrics_) {
     const obs::SimResource res = dir == CopyDir::HostToDevice
                                      ? obs::SimResource::DmaH2D
                                      : obs::SimResource::DmaD2H;
-    // The DMA occupancy is deterministic (invariant tier); the wait and
-    // the noised duration are sampled statistics.
-    if (metrics_inv_) metrics_inv_->on_occupancy(res, occupancy);
-    if (metrics_smp_) {
-      metrics_smp_->on_wait(res, ready, start);
-      metrics_smp_->on_copy(dir, sharing_procs, bytes, duration);
-    }
+    metrics_->on_occupancy(res, occupancy);
+    metrics_->on_wait(res, ready, start);
+    metrics_->on_copy(dir, sharing_procs, bytes, duration);
   }
   if (tracing_) {
     trace_.copies.push_back(
@@ -140,14 +136,11 @@ void Engine::pack(int rank, std::int64_t bytes) {
   if (faults_) base = faults_->rank_compute_factor(rank) * base;
   const double duration = noise_.perturb(base);
   clock_[rank] += duration;
-  if (metrics_smp_) metrics_smp_->on_pack(bytes, duration);
+  if (metrics_) metrics_->on_pack(bytes, duration);
 }
 
-void Engine::set_metrics(obs::EngineMetrics* sink, bool record_invariants,
-                         bool record_samples) {
+void Engine::set_metrics(obs::EngineMetrics* sink) {
   metrics_ = sink;
-  metrics_inv_ = record_invariants ? sink : nullptr;
-  metrics_smp_ = record_samples ? sink : nullptr;
   if (metrics_) {
     metrics_->ensure_lanes(static_cast<int>(nic_out_.size()),
                            std::max(1, params_.injection.nics_per_node));
@@ -433,8 +426,8 @@ double Engine::schedule(Matched& m, std::vector<int>& recv_queue_depth) {
                         src_nic, dst_nic, send_occupancy, drain_occupancy,
                         completion_base, nic_occupancy, m.ready,
                         fault_msg_counter_++);
-    if (fst.degraded && metrics_smp_) {
-      metrics_smp_->on_fault_degraded(path_id, fst.extra_seconds);
+    if (fst.degraded && metrics_) {
+      metrics_->on_fault_degraded(path_id, fst.extra_seconds);
     }
   }
 
@@ -453,13 +446,10 @@ double Engine::schedule(Matched& m, std::vector<int>& recv_queue_depth) {
     // Sender-side occupancy: the sending process cannot initiate the next
     // message until this one's latency+transfer work is handed off.
     t = send_port_[s.self].acquire(ready, fst.send_occupancy);
-    if (metrics_inv_) {
-      if (attempt == 0) metrics_inv_->on_message(path_id, proto, s.bytes);
-      metrics_inv_->on_occupancy(obs::SimResource::SendPort,
-                                 fst.send_occupancy);
-    }
-    if (metrics_smp_) {
-      metrics_smp_->on_wait(obs::SimResource::SendPort, ready, t);
+    if (metrics_) {
+      if (attempt == 0) metrics_->on_message(path_id, proto, s.bytes);
+      metrics_->on_occupancy(obs::SimResource::SendPort, fst.send_occupancy);
+      metrics_->on_wait(obs::SimResource::SendPort, ready, t);
     }
 
     if (off_node) {
@@ -468,28 +458,26 @@ double Engine::schedule(Matched& m, std::vector<int>& recv_queue_depth) {
         bool failover = false;
         out_server = fault_route_nic(src_node, src_nic, t, failover, s.self,
                                      s.peer, path_id);
-        if (failover && metrics_smp_) metrics_smp_->on_fault_failover();
+        if (failover && metrics_) metrics_->on_fault_failover();
       }
       egress_server = out_server;
       const double t_out =
           nic_out_[out_server].acquire(t, fst.nic_occupancy_src);
-      if (metrics_inv_) {
-        metrics_inv_->on_occupancy(obs::SimResource::NicOut,
-                                   fst.nic_occupancy_src);
+      if (metrics_) {
+        metrics_->on_occupancy(obs::SimResource::NicOut,
+                               fst.nic_occupancy_src);
         if (attempt == 0) {
-          metrics_inv_->on_nic_egress(out_server, s.bytes, s.rail >= 0);
+          metrics_->on_nic_egress(out_server, s.bytes, s.rail >= 0);
         }
-      }
-      if (metrics_smp_) {
-        metrics_smp_->on_wait(obs::SimResource::NicOut, t, t_out);
+        metrics_->on_wait(obs::SimResource::NicOut, t, t_out);
       }
       t = t_out;
       if (fabric_) {
         const double t_fab = fabric_->acquire(src_node, dst_node, s.bytes, t);
         // Fabric wait folds queueing and link serialization together (the
         // fabric returns only the final acquire time).
-        if (metrics_smp_) {
-          metrics_smp_->on_wait(obs::SimResource::FabricLink, t, t_fab);
+        if (metrics_) {
+          metrics_->on_wait(obs::SimResource::FabricLink, t, t_fab);
         }
         t = t_fab;
       }
@@ -498,14 +486,13 @@ double Engine::schedule(Matched& m, std::vector<int>& recv_queue_depth) {
         bool failover = false;
         in_server = fault_route_nic(dst_node, dst_nic, t, failover, s.self,
                                     s.peer, path_id);
-        if (failover && metrics_smp_) metrics_smp_->on_fault_failover();
+        if (failover && metrics_) metrics_->on_fault_failover();
       }
       const double t_in = nic_in_[in_server].acquire(t, fst.nic_occupancy_dst);
-      if (metrics_inv_) {
-        metrics_inv_->on_occupancy(obs::SimResource::NicIn,
-                                   fst.nic_occupancy_dst);
+      if (metrics_) {
+        metrics_->on_occupancy(obs::SimResource::NicIn, fst.nic_occupancy_dst);
+        metrics_->on_wait(obs::SimResource::NicIn, t, t_in);
       }
-      if (metrics_smp_) metrics_smp_->on_wait(obs::SimResource::NicIn, t, t_in);
       t = t_in;
       if (attempt == 0) {
         network_bytes_ += s.bytes;
@@ -515,12 +502,9 @@ double Engine::schedule(Matched& m, std::vector<int>& recv_queue_depth) {
 
     // Receiver-side drain occupancy.
     const double t_drain = recv_port_[s.peer].acquire(t, fst.drain_occupancy);
-    if (metrics_inv_) {
-      metrics_inv_->on_occupancy(obs::SimResource::RecvPort,
-                                 fst.drain_occupancy);
-    }
-    if (metrics_smp_) {
-      metrics_smp_->on_wait(obs::SimResource::RecvPort, t, t_drain);
+    if (metrics_) {
+      metrics_->on_occupancy(obs::SimResource::RecvPort, fst.drain_occupancy);
+      metrics_->on_wait(obs::SimResource::RecvPort, t, t_drain);
     }
     t = t_drain;
 
@@ -532,9 +516,9 @@ double Engine::schedule(Matched& m, std::vector<int>& recv_queue_depth) {
         throw_retries_exhausted(s.self, s.peer, path_id, attempt);
       }
       const double delay = retry_delay(fst.loss->retry, attempt - 1);
-      if (metrics_smp_) {
+      if (metrics_) {
         const int lanes = std::max(1, params_.injection.nics_per_node);
-        metrics_smp_->on_fault_retry(
+        metrics_->on_fault_retry(
             delay, egress_server < 0 ? -1
                                      : egress_server - src_node * lanes);
       }

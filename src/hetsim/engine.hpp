@@ -109,7 +109,7 @@ class Engine {
   /// depths) was hoisted into the CompiledPlan at compile time, so this
   /// inner loop only draws noise (prefetched in one batch per call),
   /// queues on contended resources, and advances clocks; with no fault
-  /// model, metrics tier, trace or fabric attached it runs with those
+  /// model, metrics sink, trace or fabric attached it runs with those
   /// hooks compiled out.  Event-for-event identical -- clocks, traces,
   /// counters, noise stream -- to posting the original CommPlan through
   /// isend/irecv/copy/pack + resolve().  The engine must have been
@@ -156,29 +156,13 @@ class Engine {
   /// Recording only *reads* values the simulation already computed -- it
   /// never touches clocks, resources, or the noise stream -- so results are
   /// bit-identical with a sink attached or not.  The sink accumulates
-  /// across reset() calls (per-repetition reuse aggregates in place); the
-  /// caller resets it between runs when per-run numbers are wanted.
-  ///
-  /// The flags gate the sink's recording tiers (obs/engine_metrics.hpp):
-  /// `record_invariants` covers the plan-invariant slots (message/byte
-  /// counters, deterministic occupancies, NIC egress), identical every
-  /// repetition of the same plan, so a replaying caller records them once;
-  /// `record_samples` covers the noise-dependent statistics (queue waits,
-  /// copy/pack durations), which core::measure() samples on a
-  /// deterministic subset of repetitions.  Phase-end clocks ride the
-  /// sampled tier too: scanning every rank clock per phase is the single
-  /// most expensive recording step, so steady-state repetitions skip it.
-  /// Both flags default to on -- a plain set_metrics(&sink) records
-  /// everything.
-  void set_metrics(obs::EngineMetrics* sink, bool record_invariants = true,
-                   bool record_samples = true);
+  /// across reset() calls, so a caller that wants one run's numbers
+  /// attaches a fresh sink for that run: core::measure() attaches one to
+  /// repetition 0 and detaches it for the rest, which then run execute()'s
+  /// hook-free instantiation.
+  void set_metrics(obs::EngineMetrics* sink);
   [[nodiscard]] obs::EngineMetrics* metrics() const noexcept {
     return metrics_;
-  }
-  /// The sink iff the sampled tier is recording (see set_metrics), else
-  /// nullptr.  Phase-end recording outside Engine keys on this.
-  [[nodiscard]] obs::EngineMetrics* sampled_metrics() const noexcept {
-    return metrics_smp_;
   }
 
   /// Attach a caller-owned fault model (nullptr detaches; the default).
@@ -234,7 +218,7 @@ class Engine {
   void resolve_waves();
   void fail_resolve(const std::string& what);  ///< clear pending, then throw
   /// execute()'s body.  `Observed` is false when no fault model, metrics
-  /// tier, trace or fabric is attached; that instantiation compiles their
+  /// sink, trace or fabric is attached; that instantiation compiles their
   /// hooks away.  Defined in core/compiled_plan.cpp.
   template <bool Observed>
   void execute_phases(const core::CompiledPlan& plan);
@@ -376,11 +360,6 @@ class Engine {
   bool tracing_ = false;
   Trace trace_;
   obs::EngineMetrics* metrics_ = nullptr;  ///< caller-owned; may be null
-  /// Tier gates: the same sink while that tier should record, else null.
-  /// Hot paths test these pointers, so repetitions with a tier disabled
-  /// skip its recording work entirely (no extra loads or flag checks).
-  obs::EngineMetrics* metrics_inv_ = nullptr;  ///< plan-invariant slots
-  obs::EngineMetrics* metrics_smp_ = nullptr;  ///< sampled statistics
   std::int64_t network_bytes_ = 0;
   std::int64_t network_messages_ = 0;
 

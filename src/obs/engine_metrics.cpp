@@ -1,96 +1,6 @@
 #include "obs/engine_metrics.hpp"
 
-#include <algorithm>
-#include <cstring>
-#include <stdexcept>
-#include <string>
-
 namespace hetcomm::obs {
-
-void EngineMetrics::reset() noexcept {
-  std::memset(msgs, 0, sizeof(msgs));
-  std::memset(msg_bytes, 0, sizeof(msg_bytes));
-  for (Histogram& h : queue_wait) h.reset();
-  std::memset(zero_waits, 0, sizeof(zero_waits));
-  std::memset(occupancy_seconds, 0, sizeof(occupancy_seconds));
-  std::fill(nic_bytes.begin(), nic_bytes.end(), 0);
-  std::fill(nic_striped_bytes.begin(), nic_striped_bytes.end(), 0);
-  std::fill(fault_rail_retries.begin(), fault_rail_retries.end(), 0);
-  std::memset(copy_count, 0, sizeof(copy_count));
-  std::memset(copy_bytes, 0, sizeof(copy_bytes));
-  std::memset(copy_seconds, 0, sizeof(copy_seconds));
-  packs = 0;
-  pack_bytes = 0;
-  pack_seconds = 0.0;
-  phase_makespan.clear();
-  fault_retries = 0;
-  fault_failovers = 0;
-  fault_degraded = 0;
-  fault_retry_seconds = 0.0;
-  std::memset(fault_degraded_seconds, 0, sizeof(fault_degraded_seconds));
-}
-
-void EngineMetrics::merge(const EngineMetrics& other) {
-  if (path_names.empty()) path_names = other.path_names;
-  for (int p = 0; p < kPaths; ++p) {
-    for (int r = 0; r < kProtos; ++r) {
-      msgs[p][r] += other.msgs[p][r];
-      msg_bytes[p][r] += other.msg_bytes[p][r];
-    }
-  }
-  for (int i = 0; i < kNumSimResources; ++i) {
-    queue_wait[i].merge(other.queue_wait[i]);
-    zero_waits[i] += other.zero_waits[i];
-    occupancy_seconds[i] += other.occupancy_seconds[i];
-  }
-  if (nic_bytes.size() < other.nic_bytes.size()) {
-    nic_bytes.resize(other.nic_bytes.size(), 0);
-  }
-  for (std::size_t n = 0; n < other.nic_bytes.size(); ++n) {
-    nic_bytes[n] += other.nic_bytes[n];
-  }
-  if (nic_striped_bytes.size() < other.nic_striped_bytes.size()) {
-    nic_striped_bytes.resize(other.nic_striped_bytes.size(), 0);
-  }
-  for (std::size_t n = 0; n < other.nic_striped_bytes.size(); ++n) {
-    nic_striped_bytes[n] += other.nic_striped_bytes[n];
-  }
-  if (fault_rail_retries.size() < other.fault_rail_retries.size()) {
-    fault_rail_retries.resize(other.fault_rail_retries.size(), 0);
-  }
-  for (std::size_t r = 0; r < other.fault_rail_retries.size(); ++r) {
-    fault_rail_retries[r] += other.fault_rail_retries[r];
-  }
-  nic_lanes = std::max(nic_lanes, other.nic_lanes);
-  for (int d = 0; d < 2; ++d) {
-    for (int s = 0; s < 2; ++s) {
-      copy_count[d][s] += other.copy_count[d][s];
-      copy_bytes[d][s] += other.copy_bytes[d][s];
-      copy_seconds[d][s] += other.copy_seconds[d][s];
-    }
-  }
-  packs += other.packs;
-  pack_bytes += other.pack_bytes;
-  pack_seconds += other.pack_seconds;
-  fault_retries += other.fault_retries;
-  fault_failovers += other.fault_failovers;
-  fault_degraded += other.fault_degraded;
-  fault_retry_seconds += other.fault_retry_seconds;
-  for (int p = 0; p < kPaths; ++p) {
-    fault_degraded_seconds[p] += other.fault_degraded_seconds[p];
-  }
-  if (phase_makespan.empty()) {
-    phase_makespan = other.phase_makespan;
-  } else if (!other.phase_makespan.empty()) {
-    if (phase_makespan.size() != other.phase_makespan.size()) {
-      throw std::invalid_argument(
-          "EngineMetrics::merge: phase count mismatch");
-    }
-    for (std::size_t i = 0; i < phase_makespan.size(); ++i) {
-      phase_makespan[i] += other.phase_makespan[i];
-    }
-  }
-}
 
 std::int64_t EngineMetrics::total_messages() const noexcept {
   std::int64_t n = 0;
@@ -112,123 +22,6 @@ Histogram EngineMetrics::wait_histogram(int resource) const noexcept {
   Histogram h = queue_wait[resource];
   h.add_zeros(zero_waits[resource]);
   return h;
-}
-
-void EngineMetrics::publish(Registry& registry) const {
-  for (int p = 0; p < kPaths; ++p) {
-    for (int r = 0; r < kProtos; ++r) {
-      if (msgs[p][r] == 0 && msg_bytes[p][r] == 0) continue;
-      const std::string path = path_name(p);
-      const char* proto = to_string(static_cast<Protocol>(r));
-      registry.add(
-          registry.counter(label("msgs", {{"path", path}, {"proto", proto}})),
-          msgs[p][r]);
-      registry.add(
-          registry.counter(label("bytes", {{"path", path}, {"proto", proto}})),
-          msg_bytes[p][r]);
-    }
-  }
-  for (int i = 0; i < kNumSimResources; ++i) {
-    const char* res = to_string(static_cast<SimResource>(i));
-    const Histogram waits = wait_histogram(i);
-    if (waits.count() > 0) {
-      // Publishing merges so multi-run registries aggregate naturally.
-      registry.merge_histogram(
-          registry.histogram(label("queue_wait", {{"resource", res}})),
-          waits);
-    }
-    if (occupancy_seconds[i] != 0.0) {
-      const MetricId g =
-          registry.gauge(label("occupancy_seconds", {{"resource", res}}));
-      registry.set(g, registry.gauge_value(g) + occupancy_seconds[i]);
-    }
-  }
-  for (std::size_t n = 0; n < nic_bytes.size(); ++n) {
-    if (nic_bytes[n] == 0) continue;
-    registry.add(registry.counter(label(
-                     "bytes_injected", {{"nic", std::to_string(n)}})),
-                 nic_bytes[n]);
-    if (n < nic_striped_bytes.size() && nic_striped_bytes[n] != 0) {
-      registry.add(
-          registry.counter(label("bytes_injected",
-                                 {{"nic", std::to_string(n)},
-                                  {"stripe", "striped"}})),
-          nic_striped_bytes[n]);
-    }
-  }
-  for (int d = 0; d < 2; ++d) {
-    for (int s = 0; s < 2; ++s) {
-      if (copy_count[d][s] == 0) continue;
-      const char* dir = to_string(static_cast<CopyDir>(d));
-      const char* sharing = s == 0 ? "solo" : "shared";
-      registry.add(registry.counter(label(
-                       "copies", {{"dir", dir}, {"sharing", sharing}})),
-                   copy_count[d][s]);
-      registry.add(registry.counter(label(
-                       "copy_bytes", {{"dir", dir}, {"sharing", sharing}})),
-                   copy_bytes[d][s]);
-      const MetricId g = registry.gauge(
-          label("copy_seconds", {{"dir", dir}, {"sharing", sharing}}));
-      registry.set(g, registry.gauge_value(g) + copy_seconds[d][s]);
-    }
-  }
-  if (packs > 0) {
-    registry.add(registry.counter("packs"), packs);
-    registry.add(registry.counter("pack_bytes"), pack_bytes);
-    const MetricId g = registry.gauge("pack_seconds");
-    registry.set(g, registry.gauge_value(g) + pack_seconds);
-  }
-  if (any_faults()) {
-    registry.add(registry.counter("fault_retries"), fault_retries);
-    registry.add(registry.counter("fault_failovers"), fault_failovers);
-    registry.add(registry.counter("fault_degraded_msgs"), fault_degraded);
-    const MetricId g = registry.gauge("fault_retry_seconds");
-    registry.set(g, registry.gauge_value(g) + fault_retry_seconds);
-    for (std::size_t r = 0; r < fault_rail_retries.size(); ++r) {
-      if (fault_rail_retries[r] == 0) continue;
-      registry.add(registry.counter(label(
-                       "fault_retries", {{"rail", std::to_string(r)}})),
-                   fault_rail_retries[r]);
-    }
-    for (int p = 0; p < kPaths; ++p) {
-      if (fault_degraded_seconds[p] == 0.0) continue;
-      const MetricId d = registry.gauge(
-          label("fault_degraded_seconds", {{"path", path_name(p)}}));
-      registry.set(d, registry.gauge_value(d) + fault_degraded_seconds[p]);
-    }
-  }
-}
-
-bool EngineMetrics::same_counts(const EngineMetrics& other) const noexcept {
-  for (int p = 0; p < kPaths; ++p) {
-    for (int r = 0; r < kProtos; ++r) {
-      if (msgs[p][r] != other.msgs[p][r]) return false;
-      if (msg_bytes[p][r] != other.msg_bytes[p][r]) return false;
-    }
-  }
-  for (int i = 0; i < kNumSimResources; ++i) {
-    if (queue_wait[i].count() + zero_waits[i] !=
-        other.queue_wait[i].count() + other.zero_waits[i]) {
-      return false;
-    }
-  }
-  if (nic_bytes.size() != other.nic_bytes.size()) return false;
-  for (std::size_t n = 0; n < nic_bytes.size(); ++n) {
-    if (nic_bytes[n] != other.nic_bytes[n]) return false;
-  }
-  if (nic_striped_bytes != other.nic_striped_bytes) return false;
-  if (fault_rail_retries != other.fault_rail_retries) return false;
-  for (int d = 0; d < 2; ++d) {
-    for (int s = 0; s < 2; ++s) {
-      if (copy_count[d][s] != other.copy_count[d][s]) return false;
-      if (copy_bytes[d][s] != other.copy_bytes[d][s]) return false;
-    }
-  }
-  return packs == other.packs && pack_bytes == other.pack_bytes &&
-         phase_makespan.size() == other.phase_makespan.size() &&
-         fault_retries == other.fault_retries &&
-         fault_failovers == other.fault_failovers &&
-         fault_degraded == other.fault_degraded;
 }
 
 }  // namespace hetcomm::obs

@@ -5,41 +5,26 @@
 // per-run collector is a plain struct of arrays indexed by the simulator's
 // small enums: message/byte counters by (path class x protocol), contention
 // histograms and occupancy totals per contended resource kind, per-node NIC
-// egress bytes, copy totals by (direction x solo/shared), pack totals, and
-// the makespan at the end of every plan phase.  Attach with
-// Engine::set_metrics(&sink); a null sink (the default) keeps the engine's
-// hot path identical to a build without observability -- one predictable
-// branch per operation.
+// egress bytes, copy totals by (direction x solo/shared), pack totals, fault
+// activity, and the makespan at the end of every plan phase.  Attach with
+// Engine::set_metrics(&sink); a null sink (the default) keeps the engine on
+// its hook-free path.  Uncontended acquisitions (wait exactly zero, the
+// common case) bump a single per-resource counter and are folded into the
+// histogram at export time (wait_histogram()).
 //
-// The slots split into three recording tiers (see Engine::set_metrics):
-//
-//   * plan-invariant -- message/byte counters, deterministic occupancies
-//     and NIC egress bytes are the same every repetition (they depend only
-//     on the plan and parameters, never on the noise stream).  The engine
-//     records them only when record_invariants is set; core::measure()
-//     enables that for repetition 0 alone.
-//   * sampled -- queue waits and noised copy/pack durations vary with the
-//     noise stream but are statistics, not identities: they are recorded
-//     when record_samples is set, which core::measure() enables on a
-//     deterministic subset of repetitions (keyed by repetition index, so
-//     results are jobs-invariant).  Uncontended acquisitions (wait exactly
-//     zero, the common case) bump a single per-resource counter and are
-//     folded into the histogram at export time (wait_histogram()).
-//   * every repetition -- phase-end clocks, which feed the per-phase
-//     makespan mean/p50/p99 across all repetitions.
-//
-// The tiering is what keeps enabled-overhead under the <2% budget on
-// fig5_1-scale replay: steady-state repetitions record a handful of
-// phase-end clocks instead of thousands of counter updates.
+// core::measure() attaches one sink to repetition 0 and detaches it for
+// every other repetition, so a report describes that one repetition and the
+// steady-state repetitions run the engine with every hook compiled away.
 //
 // Recording never touches clocks, resources, or the noise stream, so
 // simulation results are bit-identical with metrics on or off; the
 // compiled and interpreted execution paths populate the sink identically
 // (tests/test_metrics.cpp holds both contracts).
 //
-// publish() converts the collected slots into stable registry names
+// obs::fill_from_engine_metrics() turns the slots into a RunReport, whose
+// metrics_json() exports them under stable names
 // ("msgs{path=on-node,proto=rendezvous}", "bytes_injected{nic=3}",
-// "queue_wait{resource=nic-out}", ...) for export.
+// "queue_wait{resource=nic-out}", ...).
 
 #include <algorithm>
 #include <cstdint>
@@ -133,7 +118,7 @@ struct EngineMetrics {
   /// contributions (they sum to the final makespan exactly).
   std::vector<double> phase_makespan;
 
-  // -- Faults (sampled tier; all zero when no fault model is attached) ----
+  // -- Faults (all zero when no fault model is attached) ----------------
   std::int64_t fault_retries = 0;     ///< lost send attempts that retried
   std::int64_t fault_failovers = 0;   ///< NIC-lane reroutes around outages
   std::int64_t fault_degraded = 0;    ///< messages with degraded occupancies
@@ -157,9 +142,6 @@ struct EngineMetrics {
     }
     nic_lanes = std::max(nic_lanes, std::max(1, lanes));
   }
-
-  /// Zero every slot, keeping allocations (per-repetition reuse).
-  void reset() noexcept;
 
   /// Export name of a path-class slot: the declared taxonomy name when
   /// known, else the classic enum name (slots 0-2) or "path-N".
@@ -243,11 +225,7 @@ struct EngineMetrics {
     return false;
   }
 
-  // ---- Aggregation and export -------------------------------------------
-  /// Merge another run's slots into this one (plain adds; phase makespans
-  /// must agree in count or either side may be empty).
-  void merge(const EngineMetrics& other);
-
+  // ---- Export -------------------------------------------------------------
   /// Total messages / bytes over all paths and protocols.
   [[nodiscard]] std::int64_t total_messages() const noexcept;
   [[nodiscard]] std::int64_t total_bytes() const noexcept;
@@ -255,14 +233,6 @@ struct EngineMetrics {
   /// Queue-wait distribution for one resource (by SimResource index) with
   /// the zero-wait acquisitions folded into bin 0.
   [[nodiscard]] Histogram wait_histogram(int resource) const noexcept;
-
-  /// Publish every slot into `registry` under its stable name.  Counters
-  /// accumulate (publishing N runs sums them); histograms merge.
-  void publish(Registry& registry) const;
-
-  /// True when the two sinks hold identical counters and histograms
-  /// (used by the compiled-vs-interpreted equality tests).
-  [[nodiscard]] bool same_counts(const EngineMetrics& other) const noexcept;
 };
 
 }  // namespace hetcomm::obs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace hetcomm::obs {
 
@@ -17,24 +16,6 @@ double bin_mid(int bin) noexcept {
 }
 
 }  // namespace
-
-void Histogram::merge(const Histogram& other) noexcept {
-  if (other.count_ == 0) return;
-  for (int i = 0; i < kBins; ++i) bins_[i] += other.bins_[i];
-  // The +/-infinity empty sentinels make min/max correct unconditionally.
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-void Histogram::reset() noexcept {
-  for (std::int64_t& b : bins_) b = 0;
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-}
 
 double Histogram::quantile(double q) const noexcept {
   if (count_ == 0) return 0.0;
@@ -68,53 +49,6 @@ std::string label(
   }
   out += '}';
   return out;
-}
-
-std::uint32_t Registry::lookup_or_register(std::string name, Kind kind) {
-  for (const Entry& e : entries_) {
-    if (e.name == name) {
-      if (e.kind != kind) {
-        throw std::invalid_argument("Registry: metric '" + name +
-                                    "' already registered with another kind");
-      }
-      return e.slot;
-    }
-  }
-  std::uint32_t slot = 0;
-  switch (kind) {
-    case Kind::Counter:
-      slot = static_cast<std::uint32_t>(counters_.size());
-      counters_.push_back({name, 0});
-      break;
-    case Kind::Gauge:
-      slot = static_cast<std::uint32_t>(gauges_.size());
-      gauges_.push_back({name, 0.0});
-      break;
-    case Kind::Histogram:
-      slot = static_cast<std::uint32_t>(histograms_.size());
-      histograms_.push_back({name, Histogram{}});
-      break;
-  }
-  entries_.push_back({std::move(name), kind, slot});
-  return slot;
-}
-
-MetricId Registry::counter(std::string name) {
-  return {lookup_or_register(std::move(name), Kind::Counter)};
-}
-
-MetricId Registry::gauge(std::string name) {
-  return {lookup_or_register(std::move(name), Kind::Gauge)};
-}
-
-MetricId Registry::histogram(std::string name) {
-  return {lookup_or_register(std::move(name), Kind::Histogram)};
-}
-
-void Registry::reset_values() noexcept {
-  for (NamedCounter& c : counters_) c.value = 0;
-  for (NamedGauge& g : gauges_) g.value = 0.0;
-  for (NamedHistogram& h : histograms_) h.value.reset();
 }
 
 }  // namespace hetcomm::obs

@@ -1,21 +1,13 @@
 #pragma once
-// Fixed-slot metric primitives for the simulator's observability layer.
-//
-// Two pieces:
+// Metric primitives for the simulator's observability layer.
 //
 //   * Histogram -- a fixed 64-bin log2 histogram of non-negative durations
-//     (seconds).  observe() is allocation-free and branch-light, bins merge
-//     across repetitions with plain integer adds (so aggregation is
-//     independent of worker scheduling), and quantile() answers p50/p99
-//     queries at bin resolution.  Everything is deterministic: same samples
-//     in, same summary out, on any thread count.
+//     (seconds).  observe() is allocation-free and branch-light, and
+//     quantile() answers p50/p99 queries at bin resolution.  Everything is
+//     deterministic: same samples in, same summary out.
 //
-//   * Registry -- a name -> slot table for counters, gauges and histograms.
-//     Registration (cold) allocates the slot and owns the stable name
-//     ("msgs{path=on-node,proto=rendezvous}"); the hot-path mutators are
-//     array indexing.  The registry is the *export* surface: structured
-//     collectors (obs::EngineMetrics) stay as plain structs on the hot path
-//     and publish into a registry when a report is built.
+//   * label() -- the stable export names ("msgs{path=on-node,proto=
+//     rendezvous}") that RunReport::metrics_json() writes.
 //
 // Nothing in this header depends on the simulator; hetsim depends on obs,
 // not the other way around.
@@ -27,7 +19,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 namespace hetcomm::obs {
 
@@ -59,12 +50,6 @@ class Histogram {
     min_ = min_ < 0.0 ? min_ : 0.0;
     max_ = max_ > 0.0 ? max_ : 0.0;
   }
-
-  /// Merge another histogram's bins into this one (plain integer adds, so
-  /// merge order cannot change the result).
-  void merge(const Histogram& other) noexcept;
-
-  void reset() noexcept;
 
   [[nodiscard]] std::int64_t count() const noexcept { return count_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
@@ -105,12 +90,6 @@ class Histogram {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Opaque handle into a Registry; cheap to copy, valid for the registry's
-/// lifetime.
-struct MetricId {
-  std::uint32_t index = 0;
-};
-
 /// Format a stable metric name: `label("msgs", {{"path", "on-node"},
 /// {"proto", "rendezvous"}})` -> "msgs{path=on-node,proto=rendezvous}".
 /// Labels are emitted in the order given (callers pass a canonical order so
@@ -119,80 +98,5 @@ struct MetricId {
     std::string_view base,
     std::initializer_list<std::pair<std::string_view, std::string_view>>
         labels);
-
-/// Name -> slot metric table.  Register every metric up front (allocates),
-/// then mutate through handles (allocation-free).  Duplicate registration
-/// of the same name and kind returns the existing slot; a kind clash
-/// throws std::invalid_argument.
-class Registry {
- public:
-  [[nodiscard]] MetricId counter(std::string name);
-  [[nodiscard]] MetricId gauge(std::string name);
-  [[nodiscard]] MetricId histogram(std::string name);
-
-  void add(MetricId id, std::int64_t delta) noexcept {
-    counters_[id.index].value += delta;
-  }
-  void set(MetricId id, double value) noexcept {
-    gauges_[id.index].value = value;
-  }
-  void observe(MetricId id, double seconds) noexcept {
-    histograms_[id.index].value.observe(seconds);
-  }
-  void merge_histogram(MetricId id, const Histogram& other) noexcept {
-    histograms_[id.index].value.merge(other);
-  }
-
-  [[nodiscard]] std::int64_t counter_value(MetricId id) const noexcept {
-    return counters_[id.index].value;
-  }
-  [[nodiscard]] double gauge_value(MetricId id) const noexcept {
-    return gauges_[id.index].value;
-  }
-  [[nodiscard]] const Histogram& histogram_value(MetricId id) const noexcept {
-    return histograms_[id.index].value;
-  }
-
-  /// Export views, in registration order.
-  struct NamedCounter {
-    std::string name;
-    std::int64_t value = 0;
-  };
-  struct NamedGauge {
-    std::string name;
-    double value = 0.0;
-  };
-  struct NamedHistogram {
-    std::string name;
-    Histogram value;
-  };
-  [[nodiscard]] const std::vector<NamedCounter>& counters() const noexcept {
-    return counters_;
-  }
-  [[nodiscard]] const std::vector<NamedGauge>& gauges() const noexcept {
-    return gauges_;
-  }
-  [[nodiscard]] const std::vector<NamedHistogram>& histograms()
-      const noexcept {
-    return histograms_;
-  }
-
-  /// Zero every slot, keeping names and handles valid.
-  void reset_values() noexcept;
-
- private:
-  enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
-  std::uint32_t lookup_or_register(std::string name, Kind kind);
-
-  struct Entry {
-    std::string name;
-    Kind kind = Kind::Counter;
-    std::uint32_t slot = 0;
-  };
-  std::vector<Entry> entries_;
-  std::vector<NamedCounter> counters_;
-  std::vector<NamedGauge> gauges_;
-  std::vector<NamedHistogram> histograms_;
-};
 
 }  // namespace hetcomm::obs

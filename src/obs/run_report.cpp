@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace hetcomm::obs {
 
@@ -46,26 +45,25 @@ JsonValue Summary::to_json() const {
   return out;
 }
 
-void fill_from_engine_metrics(RunReport& report, const EngineMetrics& metrics,
-                              int reps, int invariant_reps,
-                              int sampled_reps) {
-  if (reps <= 0) throw std::invalid_argument("fill_from_engine_metrics: reps");
-  if (invariant_reps <= 0 || invariant_reps > reps) {
-    throw std::invalid_argument("fill_from_engine_metrics: invariant_reps");
+void fill_from_engine_metrics(RunReport& report, const EngineMetrics& metrics) {
+  // Per-phase makespan contributions: the deltas between consecutive
+  // phase-end clocks, which sum to the run's makespan exactly.
+  report.phases.clear();
+  double share_total = 0.0;
+  const std::vector<double>& ends = metrics.phase_makespan;
+  for (std::size_t p = 0; p < ends.size(); ++p) {
+    const double delta = ends[p] - (p == 0 ? 0.0 : ends[p - 1]);
+    PhaseStat stat;
+    stat.phase = static_cast<int>(p);
+    stat.makespan = summarize({&delta, 1});
+    share_total += stat.makespan.mean;
+    report.phases.push_back(stat);
   }
-  if (sampled_reps <= 0 || sampled_reps > reps) {
-    throw std::invalid_argument("fill_from_engine_metrics: sampled_reps");
+  if (share_total > 0.0) {
+    for (PhaseStat& stat : report.phases) {
+      stat.share = stat.makespan.mean / share_total;
+    }
   }
-  // Tiered counter slots: every recording of a tier saw identical counts,
-  // so dividing by that tier's recording count is exact.
-  const auto per_rep = [invariant_reps](std::int64_t total) {
-    return total / invariant_reps;
-  };
-  const auto per_sampled = [sampled_reps](std::int64_t total) {
-    return total / sampled_reps;
-  };
-  const double inv_invariant = 1.0 / static_cast<double>(invariant_reps);
-  const double inv_sampled = 1.0 / static_cast<double>(sampled_reps);
 
   report.traffic.clear();
   for (int p = 0; p < EngineMetrics::kPaths; ++p) {
@@ -74,13 +72,13 @@ void fill_from_engine_metrics(RunReport& report, const EngineMetrics& metrics,
       TrafficStat t;
       t.path = metrics.path_name(p);
       t.proto = to_string(static_cast<Protocol>(r));
-      t.messages = per_rep(metrics.msgs[p][r]);
-      t.bytes = per_rep(metrics.msg_bytes[p][r]);
+      t.messages = metrics.msgs[p][r];
+      t.bytes = metrics.msg_bytes[p][r];
       report.traffic.push_back(std::move(t));
     }
   }
-  report.total_messages = per_rep(metrics.total_messages());
-  report.total_bytes = per_rep(metrics.total_bytes());
+  report.total_messages = metrics.total_messages();
+  report.total_bytes = metrics.total_bytes();
 
   report.resources.clear();
   for (int i = 0; i < kNumSimResources; ++i) {
@@ -93,7 +91,7 @@ void fill_from_engine_metrics(RunReport& report, const EngineMetrics& metrics,
     r.wait_p50 = h.quantile(0.50);
     r.wait_p99 = h.quantile(0.99);
     r.wait_max = h.max();
-    r.occupancy_seconds = metrics.occupancy_seconds[i] * inv_invariant;
+    r.occupancy_seconds = metrics.occupancy_seconds[i];
     report.resources.push_back(std::move(r));
   }
 
@@ -105,9 +103,9 @@ void fill_from_engine_metrics(RunReport& report, const EngineMetrics& metrics,
     stat.nic = static_cast<int>(n);
     stat.node = static_cast<int>(n) / lanes;
     stat.lane = static_cast<int>(n) % lanes;
-    stat.bytes_injected = per_rep(metrics.nic_bytes[n]);
+    stat.bytes_injected = metrics.nic_bytes[n];
     if (n < metrics.nic_striped_bytes.size()) {
-      stat.striped_bytes = per_rep(metrics.nic_striped_bytes[n]);
+      stat.striped_bytes = metrics.nic_striped_bytes[n];
     }
     report.nic.push_back(stat);
   }
@@ -119,42 +117,32 @@ void fill_from_engine_metrics(RunReport& report, const EngineMetrics& metrics,
       CopyStat c;
       c.dir = to_string(static_cast<CopyDir>(d));
       c.sharing = s == 0 ? "solo" : "shared";
-      c.count = per_sampled(metrics.copy_count[d][s]);
-      c.bytes = per_sampled(metrics.copy_bytes[d][s]);
-      c.seconds = metrics.copy_seconds[d][s] * inv_sampled;
+      c.count = metrics.copy_count[d][s];
+      c.bytes = metrics.copy_bytes[d][s];
+      c.seconds = metrics.copy_seconds[d][s];
       report.copies.push_back(std::move(c));
     }
   }
 
-  report.packs = per_sampled(metrics.packs);
-  report.pack_bytes = per_sampled(metrics.pack_bytes);
-  report.pack_seconds = metrics.pack_seconds * inv_sampled;
+  report.packs = metrics.packs;
+  report.pack_bytes = metrics.pack_bytes;
+  report.pack_seconds = metrics.pack_seconds;
 
-  // Fault slots ride the sampled tier.  Unlike the plan-invariant counters,
-  // loss/failover counts vary per repetition (the fault stream is keyed by
-  // the per-rep run seed), so the integer divisions are floor averages --
-  // fine for diagnostics, which is all this section is for.
   report.faults = FaultStat{};
   if (metrics.any_faults()) {
-    report.faults.retries = per_sampled(metrics.fault_retries);
-    report.faults.failovers = per_sampled(metrics.fault_failovers);
-    report.faults.degraded_msgs = per_sampled(metrics.fault_degraded);
-    report.faults.retry_seconds = metrics.fault_retry_seconds * inv_sampled;
+    report.faults.retries = metrics.fault_retries;
+    report.faults.failovers = metrics.fault_failovers;
+    report.faults.degraded_msgs = metrics.fault_degraded;
+    report.faults.retry_seconds = metrics.fault_retry_seconds;
     for (int p = 0; p < EngineMetrics::kPaths; ++p) {
       if (metrics.fault_degraded_seconds[p] == 0.0) continue;
       report.faults.degraded.push_back(
-          {metrics.path_name(p),
-           metrics.fault_degraded_seconds[p] * inv_sampled});
+          {metrics.path_name(p), metrics.fault_degraded_seconds[p]});
     }
-    bool any_rail = false;
-    for (const std::int64_t r : metrics.fault_rail_retries) {
-      if (r != 0) any_rail = true;
-    }
-    if (any_rail) {
-      report.faults.rail_retries.reserve(metrics.fault_rail_retries.size());
-      for (const std::int64_t r : metrics.fault_rail_retries) {
-        report.faults.rail_retries.push_back(per_sampled(r));
-      }
+    if (std::any_of(metrics.fault_rail_retries.begin(),
+                    metrics.fault_rail_retries.end(),
+                    [](std::int64_t r) { return r != 0; })) {
+      report.faults.rail_retries = metrics.fault_rail_retries;
     }
   }
 }
@@ -206,7 +194,7 @@ JsonValue RunReport::to_json() const {
   out.set("name", name);
   out.set("engine", engine);
   out.set("reps", reps);
-  out.set("sampled_reps", sampled_reps);
+  out.set("sampled_reps", 1);
   out.set("jobs", jobs);
   out.set("seed", static_cast<std::int64_t>(seed));
   out.set("noise_sigma", noise_sigma);

@@ -1,15 +1,17 @@
 #pragma once
 // Machine-readable run reports ("hetcomm.metrics.v1").
 //
-// A RunReport is the aggregate of one measured configuration: repetition
-// statistics (mean/p50/p99 over per-rep samples, computed exactly from the
-// sample vector, not from histogram bins), the per-phase makespan breakdown,
-// message/byte traffic by (path class, protocol), contention per simulated
-// resource, per-NIC injected bytes, copy/pack totals, and per-worker
-// utilization of the thread pool that ran the repetitions.
+// A RunReport describes one measured configuration: repetition statistics
+// over every repetition (mean/p50/p99 of the per-rep makespans, computed
+// exactly from the sample vector, not from histogram bins), and, from the
+// engine sink attached to repetition 0, that repetition's per-phase makespan
+// breakdown, message/byte traffic by (path class, protocol), contention per
+// simulated resource, per-NIC injected bytes, copy/pack totals and fault
+// activity; plus per-worker utilization of the thread pool that ran the
+// repetitions.
 //
-// The report is built by core::measure() (see core/executor.cpp) from an
-// obs::EngineMetrics aggregate plus per-repetition sample buffers; this
+// The report is built by core::measure() (see core/executor.cpp) from the
+// repetition-0 obs::EngineMetrics sink plus the per-repetition clocks; this
 // module only holds the plain data model and its JSON projection, so it has
 // no dependency on the simulator's execution layer.
 //
@@ -50,16 +52,14 @@ struct Summary {
 /// Summarize `samples`; sorts a copy, leaves the input untouched.
 [[nodiscard]] Summary summarize(std::span<const double> samples);
 
-/// One plan phase's contribution to the makespan, across the sampled
-/// repetitions (phase-end clocks ride the sampled recording tier; see
-/// RunReport::sampled_reps).
+/// One plan phase's contribution to repetition 0's makespan.
 struct PhaseStat {
   int phase = 0;
-  Summary makespan;    ///< per-rep (end clock - previous phase end clock)
+  Summary makespan;    ///< one sample: end clock - previous phase end clock
   double share = 0.0;  ///< makespan.mean / sum of phase means
 };
 
-/// Message traffic for one (path class, protocol) cell, per repetition.
+/// Message traffic for one (path class, protocol) cell, in repetition 0.
 struct TrafficStat {
   std::string path;
   std::string proto;
@@ -67,26 +67,25 @@ struct TrafficStat {
   std::int64_t bytes = 0;
 };
 
-/// Contention on one simulated resource kind.  The wait histogram pools the
-/// samples of every repetition (queue waits vary under noise); occupancy is
-/// the per-repetition busy time pushed onto the resource.
+/// Contention on one simulated resource kind in repetition 0: its queue-wait
+/// distribution and the busy time pushed onto it.
 struct ResourceStat {
   std::string resource;
-  std::int64_t waits = 0;   ///< acquisitions recorded (sampled reps)
+  std::int64_t waits = 0;   ///< acquisitions
   double wait_mean = 0.0;   ///< seconds; exact mean over all samples
   double wait_p50 = 0.0;    ///< seconds; histogram-resolution quantile
   double wait_p99 = 0.0;
   double wait_max = 0.0;
-  double occupancy_seconds = 0.0;  ///< per repetition
+  double occupancy_seconds = 0.0;
 };
 
 struct NicStat {
   int nic = 0;   ///< NIC-lane server index (node * lanes + lane)
   int node = 0;
   int lane = 0;  ///< rail id within the node
-  std::int64_t bytes_injected = 0;  ///< per repetition
+  std::int64_t bytes_injected = 0;
   /// Subset of bytes_injected pinned to this rail by striping
-  /// (PlanOp::rail >= 0), per repetition; rail balance for striped runs.
+  /// (PlanOp::rail >= 0); rail balance for striped runs.
   std::int64_t striped_bytes = 0;
 };
 
@@ -95,26 +94,26 @@ struct CopyStat {
   std::string sharing;  ///< "solo" / "shared"
   std::int64_t count = 0;
   std::int64_t bytes = 0;
-  double seconds = 0.0;  ///< per repetition, as charged to rank clocks
+  double seconds = 0.0;  ///< as charged to rank clocks
 };
 
 /// Extra occupancy injected by fault degradation on one path class.
 struct FaultPathStat {
   std::string path;
-  double degraded_seconds = 0.0;  ///< per sampled repetition
+  double degraded_seconds = 0.0;
 };
 
-/// Fault-layer activity (zero / empty when no fault model was attached;
-/// the JSON section is omitted entirely then, keeping fault-free reports
-/// byte-identical to the pre-fault schema).
+/// Fault-layer activity in repetition 0 (zero / empty when no fault model
+/// was attached; the JSON section is omitted entirely then, keeping
+/// fault-free reports byte-identical to the pre-fault schema).
 struct FaultStat {
-  std::int64_t retries = 0;        ///< per sampled repetition
-  std::int64_t failovers = 0;      ///< per sampled repetition
-  std::int64_t degraded_msgs = 0;  ///< per sampled repetition
-  double retry_seconds = 0.0;      ///< backoff delay injected, per sampled rep
+  std::int64_t retries = 0;
+  std::int64_t failovers = 0;
+  std::int64_t degraded_msgs = 0;
+  double retry_seconds = 0.0;  ///< backoff delay injected
   std::vector<FaultPathStat> degraded;
-  /// Retries attributed to each NIC rail (lane id), per sampled repetition;
-  /// empty when no retry hit an off-node egress lane.
+  /// Retries attributed to each NIC rail (lane id); empty when no retry hit
+  /// an off-node egress lane.
   std::vector<std::int64_t> rail_retries;
 
   [[nodiscard]] bool any() const noexcept {
@@ -135,10 +134,6 @@ struct RunReport {
   std::string name;    ///< caller-supplied run label (bench fixture, cell)
   std::string engine;  ///< "compiled" / "interpreted"
   int reps = 0;
-  /// Repetitions that recorded the sampled statistics tier (queue waits,
-  /// copy/pack durations, phase-end clocks); 0 when the producer recorded
-  /// every repetition before sampling existed.
-  int sampled_reps = 0;
   int jobs = 0;
   std::uint64_t seed = 0;
   double noise_sigma = 0.0;
@@ -150,7 +145,7 @@ struct RunReport {
   double max_avg = 0.0;      ///< the paper's headline metric (§4.5)
   std::vector<PhaseStat> phases;
 
-  // -- Traffic and contention (per repetition unless noted) ----------------
+  // -- Repetition 0: traffic, contention, copies, packs, faults ------------
   std::vector<TrafficStat> traffic;
   std::int64_t total_messages = 0;
   std::int64_t total_bytes = 0;
@@ -169,26 +164,19 @@ struct RunReport {
   double reps_per_second = 0.0;
   std::vector<WorkerStat> workers;
 
-  /// Flat name -> value map mirroring the structured sections under the
-  /// registry's stable names ("msgs{path=on-node,proto=rendezvous}", ...).
-  /// Counters/gauges are per repetition; histogram entries pool all reps.
+  /// Flat name -> value map mirroring the structured sections under their
+  /// stable label() names ("msgs{path=on-node,proto=rendezvous}", ...).
   [[nodiscard]] JsonValue metrics_json() const;
 
+  /// The report object of the document.  Its "sampled_reps" key is always
+  /// 1: the repetition-0 sections describe exactly one repetition.
   [[nodiscard]] JsonValue to_json() const;
 };
 
-/// Populate a report's traffic/contention/nic/copy/pack sections from an
-/// EngineMetrics aggregate accumulated over `reps` repetitions, of which
-/// `invariant_reps` recorded the plan-invariant tier (message/byte
-/// counters, occupancies, NIC egress) and `sampled_reps` the sampled tier
-/// (queue waits, copy/pack slots) -- see Engine::set_metrics.  Counter
-/// slots divide by their tier's recording count (exact: every recording
-/// sees identical counts); noised copy/pack seconds average over the
-/// sampled recordings, and wait histograms pool every sampled
-/// acquisition.  Callers that record every slot on every repetition pass
-/// reps for both tier counts.
-void fill_from_engine_metrics(RunReport& report, const EngineMetrics& metrics,
-                              int reps, int invariant_reps, int sampled_reps);
+/// Populate a report's phase, traffic, contention, nic, copy, pack and fault
+/// sections from the sink that recorded one run -- core::measure() passes
+/// repetition 0's (see Engine::set_metrics).
+void fill_from_engine_metrics(RunReport& report, const EngineMetrics& metrics);
 
 /// Wrap reports in the versioned document envelope.
 [[nodiscard]] JsonValue make_metrics_document(

@@ -6,7 +6,7 @@
 // a fixed set of fixed-capacity span rings -- one per writer (thread-pool
 // worker index; the window-driving thread is worker 0) -- recording
 // completed spans `{trace_id, span_id, parent, name, track, t_start,
-// t_end, attrs}`.  Design constraints, in the spirit of the Registry:
+// t_end, attrs}`.  Design constraints:
 //
 //   * allocation-free on the hot path: rings and attr storage are
 //     preallocated; record() copies one POD record under the ring's own

@@ -213,6 +213,8 @@ TEST_F(CliRunTest, ReportPrintsPhaseBreakdown) {
   const std::string out = run_cli({"report", "--nodes", "2", "--reps", "3",
                                    "--strategy", "split+MD"});
   EXPECT_NE(out.find("phase breakdown (measured)"), std::string::npos);
+  // One time column per phase: the breakdown is repetition 0's.
+  EXPECT_NE(out.find("phase  time [s]  share"), std::string::npos);
   EXPECT_NE(out.find("traffic by path class"), std::string::npos);
   EXPECT_NE(out.find("contention by resource"), std::string::npos);
   EXPECT_NE(out.find("makespan mean"), std::string::npos);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled_plan.hpp"
 #include "core/executor.hpp"
 #include "core/strategy.hpp"
 #include "machine/machine.hpp"
@@ -77,34 +78,8 @@ TEST(Histogram, QuantileIsBinResolution) {
   EXPECT_GT(h.quantile(1.0), 0.5e-3);  // the outlier
 }
 
-TEST(Histogram, MergeIsOrderIndependent) {
-  obs::Histogram a, b, ab, ba;
-  for (int i = 0; i < 10; ++i) a.observe(1e-6 * (i + 1));
-  for (int i = 0; i < 7; ++i) b.observe(3e-5 * (i + 1));
-  ab.merge(a);
-  ab.merge(b);
-  ba.merge(b);
-  ba.merge(a);
-  EXPECT_EQ(ab.count(), 17);
-  EXPECT_EQ(ab.count(), ba.count());
-  EXPECT_DOUBLE_EQ(ab.sum(), ba.sum());
-  EXPECT_DOUBLE_EQ(ab.min(), ba.min());
-  EXPECT_DOUBLE_EQ(ab.max(), ba.max());
-  for (int i = 0; i < obs::Histogram::kBins; ++i) {
-    EXPECT_EQ(ab.bins()[i], ba.bins()[i]);
-  }
-}
-
-TEST(Histogram, ResetClears) {
-  obs::Histogram h;
-  h.observe(1.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.max(), 0.0);
-}
-
 // ---------------------------------------------------------------------------
-// Labels and registry
+// Labels
 
 TEST(Label, FormatsStableNames) {
   EXPECT_EQ(obs::label("msgs", {{"path", "on-node"}, {"proto", "rendezvous"}}),
@@ -112,49 +87,6 @@ TEST(Label, FormatsStableNames) {
   EXPECT_EQ(obs::label("wall_seconds", {}), "wall_seconds");
   EXPECT_EQ(obs::label("bytes_injected", {{"nic", "3"}}),
             "bytes_injected{nic=3}");
-}
-
-TEST(Registry, RegistersAndMutatesSlots) {
-  obs::Registry reg;
-  const obs::MetricId c = reg.counter("msgs");
-  const obs::MetricId g = reg.gauge("occupancy_seconds");
-  const obs::MetricId h = reg.histogram("queue_wait");
-  reg.add(c, 5);
-  reg.add(c, 2);
-  reg.set(g, 1.5);
-  reg.observe(h, 2e-6);
-  EXPECT_EQ(reg.counter_value(c), 7);
-  EXPECT_DOUBLE_EQ(reg.gauge_value(g), 1.5);
-  EXPECT_EQ(reg.histogram_value(h).count(), 1);
-}
-
-TEST(Registry, DuplicateRegistrationReturnsSameSlot) {
-  obs::Registry reg;
-  const obs::MetricId a = reg.counter("msgs");
-  const obs::MetricId b = reg.counter("msgs");
-  EXPECT_EQ(a.index, b.index);
-  reg.add(a, 1);
-  reg.add(b, 1);
-  EXPECT_EQ(reg.counter_value(a), 2);
-  ASSERT_EQ(reg.counters().size(), 1u);
-  EXPECT_EQ(reg.counters()[0].name, "msgs");
-}
-
-TEST(Registry, KindClashThrows) {
-  obs::Registry reg;
-  (void)reg.counter("msgs");
-  EXPECT_THROW((void)reg.gauge("msgs"), std::invalid_argument);
-  EXPECT_THROW((void)reg.histogram("msgs"), std::invalid_argument);
-}
-
-TEST(Registry, ResetValuesKeepsNamesAndHandles) {
-  obs::Registry reg;
-  const obs::MetricId c = reg.counter("msgs");
-  reg.add(c, 9);
-  reg.reset_values();
-  EXPECT_EQ(reg.counter_value(c), 0);
-  ASSERT_EQ(reg.counters().size(), 1u);
-  EXPECT_EQ(reg.counters()[0].name, "msgs");
 }
 
 // ---------------------------------------------------------------------------
@@ -272,62 +204,27 @@ TEST(Summary, SingleSample) {
 }
 
 // ---------------------------------------------------------------------------
-// EngineMetrics aggregation
+// EngineMetrics export
 
-TEST(EngineMetrics, MergeAddsSlotsAndChecksPhases) {
-  obs::EngineMetrics a, b;
-  a.ensure_lanes(2, 1);
-  b.ensure_lanes(2, 1);
-  a.on_message(PathClass::OnNode, Protocol::Eager, 100);
-  b.on_message(PathClass::OnNode, Protocol::Eager, 50);
-  b.on_message(PathClass::OffNode, Protocol::Rendezvous, 7);
-  a.on_nic_egress(1, 64);
-  b.on_nic_egress(1, 36);
-  a.on_phase_end(1.0);
-  b.on_phase_end(2.0);
-  a.merge(b);
-  EXPECT_EQ(a.total_messages(), 3);
-  EXPECT_EQ(a.total_bytes(), 157);
-  EXPECT_EQ(a.nic_bytes[1], 100);
-  // Phase vectors of equal length add elementwise.
-  ASSERT_EQ(a.phase_makespan.size(), 1u);
-  EXPECT_DOUBLE_EQ(a.phase_makespan[0], 3.0);
-
-  obs::EngineMetrics c;
-  c.on_phase_end(1.0);
-  c.on_phase_end(2.0);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);  // 1 phase vs 2
-}
-
+// A sink's slots reach RunReport::metrics_json() under stable label() names.
 TEST(EngineMetrics, PublishUsesStableNames) {
   obs::EngineMetrics m;
   m.ensure_lanes(1, 1);
   m.on_message(PathClass::OnNode, Protocol::Rendezvous, 4096);
   m.on_wait(obs::SimResource::NicOut, 1.0, 1.5);
   m.on_nic_egress(0, 4096);
-  obs::Registry reg;
-  m.publish(reg);
-  bool saw_msgs = false, saw_nic = false;
-  for (const auto& c : reg.counters()) {
-    if (c.name == "msgs{path=on-node,proto=rendezvous}") {
-      saw_msgs = true;
-      EXPECT_EQ(c.value, 1);
-    }
-    if (c.name == "bytes_injected{nic=0}") {
-      saw_nic = true;
-      EXPECT_EQ(c.value, 4096);
-    }
-  }
-  EXPECT_TRUE(saw_msgs);
-  EXPECT_TRUE(saw_nic);
-  bool saw_wait = false;
-  for (const auto& h : reg.histograms()) {
-    if (h.name == "queue_wait{resource=nic-out}") {
-      saw_wait = true;
-      EXPECT_EQ(h.value.count(), 1);
-    }
-  }
-  EXPECT_TRUE(saw_wait);
+  obs::RunReport report;
+  obs::fill_from_engine_metrics(report, m);
+  const obs::JsonValue flat = report.metrics_json();
+  const obs::JsonValue* msgs = flat.find("msgs{path=on-node,proto=rendezvous}");
+  ASSERT_NE(msgs, nullptr);
+  EXPECT_EQ(msgs->as_int(), 1);
+  const obs::JsonValue* nic = flat.find("bytes_injected{nic=0}");
+  ASSERT_NE(nic, nullptr);
+  EXPECT_EQ(nic->as_int(), 4096);
+  const obs::JsonValue* wait = flat.find("queue_wait{resource=nic-out}");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->at("count").as_int(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -556,7 +453,7 @@ TEST_F(MetricsSimTest, ReportedTrafficMatchesIndependentPlanTotals) {
 TEST_F(MetricsSimTest, PhaseDeltasSumToMakespan) {
   const core::CommPlan p = plan(core::StrategyKind::ThreeStep);
   // Zero noise makes every repetition identical, so the phase deltas --
-  // recorded on the sampled repetitions only -- telescope exactly to the
+  // recorded on repetition 0 only -- telescope exactly to the
   // all-repetition makespan mean.
   core::MeasureOptions o = opts(10, 2);
   o.noise_sigma = 0.0;
@@ -564,19 +461,87 @@ TEST_F(MetricsSimTest, PhaseDeltasSumToMakespan) {
   ASSERT_TRUE(r.metrics.has_value());
   const obs::RunReport& report = *r.metrics;
   ASSERT_FALSE(report.phases.empty());
-  EXPECT_GT(report.sampled_reps, 0);
-  EXPECT_LE(report.sampled_reps, report.reps);
+  EXPECT_EQ(report.to_json().at("sampled_reps").as_int(), 1);
   double phase_sum = 0.0;
   double share_sum = 0.0;
   for (const obs::PhaseStat& ph : report.phases) {
     EXPECT_GE(ph.makespan.mean, 0.0);
-    EXPECT_EQ(ph.makespan.count, report.sampled_reps);
+    EXPECT_EQ(ph.makespan.count, 1);
     phase_sum += ph.makespan.mean;
     share_sum += ph.share;
   }
   EXPECT_NEAR(phase_sum, report.makespan.mean,
               1e-12 * std::max(1.0, report.makespan.mean));
   EXPECT_NEAR(share_sum, 1.0, 1e-9);
+}
+
+// The report's engine sections are exactly what one engine records over
+// repetition 0 (seeded mix_seed(seed, 0)), in either engine mode, at any
+// jobs count, with or without lost messages.
+TEST_F(MetricsSimTest, ReportIsRepetitionZero) {
+  const core::CommPlan p = plan(core::StrategyKind::ThreeStep);
+  const core::CompiledPlan compiled(p, topo_, params_);
+  FaultModel lossy;
+  lossy.seed = 11;
+  LossRule loss;
+  loss.path_id = static_cast<int>(PathClass::OffNode);
+  loss.probability = 0.3;
+  loss.retry.max_attempts = 64;
+  lossy.losses.push_back(loss);
+  for (const FaultModel* faults : {static_cast<const FaultModel*>(nullptr),
+                                   static_cast<const FaultModel*>(&lossy)}) {
+    for (const core::ExecMode mode :
+         {core::ExecMode::Compiled, core::ExecMode::Interpreted}) {
+      core::MeasureOptions o = opts(8, 1, mode);
+      o.faults = faults;
+      Engine engine(topo_, params_, NoiseModel(0, o.noise_sigma));
+      engine.set_faults(faults);
+      obs::EngineMetrics sink;
+      engine.set_metrics(&sink);
+      engine.reset(mix_seed(o.seed, 0));
+      if (mode == core::ExecMode::Compiled) {
+        engine.execute(compiled);
+      } else {
+        core::run_plan(engine, p);
+      }
+      obs::RunReport lone;
+      obs::fill_from_engine_metrics(lone, sink);
+      const obs::JsonValue want = lone.to_json();
+      EXPECT_EQ(lone.has_faults(), faults != nullptr);
+
+      for (const int jobs : {1, 4}) {
+        o.jobs = jobs;
+        const core::MeasureResult r = core::measure(p, topo_, params_, o);
+        ASSERT_TRUE(r.metrics.has_value());
+        const obs::JsonValue got = r.metrics->to_json();
+        const std::string where = std::string(to_string(mode)) + " jobs " +
+                                  std::to_string(jobs) +
+                                  (faults ? " lossy" : " unfaulted");
+        for (const char* key : {"phases", "traffic", "totals", "contention",
+                                "nic", "copies", "packs", "metrics"}) {
+          EXPECT_EQ(got.at(key).dump_string(0), want.at(key).dump_string(0))
+              << where << ": " << key;
+        }
+        ASSERT_EQ(got.find("faults") != nullptr, want.find("faults") != nullptr)
+            << where;
+        if (want.find("faults") != nullptr) {
+          EXPECT_EQ(got.at("faults").dump_string(0),
+                    want.at("faults").dump_string(0))
+              << where;
+        }
+        ASSERT_EQ(r.metrics->phases.size(), sink.phase_makespan.size())
+            << where;
+        double prev = 0.0;
+        for (std::size_t ph = 0; ph < sink.phase_makespan.size(); ++ph) {
+          EXPECT_EQ(r.metrics->phases[ph].makespan.count, 1);
+          EXPECT_EQ(r.metrics->phases[ph].makespan.mean,
+                    sink.phase_makespan[ph] - prev)
+              << where << " phase " << ph;
+          prev = sink.phase_makespan[ph];
+        }
+      }
+    }
+  }
 }
 
 TEST_F(MetricsSimTest, RunReportJsonRoundTrips) {
@@ -630,16 +595,12 @@ TEST(EngineMetrics, PublishUsesDeclaredPathNames) {
   m.ensure_lanes(1, 1);
   m.path_names = {"on-socket", "cross-socket", "off-node", "nvlink-peer"};
   m.on_message(3, Protocol::Eager, 512);
-  obs::Registry reg;
-  m.publish(reg);
-  bool saw = false;
-  for (const auto& c : reg.counters()) {
-    if (c.name == "msgs{path=nvlink-peer,proto=eager}") {
-      saw = true;
-      EXPECT_EQ(c.value, 1);
-    }
-  }
-  EXPECT_TRUE(saw);
+  obs::RunReport report;
+  obs::fill_from_engine_metrics(report, m);
+  const obs::JsonValue flat = report.metrics_json();
+  const obs::JsonValue* msgs = flat.find("msgs{path=nvlink-peer,proto=eager}");
+  ASSERT_NE(msgs, nullptr);
+  EXPECT_EQ(msgs->as_int(), 1);
 }
 
 TEST(EngineMetrics, TrafficBreakdownCarriesMachineClassNames) {

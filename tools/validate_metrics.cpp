@@ -5,10 +5,14 @@
 // Parses each file with the strict obs JSON parser and checks the schema
 // contract that CI and downstream analysis scripts rely on: schema tag,
 // non-empty reports array, required identity/summary fields, internally
-// consistent traffic totals, and phase shares that cover the makespan.
+// consistent traffic totals, phase shares that cover the makespan, phase
+// summaries of exactly `sampled_reps` samples whose means sum into the
+// makespan's [min, max] range, and non-negative fault counts whose per-rail
+// retries do not exceed the total.
 // Exits non-zero with a one-line diagnostic on the first violation so a
 // malformed metrics artifact fails the pipeline instead of uploading.
 
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
@@ -44,15 +48,27 @@ void check_report(const std::string& file, const JsonValue& report) {
   check_summary(file, require(file, report, "makespan", JsonValue::Kind::Object),
                 where + " makespan");
 
-  // Phase shares must decompose (approximately all of) the makespan.
+  // Phase shares must decompose (approximately all of) the makespan.  Each
+  // phase summarizes the `sampled_reps` profiled repetitions (one: the
+  // phase times are repetition 0's), so the phase means sum to a makespan
+  // of that run and must fall within the makespan's range.
+  const std::int64_t sampled =
+      require_count(file, report, "sampled_reps", where);
   const JsonValue& phases =
       require(file, report, "phases", JsonValue::Kind::Array);
   double share = 0.0;
+  double phase_sum = 0.0;
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const JsonValue& p = phases.at(i);
     require_number(file, p, "phase");
-    check_summary(file, require(file, p, "makespan", JsonValue::Kind::Object),
-                  where + " phase makespan");
+    const JsonValue& makespan =
+        require(file, p, "makespan", JsonValue::Kind::Object);
+    check_summary(file, makespan, where + " phase makespan");
+    if (require(file, makespan, "count", JsonValue::Kind::Int).as_int() !=
+        sampled) {
+      fail(file, where + ": a phase makespan count differs from sampled_reps");
+    }
+    phase_sum += makespan.at("mean").as_double();
     // "share" is a double, but a value like exactly 1.0 (single-phase
     // report) serializes without a fraction and parses back as Int --
     // JSON has one number type, so accept either kind and promote.
@@ -61,6 +77,18 @@ void check_report(const std::string& file, const JsonValue& report) {
   if (phases.size() > 0 && (share < 0.999 || share > 1.001)) {
     std::ostringstream os;
     os << where << ": phase shares sum to " << share << ", expected ~1";
+    fail(file, os.str());
+  }
+  const JsonValue& makespan = report.at("makespan");
+  const double lo = makespan.at("min").as_double();
+  const double hi = makespan.at("max").as_double();
+  constexpr double kRelTol = 1e-9;
+  if (phases.size() > 0 && (phase_sum < lo - kRelTol * std::abs(lo) ||
+                            phase_sum > hi + kRelTol * std::abs(hi))) {
+    std::ostringstream os;
+    os.precision(17);
+    os << where << ": phase means sum to " << phase_sum
+       << ", outside the makespan range [" << lo << ", " << hi << "]";
     fail(file, os.str());
   }
 
@@ -87,6 +115,31 @@ void check_report(const std::string& file, const JsonValue& report) {
 
   require(file, report, "contention", JsonValue::Kind::Array);
   require(file, report, "metrics", JsonValue::Kind::Object);
+
+  // The faults section appears only for runs that saw fault activity.
+  if (report.find("faults") != nullptr) {
+    const JsonValue& faults =
+        require(file, report, "faults", JsonValue::Kind::Object);
+    const std::string in_faults = where + " faults";
+    const std::int64_t retries =
+        require_count(file, faults, "retries", in_faults);
+    require_count(file, faults, "failovers", in_faults);
+    require_count(file, faults, "degraded_msgs", in_faults);
+    std::int64_t rail_retries = 0;
+    if (faults.find("rail_retries") != nullptr) {
+      const JsonValue& rails =
+          require(file, faults, "rail_retries", JsonValue::Kind::Array);
+      for (std::size_t i = 0; i < rails.size(); ++i) {
+        rail_retries += require_count(file, rails.at(i), "retries",
+                                      in_faults + ".rail_retries[]");
+      }
+    }
+    if (rail_retries > retries) {
+      fail(file, in_faults + ": per-rail retries sum to " +
+                     std::to_string(rail_retries) + ", more than retries (" +
+                     std::to_string(retries) + ")");
+    }
+  }
 }
 
 void validate_file(const std::string& file) {
