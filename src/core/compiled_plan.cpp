@@ -5,7 +5,7 @@
 #include <utility>
 #include <string>
 
-#include "hetsim/engine.hpp"
+#include "hetsim/engine_steps.hpp"
 #include "obs/engine_metrics.hpp"
 
 namespace hetcomm::core {
@@ -92,7 +92,7 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
                 "CompiledPlan: rail " + std::to_string(op.rail) + " >= " +
                 std::to_string(lanes) + " NIC lane(s)");
           }
-          CompiledPhase::MessageSchedule msg;
+          MessageSchedule msg;
           msg.src = op.src_rank;
           msg.dst = op.dst_rank;
           msg.bytes = op.bytes;
@@ -156,7 +156,7 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
             throw std::invalid_argument(
                 "CompiledPlan: copy sharing_procs must be >= 1");
           }
-          CompiledPhase::CopyOp copy;
+          CopyOp copy;
           copy.rank = op.rank;
           copy.gpu = op.gpu;
           copy.dir = op.dir;
@@ -180,7 +180,7 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
           if (op.bytes < 0) {
             throw std::invalid_argument("CompiledPlan: negative pack size");
           }
-          CompiledPhase::PackOp pack;
+          PackOp pack;
           pack.rank = op.rank;
           pack.bytes = op.bytes;
           pack.duration_base = params.overheads.pack_per_byte *
@@ -198,7 +198,7 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
     // depth at the destination into each message's noised completion term:
     // completion_base = (alpha + beta*s) + q_search * depth[dst], the same
     // association order the interpreter uses.
-    for (CompiledPhase::MessageSchedule& msg : out.messages) {
+    for (MessageSchedule& msg : out.messages) {
       msg.completion_base =
           msg.send_occupancy +
           params.overheads.queue_search_per_entry *
@@ -301,8 +301,7 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
     for (const core::CompiledStep& step : phase.steps) {
       switch (step.kind) {
         case core::StepKind::Message: {
-          const core::CompiledPhase::MessageSchedule& msg =
-              phase.messages[step.index];
+          const MessageSchedule& msg = phase.messages[step.index];
           clock_[msg.src] += post_overhead;  // isend posting
           const double send_post = clock_[msg.src];
           clock_[msg.dst] += post_overhead;  // irecv posting
@@ -311,45 +310,12 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
                              : send_post;
           break;
         }
-        case core::StepKind::Copy: {
-          const core::CompiledPhase::CopyOp& op = phase.copies[step.index];
-          BusyServer& dma = op.dir == CopyDir::HostToDevice
-                                ? dma_h2d_[op.gpu]
-                                : dma_d2h_[op.gpu];
-          const double ready = clock_[op.rank];
-          const double start = dma.acquire(ready, op.occupancy);
-          double base = op.duration_base;
-          if (Observed && faults_) {
-            base = faults_->rank_compute_factor(op.rank) * base;
-          }
-          const double duration = noise_.perturb(base);
-          clock_[op.rank] = start + duration;
-          if (Observed && metrics_) {
-            const obs::SimResource res = op.dir == CopyDir::HostToDevice
-                                             ? obs::SimResource::DmaH2D
-                                             : obs::SimResource::DmaD2H;
-            metrics_->on_occupancy(res, op.occupancy);
-            metrics_->on_wait(res, ready, start);
-            metrics_->on_copy(op.dir, op.sharing_procs, op.bytes, duration);
-          }
-          if (Observed && tracing_) {
-            trace_.copies.push_back({op.rank, op.gpu, op.dir, op.bytes,
-                                     op.sharing_procs, start,
-                                     clock_[op.rank]});
-          }
+        case core::StepKind::Copy:
+          copy_step<Observed>(phase.copies[step.index]);
           break;
-        }
-        case core::StepKind::Pack: {
-          const core::CompiledPhase::PackOp& op = phase.packs[step.index];
-          double base = op.duration_base;
-          if (Observed && faults_) {
-            base = faults_->rank_compute_factor(op.rank) * base;
-          }
-          const double duration = noise_.perturb(base);
-          clock_[op.rank] += duration;
-          if (Observed && metrics_) metrics_->on_pack(op.bytes, duration);
+        case core::StepKind::Pack:
+          pack_step<Observed>(phase.packs[step.index]);
           break;
-        }
       }
     }
     if (num_messages == 0) {
@@ -357,180 +323,35 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
       continue;
     }
 
-    // ---- Schedule: only queueing, one noise draw, clock advancement. ----
-    // Mirrors Engine::schedule's send/resend loop step for step (same
-    // resource order, same metric hooks, same fault helpers), so faulted
-    // runs stay bit-identical across the two engine modes.
-    const auto schedule_message = [&](std::uint32_t i,
-                                      double ready0) -> double {
-      const core::CompiledPhase::MessageSchedule& msg = phase.messages[i];
-
-      FaultMsgState fst;
-      fst.send_occupancy = msg.send_occupancy;
-      fst.drain_occupancy = msg.drain_occupancy;
-      fst.completion_base = msg.completion_base;
-      fst.nic_occupancy_src = msg.nic_occupancy;
-      fst.nic_occupancy_dst = msg.nic_occupancy;
-      std::uint8_t fault_path = 0;
-      if (Observed && faults_) {
-        fault_path = phase.message_meta[i].path_id;
-        fst = fault_prepare(msg.src, fault_path, msg.off_node, msg.src_node,
-                            msg.dst_node, msg.src_nic, msg.dst_nic,
-                            msg.send_occupancy, msg.drain_occupancy,
-                            msg.completion_base, msg.nic_occupancy, ready0,
-                            fault_msg_counter_++);
-        if (fst.degraded && metrics_) {
-          metrics_->on_fault_degraded(fault_path, fst.extra_seconds);
-        }
-      }
-
-      const double hop_latency =
-          (Observed && msg.off_node && fabric_)
-              ? fabric_->hop_latency(msg.src_node, msg.dst_node)
-              : 0.0;
-
-      double ready = ready0;
-      double t = 0.0;
-      double completion = 0.0;
-      std::int32_t egress_server = -1;  ///< last attempt's NIC lane server
-      for (int attempt = 0;;) {
-        t = send_port_[msg.src].acquire(ready, fst.send_occupancy);
-        if (Observed && metrics_) {
-          if (attempt == 0) {
-            const core::CompiledPhase::MessageMeta& meta =
-                phase.message_meta[i];
-            metrics_->on_message(meta.path_id, meta.protocol, msg.bytes);
-          }
-          metrics_->on_occupancy(obs::SimResource::SendPort,
-                                 fst.send_occupancy);
-          metrics_->on_wait(obs::SimResource::SendPort, ready, t);
-        }
-        if (msg.off_node) {
-          std::int32_t out_server = msg.src_nic;
-          if (Observed && faults_ && faults_->has_outages()) {
-            bool failover = false;
-            out_server = fault_route_nic(msg.src_node, msg.src_nic, t,
-                                         failover, msg.src, msg.dst,
-                                         fault_path);
-            if (failover && metrics_) metrics_->on_fault_failover();
-          }
-          egress_server = out_server;
-          const double t_out =
-              nic_out_[out_server].acquire(t, fst.nic_occupancy_src);
-          if (Observed && metrics_) {
-            metrics_->on_occupancy(obs::SimResource::NicOut,
-                                   fst.nic_occupancy_src);
-            if (attempt == 0) {
-              metrics_->on_nic_egress(out_server, msg.bytes, msg.rail >= 0);
-            }
-            metrics_->on_wait(obs::SimResource::NicOut, t, t_out);
-          }
-          t = t_out;
-          if (Observed && fabric_) {
-            const double t_fab =
-                fabric_->acquire(msg.src_node, msg.dst_node, msg.bytes, t);
-            // Fabric wait folds queueing and link serialization together
-            // (the fabric returns only the final acquire time).
-            if (metrics_) {
-              metrics_->on_wait(obs::SimResource::FabricLink, t, t_fab);
-            }
-            t = t_fab;
-          }
-          std::int32_t in_server = msg.dst_nic;
-          if (Observed && faults_ && faults_->has_outages()) {
-            bool failover = false;
-            in_server = fault_route_nic(msg.dst_node, msg.dst_nic, t,
-                                        failover, msg.src, msg.dst,
-                                        fault_path);
-            if (failover && metrics_) metrics_->on_fault_failover();
-          }
-          const double t_in =
-              nic_in_[in_server].acquire(t, fst.nic_occupancy_dst);
-          if (Observed && metrics_) {
-            metrics_->on_occupancy(obs::SimResource::NicIn,
-                                   fst.nic_occupancy_dst);
-            metrics_->on_wait(obs::SimResource::NicIn, t, t_in);
-          }
-          t = t_in;
-        }
-        const double t_drain =
-            recv_port_[msg.dst].acquire(t, fst.drain_occupancy);
-        if (Observed && metrics_) {
-          metrics_->on_occupancy(obs::SimResource::RecvPort,
-                                 fst.drain_occupancy);
-          metrics_->on_wait(obs::SimResource::RecvPort, t, t_drain);
-        }
-        t = t_drain;
-
-        completion = t + noise_.perturb(fst.completion_base) + hop_latency;
-
-        if (Observed && fault_lost(fst, attempt)) {
-          ++attempt;
-          if (attempt >= fst.loss->retry.max_attempts) {
-            throw_retries_exhausted(msg.src, msg.dst, fault_path, attempt);
-          }
-          const double delay = retry_delay(fst.loss->retry, attempt - 1);
-          if (metrics_) {
-            const int lanes = std::max(1, params_.injection.nics_per_node);
-            metrics_->on_fault_retry(
-                delay, egress_server < 0
-                           ? -1
-                           : egress_server - msg.src_node * lanes);
-          }
-          ready = completion + delay;
-          continue;
-        }
-        break;
-      }
-
-      const double sender_done =
-          msg.rendezvous ? completion : send_port_[msg.src].free_at();
-      clock_[msg.src] = std::max(clock_[msg.src], sender_done);
-      clock_[msg.dst] = std::max(clock_[msg.dst], completion);
-
-      if (Observed && tracing_) {
-        const core::CompiledPhase::MessageMeta& meta = phase.message_meta[i];
-        trace_.messages.push_back({msg.src, msg.dst, msg.bytes, meta.tag,
-                                   meta.space, meta.protocol, meta.path,
-                                   ready0, t, completion});
-      }
-      return completion;
-    };
-
-    if (phase.num_waves() == 1) {
-      // Posting order is send-seq order, so (ready, index) is the same
-      // strict total order resolve() sorts by; the schedule sequence (and
-      // with it the noise-draw sequence) is bit-identical.
-      for (const std::uint32_t i :
-           schedule_order_.sort(ready_scratch_.data(), nullptr,
-                                num_messages)) {
-        schedule_message(i, ready_scratch_[i]);
-      }
-    } else {
-      // Dependency waves (split plans): a dependent message is ready no
-      // earlier than its gating chunk's completion, and each wave is
-      // ordered like a whole phase.
-      matched_completion_scratch_.assign(num_messages, 0.0);
-      for (std::size_t w = 0; w + 1 < phase.wave_begin.size(); ++w) {
-        const std::uint32_t* members =
-            phase.wave_members.data() + phase.wave_begin[w];
-        const std::size_t count = phase.wave_begin[w + 1] -
-                                  phase.wave_begin[w];
+    // Each wave runs in (ready, index) order.  Posting order is send-seq
+    // order, so that is the strict total order resolve() sorts by, and the
+    // schedule sequence (with it the noise-draw sequence) is bit-identical.
+    // A phase without dependency edges is one wave of every message; in
+    // dependency waves (split plans) a dependent message is ready no
+    // earlier than its gating chunk's completion.  The one transfer call
+    // site keeps the hook-free step inlined.
+    const bool waves = phase.num_waves() > 1;
+    matched_completion_scratch_.resize(num_messages);
+    for (std::size_t w = 0; w < phase.num_waves(); ++w) {
+      const std::uint32_t* members = nullptr;
+      std::size_t count = num_messages;
+      if (waves) {
+        members = phase.wave_members.data() + phase.wave_begin[w];
+        count = phase.wave_begin[w + 1] - phase.wave_begin[w];
         for (std::size_t k = 0; k < count; ++k) {
           const std::uint32_t i = members[k];
           const std::int32_t d = phase.msg_dep[i];
           if (d >= 0) {
-            ready_scratch_[i] =
-                std::max(ready_scratch_[i],
-                         matched_completion_scratch_[
-                             static_cast<std::size_t>(d)]);
+            ready_scratch_[i] = std::max(
+                ready_scratch_[i],
+                matched_completion_scratch_[static_cast<std::size_t>(d)]);
           }
         }
-        for (const std::uint32_t i :
-             schedule_order_.sort(ready_scratch_.data(), members, count)) {
-          matched_completion_scratch_[i] =
-              schedule_message(i, ready_scratch_[i]);
-        }
+      }
+      for (const std::uint32_t i :
+           schedule_order_.sort(ready_scratch_.data(), members, count)) {
+        matched_completion_scratch_[i] = transfer<Observed>(
+            phase.messages[i], phase.message_meta[i], ready_scratch_[i]);
       }
     }
     network_bytes_ += phase.network_bytes;

@@ -24,15 +24,18 @@
 //
 // Engine::execute(plan) then performs only the rep-varying work -- noise
 // draws, single-server queueing, clock advancement -- on member-owned
-// scratch that is cleared, never reallocated, across reps.  Execution is
-// bit-identical (clocks, traces, counters, noise-stream position) to
-// driving the same plan through run_plan()'s isend/irecv/copy/pack +
-// resolve() path; tests/test_compiled_plan.cpp holds that contract.
+// scratch that is cleared, never reallocated, across reps.  It runs the
+// same transfer, copy and pack steps as the interpreted engine, which
+// derives their inputs itself.  Execution is bit-identical (clocks,
+// traces, counters, noise-stream position) to driving the same plan
+// through run_plan()'s isend/irecv/copy/pack + resolve() path;
+// tests/test_compiled_plan.cpp holds that contract.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/plan.hpp"
+#include "hetsim/engine.hpp"
 #include "hetsim/params.hpp"
 #include "hetsim/topology.hpp"
 
@@ -53,38 +56,15 @@ struct CompiledPhase {
   std::vector<CompiledStep> steps;  ///< original op order
 
   // -- Messages ----------------------------------------------------------
-  // Hot scheduling constants, read every repetition in the inner loop.
-  struct MessageSchedule {
-    std::int32_t src = -1;
-    std::int32_t dst = -1;
-    std::int64_t bytes = 0;
-    double send_occupancy = 0.0;   ///< alpha + beta*s (sender port)
-    double drain_occupancy = 0.0;  ///< beta*s (receiver port)
-    double completion_base = 0.0;  ///< alpha + beta*s + queue_cost (noised)
-    double nic_occupancy = 0.0;    ///< inv_rate*s + nic_overhead (off-node)
-    std::int32_t src_node = -1;    ///< valid when off_node
-    std::int32_t dst_node = -1;
-    std::int32_t src_nic = -1;     ///< NIC-lane server index (off-node)
-    std::int32_t dst_nic = -1;
-    std::int8_t rail = -1;         ///< explicit NIC lane (-1 = hashed)
-    bool off_node = false;
-    bool rendezvous = false;       ///< ready waits for the receive posting
-  };
-  // Cold metadata, touched only by tracing and the metrics invariant tier.
-  struct MessageMeta {
-    int tag = 0;
-    MemSpace space = MemSpace::Host;
-    Protocol protocol = Protocol::Eager;
-    std::uint8_t path_id = 0;         ///< taxonomy class id (metrics slot)
-    PathClass path = PathClass::OnSocket;  ///< base locality (traces)
-  };
   /// In posting order.  Each entry is one send together with the receive
   /// FIFO matching pairs it with: a Message op posts both ends (run_plan's
   /// contract), and FIFO pairing per (src, dst, tag) preserves posting
   /// order on both sides, so the k-th send of a key meets the k-th receive
   /// of that key -- the same op.
   std::vector<MessageSchedule> messages;
-  std::vector<MessageMeta> message_meta;  ///< index-aligned with messages
+  /// Index-aligned with messages; read only by the trace, metrics and
+  /// fault hooks.
+  std::vector<MessageMeta> message_meta;
   /// Message-to-message dependency: messages[i] becomes ready no earlier
   /// than messages[msg_dep[i]]'s completion (-1 = independent).  Deps on
   /// copies/packs compile away -- blocking posting on the sending rank
@@ -100,24 +80,7 @@ struct CompiledPhase {
     return wave_begin.empty() ? 1 : wave_begin.size() - 1;
   }
 
-  // -- Copies ------------------------------------------------------------
-  struct CopyOp {
-    std::int32_t rank = -1;
-    std::int32_t gpu = -1;
-    CopyDir dir = CopyDir::DeviceToHost;
-    std::int32_t sharing_procs = 1;
-    std::int64_t bytes = 0;
-    double occupancy = 0.0;      ///< dma_op_overhead + raw_beta*s/sharing
-    double duration_base = 0.0;  ///< interpolated alpha + beta*s (noised)
-  };
   std::vector<CopyOp> copies;
-
-  // -- Packs -------------------------------------------------------------
-  struct PackOp {
-    std::int32_t rank = -1;
-    std::int64_t bytes = 0;
-    double duration_base = 0.0;  ///< pack_per_byte * s (noised)
-  };
   std::vector<PackOp> packs;
 
   // Phase-constant network counters (sum over off-node messages), added to

@@ -178,7 +178,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   // reduction below is independent of which worker ran which repetition.
   std::vector<double> rep_clocks(static_cast<std::size_t>(options.reps) *
                                  num_ranks);
-  Trace last_trace;  // written only by the repetition reps-1
 
   // One reusable engine per worker, constructed lazily on first use.
   std::vector<std::unique_ptr<Engine>> engines(static_cast<std::size_t>(jobs));
@@ -216,9 +215,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     if (observe_rep0) slot->set_metrics(rep == 0 ? &sink : nullptr);
     Engine& engine = *slot;
     engine.reset(mix_seed(options.seed, static_cast<std::uint64_t>(rep)));
-    const bool traced =
-        options.trace_last_rep && rep == static_cast<std::int64_t>(options.reps) - 1;
-    engine.set_tracing(traced);
     const auto rep_start = options.collect_metrics
                                ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
@@ -236,10 +232,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         rep_start)
               .count();
-    }
-    if (traced) {
-      last_trace = engine.trace();
-      engine.set_tracing(false);
     }
     if (tracer != nullptr) {
       const double trace_t1 = tracer->now();
@@ -326,7 +318,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   result.makespan_max = fold.makespan_max;
   result.per_rank_mean = std::move(fold.per_rank_mean);
   result.max_avg = fold.max_avg;
-  result.trace = std::move(last_trace);
 
   if (options.collect_metrics) {
     obs::RunReport report;

@@ -19,7 +19,6 @@
 #include "core/plan.hpp"
 #include "hetsim/engine.hpp"
 #include "hetsim/network.hpp"
-#include "hetsim/trace.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
 
@@ -39,25 +38,14 @@ enum class ExecMode : std::uint8_t {
 }
 
 struct MeasureOptions {
-  MeasureOptions() = default;
-  /// Pre-runtime callers spell out the first four options positionally;
-  /// keep that working without -Wmissing-field-initializers noise.
-  MeasureOptions(int reps_, std::uint64_t seed_, double noise_sigma_,
-                 bool trace_last_rep_) noexcept
-      : reps(reps_),
-        seed(seed_),
-        noise_sigma(noise_sigma_),
-        trace_last_rep(trace_last_rep_) {}
-
   int reps = 25;              ///< repetitions (the paper uses 1000)
   std::uint64_t seed = 0x5eedULL;
   double noise_sigma = 0.02;  ///< mean-one jitter factor; 0 = deterministic
-  bool trace_last_rep = false;
   /// Worker threads for repetitions: 1 = serial (default), 0 = hardware
   /// concurrency.  Results are bit-identical for every value.
   int jobs = 1;
   /// Attach a tapered fat-tree fabric to every engine (what-if studies).
-  std::optional<FatTreeConfig> fabric;
+  std::optional<FatTreeConfig> fabric = std::nullopt;
   /// Execution path; Compiled is the default fast path, Interpreted is the
   /// bit-identical reference the equivalence tests compare it against.
   ExecMode engine = ExecMode::Compiled;
@@ -102,7 +90,6 @@ struct MeasureResult {
   double makespan_max = 0.0;
   std::vector<double> per_rank_mean;
   PlanSummary summary;
-  Trace trace;                ///< last repetition's events (trace_last_rep)
   double wall_seconds = 0.0;  ///< wall time spent simulating repetitions
   double reps_per_second = 0.0;
   /// Aggregated run report (collect_metrics).  `name` is left empty for the

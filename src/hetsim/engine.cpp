@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 
+#include "hetsim/engine_steps.hpp"
 #include "obs/engine_metrics.hpp"
 
 namespace hetcomm {
@@ -88,31 +90,10 @@ void Engine::copy(int rank, int gpu, CopyDir dir, std::int64_t bytes,
   // degree: concurrent sharers overlap nearly fully while sequential copies
   // still queue.
   const PostalParams raw = copy_params_for(params_.copies, dir, 1);
-  const double occupancy =
-      params_.overheads.dma_op_overhead +
-      raw.beta * static_cast<double>(bytes) / sharing_procs;
-
-  BusyServer& dma =
-      dir == CopyDir::HostToDevice ? dma_h2d_[gpu] : dma_d2h_[gpu];
-  const double ready = clock_[rank];
-  const double start = dma.acquire(ready, occupancy);
-  double base = cp.time(bytes);
-  if (faults_) base = faults_->rank_compute_factor(rank) * base;
-  const double duration = noise_.perturb(base);
-  clock_[rank] = start + duration;
-
-  if (metrics_) {
-    const obs::SimResource res = dir == CopyDir::HostToDevice
-                                     ? obs::SimResource::DmaH2D
-                                     : obs::SimResource::DmaD2H;
-    metrics_->on_occupancy(res, occupancy);
-    metrics_->on_wait(res, ready, start);
-    metrics_->on_copy(dir, sharing_procs, bytes, duration);
-  }
-  if (tracing_) {
-    trace_.copies.push_back(
-        {rank, gpu, dir, bytes, sharing_procs, start, clock_[rank]});
-  }
+  copy_step<true>({rank, gpu, dir, sharing_procs, bytes,
+                   params_.overheads.dma_op_overhead +
+                       raw.beta * static_cast<double>(bytes) / sharing_procs,
+                   cp.time(bytes)});
 }
 
 void Engine::set_fabric(const FatTreeConfig& config) {
@@ -132,11 +113,9 @@ void Engine::compute(int rank, double seconds) {
 void Engine::pack(int rank, std::int64_t bytes) {
   check_rank(rank);
   if (bytes < 0) throw std::invalid_argument("Engine::pack: negative size");
-  double base = params_.overheads.pack_per_byte * static_cast<double>(bytes);
-  if (faults_) base = faults_->rank_compute_factor(rank) * base;
-  const double duration = noise_.perturb(base);
-  clock_[rank] += duration;
-  if (metrics_) metrics_->on_pack(bytes, duration);
+  const double base =
+      params_.overheads.pack_per_byte * static_cast<double>(bytes);
+  pack_step<true>({rank, bytes, base});
 }
 
 void Engine::set_metrics(obs::EngineMetrics* sink) {
@@ -180,10 +159,19 @@ void Engine::throw_retries_exhausted(std::int32_t src, std::int32_t dst,
                    path_id, params_.taxonomy.cls(path_id).name, attempts);
 }
 
-void Engine::throw_nic_unavailable(std::int32_t src, std::int32_t dst,
-                                   std::uint8_t path_id) const {
-  throw FaultAbort(FaultAbort::Reason::NicUnavailable, "", src, dst, path_id,
-                   params_.taxonomy.cls(path_id).name, 0);
+std::int32_t Engine::route_nic(std::int32_t node, std::int32_t server,
+                               double& t, const MessageSchedule& msg,
+                               std::uint8_t path_id) {
+  const int lanes = std::max(1, params_.injection.nics_per_node);
+  const FaultModel::LaneRoute r =
+      faults_->route_lane(node, server - node * lanes, lanes, t);
+  if (r.at == std::numeric_limits<double>::infinity()) {
+    throw FaultAbort(FaultAbort::Reason::NicUnavailable, "", msg.src, msg.dst,
+                     path_id, params_.taxonomy.cls(path_id).name, 0);
+  }
+  if (r.failover && metrics_) metrics_->on_fault_failover();
+  if (r.at > t) t = r.at;
+  return node * lanes + r.lane;
 }
 
 void Engine::fail_resolve(const std::string& what) {
@@ -373,173 +361,53 @@ void Engine::resolve_waves() {
   }
 }
 
-double Engine::schedule(Matched& m, std::vector<int>& recv_queue_depth) {
+double Engine::schedule(const Matched& m,
+                        const std::vector<int>& recv_queue_depth) {
   const PendingOp& s = m.send;
   const std::uint8_t path_id = paths_.path_of(s.self, s.peer);
   const PathClass path = paths_.locality_of(path_id);
   const Protocol proto = params_.thresholds.select(s.space, s.bytes);
   const PostalParams pp = params_.messages.get(s.space, proto, path_id);
   const double size = static_cast<double>(s.bytes);
-  const bool off_node = path == PathClass::OffNode;
 
-  // Rep-invariant costs.  completion_base folds the queue-search term in
-  // (left-associated exactly like the historical inline expression, so the
-  // fault-free doubles are bit-identical to the pre-fault engine).
-  const double send_occupancy = pp.alpha + pp.beta * size;
-  const double drain_occupancy = pp.beta * size;
-  const double completion_base =
-      send_occupancy +
+  MessageSchedule msg;
+  msg.src = s.self;
+  msg.dst = s.peer;
+  msg.bytes = s.bytes;
+  msg.send_occupancy = pp.alpha + pp.beta * size;
+  msg.drain_occupancy = pp.beta * size;
+  // The queue-search term folds into the noised completion base.
+  msg.completion_base =
+      msg.send_occupancy +
       params_.overheads.queue_search_per_entry * recv_queue_depth[s.peer];
-
-  double nic_occupancy = 0.0;
-  int src_node = -1;
-  int dst_node = -1;
-  std::int32_t src_nic = -1;
-  std::int32_t dst_nic = -1;
-  if (off_node) {
+  msg.rail = static_cast<std::int8_t>(s.rail);
+  msg.off_node = path == PathClass::OffNode;
+  msg.rendezvous = proto == Protocol::Rendezvous;
+  if (msg.off_node) {
     const double inv_rate = s.space == MemSpace::Host
                                 ? params_.injection.inv_rate_cpu
                                 : params_.injection.inv_rate_gpu;
-    src_node = topo_.node_of_rank(s.self);
-    dst_node = topo_.node_of_rank(s.peer);
+    msg.src_node = topo_.node_of_rank(s.self);
+    msg.dst_node = topo_.node_of_rank(s.peer);
     if (s.rail >= 0) {
       // Explicit rail assignment (striped plans): pin both endpoints to the
       // rail's NIC pair instead of the default hash-to-lane choice.
       const int lanes = std::max(1, params_.injection.nics_per_node);
-      src_nic = src_node * lanes + s.rail;
-      dst_nic = dst_node * lanes + s.rail;
+      msg.src_nic = msg.src_node * lanes + s.rail;
+      msg.dst_nic = msg.dst_node * lanes + s.rail;
     } else {
-      src_nic = nic_of_rank_[s.self];
-      dst_nic = nic_of_rank_[s.peer];
+      msg.src_nic = nic_of_rank_[s.self];
+      msg.dst_nic = nic_of_rank_[s.peer];
     }
-    nic_occupancy = inv_rate * size + params_.overheads.nic_message_overhead;
+    msg.nic_occupancy =
+        inv_rate * size + params_.overheads.nic_message_overhead;
   }
 
-  FaultMsgState fst;
-  fst.send_occupancy = send_occupancy;
-  fst.drain_occupancy = drain_occupancy;
-  fst.completion_base = completion_base;
-  fst.nic_occupancy_src = nic_occupancy;
-  fst.nic_occupancy_dst = nic_occupancy;
-  if (faults_) {
-    fst = fault_prepare(s.self, path_id, off_node, src_node, dst_node,
-                        src_nic, dst_nic, send_occupancy, drain_occupancy,
-                        completion_base, nic_occupancy, m.ready,
-                        fault_msg_counter_++);
-    if (fst.degraded && metrics_) {
-      metrics_->on_fault_degraded(path_id, fst.extra_seconds);
-    }
-  }
-
-  const double hop_latency =
-      (off_node && fabric_) ? fabric_->hop_latency(src_node, dst_node) : 0.0;
-
-  // Send/resend loop.  Without a matching loss rule (fst.loss == nullptr)
-  // the body runs exactly once and is the historical scheduling path.  A
-  // lost attempt still consumed every resource it acquired (the wire time
-  // is real); the retry re-queues from scratch after the backoff delay.
-  double ready = m.ready;
-  double t = 0.0;
-  double completion = 0.0;
-  std::int32_t egress_server = -1;  ///< last attempt's NIC lane server
-  for (int attempt = 0;;) {
-    // Sender-side occupancy: the sending process cannot initiate the next
-    // message until this one's latency+transfer work is handed off.
-    t = send_port_[s.self].acquire(ready, fst.send_occupancy);
-    if (metrics_) {
-      if (attempt == 0) metrics_->on_message(path_id, proto, s.bytes);
-      metrics_->on_occupancy(obs::SimResource::SendPort, fst.send_occupancy);
-      metrics_->on_wait(obs::SimResource::SendPort, ready, t);
-    }
-
-    if (off_node) {
-      std::int32_t out_server = src_nic;
-      if (faults_ && faults_->has_outages()) {
-        bool failover = false;
-        out_server = fault_route_nic(src_node, src_nic, t, failover, s.self,
-                                     s.peer, path_id);
-        if (failover && metrics_) metrics_->on_fault_failover();
-      }
-      egress_server = out_server;
-      const double t_out =
-          nic_out_[out_server].acquire(t, fst.nic_occupancy_src);
-      if (metrics_) {
-        metrics_->on_occupancy(obs::SimResource::NicOut,
-                               fst.nic_occupancy_src);
-        if (attempt == 0) {
-          metrics_->on_nic_egress(out_server, s.bytes, s.rail >= 0);
-        }
-        metrics_->on_wait(obs::SimResource::NicOut, t, t_out);
-      }
-      t = t_out;
-      if (fabric_) {
-        const double t_fab = fabric_->acquire(src_node, dst_node, s.bytes, t);
-        // Fabric wait folds queueing and link serialization together (the
-        // fabric returns only the final acquire time).
-        if (metrics_) {
-          metrics_->on_wait(obs::SimResource::FabricLink, t, t_fab);
-        }
-        t = t_fab;
-      }
-      std::int32_t in_server = dst_nic;
-      if (faults_ && faults_->has_outages()) {
-        bool failover = false;
-        in_server = fault_route_nic(dst_node, dst_nic, t, failover, s.self,
-                                    s.peer, path_id);
-        if (failover && metrics_) metrics_->on_fault_failover();
-      }
-      const double t_in = nic_in_[in_server].acquire(t, fst.nic_occupancy_dst);
-      if (metrics_) {
-        metrics_->on_occupancy(obs::SimResource::NicIn, fst.nic_occupancy_dst);
-        metrics_->on_wait(obs::SimResource::NicIn, t, t_in);
-      }
-      t = t_in;
-      if (attempt == 0) {
-        network_bytes_ += s.bytes;
-        ++network_messages_;
-      }
-    }
-
-    // Receiver-side drain occupancy.
-    const double t_drain = recv_port_[s.peer].acquire(t, fst.drain_occupancy);
-    if (metrics_) {
-      metrics_->on_occupancy(obs::SimResource::RecvPort, fst.drain_occupancy);
-      metrics_->on_wait(obs::SimResource::RecvPort, t, t_drain);
-    }
-    t = t_drain;
-
-    completion = t + noise_.perturb(fst.completion_base) + hop_latency;
-
-    if (fault_lost(fst, attempt)) {
-      ++attempt;
-      if (attempt >= fst.loss->retry.max_attempts) {
-        throw_retries_exhausted(s.self, s.peer, path_id, attempt);
-      }
-      const double delay = retry_delay(fst.loss->retry, attempt - 1);
-      if (metrics_) {
-        const int lanes = std::max(1, params_.injection.nics_per_node);
-        metrics_->on_fault_retry(
-            delay, egress_server < 0 ? -1
-                                     : egress_server - src_node * lanes);
-      }
-      ready = completion + delay;
-      continue;
-    }
-    break;
-  }
-
-  // Sender finishes when its buffer may be reused: for rendezvous that is
-  // the full transfer; for short/eager the data is buffered once the local
-  // handoff (port occupancy) completes.
-  const double sender_done = proto == Protocol::Rendezvous
-                                 ? completion
-                                 : send_port_[s.self].free_at();
-  clock_[s.self] = std::max(clock_[s.self], sender_done);
-  clock_[s.peer] = std::max(clock_[s.peer], completion);
-
-  if (tracing_) {
-    trace_.messages.push_back({s.self, s.peer, s.bytes, s.tag, s.space, proto,
-                               path, m.ready, t, completion});
+  const double completion =
+      transfer<true>(msg, {s.tag, s.space, proto, path_id, path}, m.ready);
+  if (msg.off_node) {
+    network_bytes_ += s.bytes;
+    ++network_messages_;
   }
   return completion;
 }

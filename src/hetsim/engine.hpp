@@ -15,10 +15,15 @@
 // parameter table; contention (queueing on shared resources) and measurement
 // noise create the spread between the analytic models and "measured" times,
 // just as on real hardware.
+//
+// Two execution paths share one body per step kind: the transfer step
+// queues a message on its resources, retries lost attempts and advances
+// both clocks; the copy and pack steps do the same for blocking local work.
+// The interpreted path (isend/irecv/copy/pack + resolve()) derives each
+// step's inputs itself; execute() reads them from a core::CompiledPlan.
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -41,6 +46,54 @@ class CompiledPlan;  // compiled (rep-invariant) form of a core::CommPlan
 namespace obs {
 struct EngineMetrics;  // fixed-slot metrics sink (obs/engine_metrics.hpp)
 }  // namespace obs
+
+/// One message's rep-invariant inputs to the engine's transfer step: one
+/// send together with the receive that matches it.  A CompiledPlan stores
+/// one per Message op; resolve() derives one per matched pair.
+struct MessageSchedule {
+  std::int32_t src = -1;
+  std::int32_t dst = -1;
+  std::int64_t bytes = 0;
+  double send_occupancy = 0.0;   ///< alpha + beta*s (sender port)
+  double drain_occupancy = 0.0;  ///< beta*s (receiver port)
+  double completion_base = 0.0;  ///< alpha + beta*s + queue_cost (noised)
+  double nic_occupancy = 0.0;    ///< inv_rate*s + nic_overhead (off-node)
+  std::int32_t src_node = -1;    ///< valid when off_node
+  std::int32_t dst_node = -1;
+  std::int32_t src_nic = -1;     ///< NIC-lane server index (off-node)
+  std::int32_t dst_nic = -1;
+  std::int8_t rail = -1;         ///< explicit NIC lane (-1 = hashed)
+  bool off_node = false;
+  bool rendezvous = false;       ///< ready waits for the receive posting
+};
+
+/// A message's cold inputs, read only by the trace, metrics and fault
+/// hooks.
+struct MessageMeta {
+  int tag = 0;
+  MemSpace space = MemSpace::Host;
+  Protocol protocol = Protocol::Eager;
+  std::uint8_t path_id = 0;              ///< taxonomy class id
+  PathClass path = PathClass::OnSocket;  ///< base locality (traces)
+};
+
+/// One blocking host<->device copy's inputs to the copy step.
+struct CopyOp {
+  std::int32_t rank = -1;
+  std::int32_t gpu = -1;
+  CopyDir dir = CopyDir::DeviceToHost;
+  std::int32_t sharing_procs = 1;
+  std::int64_t bytes = 0;
+  double occupancy = 0.0;      ///< dma_op_overhead + raw_beta*s/sharing
+  double duration_base = 0.0;  ///< interpolated alpha + beta*s (noised)
+};
+
+/// One blocking pack's inputs to the pack step.
+struct PackOp {
+  std::int32_t rank = -1;
+  std::int64_t bytes = 0;
+  double duration_base = 0.0;  ///< pack_per_byte * s (noised)
+};
 
 class Engine {
  public:
@@ -94,7 +147,11 @@ class Engine {
   void pack(int rank, std::int64_t bytes);
 
   /// Match and schedule all pending sends/receives, then advance each
-  /// rank's clock past its own completed operations.  Throws
+  /// rank's clock past its own completed operations.  This is the
+  /// reference path: it derives per call everything a CompiledPlan hoists
+  /// (matching, path classes, protocols, alpha/beta lookups, queue depths,
+  /// dependency waves and a std::sort schedule order), then runs each
+  /// transfer through the step execute() shares.  Throws
   /// std::logic_error if any operation remains unmatched or sizes
   /// mismatch; on failure every pending operation is dropped (so
   /// has_pending() is false and a reused per-worker engine is not
@@ -104,19 +161,18 @@ class Engine {
   /// resolve() performs no heap allocation.
   void resolve();
 
-  /// Execute a compiled plan: the rep-invariant work (send/recv matching,
-  /// path classification, protocol selection, alpha/beta lookups, queue
-  /// depths) was hoisted into the CompiledPlan at compile time, so this
-  /// inner loop only draws noise (prefetched in one batch per call),
-  /// queues on contended resources, and advances clocks; with no fault
-  /// model, metrics sink, trace or fabric attached it runs with those
-  /// hooks compiled out.  Event-for-event identical -- clocks, traces,
-  /// counters, noise stream -- to posting the original CommPlan through
-  /// isend/irecv/copy/pack + resolve().  The engine must have been
-  /// constructed with the same Topology and ParamSet the plan was
-  /// compiled against (checked structurally; a mismatch throws
-  /// std::invalid_argument), and must not hold pending operations.
-  /// Defined in core/compiled_plan.cpp; callers link hetcore.
+  /// Execute a compiled plan: the rep-invariant work was hoisted into the
+  /// CompiledPlan at compile time, so this loop only posts, orders each
+  /// phase by ready time, and runs the same transfer, copy and pack steps
+  /// as resolve(), copy() and pack() (noise prefetched in one batch per
+  /// call).  With no fault model, metrics sink, trace or fabric attached
+  /// the steps run with those hooks compiled out.  Event-for-event
+  /// identical -- clocks, traces, counters, noise stream -- to posting the
+  /// original CommPlan through isend/irecv/copy/pack + resolve().  The
+  /// engine must have been constructed with the same Topology and
+  /// ParamSet the plan was compiled against (checked structurally; a
+  /// mismatch throws std::invalid_argument), and must not hold pending
+  /// operations.  Defined in core/compiled_plan.cpp; callers link hetcore.
   void execute(const core::CompiledPlan& plan);
 
   /// True if any isend/irecv has been posted and not yet resolved.
@@ -210,9 +266,10 @@ class Engine {
   };
 
   void check_rank(int rank) const;
-  /// Schedule one matched transfer; returns its completion time (what a
-  /// dependent send in a later wave becomes ready at).
-  double schedule(Matched& m, std::vector<int>& recv_queue_depth);
+  /// Derive one matched transfer's step inputs and run its transfer step;
+  /// returns its completion time (what a dependent send in a later wave
+  /// becomes ready at).
+  double schedule(const Matched& m, const std::vector<int>& recv_queue_depth);
   /// resolve() tail for batches holding depends_on edges: buckets matched
   /// transfers into dependency waves and schedules wave by wave.
   void resolve_waves();
@@ -223,101 +280,39 @@ class Engine {
   template <bool Observed>
   void execute_phases(const core::CompiledPlan& plan);
 
-  /// Per-message fault state resolved once before the (re)send loop.
-  /// Occupancies default to the unfaulted inputs; loss stays null when no
-  /// rule matches, which also disables the retry loop entirely.
-  struct FaultMsgState {
-    double send_occupancy = 0.0;
-    double drain_occupancy = 0.0;
-    double completion_base = 0.0;
-    double nic_occupancy_src = 0.0;
-    double nic_occupancy_dst = 0.0;
-    const LossRule* loss = nullptr;
-    std::uint64_t msg_id = 0;
-    bool degraded = false;
-    double extra_seconds = 0.0;
-  };
+  // The step bodies, one per step kind, defined once in
+  // hetsim/engine_steps.hpp for both execution paths: the interpreted one
+  // runs them with Observed = true, execute() with its own `Observed`.
 
-  // The fault helpers are inline members so the interpreted (engine.cpp)
-  // and compiled (core/compiled_plan.cpp) scheduling paths share the exact
-  // same expression trees -- a requirement for the bit-identity contract
-  // between the engine modes.  The caller supplies the schedule-order
-  // message id (fault_msg_counter_++).  Only call them when
-  // faults_ != nullptr.
-  [[nodiscard]] FaultMsgState fault_prepare(
-      std::int32_t src, std::uint8_t path_id, bool off_node,
-      std::int32_t src_node, std::int32_t dst_node, std::int32_t src_nic,
-      std::int32_t dst_nic, double send_occupancy, double drain_occupancy,
-      double completion_base, double nic_occupancy, double ready,
-      std::uint64_t msg_id) {
-    FaultMsgState st;
-    st.msg_id = msg_id;
-    const int lanes = std::max(1, params_.injection.nics_per_node);
-    FaultModel::MessageView view;
-    view.src = src;
-    view.path_id = path_id;
-    view.off_node = off_node;
-    view.src_node = src_node;
-    view.dst_node = dst_node;
-    view.src_lane = off_node ? src_nic - src_node * lanes : -1;
-    view.dst_lane = off_node ? dst_nic - dst_node * lanes : -1;
-    view.send_occupancy = send_occupancy;
-    view.drain_occupancy = drain_occupancy;
-    view.completion_base = completion_base;
-    view.nic_occupancy = nic_occupancy;
-    view.nic_overhead = params_.overheads.nic_message_overhead;
-    const FaultModel::EffectiveMessage eff = faults_->effective(view, ready);
-    st.send_occupancy = eff.send_occupancy;
-    st.drain_occupancy = eff.drain_occupancy;
-    st.completion_base = eff.completion_base;
-    st.nic_occupancy_src = eff.nic_occupancy_src;
-    st.nic_occupancy_dst = eff.nic_occupancy_dst;
-    st.degraded = eff.degraded;
-    st.extra_seconds = eff.extra_seconds;
-    st.loss = faults_->loss_rule(path_id, ready);
-    return st;
-  }
+  /// One message from `ready` on: takes the send port, the NIC lanes
+  /// (routed around outages), the fabric and the receive port, draws the
+  /// completion noise, retries lost attempts, advances both ranks' clocks
+  /// and feeds the metrics, trace and fault hooks.  Returns the
+  /// completion time.
+  template <bool Observed>
+  double transfer(const MessageSchedule& msg, const MessageMeta& meta,
+                  double ready);
+  /// A blocking copy on its GPU's DMA engine, from the rank's clock on.
+  template <bool Observed>
+  void copy_step(const CopyOp& op);
+  /// A blocking pack on the rank's clock.
+  template <bool Observed>
+  void pack_step(const PackOp& op);
 
-  /// Outage-aware lane selection for NIC server `nic_server`
-  /// (= node*lanes + lane) at time `t`.  Returns the server index to use,
-  /// advancing `t` to the earliest recovery when every lane of the node is
-  /// down; sets `failover` when the home lane was not used.  Throws
-  /// FaultAbort when no lane of the node ever recovers.
-  [[nodiscard]] std::int32_t fault_route_nic(std::int32_t node,
-                                             std::int32_t nic_server,
-                                             double& t, bool& failover,
-                                             std::int32_t src,
-                                             std::int32_t dst,
-                                             std::uint8_t path_id) {
-    const int lanes = std::max(1, params_.injection.nics_per_node);
-    const FaultModel::LaneRoute r =
-        faults_->route_lane(node, nic_server - node * lanes, lanes, t);
-    if (r.at == std::numeric_limits<double>::infinity()) {
-      throw_nic_unavailable(src, dst, path_id);
-    }
-    failover = r.failover;
-    if (r.at > t) t = r.at;
-    return node * lanes + r.lane;
-  }
-
-  /// Deterministic loss decision for send attempt `attempt` (0-based),
-  /// drawn from the engine's fault stream.
-  [[nodiscard]] bool fault_lost(const FaultMsgState& st,
-                                int attempt) const noexcept {
-    return st.loss != nullptr &&
-           fault_uniform(fault_stream_, st.msg_id,
-                         static_cast<std::uint32_t>(attempt)) <
-               st.loss->probability;
-  }
-
-  // Cold structured-failure paths (defined in engine.cpp; they build the
-  // taxonomy-name string, which must stay out of the scheduling loop).
+  /// Outage-aware NIC-lane server for `server` (= node*lanes + lane) at
+  /// time `t`: the server to use, with `t` advanced to the earliest
+  /// recovery when every lane of the node is down; a reroute counts as a
+  /// failover in the metrics sink.  Throws FaultAbort when no lane of the
+  /// node ever recovers.  Call only with outages in the fault model.
+  [[nodiscard]] std::int32_t route_nic(std::int32_t node, std::int32_t server,
+                                       double& t, const MessageSchedule& msg,
+                                       std::uint8_t path_id);
+  /// Cold structured failure (defined in engine.cpp; it builds the
+  /// taxonomy-name string, which must stay out of the scheduling loop).
   [[noreturn]] void throw_retries_exhausted(std::int32_t src,
                                             std::int32_t dst,
                                             std::uint8_t path_id,
                                             int attempts) const;
-  [[noreturn]] void throw_nic_unavailable(std::int32_t src, std::int32_t dst,
-                                          std::uint8_t path_id) const;
   void refresh_fault_stream() noexcept;
 
   Topology topo_;

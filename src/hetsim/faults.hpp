@@ -212,10 +212,8 @@ class FaultModel {
     return nullptr;
   }
 
-  /// Rep-invariant per-message inputs, identical in the interpreted and
-  /// compiled scheduling paths (the compiled path reads them from the
-  /// CompiledPlan tables, which are bit-equal to the interpreter's
-  /// expressions by contract).
+  /// Rep-invariant per-message inputs: the engine's transfer step fills
+  /// them from its MessageSchedule, whichever path produced it.
   struct MessageView {
     std::int32_t src = -1;
     std::uint8_t path_id = 0;
@@ -265,8 +263,8 @@ class FaultModel {
     }
     if (fa != 1.0 || fb != 1.0) {
       // Recover alpha and the queue-search term from the precomputed sums
-      // instead of the raw parameter table: both engine modes carry the
-      // same sums, so the degraded values are bit-identical across modes.
+      // instead of the raw parameter table: the sums are the transfer
+      // step's inputs, so both execution paths degrade the same doubles.
       const double beta_s = m.drain_occupancy;
       const double alpha = m.send_occupancy - beta_s;
       const double queue_term = m.completion_base - m.send_occupancy;

@@ -16,7 +16,8 @@
 //     and match the harness's own per-reply tallies,
 //   * well-formed in-deadline requests answer bit-identically to a
 //     one-shot service (volatile timing/cache fields aside),
-//   * throughput recovers after the storm (recovery_ratio), and
+//   * the CPU cost per request recovers after the storm (recovery_ratio),
+//     and
 //   * degraded (model-only) answers recommend exactly what the full
 //     engine-executing service recommends on the hot plan set
 //     (degraded_agreement) -- degradation may cost measurement detail,
@@ -87,8 +88,10 @@ struct ChaosReport {
   /// Observed error_code -> count across every reply the harness read.
   std::vector<std::pair<std::string, std::int64_t>> reply_codes;
   bool counters_balanced = false;
-  double qps_baseline = 0.0;
-  double qps_post_storm = 0.0;
+  double qps_baseline = 0.0;    ///< wall-clock requests per second
+  double qps_post_storm = 0.0;  ///< wall-clock requests per second
+  /// Baseline over post-storm process CPU seconds per request (1 = full
+  /// recovery).  CPU time keeps the check independent of host load.
   double recovery_ratio = 0.0;
   /// Fraction of hot patterns whose degraded answer matches the full
   /// engine-executing service's recommendation and ranking order.

@@ -87,8 +87,8 @@ TEST_F(CompiledPlanTest, EngineLevelBitIdentityForAllStrategies) {
 }
 
 TEST_F(CompiledPlanTest, MeasureBitIdenticalAcrossEnginesAndJobs) {
-  // measure() statistics and last-rep trace must not depend on the
-  // execution mode at jobs in {1, 4, hardware}.
+  // measure() statistics must not depend on the execution mode at jobs in
+  // {1, 4, hardware}.
   for (const StrategyConfig& cfg : all_strategies()) {
     const CommPlan plan = build_plan(pattern(), topo_, params_, cfg);
     for (const int jobs : {1, 4, 0}) {
@@ -96,7 +96,6 @@ TEST_F(CompiledPlanTest, MeasureBitIdenticalAcrossEnginesAndJobs) {
       opts.reps = 6;
       opts.seed = 0xfeedULL;
       opts.noise_sigma = 0.04;
-      opts.trace_last_rep = true;
       opts.jobs = jobs;
       opts.engine = ExecMode::Interpreted;
       const MeasureResult a = measure(plan, topo_, params_, opts);
@@ -116,7 +115,6 @@ TEST_F(CompiledPlanTest, MeasureBitIdenticalAcrossEnginesAndJobs) {
         EXPECT_EQ(a.per_rank_mean[r], b.per_rank_mean[r])
             << plan.strategy_name << " jobs=" << jobs << " rank " << r;
       }
-      expect_traces_identical(a.trace, b.trace);
     }
   }
 }
@@ -157,20 +155,25 @@ TEST_F(CompiledPlanTest, CompiledMatchesInterpretedWithFabric) {
 TEST_F(CompiledPlanTest, ReusedEngineMatchesFreshEnginePerRep) {
   // The measure() usage pattern: one engine, reset(mix_seed(base, rep)) +
   // execute per repetition must equal a freshly constructed engine running
-  // the interpreted path at the same seed, for every rep.
+  // the interpreted path at the same seed, for every rep -- clocks and
+  // every traced event, so a repetition's events depend only on its seed.
   const CommPlan plan = build_plan(pattern(), topo_, params_,
                                    {StrategyKind::SplitMD, MemSpace::Host});
   const CompiledPlan compiled(plan, topo_, params_);
   Engine reused(topo_, params_, NoiseModel(0, 0.05));
+  reused.set_tracing(true);  // survives reset()
   for (std::uint64_t rep = 0; rep < 8; ++rep) {
     reused.reset(mix_seed(0x5eed, rep));
     reused.execute(compiled);
     Engine fresh(topo_, params_, NoiseModel(mix_seed(0x5eed, rep), 0.05));
+    fresh.set_tracing(true);
     const std::vector<double> clocks = run_plan(fresh, plan);
     for (int r = 0; r < topo_.num_ranks(); ++r) {
       EXPECT_EQ(clocks[static_cast<std::size_t>(r)], reused.clock(r))
           << "rep " << rep << " rank " << r;
     }
+    ASSERT_FALSE(reused.trace().messages.empty()) << "rep " << rep;
+    expect_traces_identical(fresh.trace(), reused.trace());
   }
 }
 

@@ -120,7 +120,8 @@ TEST_F(DedupTest, DedupMakesNodeAwareFaster) {
        {StrategyKind::ThreeStep, StrategyKind::TwoStep,
         StrategyKind::SplitMD}) {
     const StrategyConfig cfg{kind, MemSpace::Host};
-    const core::MeasureOptions opts{3, 1, 0.0, false};
+    const core::MeasureOptions opts{
+        .reps = 3, .seed = 1, .noise_sigma = 0.0};
     const double t_plain = core::measure(
         core::build_plan(plain, topo_, params_, cfg), topo_, params_, opts)
         .max_avg;

@@ -58,7 +58,8 @@ TEST_F(ExecutorTest, NoiseSpreadsTheMakespan) {
 TEST_F(ExecutorTest, MaxAvgDominatedBySlowestRank) {
   const CommPlan plan = build_plan(pattern(), topo_, params_,
                                    {StrategyKind::Standard, MemSpace::Host});
-  const MeasureResult r = measure(plan, topo_, params_, {1, 1, 0.0, false});
+  const MeasureResult r = measure(
+      plan, topo_, params_, {.reps = 1, .seed = 1, .noise_sigma = 0.0});
   double max_rank = 0.0;
   for (const double t : r.per_rank_mean) max_rank = std::max(max_rank, t);
   EXPECT_DOUBLE_EQ(r.max_avg, max_rank);
@@ -68,7 +69,8 @@ TEST_F(ExecutorTest, MaxAvgDominatedBySlowestRank) {
 TEST_F(ExecutorTest, AllStrategiesExecuteWithoutDeadlock) {
   for (const StrategyConfig& cfg : table5_strategies()) {
     const CommPlan plan = build_plan(pattern(), topo_, params_, cfg);
-    const MeasureResult r = measure(plan, topo_, params_, {2, 7, 0.01, false});
+    const MeasureResult r = measure(
+        plan, topo_, params_, {.reps = 2, .seed = 7, .noise_sigma = 0.01});
     EXPECT_GT(r.max_avg, 0.0) << plan.strategy_name;
   }
 }
@@ -131,42 +133,6 @@ TEST_F(ExecutorTest, JobsZeroMeansHardwareConcurrency) {
   EXPECT_EQ(a.makespan_mean, b.makespan_mean);
 }
 
-TEST_F(ExecutorTest, TraceLastRepCapturesTheFinalRepetition) {
-  const CommPlan plan = build_plan(pattern(), topo_, params_,
-                                   {StrategyKind::Standard, MemSpace::Host});
-  MeasureOptions opts;
-  opts.reps = 6;
-  opts.noise_sigma = 0.02;
-  opts.trace_last_rep = true;
-  opts.jobs = 4;  // the traced rep must survive multi-threaded execution
-  const MeasureResult r = measure(plan, topo_, params_, opts);
-  EXPECT_FALSE(r.trace.messages.empty());
-
-  MeasureOptions off = opts;
-  off.trace_last_rep = false;
-  EXPECT_TRUE(measure(plan, topo_, params_, off).trace.messages.empty());
-}
-
-TEST_F(ExecutorTest, TraceIsIndependentOfJobsCount) {
-  const CommPlan plan = build_plan(pattern(), topo_, params_,
-                                   {StrategyKind::TwoStep, MemSpace::Host});
-  MeasureOptions opts;
-  opts.reps = 10;
-  opts.noise_sigma = 0.04;
-  opts.trace_last_rep = true;
-  opts.jobs = 1;
-  MeasureOptions wide = opts;
-  wide.jobs = 8;
-  const Trace a = measure(plan, topo_, params_, opts).trace;
-  const Trace b = measure(plan, topo_, params_, wide).trace;
-  ASSERT_EQ(a.messages.size(), b.messages.size());
-  for (std::size_t i = 0; i < a.messages.size(); ++i) {
-    EXPECT_EQ(a.messages[i].start, b.messages[i].start) << "message " << i;
-    EXPECT_EQ(a.messages[i].completion, b.messages[i].completion)
-        << "message " << i;
-  }
-}
-
 TEST_F(ExecutorTest, MeasureReportsThroughput) {
   const CommPlan plan = build_plan(pattern(), topo_, params_,
                                    {StrategyKind::Standard, MemSpace::Host});
@@ -205,7 +171,9 @@ TEST_F(ExecutorTest, StagedStandardSlowerThanNoCopiesForTinyTraffic) {
   const auto time_for = [&](MemSpace space) {
     const CommPlan plan =
         build_plan(p, topo_, params_, {StrategyKind::Standard, space});
-    return measure(plan, topo_, params_, {1, 1, 0.0, false}).max_avg;
+    return measure(plan, topo_, params_,
+                   {.reps = 1, .seed = 1, .noise_sigma = 0.0})
+        .max_avg;
   };
   EXPECT_GT(time_for(MemSpace::Host), time_for(MemSpace::Device));
 }
@@ -220,7 +188,9 @@ TEST_F(ExecutorTest, StagedBeatsDeviceForManyMessages) {
   const auto time_for = [&](MemSpace space) {
     const CommPlan plan =
         build_plan(p, topo_, params_, {StrategyKind::Standard, space});
-    return measure(plan, topo_, params_, {3, 1, 0.0, false}).max_avg;
+    return measure(plan, topo_, params_,
+                   {.reps = 3, .seed = 1, .noise_sigma = 0.0})
+        .max_avg;
   };
   EXPECT_LT(time_for(MemSpace::Host), time_for(MemSpace::Device));
 }

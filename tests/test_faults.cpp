@@ -3,7 +3,8 @@
 // zero-overhead-when-off and faulted bit-identity guarantees, the
 // FaultAbort failure contract (engine reusable afterwards, the lowest
 // aborting repetition reported at any jobs count), the metrics
-// fault section, and ranking-stability determinism.
+// fault section, hand-computed faulted times of the engine's transfer step,
+// and ranking-stability determinism.
 
 #include "fault/plan.hpp"
 
@@ -24,6 +25,7 @@
 #include "hetsim/engine.hpp"
 #include "hetsim/faults.hpp"
 #include "machine/machine.hpp"
+#include "obs/engine_metrics.hpp"
 #include "obs/json.hpp"
 
 namespace hetcomm {
@@ -609,6 +611,184 @@ TEST(FaultSim, MetricsGrowFaultSectionOnlyWhenFaulted) {
   EXPECT_GT(faulted.metrics->faults.degraded_msgs, 0);
   EXPECT_GT(faulted.metrics->faults.retry_seconds, 0.0);
   EXPECT_NE(faulted.metrics->to_json().find("faults"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// The shared transfer step, pinned at sigma = 0 with hand-computed times.
+// Each case runs one off-node message from rank 0 (node 0) to the last rank
+// (node 1) through the interpreted and the compiled path.
+
+struct StepRun {
+  const char* path = nullptr;
+  std::vector<double> clocks;
+  obs::EngineMetrics sink;
+};
+
+std::vector<StepRun> run_one_message(const Topology& topo,
+                                     const ParamSet& params,
+                                     const FaultModel* faults,
+                                     std::int64_t bytes) {
+  core::CommPlan plan;
+  plan.phases.emplace_back();
+  plan.phases.back().ops.push_back(core::PlanOp::message(
+      0, topo.num_ranks() - 1, bytes, 0, MemSpace::Host));
+  const core::CompiledPlan compiled(plan, topo, params);
+
+  std::vector<StepRun> runs(2);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    StepRun& run = runs[i];
+    Engine engine(topo, params, NoiseModel(7, 0.0));
+    engine.set_faults(faults);
+    engine.set_metrics(&run.sink);
+    if (i == 0) {
+      run.path = "interpreted";
+      run.clocks = core::run_plan(engine, plan);
+    } else {
+      run.path = "compiled";
+      engine.execute(compiled);
+      run.clocks = engine.clocks();
+    }
+  }
+  return runs;
+}
+
+/// The unfaulted inputs of run_one_message's message, derived by hand.
+struct OneMessage {
+  int src = 0;
+  int dst = 0;
+  double post = 0.0;             ///< isend and irecv posting time
+  double send_occupancy = 0.0;   ///< alpha + beta*s
+  double drain_occupancy = 0.0;  ///< beta*s
+  double completion_base = 0.0;  ///< alpha + beta*s + one queue-search entry
+  double nic_occupancy = 0.0;
+  Protocol protocol = Protocol::Eager;
+};
+
+OneMessage one_message(const Topology& topo, const ParamSet& params,
+                       std::int64_t bytes) {
+  OneMessage m;
+  m.dst = topo.num_ranks() - 1;
+  const PathTable paths(topo, params.taxonomy);
+  const std::uint8_t path_id = paths.path_of(m.src, m.dst);
+  EXPECT_EQ(paths.locality_of(path_id), PathClass::OffNode);
+  m.protocol = params.thresholds.select(MemSpace::Host, bytes);
+  const PostalParams pp = params.messages.get(MemSpace::Host, m.protocol,
+                                              path_id);
+  const double size = static_cast<double>(bytes);
+  m.post = params.overheads.post_overhead;
+  m.send_occupancy = pp.alpha + pp.beta * size;
+  m.drain_occupancy = pp.beta * size;
+  m.completion_base =
+      m.send_occupancy + params.overheads.queue_search_per_entry * 1;
+  m.nic_occupancy = params.injection.inv_rate_cpu * size +
+                    params.overheads.nic_message_overhead;
+  return m;
+}
+
+TEST(SharedStep, LostFirstAttemptRetriesOnceAfterItsDelay) {
+  const machine::MachineModel mach = machine::preset_machine("lassen");
+  const Topology topo = mach.topology(2);
+  const std::int64_t bytes = 4096;
+  const OneMessage m = one_message(topo, mach.params, bytes);
+  ASSERT_EQ(m.protocol, Protocol::Eager);
+
+  FaultModel model;
+  model.losses.push_back({-1, 0.5, RetryPolicy{}, FaultWindow{}});
+  // The first fault seed whose draws lose the first attempt only.
+  std::vector<StepRun> runs;
+  for (model.seed = 0; model.seed < 64; ++model.seed) {
+    runs = run_one_message(topo, mach.params, &model, bytes);
+    if (runs[0].sink.fault_retries == 1) break;
+  }
+  ASSERT_LT(model.seed, 64u) << "no seed with exactly one retry";
+
+  // Attempt 0 holds every resource from the posting on and is lost at
+  // post + completion_base; attempt 1 starts retry_delay(0) later on idle
+  // resources.
+  const double ready1 =
+      m.post + m.completion_base + retry_delay(RetryPolicy{}, 0);
+  for (const StepRun& run : runs) {
+    EXPECT_EQ(run.sink.fault_retries, 1) << run.path;
+    EXPECT_EQ(run.clocks[static_cast<std::size_t>(m.dst)],
+              ready1 + m.completion_base)
+        << run.path;
+    EXPECT_EQ(run.clocks[static_cast<std::size_t>(m.src)],
+              ready1 + m.send_occupancy)
+        << run.path << ": an eager sender is done once its port hands off";
+  }
+}
+
+TEST(SharedStep, DeadHomeLaneFailsOverAtUnfaultedTimes) {
+  const machine::MachineModel mach = machine::preset_machine("nvisland");
+  const Topology topo = mach.topology(2);
+  const int lanes = mach.params.injection.nics_per_node;
+  ASSERT_EQ(lanes, 2);
+  const int home = mach.params.injection.nic_of(topo.rank_location(0));
+  const int other = (home + 1) % lanes;  // node 0: server == lane
+
+  FaultModel model;
+  model.outages.push_back({0, home, FaultWindow{}});  // down forever
+  const std::vector<StepRun> unfaulted =
+      run_one_message(topo, mach.params, nullptr, 4096);
+  for (const StepRun& run : run_one_message(topo, mach.params, &model, 4096)) {
+    EXPECT_EQ(run.clocks, unfaulted[0].clocks) << run.path;
+    EXPECT_EQ(run.sink.fault_failovers, 1) << run.path;
+    EXPECT_EQ(run.sink.nic_bytes[static_cast<std::size_t>(home)], 0)
+        << run.path;
+    EXPECT_EQ(run.sink.nic_bytes[static_cast<std::size_t>(other)], 4096)
+        << run.path;
+  }
+}
+
+TEST(SharedStep, NodeWideOutageHoldsTheMessageUntilRecovery) {
+  const machine::MachineModel mach = machine::preset_machine("nvisland");
+  const Topology topo = mach.topology(2);
+  const OneMessage m = one_message(topo, mach.params, 4096);
+  const double recovery = 1e-3;
+
+  FaultModel model;
+  model.outages.push_back({0, -1, FaultWindow{0.0, recovery}});
+  for (const StepRun& run : run_one_message(topo, mach.params, &model, 4096)) {
+    EXPECT_EQ(run.clocks[static_cast<std::size_t>(m.dst)],
+              recovery + m.completion_base)
+        << run.path;
+    EXPECT_EQ(run.sink.fault_failovers, 1) << run.path;
+  }
+}
+
+TEST(SharedStep, StragglerScalesOnlyItsInjection) {
+  const machine::MachineModel mach = machine::preset_machine("lassen");
+  const Topology topo = mach.topology(2);
+  const OneMessage m = one_message(topo, mach.params, 4096);
+  ASSERT_EQ(m.protocol, Protocol::Eager);
+  const double factor = 3.0;
+
+  FaultModel model;
+  model.injection_factor.assign(static_cast<std::size_t>(topo.num_ranks()),
+                                1.0);
+  model.injection_factor[static_cast<std::size_t>(m.src)] = factor;
+  const std::vector<StepRun> unfaulted =
+      run_one_message(topo, mach.params, nullptr, 4096);
+  for (const StepRun& run : run_one_message(topo, mach.params, &model, 4096)) {
+    EXPECT_EQ(run.clocks[static_cast<std::size_t>(m.src)],
+              m.post + m.send_occupancy * factor)
+        << run.path;
+    EXPECT_EQ(run.clocks[static_cast<std::size_t>(m.dst)],
+              unfaulted[0].clocks[static_cast<std::size_t>(m.dst)])
+        << run.path << ": the completion is unchanged";
+    const auto occupancy = [&](obs::SimResource r) {
+      return run.sink.occupancy_seconds[static_cast<int>(r)];
+    };
+    EXPECT_EQ(occupancy(obs::SimResource::SendPort),
+              m.send_occupancy * factor)
+        << run.path;
+    EXPECT_EQ(occupancy(obs::SimResource::NicOut), m.nic_occupancy * factor)
+        << run.path;
+    EXPECT_EQ(occupancy(obs::SimResource::NicIn), m.nic_occupancy)
+        << run.path;
+    EXPECT_EQ(occupancy(obs::SimResource::RecvPort), m.drain_occupancy)
+        << run.path;
+  }
 }
 
 // ---------------------------------------------------------------------------

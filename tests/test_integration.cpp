@@ -160,7 +160,8 @@ TEST_F(IntegrationTest, WiderMachinePreservesPipeline) {
   for (const StrategyConfig& cfg : core::table5_strategies()) {
     const CommPlan plan = core::build_plan(p, frontier, fparams, cfg);
     const MeasureResult r =
-        core::measure(plan, frontier, fparams, {2, 1, 0.0, false});
+        core::measure(plan, frontier, fparams,
+                      {.reps = 2, .seed = 1, .noise_sigma = 0.0});
     EXPECT_GE(r.max_avg, 0.0) << cfg.name();
   }
 }

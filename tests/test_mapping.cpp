@@ -81,7 +81,7 @@ TEST_F(MappingTest, BetterMappingIsFasterEndToEnd) {
   const CommPattern p = clique_pattern();
   const GpuMapping greedy = greedy_locality_mapping(p, topo_);
   const CommPattern mapped = apply_mapping(p, greedy, topo_);
-  const MeasureOptions opts{3, 1, 0.0, false};
+  const MeasureOptions opts{.reps = 3, .seed = 1, .noise_sigma = 0.0};
   const StrategyConfig cfg{StrategyKind::Standard, MemSpace::Host};
   const double before =
       measure(build_plan(p, topo_, params_, cfg), topo_, params_, opts).max_avg;

@@ -41,7 +41,7 @@ TEST_F(NeighborhoodTest, SetupOnceExecuteMany) {
 TEST_F(NeighborhoodTest, MatchesOneShotExecutor) {
   const StrategyConfig cfg{StrategyKind::SplitMD, MemSpace::Host};
   const NeighborhoodExchange exchange(pattern(), topo_, params_, cfg);
-  const MeasureOptions opts{5, 3, 0.0, false};
+  const MeasureOptions opts{.reps = 5, .seed = 3, .noise_sigma = 0.0};
   const double direct =
       measure(build_plan(pattern(), topo_, params_, cfg), topo_, params_, opts)
           .max_avg;
@@ -53,7 +53,7 @@ TEST_F(NeighborhoodTest, OverlapHidesEagerCommunication) {
   // absorbs (part of) the communication time.
   const StrategyConfig cfg{StrategyKind::TwoStep, MemSpace::Host};
   const NeighborhoodExchange exchange(pattern(), topo_, params_, cfg);
-  const MeasureOptions opts{5, 3, 0.0, false};
+  const MeasureOptions opts{.reps = 5, .seed = 3, .noise_sigma = 0.0};
   const double compute = 5e-4;  // compute >> communication
 
   const double no_overlap =
@@ -66,7 +66,7 @@ TEST_F(NeighborhoodTest, OverlapHidesEagerCommunication) {
 }
 
 TEST_F(NeighborhoodTest, OverlapNoWorseThanSequentialForAllStrategies) {
-  const MeasureOptions opts{3, 7, 0.0, false};
+  const MeasureOptions opts{.reps = 3, .seed = 7, .noise_sigma = 0.0};
   const double compute = 1e-4;
   for (const StrategyConfig& cfg : table5_strategies()) {
     const NeighborhoodExchange exchange(pattern(), topo_, params_, cfg);
@@ -100,7 +100,8 @@ TEST_F(NeighborhoodTest, ZeroComputeOverlapEqualsPlainExecution) {
   };
   for (const Case& c : cases) {
     for (const double sigma : {0.0, 0.02}) {
-      const MeasureOptions opts{4, 9, sigma, false};
+      const MeasureOptions opts{
+          .reps = 4, .seed = 9, .noise_sigma = sigma};
       for (const StrategyConfig& cfg : all_strategies()) {
         const NeighborhoodExchange exchange(c.pattern, c.topo, c.params, cfg);
         const MeasureResult overlapped = exchange.measure_overlapped(0.0, opts);
@@ -127,7 +128,7 @@ TEST_F(NeighborhoodTest, RejectsNegativeCompute) {
 TEST_F(NeighborhoodTest, PhaseReportSumsToTotal) {
   const StrategyConfig cfg{StrategyKind::SplitMD, MemSpace::Host};
   const CommPlan plan = build_plan(pattern(), topo_, params_, cfg);
-  const MeasureOptions opts{3, 5, 0.0, false};
+  const MeasureOptions opts{.reps = 3, .seed = 5, .noise_sigma = 0.0};
   const std::vector<PhaseCost> costs =
       report_phases(plan, topo_, params_, opts);
   ASSERT_EQ(costs.size(), plan.phases.size());
@@ -147,7 +148,8 @@ TEST_F(NeighborhoodTest, PhaseReportIdentifiesGlobalPhase) {
   const CommPlan plan = build_plan(
       pattern(), topo_, params_, {StrategyKind::ThreeStep, MemSpace::Host});
   const std::vector<PhaseCost> costs =
-      report_phases(plan, topo_, params_, {2, 5, 0.0, false});
+      report_phases(plan, topo_, params_,
+                    {.reps = 2, .seed = 5, .noise_sigma = 0.0});
   bool has_global = false;
   for (const PhaseCost& c : costs) {
     if (c.label == "global") has_global = true;

@@ -375,7 +375,6 @@ TEST_F(SplitLoweringTest, VariantsBitIdenticalAcrossEnginesAndJobs) {
     opts.reps = 6;
     opts.seed = 0xfeedULL;
     opts.noise_sigma = 0.04;
-    opts.trace_last_rep = true;
     opts.jobs = 1;
     opts.engine = ExecMode::Interpreted;
     const MeasureResult ref = measure(plan, topo_, params_, opts);

@@ -189,7 +189,8 @@ TEST(DeterminismProperty, IdenticalSeedsIdenticalResults) {
   const CommPattern p = core::random_pattern(topo, 8, 2048, 11);
   for (const StrategyConfig& cfg : core::table5_strategies()) {
     const CommPlan plan = core::build_plan(p, topo, params, cfg);
-    const core::MeasureOptions opts{4, 123, 0.05, false};
+    const core::MeasureOptions opts{
+        .reps = 4, .seed = 123, .noise_sigma = 0.05};
     const double a = core::measure(plan, topo, params, opts).max_avg;
     const double b = core::measure(plan, topo, params, opts).max_avg;
     EXPECT_DOUBLE_EQ(a, b) << cfg.name();

@@ -41,7 +41,7 @@ TEST_F(SetupCostTest, AmortizationBreakEven) {
   // A high-multiplicity pattern where node-aware clearly beats standard.
   CommPattern p(topo_.num_gpus());
   for (int i = 0; i < 128; ++i) p.add(i % 4, 4 + (i % 12), 512);
-  const MeasureOptions opts{3, 1, 0.0, false};
+  const MeasureOptions opts{.reps = 3, .seed = 1, .noise_sigma = 0.0};
   const NeighborhoodExchange standard(
       p, topo_, params_, {StrategyKind::Standard, MemSpace::Host});
   const NeighborhoodExchange three(p, topo_, params_,
