@@ -323,6 +323,7 @@ core::CommPattern make_workload(const Options& opts, const Topology& topo) {
                                   ") does not match the machine (" +
                                   std::to_string(topo.num_gpus()) + ")");
     }
+    core::check_dedup(p, topo);
     return p;
   }
   const int gpus = opts.gpus > 0 ? opts.gpus : topo.num_gpus();

@@ -1,7 +1,8 @@
 #include "core/comm_pattern.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
+#include <span>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -13,7 +14,10 @@ CommPattern::CommPattern(int num_gpus) {
   if (num_gpus <= 0) {
     throw std::invalid_argument("CommPattern: num_gpus must be positive");
   }
-  sends_.resize(static_cast<std::size_t>(num_gpus));
+  const auto n = static_cast<std::size_t>(num_gpus);
+  sends_.resize(n);
+  send_total_.assign(n, 0);
+  recv_total_.assign(n, 0);
 }
 
 void CommPattern::check_gpu(int gpu) const {
@@ -37,21 +41,22 @@ void CommPattern::add(int src_gpu, int dst_gpu, std::int64_t bytes) {
   if (bytes < 0) throw std::invalid_argument("CommPattern::add: negative size");
   if (bytes == 0 || src_gpu == dst_gpu) return;
   check_room(bytes);
-  Cell& cell = sends_[static_cast<std::size_t>(src_gpu)][dst_gpu];
-  cell.bytes += bytes;
-  ++cell.count;
+  std::vector<GpuMessage>& row = sends_[static_cast<std::size_t>(src_gpu)];
+  auto it = std::ranges::lower_bound(row, dst_gpu, {}, &GpuMessage::dst_gpu);
+  if (it == row.end() || it->dst_gpu != dst_gpu) {
+    it = row.insert(it, GpuMessage{dst_gpu, 0, 0});
+  }
+  it->bytes += bytes;
+  ++it->count;
+  send_total_[static_cast<std::size_t>(src_gpu)] += bytes;
+  recv_total_[static_cast<std::size_t>(dst_gpu)] += bytes;
   total_bytes_ += bytes;
   ++total_messages_;
 }
 
-std::vector<GpuMessage> CommPattern::sends_from(int src_gpu) const {
+std::span<const GpuMessage> CommPattern::sends_from(int src_gpu) const {
   check_gpu(src_gpu);
-  std::vector<GpuMessage> out;
-  out.reserve(sends_[static_cast<std::size_t>(src_gpu)].size());
-  for (const auto& [dst, cell] : sends_[static_cast<std::size_t>(src_gpu)]) {
-    out.push_back({dst, cell.bytes, cell.count});
-  }
-  return out;
+  return sends_[static_cast<std::size_t>(src_gpu)];
 }
 
 std::vector<GpuMessage> CommPattern::recvs_to(int dst_gpu) const {
@@ -59,8 +64,11 @@ std::vector<GpuMessage> CommPattern::recvs_to(int dst_gpu) const {
   std::vector<GpuMessage> out;
   for (int src = 0; src < num_gpus(); ++src) {
     const auto& row = sends_[static_cast<std::size_t>(src)];
-    const auto it = row.find(dst_gpu);
-    if (it != row.end()) out.push_back({src, it->second.bytes, it->second.count});
+    const auto it =
+        std::ranges::lower_bound(row, dst_gpu, {}, &GpuMessage::dst_gpu);
+    if (it != row.end() && it->dst_gpu == dst_gpu) {
+      out.push_back({src, it->bytes, it->count});
+    }
   }
   return out;
 }
@@ -69,24 +77,9 @@ std::int64_t CommPattern::bytes(int src_gpu, int dst_gpu) const {
   check_gpu(src_gpu);
   check_gpu(dst_gpu);
   const auto& row = sends_[static_cast<std::size_t>(src_gpu)];
-  const auto it = row.find(dst_gpu);
-  return it == row.end() ? 0 : it->second.bytes;
-}
-
-std::int64_t CommPattern::send_bytes(int src_gpu) const {
-  check_gpu(src_gpu);
-  std::int64_t sum = 0;
-  for (const auto& [dst, cell] : sends_[static_cast<std::size_t>(src_gpu)]) {
-    sum += cell.bytes;
-  }
-  return sum;
-}
-
-std::int64_t CommPattern::recv_bytes(int dst_gpu) const {
-  check_gpu(dst_gpu);
-  std::int64_t sum = 0;
-  for (int src = 0; src < num_gpus(); ++src) sum += bytes(src, dst_gpu);
-  return sum;
+  const auto it =
+      std::ranges::lower_bound(row, dst_gpu, {}, &GpuMessage::dst_gpu);
+  return it != row.end() && it->dst_gpu == dst_gpu ? it->bytes : 0;
 }
 
 void CommPattern::set_node_dedup(int src_gpu, int dst_node,
@@ -98,26 +91,58 @@ void CommPattern::set_node_dedup(int src_gpu, int dst_node,
   if (bytes < 0) {
     throw std::invalid_argument("CommPattern::set_node_dedup: negative size");
   }
-  const auto it = node_dedup_.find({src_gpu, dst_node});
-  const std::int64_t old = it == node_dedup_.end() ? 0 : it->second;
+  const std::int64_t old =
+      std::max<std::int64_t>(node_dedup_bytes(src_gpu, dst_node), 0);
   if (bytes > old) check_room(bytes - old);
-  dedup_bytes_ += bytes - old;
-  node_dedup_[{src_gpu, dst_node}] = bytes;
+  if (dedup_.empty()) dedup_.resize(sends_.size());
+  std::vector<NodeDedup>& row = dedup_[static_cast<std::size_t>(src_gpu)];
+  auto it = std::ranges::lower_bound(row, dst_node, {}, &NodeDedup::node);
+  if (it == row.end() || it->node != dst_node) {
+    it = row.insert(it, NodeDedup{dst_node, 0});
+  }
+  dedup_bytes_ += bytes - it->bytes;
+  it->bytes = bytes;
 }
 
 std::int64_t CommPattern::node_dedup_bytes(int src_gpu, int dst_node) const {
-  const auto it = node_dedup_.find({src_gpu, dst_node});
-  return it == node_dedup_.end() ? -1 : it->second;
+  const std::span<const NodeDedup> row = dedup_from(src_gpu);
+  const auto it =
+      std::ranges::lower_bound(row, dst_node, {}, &NodeDedup::node);
+  return it != row.end() && it->node == dst_node ? it->bytes : -1;
 }
 
-std::vector<std::tuple<int, int, std::int64_t>>
-CommPattern::node_dedup_entries() const {
-  std::vector<std::tuple<int, int, std::int64_t>> out;
-  out.reserve(node_dedup_.size());
-  for (const auto& [key, bytes] : node_dedup_) {
-    out.emplace_back(key.first, key.second, bytes);
+std::span<const NodeDedup> CommPattern::dedup_from(int src_gpu) const {
+  if (src_gpu < 0 || static_cast<std::size_t>(src_gpu) >= dedup_.size()) {
+    return {};
   }
-  return out;
+  return dedup_[static_cast<std::size_t>(src_gpu)];
+}
+
+void check_dedup(const CommPattern& pattern, const Topology& topo) {
+  if (!pattern.has_dedup_info()) return;
+  const int gpn = topo.gpn();
+  for (int src = 0; src < pattern.num_gpus(); ++src) {
+    const std::span<const GpuMessage> sends = pattern.sends_from(src);
+    for (const NodeDedup& d : pattern.dedup_from(src)) {
+      const auto fail = [&](const std::string& why) {
+        throw std::invalid_argument("dedup annotation (gpu " +
+                                    std::to_string(src) + ", node " +
+                                    std::to_string(d.node) + "): " + why);
+      };
+      if (d.node >= topo.num_nodes()) {
+        fail("the machine has " + std::to_string(topo.num_nodes()) +
+             " nodes");
+      }
+      std::int64_t payload = 0;
+      for (const GpuMessage& m : sends) {
+        if (m.dst_gpu / gpn == d.node) payload += m.bytes;
+      }
+      if (d.bytes > payload) {
+        fail(std::to_string(d.bytes) + " distinct bytes exceed the " +
+             std::to_string(payload) + "-byte payload");
+      }
+    }
+  }
 }
 
 namespace {
@@ -159,92 +184,76 @@ CommPattern CommPattern::intranode_only(const Topology& topo) const {
   return filter(*this, topo, /*keep_internode=*/false);
 }
 
-CommPattern CommPattern::scaled(double factor) const {
-  if (factor < 0.0) {
-    throw std::invalid_argument("CommPattern::scaled: negative factor");
-  }
-  CommPattern out(num_gpus());
-  for (int src = 0; src < num_gpus(); ++src) {
-    for (const GpuMessage& m : sends_from(src)) {
-      const double each = static_cast<double>(m.bytes) / m.count * factor;
-      const auto each_bytes = static_cast<std::int64_t>(
-          std::llround(std::max(1.0, each)));
-      for (int i = 0; i < m.count; ++i) out.add(src, m.dst_gpu, each_bytes);
-    }
-  }
-  return out;
-}
-
 PatternStats compute_stats(const CommPattern& pattern, const Topology& topo) {
   if (topo.num_gpus() != pattern.num_gpus()) {
     throw std::invalid_argument("compute_stats: topology mismatch");
   }
   PatternStats st;
 
+  // GPUs are node-major, so a node's GPUs are consecutive and one scratch
+  // row per source node, indexed by destination node, holds every
+  // node-pair total.
   const int num_nodes = topo.num_nodes();
-  std::vector<int> node_active_gpus(static_cast<std::size_t>(num_nodes), 0);
-  std::vector<std::int64_t> node_injected(static_cast<std::size_t>(num_nodes), 0);
-  std::map<std::pair<int, int>, std::int64_t> pair_bytes;
-  std::map<std::pair<int, int>, int> pair_msgs;
-  std::vector<std::map<int, bool>> node_dests(static_cast<std::size_t>(num_nodes));
+  const int gpn = topo.gpn();
+  const auto row_len = static_cast<std::size_t>(num_nodes);
+  std::vector<std::int64_t> pair_bytes(row_len);
+  std::vector<std::int64_t> pair_bytes_dedup(row_len);
+  std::vector<int> pair_msgs(row_len);
 
-  std::vector<std::int64_t> node_injected_dedup(
-      static_cast<std::size_t>(num_nodes), 0);
-  std::map<std::pair<int, int>, std::int64_t> pair_bytes_dedup;
-
-  for (int src = 0; src < pattern.num_gpus(); ++src) {
-    const int src_node = topo.gpu_location(src).node;
-    std::int64_t proc_bytes = 0;
-    std::int64_t proc_bytes_dedup = 0;
-    int proc_msgs = 0;
-    std::map<int, std::int64_t> per_dest_node;  // payload per dst node
-    for (const GpuMessage& m : pattern.sends_from(src)) {
-      const int dst_node = topo.gpu_location(m.dst_gpu).node;
-      if (dst_node == src_node) continue;
-      proc_bytes += m.bytes;
-      proc_msgs += m.count;
-      per_dest_node[dst_node] += m.bytes;
-      node_injected[static_cast<std::size_t>(src_node)] += m.bytes;
-      pair_bytes[{src_node, dst_node}] += m.bytes;
-      pair_msgs[{src_node, dst_node}] += m.count;
-      node_dests[static_cast<std::size_t>(src_node)][dst_node] = true;
-      st.total_internode_bytes += m.bytes;
-      st.total_internode_messages += m.count;
+  for (int src_node = 0; src_node < num_nodes; ++src_node) {
+    std::fill(pair_bytes.begin(), pair_bytes.end(), 0);
+    std::fill(pair_bytes_dedup.begin(), pair_bytes_dedup.end(), 0);
+    std::fill(pair_msgs.begin(), pair_msgs.end(), 0);
+    std::int64_t injected = 0;
+    std::int64_t injected_dedup = 0;
+    int active_gpus = 0;
+    for (int src = src_node * gpn; src < (src_node + 1) * gpn; ++src) {
+      std::int64_t proc_bytes = 0;
+      std::int64_t proc_bytes_dedup = 0;
+      int proc_msgs = 0;
+      int proc_nodes = 0;
+      for_each_dst_node(pattern.sends_from(src), gpn, [&](
+          int dst_node, std::span<const GpuMessage> run) {
+        if (dst_node == src_node) return;
+        std::int64_t payload = 0;
+        int msgs = 0;
+        for (const GpuMessage& m : run) {
+          payload += m.bytes;
+          msgs += m.count;
+        }
+        const std::int64_t dedup = pattern.node_dedup_bytes(src, dst_node);
+        const std::int64_t wire = dedup >= 0 ? dedup : payload;
+        const auto d = static_cast<std::size_t>(dst_node);
+        pair_bytes[d] += payload;
+        pair_bytes_dedup[d] += wire;
+        pair_msgs[d] += msgs;
+        proc_bytes += payload;
+        proc_bytes_dedup += wire;
+        proc_msgs += msgs;
+        ++proc_nodes;
+      });
+      st.total_internode_bytes += proc_bytes;
+      st.total_internode_messages += proc_msgs;
+      injected += proc_bytes;
+      injected_dedup += proc_bytes_dedup;
+      st.s_proc = std::max(st.s_proc, proc_bytes);
+      st.dedup_s_proc = std::max(st.dedup_s_proc, proc_bytes_dedup);
+      st.m_proc = std::max(st.m_proc, proc_msgs);
+      st.m_proc_node = std::max(st.m_proc_node, proc_nodes);
+      if (proc_bytes > 0) ++active_gpus;
     }
-    for (const auto& [dst_node, payload] : per_dest_node) {
-      const std::int64_t dedup = pattern.node_dedup_bytes(src, dst_node);
-      const std::int64_t wire = dedup >= 0 ? dedup : payload;
-      proc_bytes_dedup += wire;
-      node_injected_dedup[static_cast<std::size_t>(src_node)] += wire;
-      pair_bytes_dedup[{src_node, dst_node}] += wire;
+    st.active_internode_gpus = std::max(st.active_internode_gpus, active_gpus);
+    st.s_node = std::max(st.s_node, injected);
+    st.dedup_s_node = std::max(st.dedup_s_node, injected_dedup);
+    int dest_nodes = 0;
+    for (std::size_t d = 0; d < row_len; ++d) {
+      st.s_node_node = std::max(st.s_node_node, pair_bytes[d]);
+      st.dedup_s_node_node =
+          std::max(st.dedup_s_node_node, pair_bytes_dedup[d]);
+      st.m_node_node = std::max(st.m_node_node, pair_msgs[d]);
+      if (pair_msgs[d] > 0) ++dest_nodes;
     }
-    st.s_proc = std::max(st.s_proc, proc_bytes);
-    st.dedup_s_proc = std::max(st.dedup_s_proc, proc_bytes_dedup);
-    st.m_proc = std::max(st.m_proc, proc_msgs);
-    st.m_proc_node =
-        std::max(st.m_proc_node, static_cast<int>(per_dest_node.size()));
-    if (proc_bytes > 0) ++node_active_gpus[static_cast<std::size_t>(src_node)];
-  }
-  for (const int a : node_active_gpus) {
-    st.active_internode_gpus = std::max(st.active_internode_gpus, a);
-  }
-
-  for (const std::int64_t b : node_injected) st.s_node = std::max(st.s_node, b);
-  for (const std::int64_t b : node_injected_dedup) {
-    st.dedup_s_node = std::max(st.dedup_s_node, b);
-  }
-  for (const auto& [key, b] : pair_bytes) {
-    st.s_node_node = std::max(st.s_node_node, b);
-  }
-  for (const auto& [key, b] : pair_bytes_dedup) {
-    st.dedup_s_node_node = std::max(st.dedup_s_node_node, b);
-  }
-  for (const auto& [key, m] : pair_msgs) {
-    st.m_node_node = std::max(st.m_node_node, m);
-  }
-  for (const auto& dests : node_dests) {
-    st.num_internode_nodes =
-        std::max(st.num_internode_nodes, static_cast<int>(dests.size()));
+    st.num_internode_nodes = std::max(st.num_internode_nodes, dest_nodes);
   }
   if (st.total_internode_messages > 0) {
     st.typical_msg_bytes =

@@ -6,10 +6,18 @@
 // distributed operation such as an SpMV (which off-GPU vector entries each
 // GPU needs).  Strategies compile a CommPattern into an executable CommPlan;
 // the analytic models consume its summary statistics (paper Table 7).
+//
+// Storage is one row per source GPU: its flows as a std::vector<GpuMessage>
+// sorted by destination GPU, and its duplicate-data annotations as
+// (node, bytes) pairs sorted by node.  add() keeps per-GPU send and receive
+// totals current, so send_bytes() and recv_bytes() are O(1).  Readers get
+// the rows as spans (sends_from, dedup_from); a span stays valid until the
+// next add() or set_node_dedup() on that pattern.  There is no freeze
+// step: const readers never mutate, so one const pattern may be read from
+// many threads at once.
 
 #include <cstdint>
-#include <map>
-#include <tuple>
+#include <span>
 #include <vector>
 
 #include "hetsim/topology.hpp"
@@ -20,6 +28,13 @@ struct GpuMessage {
   int dst_gpu = -1;
   std::int64_t bytes = 0;  ///< total bytes across all logical messages
   int count = 1;           ///< number of logical messages in this flow
+};
+
+/// One duplicate-data annotation of a source GPU: of all bytes it sends to
+/// GPUs on `node`, only `bytes` are distinct.
+struct NodeDedup {
+  int node = -1;
+  std::int64_t bytes = 0;
 };
 
 class CommPattern {
@@ -37,8 +52,9 @@ class CommPattern {
   /// never leave the device).  Zero-byte adds are ignored.
   void add(int src_gpu, int dst_gpu, std::int64_t bytes);
 
-  /// Sends of one GPU, ordered by destination GPU.
-  [[nodiscard]] std::vector<GpuMessage> sends_from(int src_gpu) const;
+  /// Sends of one GPU, ordered by destination GPU.  Valid until the next
+  /// add() on this pattern.
+  [[nodiscard]] std::span<const GpuMessage> sends_from(int src_gpu) const;
   /// Receives of one GPU, ordered by source GPU.
   [[nodiscard]] std::vector<GpuMessage> recvs_to(int dst_gpu) const;
 
@@ -49,17 +65,18 @@ class CommPattern {
   }
 
   /// Total bytes sent by one GPU / received by one GPU.
-  [[nodiscard]] std::int64_t send_bytes(int src_gpu) const;
-  [[nodiscard]] std::int64_t recv_bytes(int dst_gpu) const;
+  [[nodiscard]] std::int64_t send_bytes(int src_gpu) const {
+    check_gpu(src_gpu);
+    return send_total_[static_cast<std::size_t>(src_gpu)];
+  }
+  [[nodiscard]] std::int64_t recv_bytes(int dst_gpu) const {
+    check_gpu(dst_gpu);
+    return recv_total_[static_cast<std::size_t>(dst_gpu)];
+  }
 
   /// Restrict to message pairs crossing nodes (resp. staying on a node).
   [[nodiscard]] CommPattern internode_only(const Topology& topo) const;
   [[nodiscard]] CommPattern intranode_only(const Topology& topo) const;
-
-  /// Scale every message size by `factor` (e.g. 0.75 models 25 % duplicate
-  /// data removed by a node-aware scheme); sizes round up to >= 1 byte for
-  /// nonzero messages.  Deduplication info is not carried over.
-  [[nodiscard]] CommPattern scaled(double factor) const;
 
   // ---- Duplicate-data annotations (paper §2.3, Figure 2.2 right) --------
   //
@@ -71,17 +88,19 @@ class CommPattern {
   // communication-graph extractor) annotate it here.
 
   /// Record that of all bytes src_gpu sends to GPUs on dst_node, only
-  /// `bytes` are distinct.  Must not exceed the summed per-GPU bytes.
+  /// `bytes` are distinct; a later call for the same pair replaces it.
+  /// The pattern does not know the machine, so check_dedup() is what holds
+  /// an annotation to its node range and its (src_gpu, dst_node) payload.
   void set_node_dedup(int src_gpu, int dst_node, std::int64_t bytes);
   /// Deduplicated volume for (src_gpu -> dst_node), or -1 when unknown.
   [[nodiscard]] std::int64_t node_dedup_bytes(int src_gpu,
                                               int dst_node) const;
   [[nodiscard]] bool has_dedup_info() const noexcept {
-    return !node_dedup_.empty();
+    return !dedup_.empty();
   }
-  /// All dedup annotations as (src_gpu, dst_node, bytes) tuples.
-  [[nodiscard]] std::vector<std::tuple<int, int, std::int64_t>>
-  node_dedup_entries() const;
+  /// Dedup annotations of one GPU, ordered by node.  Valid until the next
+  /// set_node_dedup() on this pattern.
+  [[nodiscard]] std::span<const NodeDedup> dedup_from(int src_gpu) const;
 
  private:
   void check_gpu(int gpu) const;
@@ -91,18 +110,38 @@ class CommPattern {
   /// that sum, so none of them can overflow.
   void check_room(std::int64_t extra) const;
 
-  struct Cell {
-    std::int64_t bytes = 0;
-    int count = 0;
-  };
-  // sends_[src] maps dst -> flow (ordered map keeps iteration deterministic)
-  std::vector<std::map<int, Cell>> sends_;
-  // (src_gpu, dst_node) -> deduplicated bytes
-  std::map<std::pair<int, int>, std::int64_t> node_dedup_;
+  std::vector<std::vector<GpuMessage>> sends_;  ///< per source, by dst
+  std::vector<std::int64_t> send_total_;        ///< per source GPU
+  std::vector<std::int64_t> recv_total_;        ///< per destination GPU
+  /// Per source GPU, by node; stays empty until the first annotation.
+  std::vector<std::vector<NodeDedup>> dedup_;
   std::int64_t total_bytes_ = 0;
-  std::int64_t dedup_bytes_ = 0;  ///< sum of node_dedup_ values
+  std::int64_t dedup_bytes_ = 0;  ///< sum of annotated bytes
   std::int64_t total_messages_ = 0;
 };
+
+/// Calls `visit(dst_node, run)` for each run of `sends` (a sends_from()
+/// row) toward one destination node, in ascending node order.  A row is
+/// sorted by destination GPU and GPUs are numbered node-major, so each
+/// node's flows are consecutive.
+template <class Visit>
+void for_each_dst_node(std::span<const GpuMessage> sends, int gpus_per_node,
+                       Visit&& visit) {
+  while (!sends.empty()) {
+    const int node = sends.front().dst_gpu / gpus_per_node;
+    std::size_t n = 1;
+    while (n < sends.size() && sends[n].dst_gpu / gpus_per_node == node) ++n;
+    visit(node, sends.first(n));
+    sends = sends.subspan(n);
+  }
+}
+
+/// Throws std::invalid_argument when a dedup annotation contradicts the
+/// pattern on `topo`: a node outside [0, num_nodes), or more distinct bytes
+/// than the (src_gpu, node) payload.  Call it where a pattern meets a
+/// machine, once its GPU count is known to match, and before strategies or
+/// models read the annotations.
+void check_dedup(const CommPattern& pattern, const Topology& topo);
 
 /// Summary statistics feeding the analytic models (paper Table 7 plus the
 /// quantities needed by the standard max-rate model).  All values refer to

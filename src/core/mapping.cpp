@@ -53,24 +53,24 @@ CommPattern apply_mapping(const CommPattern& pattern,
   // logical GPUs* follows those GPUs' physical node only when the whole
   // destination group stays on one node; otherwise the annotation is
   // dropped (conservative: strategies fall back to payload sizes).
-  for (const auto& [src, dst_node, bytes] : pattern.node_dedup_entries()) {
+  for (int src = 0; src < pattern.num_gpus(); ++src) {
     const int p_src = mapping.logical_to_physical[static_cast<std::size_t>(src)];
-    // Find the logical GPUs on dst_node, and their physical nodes.
-    std::map<int, std::int64_t> payload_by_physical_node;
-    bool single_node = true;
-    int the_node = -1;
-    for (const GpuMessage& m : pattern.sends_from(src)) {
-      if (topo.gpu_location(m.dst_gpu).node != dst_node) continue;
-      const int p_dst =
-          mapping.logical_to_physical[static_cast<std::size_t>(m.dst_gpu)];
-      const int p_node = topo.gpu_location(p_dst).node;
-      payload_by_physical_node[p_node] += m.bytes;
-      if (the_node == -1) the_node = p_node;
-      if (p_node != the_node) single_node = false;
-    }
-    if (single_node && the_node >= 0 &&
-        the_node != topo.gpu_location(p_src).node) {
-      out.set_node_dedup(p_src, the_node, bytes);
+    for (const NodeDedup& d : pattern.dedup_from(src)) {
+      // The physical nodes of the logical GPUs on d.node.
+      bool single_node = true;
+      int the_node = -1;
+      for (const GpuMessage& m : pattern.sends_from(src)) {
+        if (topo.gpu_location(m.dst_gpu).node != d.node) continue;
+        const int p_dst =
+            mapping.logical_to_physical[static_cast<std::size_t>(m.dst_gpu)];
+        const int p_node = topo.gpu_location(p_dst).node;
+        if (the_node == -1) the_node = p_node;
+        if (p_node != the_node) single_node = false;
+      }
+      if (single_node && the_node >= 0 &&
+          the_node != topo.gpu_location(p_src).node) {
+        out.set_node_dedup(p_src, the_node, d.bytes);
+      }
     }
   }
   return out;

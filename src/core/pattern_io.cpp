@@ -1,5 +1,6 @@
 #include "core/pattern_io.hpp"
 
+#include <array>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,14 +14,25 @@ constexpr const char* kHeader = "hetcomm-pattern v1";
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
+/// kFnvPrime^k mod 2^64 for k = 0..8.
+constexpr std::array<std::uint64_t, 9> kFnvPrimePow = [] {
+  std::array<std::uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (std::size_t k = 1; k < pow.size(); ++k) pow[k] = pow[k - 1] * kFnvPrime;
+  return pow;
+}();
+
 /// Fold one 64-bit word into the FNV-1a state byte by byte (little-endian
-/// byte order, so the hash is identical on every platform).
+/// byte order, so the hash is identical on every platform).  XOR with a
+/// zero byte is a no-op and multiplication mod 2^64 is associative, so the
+/// word's high zero bytes fold into one multiply by a power of the prime.
 constexpr std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t word) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (word >> (8 * b)) & 0xffULL;
+  std::size_t b = 0;
+  for (; word != 0; ++b, word >>= 8) {
+    h ^= word & 0xffULL;
     h *= kFnvPrime;
   }
-  return h;
+  return h * kFnvPrimePow[8 - b];
 }
 
 }  // namespace
@@ -36,13 +48,15 @@ std::uint64_t pattern_hash(const CommPattern& pattern) {
       h = fnv1a_word(h, static_cast<std::uint64_t>(m.count));
     }
   }
-  for (const auto& [src, node, bytes] : pattern.node_dedup_entries()) {
-    // Tag dedup entries so a pattern with annotations can never collide
-    // with one whose message list happens to encode the same words.
-    h = fnv1a_word(h, 0xdedaULL);
-    h = fnv1a_word(h, static_cast<std::uint64_t>(src));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(node));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(bytes));
+  for (int src = 0; src < pattern.num_gpus(); ++src) {
+    for (const NodeDedup& d : pattern.dedup_from(src)) {
+      // Tag dedup entries so a pattern with annotations can never collide
+      // with one whose message list happens to encode the same words.
+      h = fnv1a_word(h, 0xdedaULL);
+      h = fnv1a_word(h, static_cast<std::uint64_t>(src));
+      h = fnv1a_word(h, static_cast<std::uint64_t>(d.node));
+      h = fnv1a_word(h, static_cast<std::uint64_t>(d.bytes));
+    }
   }
   return h;
 }
@@ -56,8 +70,10 @@ void write_pattern(std::ostream& os, const CommPattern& pattern) {
          << m.count << "\n";
     }
   }
-  for (const auto& [src, node, bytes] : pattern.node_dedup_entries()) {
-    os << "dedup " << src << " " << node << " " << bytes << "\n";
+  for (int src = 0; src < pattern.num_gpus(); ++src) {
+    for (const NodeDedup& d : pattern.dedup_from(src)) {
+      os << "dedup " << src << " " << d.node << " " << d.bytes << "\n";
+    }
   }
 }
 

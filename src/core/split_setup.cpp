@@ -36,15 +36,10 @@ SplitSetup split_setup(const CommPattern& pattern, const Topology& topo,
   // ---- Lines 10-11: per-receiving-node volumes (Table 1 parameters).
   //      Volumes are deduplicated (wire) sizes: split removes the data
   //      redundancy of standard communication. ----
-  for (const auto& [nodes, flows] : traffic.flows) {
-    const auto [src_node, dst_node] = nodes;
-    (void)src_node;
-    (void)flows;
-    SplitNodeInfo& info = setup.node_info[dst_node];
-    const std::int64_t vol =
-        traffic.pair_wire_bytes(nodes.first, nodes.second);
-    info.total_in_recv_vol += vol;
-    info.max_in_recv_size = std::max(info.max_in_recv_size, vol);
+  for (const detail::NodePair& pair : traffic) {
+    SplitNodeInfo& info = setup.node_info[pair.dst_node];
+    info.total_in_recv_vol += pair.wire_bytes;
+    info.max_in_recv_size = std::max(info.max_in_recv_size, pair.wire_bytes);
     ++info.num_in_nodes;
   }
 
@@ -62,8 +57,9 @@ SplitSetup split_setup(const CommPattern& pattern, const Topology& topo,
   }
 
   // ---- Cut each node pair's flow list into chunks of <= effective cap. ----
-  for (const auto& [nodes, flows] : traffic.flows) {
-    const auto [src_node, dst_node] = nodes;
+  for (const detail::NodePair& pair : traffic) {
+    const int src_node = pair.src_node;
+    const int dst_node = pair.dst_node;
     const std::int64_t cap = setup.node_info.at(dst_node).effective_cap;
 
     SplitChunk current;
@@ -78,7 +74,7 @@ SplitSetup split_setup(const CommPattern& pattern, const Topology& topo,
       }
     };
 
-    for (const detail::Flow& f : flows) {
+    for (const detail::Flow& f : pair.flows) {
       std::int64_t remaining = f.wire_bytes;
       std::int64_t payload_left = f.bytes;
       if (remaining == 0 && payload_left > 0) {
@@ -118,27 +114,25 @@ SplitSetup split_setup(const CommPattern& pattern, const Topology& topo,
                      });
   };
 
-  std::map<int, std::vector<SplitChunk*>> inbound;
-  std::map<int, std::vector<SplitChunk*>> outbound;
+  const auto num_nodes = static_cast<std::size_t>(topo.num_nodes());
+  std::vector<std::vector<SplitChunk*>> inbound(num_nodes);
+  std::vector<std::vector<SplitChunk*>> outbound(num_nodes);
   for (SplitChunk& c : setup.chunks) {
-    inbound[c.dst_node].push_back(&c);
-    outbound[c.src_node].push_back(&c);
+    inbound[static_cast<std::size_t>(c.dst_node)].push_back(&c);
+    outbound[static_cast<std::size_t>(c.src_node)].push_back(&c);
   }
 
-  for (auto& [node, list] : inbound) {
-    order_desc(list);
-    const std::vector<int> ranks = topo.ranks_on_node(node);
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      list[i]->recv_rank = ranks[i % static_cast<std::size_t>(ppn)];
+  for (int node = 0; node < topo.num_nodes(); ++node) {
+    const int first_rank = node * ppn;
+    std::vector<SplitChunk*>& in = inbound[static_cast<std::size_t>(node)];
+    order_desc(in);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i]->recv_rank = first_rank + static_cast<int>(i % ppn);
     }
-  }
-  for (auto& [node, list] : outbound) {
-    order_desc(list);
-    const std::vector<int> ranks = topo.ranks_on_node(node);
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      const std::size_t local =
-          static_cast<std::size_t>(ppn) - 1 - (i % static_cast<std::size_t>(ppn));
-      list[i]->send_rank = ranks[local];
+    std::vector<SplitChunk*>& out = outbound[static_cast<std::size_t>(node)];
+    order_desc(out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i]->send_rank = first_rank + ppn - 1 - static_cast<int>(i % ppn);
     }
   }
 

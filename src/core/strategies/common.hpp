@@ -2,7 +2,6 @@
 // Internal helpers shared by the strategy plan builders.
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/comm_pattern.hpp"
@@ -34,30 +33,32 @@ struct Flow {
   std::int64_t wire_bytes = 0;
 };
 
-/// All inter-node traffic grouped by (src_node, dst_node), flows in
-/// deterministic (src_gpu, dst_gpu) order.
-struct NodeTraffic {
-  std::map<std::pair<int, int>, std::vector<Flow>> flows;
-
-  [[nodiscard]] std::int64_t pair_bytes(int src_node, int dst_node) const {
-    const auto it = flows.find({src_node, dst_node});
-    if (it == flows.end()) return 0;
-    std::int64_t sum = 0;
-    for (const Flow& f : it->second) sum += f.bytes;
-    return sum;
-  }
-
-  [[nodiscard]] std::int64_t pair_wire_bytes(int src_node, int dst_node) const {
-    const auto it = flows.find({src_node, dst_node});
-    if (it == flows.end()) return 0;
-    std::int64_t sum = 0;
-    for (const Flow& f : it->second) sum += f.wire_bytes;
-    return sum;
-  }
+/// The inter-node flows from one node to another, in (src_gpu, dst_gpu)
+/// order, with the sum of their wire bytes.
+struct NodePair {
+  int src_node = -1;
+  int dst_node = -1;
+  std::int64_t wire_bytes = 0;
+  std::vector<Flow> flows;
 };
+
+/// All inter-node traffic: one entry per communicating node pair, in
+/// (src_node, dst_node) order.
+using NodeTraffic = std::vector<NodePair>;
 
 [[nodiscard]] NodeTraffic internode_traffic(const CommPattern& pattern,
                                             const Topology& topo);
+
+/// Bytes of one GPU: a term of a per-GPU sum.
+struct GpuBytes {
+  int gpu = -1;
+  std::int64_t bytes = 0;
+};
+
+/// Sum `parts` by GPU in place: afterwards it holds one entry per GPU, in
+/// ascending GPU order (the order the builders emit per-GPU ops in).
+/// Zero sums stay.
+void sum_by_gpu(std::vector<GpuBytes>& parts);
 
 /// Sending leader on `src_node` for traffic toward `dst_node`: the host
 /// rank owning local GPU (dst_node mod gpus-per-node).  Distinct
@@ -95,6 +96,10 @@ void append_dedup_d2h_copies(CommPlan& plan, const CommPattern& pattern,
 /// Deduplicated inter-node send volume of one GPU (sum over destination
 /// nodes of the dedup annotation, falling back to the payload sum).
 [[nodiscard]] std::int64_t dedup_send_bytes(const CommPattern& pattern,
+                                            const Topology& topo, int gpu);
+
+/// Bytes one GPU sends to the other GPUs on its own node.
+[[nodiscard]] std::int64_t intra_send_bytes(const CommPattern& pattern,
                                             const Topology& topo, int gpu);
 
 }  // namespace hetcomm::core::detail

@@ -19,8 +19,8 @@
 //
 // Device-aware transport does not apply to split strategies (Table 5).
 
-#include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "core/split_setup.hpp"
 #include "core/strategies/common.hpp"
@@ -30,85 +30,56 @@ namespace hetcomm::core::detail {
 
 namespace {
 
-/// Holder ranks for a GPU under Split+DD: `ppg` cores on the GPU's socket,
-/// disjoint between the socket's GPUs when capacity allows.
-std::vector<int> holder_ranks(const Topology& topo, int gpu, int ppg) {
+/// The k-th holder rank of a GPU under Split+DD: `ppg` cores on the GPU's
+/// socket, disjoint between the socket's GPUs when capacity allows, taken
+/// round-robin so load spreads over them.
+int holder_rank(const Topology& topo, int gpu, int ppg, int k) {
   const GpuLocation loc = topo.gpu_location(gpu);
-  const int pps = topo.pps();
-  std::vector<int> holders;
-  holders.reserve(static_cast<std::size_t>(ppg));
-  for (int i = 0; i < ppg; ++i) {
-    const int core = (loc.index_on_socket * ppg + i) % pps;
-    holders.push_back(topo.rank_of(loc.node, loc.socket, core));
-  }
-  return holders;
+  const int core = (loc.index_on_socket * ppg + k % ppg) % topo.pps();
+  return topo.rank_of(loc.node, loc.socket, core);
 }
 
-/// Per-GPU bytes destined off-node (send) and arriving from off-node (recv).
-struct InterVolumes {
-  std::map<int, std::int64_t> send;  // gpu -> bytes
-  std::map<int, std::int64_t> recv;
+/// One chunk's per-GPU parts, each in ascending GPU order.  Source parts
+/// sum wire (deduplicated) bytes -- what is staged, scattered and
+/// injected; destination parts sum payload bytes -- what the receiving
+/// GPUs must end up with after redistribution.  Under Split+DD each part
+/// also has its holder rank, computed once so the copy and message phases
+/// agree on data provenance.
+struct ChunkParts {
+  std::vector<GpuBytes> src;
+  std::vector<GpuBytes> dst;
+  std::vector<int> src_holder;  ///< indexed like `src`; empty under MD
+  std::vector<int> dst_holder;  ///< indexed like `dst`; empty under MD
 };
 
-InterVolumes inter_volumes(const CommPattern& pattern, const Topology& topo) {
-  InterVolumes v;
-  for (int src = 0; src < pattern.num_gpus(); ++src) {
-    const int src_node = topo.gpu_location(src).node;
-    std::int64_t inter_payload = 0;
-    for (const GpuMessage& m : pattern.sends_from(src)) {
-      if (topo.gpu_location(m.dst_gpu).node == src_node) continue;
-      v.recv[m.dst_gpu] += m.bytes;
-      inter_payload += m.bytes;
-    }
-    // Staged send volume is the deduplicated one: the send buffer holds
-    // each datum once per destination node.
-    if (inter_payload > 0) v.send[src] = dedup_send_bytes(pattern, topo, src);
-  }
-  return v;
-}
-
-/// Per-chunk, per-GPU aggregation of a chunk's slices.  Source-side
-/// aggregation uses wire (deduplicated) bytes -- what is staged, scattered
-/// and injected; destination-side aggregation uses payload bytes -- what the
-/// receiving GPUs must end up with after redistribution.
-std::map<int, std::int64_t> chunk_bytes_by(const SplitChunk& chunk,
-                                           bool by_src) {
-  std::map<int, std::int64_t> out;
-  for (const FlowSlice& s : chunk.slices) {
-    out[by_src ? s.src_gpu : s.dst_gpu] += by_src ? s.bytes : s.payload_bytes;
-  }
-  return out;
-}
-
-/// DD holder assignment: (chunk index, gpu) -> holder rank, round-robin per
-/// GPU so load spreads over the holders.  Computed once and reused by the
-/// copy and message phases so data provenance is consistent.
-struct HolderAssignment {
-  std::map<std::pair<std::size_t, int>, int> send_holder;  // (chunk, src_gpu)
-  std::map<std::pair<std::size_t, int>, int> recv_holder;  // (chunk, dst_gpu)
-};
-
-HolderAssignment assign_holders(const SplitSetup& setup, const Topology& topo,
-                                int ppg) {
-  HolderAssignment a;
-  std::map<int, int> send_cursor;
-  std::map<int, int> recv_cursor;
+std::vector<ChunkParts> chunk_parts(const SplitSetup& setup,
+                                    const Topology& topo, bool dd, int ppg) {
+  std::vector<ChunkParts> parts(setup.chunks.size());
+  // Per GPU: how many holders it has handed out so far, per side.
+  std::vector<int> send_cursor(dd ? static_cast<std::size_t>(topo.num_gpus())
+                                  : 0);
+  std::vector<int> recv_cursor(send_cursor.size());
   for (std::size_t ci = 0; ci < setup.chunks.size(); ++ci) {
-    const SplitChunk& chunk = setup.chunks[ci];
-    for (const auto& [gpu, bytes] : chunk_bytes_by(chunk, /*by_src=*/true)) {
-      (void)bytes;
-      const std::vector<int> holders = holder_ranks(topo, gpu, ppg);
-      a.send_holder[{ci, gpu}] =
-          holders[static_cast<std::size_t>(send_cursor[gpu]++ % ppg)];
+    ChunkParts& p = parts[ci];
+    for (const FlowSlice& s : setup.chunks[ci].slices) {
+      p.src.push_back({s.src_gpu, s.bytes});
+      p.dst.push_back({s.dst_gpu, s.payload_bytes});
     }
-    for (const auto& [gpu, bytes] : chunk_bytes_by(chunk, /*by_src=*/false)) {
-      (void)bytes;
-      const std::vector<int> holders = holder_ranks(topo, gpu, ppg);
-      a.recv_holder[{ci, gpu}] =
-          holders[static_cast<std::size_t>(recv_cursor[gpu]++ % ppg)];
+    sum_by_gpu(p.src);
+    sum_by_gpu(p.dst);
+    if (!dd) continue;
+    for (const GpuBytes& part : p.src) {
+      p.src_holder.push_back(holder_rank(
+          topo, part.gpu, ppg,
+          send_cursor[static_cast<std::size_t>(part.gpu)]++));
+    }
+    for (const GpuBytes& part : p.dst) {
+      p.dst_holder.push_back(holder_rank(
+          topo, part.gpu, ppg,
+          recv_cursor[static_cast<std::size_t>(part.gpu)]++));
     }
   }
-  return a;
+  return parts;
 }
 
 }  // namespace
@@ -132,9 +103,7 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
   plan.strategy_name = config.name();
 
   const SplitSetup setup = split_setup(pattern, topo, cap);
-  const InterVolumes vols = inter_volumes(pattern, topo);
-  const HolderAssignment holders =
-      dd ? assign_holders(setup, topo, ppg) : HolderAssignment{};
+  const std::vector<ChunkParts> parts = chunk_parts(setup, topo, dd, ppg);
 
   // ---- Staging copies, device to host. ----
   //
@@ -146,30 +115,27 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
     PlanPhase phase;
     phase.label = "d2h";
     for (int gpu = 0; gpu < pattern.num_gpus(); ++gpu) {
-      const int node = topo.gpu_location(gpu).node;
-      std::int64_t intra = 0;
-      for (const GpuMessage& m : pattern.sends_from(gpu)) {
-        if (topo.gpu_location(m.dst_gpu).node == node) intra += m.bytes;
-      }
-      const auto it = vols.send.find(gpu);
-      const std::int64_t inter = it == vols.send.end() ? 0 : it->second;
+      const std::int64_t intra = intra_send_bytes(pattern, topo, gpu);
       const int owner = topo.owner_rank_of_gpu(gpu);
       if (intra > 0) {
         phase.ops.push_back(
             PlanOp::copy(owner, gpu, CopyDir::DeviceToHost, intra));
       }
-      if (inter > 0 && !dd) {
+      if (dd) continue;
+      // Staged send volume is the deduplicated one: the send buffer holds
+      // each datum once per destination node.
+      const std::int64_t inter = dedup_send_bytes(pattern, topo, gpu);
+      if (inter > 0) {
         phase.ops.push_back(
             PlanOp::copy(owner, gpu, CopyDir::DeviceToHost, inter));
       }
     }
     if (dd) {
-      for (std::size_t ci = 0; ci < setup.chunks.size(); ++ci) {
-        for (const auto& [src_gpu, bytes] :
-             chunk_bytes_by(setup.chunks[ci], true)) {
-          phase.ops.push_back(
-              PlanOp::copy(holders.send_holder.at({ci, src_gpu}), src_gpu,
-                           CopyDir::DeviceToHost, bytes, ppg));
+      for (const ChunkParts& p : parts) {
+        for (std::size_t i = 0; i < p.src.size(); ++i) {
+          phase.ops.push_back(PlanOp::copy(p.src_holder[i], p.src[i].gpu,
+                                           CopyDir::DeviceToHost,
+                                           p.src[i].bytes, ppg));
         }
       }
     }
@@ -187,12 +153,14 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
     int tag = kTagScatter;
     for (std::size_t ci = 0; ci < setup.chunks.size(); ++ci) {
       const SplitChunk& chunk = setup.chunks[ci];
-      for (const auto& [src_gpu, bytes] : chunk_bytes_by(chunk, true)) {
-        const int source_rank = dd ? holders.send_holder.at({ci, src_gpu})
-                                   : topo.owner_rank_of_gpu(src_gpu);
+      const ChunkParts& p = parts[ci];
+      for (std::size_t i = 0; i < p.src.size(); ++i) {
+        const int source_rank =
+            dd ? p.src_holder[i] : topo.owner_rank_of_gpu(p.src[i].gpu);
         if (source_rank == chunk.send_rank) continue;
         phase.ops.push_back(PlanOp::message(source_rank, chunk.send_rank,
-                                            bytes, tag++, MemSpace::Host));
+                                            p.src[i].bytes, tag++,
+                                            MemSpace::Host));
       }
     }
     if (!phase.ops.empty()) plan.phases.push_back(std::move(phase));
@@ -217,12 +185,14 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
     int tag = kTagRedist;
     for (std::size_t ci = 0; ci < setup.chunks.size(); ++ci) {
       const SplitChunk& chunk = setup.chunks[ci];
-      for (const auto& [dst_gpu, bytes] : chunk_bytes_by(chunk, false)) {
-        const int target_rank = dd ? holders.recv_holder.at({ci, dst_gpu})
-                                   : topo.owner_rank_of_gpu(dst_gpu);
+      const ChunkParts& p = parts[ci];
+      for (std::size_t i = 0; i < p.dst.size(); ++i) {
+        const int target_rank =
+            dd ? p.dst_holder[i] : topo.owner_rank_of_gpu(p.dst[i].gpu);
         if (target_rank == chunk.recv_rank) continue;
         phase.ops.push_back(PlanOp::message(chunk.recv_rank, target_rank,
-                                            bytes, tag++, MemSpace::Host));
+                                            p.dst[i].bytes, tag++,
+                                            MemSpace::Host));
       }
     }
     if (!phase.ops.empty()) plan.phases.push_back(std::move(phase));
@@ -232,11 +202,19 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
   {
     PlanPhase phase;
     phase.label = "h2d";
+    // Per destination GPU: payload arriving from off-node.
+    std::vector<std::int64_t> inter_recv(
+        static_cast<std::size_t>(pattern.num_gpus()), 0);
+    for (int src = 0; src < pattern.num_gpus(); ++src) {
+      const int src_node = topo.gpu_location(src).node;
+      for (const GpuMessage& m : pattern.sends_from(src)) {
+        if (topo.gpu_location(m.dst_gpu).node == src_node) continue;
+        inter_recv[static_cast<std::size_t>(m.dst_gpu)] += m.bytes;
+      }
+    }
     for (int gpu = 0; gpu < pattern.num_gpus(); ++gpu) {
-      const std::int64_t total = pattern.recv_bytes(gpu);
-      const auto it = vols.recv.find(gpu);
-      const std::int64_t inter = it == vols.recv.end() ? 0 : it->second;
-      const std::int64_t intra = total - inter;
+      const std::int64_t inter = inter_recv[static_cast<std::size_t>(gpu)];
+      const std::int64_t intra = pattern.recv_bytes(gpu) - inter;
       const int owner = topo.owner_rank_of_gpu(gpu);
       if (intra > 0) {
         phase.ops.push_back(
@@ -248,12 +226,11 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
       }
     }
     if (dd) {
-      for (std::size_t ci = 0; ci < setup.chunks.size(); ++ci) {
-        for (const auto& [dst_gpu, bytes] :
-             chunk_bytes_by(setup.chunks[ci], false)) {
-          phase.ops.push_back(
-              PlanOp::copy(holders.recv_holder.at({ci, dst_gpu}), dst_gpu,
-                           CopyDir::HostToDevice, bytes, ppg));
+      for (const ChunkParts& p : parts) {
+        for (std::size_t i = 0; i < p.dst.size(); ++i) {
+          phase.ops.push_back(PlanOp::copy(p.dst_holder[i], p.dst[i].gpu,
+                                           CopyDir::HostToDevice,
+                                           p.dst[i].bytes, ppg));
         }
       }
     }

@@ -10,8 +10,6 @@
 // Both standard-communication redundancies are eliminated: one message per
 // node pair crosses the network and each datum crosses at most once.
 
-#include <map>
-
 #include "core/strategies/common.hpp"
 #include "core/strategy.hpp"
 
@@ -37,20 +35,23 @@ CommPlan build_three_step(const CommPattern& pattern, const Topology& topo,
   PlanPhase gather;
   gather.label = "gather";
   int tag = kTagGather;
-  for (const auto& [nodes, flows] : traffic.flows) {
-    const auto [src_node, dst_node] = nodes;
-    const int leader = send_leader(topo, src_node, dst_node);
+  std::vector<GpuBytes> per_gpu;
+  for (const NodePair& pair : traffic) {
+    const int leader = send_leader(topo, pair.src_node, pair.dst_node);
     // Only the deduplicated (wire) volume is gathered and injected.
-    std::map<int, std::int64_t> per_src_gpu;  // src_gpu -> wire bytes to l
-    for (const Flow& f : flows) per_src_gpu[f.src_gpu] += f.wire_bytes;
-    for (const auto& [src_gpu, bytes] : per_src_gpu) {
-      const int owner = topo.owner_rank_of_gpu(src_gpu);
-      if (owner == leader || bytes == 0) continue;  // already resident
-      gather.ops.push_back(PlanOp::message(owner, leader, bytes, tag++, space));
+    per_gpu.clear();
+    for (const Flow& f : pair.flows) {
+      per_gpu.push_back({f.src_gpu, f.wire_bytes});
+    }
+    sum_by_gpu(per_gpu);
+    for (const GpuBytes& part : per_gpu) {
+      const int owner = topo.owner_rank_of_gpu(part.gpu);
+      if (owner == leader || part.bytes == 0) continue;  // already resident
+      gather.ops.push_back(
+          PlanOp::message(owner, leader, part.bytes, tag++, space));
     }
     // The leader packs the conglomerated buffer before injection.
-    gather.ops.push_back(
-        PlanOp::pack(leader, traffic.pair_wire_bytes(src_node, dst_node)));
+    gather.ops.push_back(PlanOp::pack(leader, pair.wire_bytes));
   }
   if (!gather.ops.empty()) plan.phases.push_back(std::move(gather));
 
@@ -58,13 +59,11 @@ CommPlan build_three_step(const CommPattern& pattern, const Topology& topo,
   PlanPhase global;
   global.label = "global";
   tag = kTagGlobal;
-  for (const auto& [nodes, flows] : traffic.flows) {
-    const auto [src_node, dst_node] = nodes;
-    (void)flows;
+  for (const NodePair& pair : traffic) {
     global.ops.push_back(PlanOp::message(
-        send_leader(topo, src_node, dst_node),
-        recv_leader(topo, dst_node, src_node),
-        traffic.pair_wire_bytes(src_node, dst_node), tag++, space));
+        send_leader(topo, pair.src_node, pair.dst_node),
+        recv_leader(topo, pair.dst_node, pair.src_node), pair.wire_bytes,
+        tag++, space));
   }
   if (!global.ops.empty()) plan.phases.push_back(std::move(global));
 
@@ -72,15 +71,16 @@ CommPlan build_three_step(const CommPattern& pattern, const Topology& topo,
   PlanPhase redist;
   redist.label = "redistribute";
   tag = kTagRedist;
-  for (const auto& [nodes, flows] : traffic.flows) {
-    const auto [src_node, dst_node] = nodes;
-    const int leader = recv_leader(topo, dst_node, src_node);
-    std::map<int, std::int64_t> per_dst_gpu;
-    for (const Flow& f : flows) per_dst_gpu[f.dst_gpu] += f.bytes;
-    for (const auto& [dst_gpu, bytes] : per_dst_gpu) {
-      const int owner = topo.owner_rank_of_gpu(dst_gpu);
+  for (const NodePair& pair : traffic) {
+    const int leader = recv_leader(topo, pair.dst_node, pair.src_node);
+    per_gpu.clear();
+    for (const Flow& f : pair.flows) per_gpu.push_back({f.dst_gpu, f.bytes});
+    sum_by_gpu(per_gpu);
+    for (const GpuBytes& part : per_gpu) {
+      const int owner = topo.owner_rank_of_gpu(part.gpu);
       if (owner == leader) continue;
-      redist.ops.push_back(PlanOp::message(leader, owner, bytes, tag++, space));
+      redist.ops.push_back(
+          PlanOp::message(leader, owner, part.bytes, tag++, space));
     }
   }
   if (!redist.ops.empty()) plan.phases.push_back(std::move(redist));

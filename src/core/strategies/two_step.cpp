@@ -6,8 +6,6 @@
 // standard communication is removed but multiple messages may still cross
 // the network per node pair (one per active source GPU).
 
-#include <map>
-
 #include "core/strategies/common.hpp"
 #include "core/strategy.hpp"
 
@@ -33,38 +31,36 @@ CommPlan build_two_step(const CommPattern& pattern, const Topology& topo,
   PlanPhase global;
   global.label = "pairwise";
   int tag = kTagGlobal;
-  for (const auto& [nodes, flows] : traffic.flows) {
-    const auto [src_node, dst_node] = nodes;
-    (void)src_node;
+  std::vector<GpuBytes> per_src_gpu;
+  for (const NodePair& pair : traffic) {
     // Each process injects only its deduplicated (wire) volume.
-    std::map<int, std::int64_t> per_src_gpu;
-    for (const Flow& f : flows) per_src_gpu[f.src_gpu] += f.wire_bytes;
-    for (const auto& [src_gpu, bytes] : per_src_gpu) {
-      if (bytes == 0) continue;
+    per_src_gpu.clear();
+    for (const Flow& f : pair.flows) {
+      per_src_gpu.push_back({f.src_gpu, f.wire_bytes});
+    }
+    sum_by_gpu(per_src_gpu);
+    for (const GpuBytes& part : per_src_gpu) {
+      if (part.bytes == 0) continue;
       global.ops.push_back(
-          PlanOp::message(topo.owner_rank_of_gpu(src_gpu),
-                          paired_rank(topo, src_gpu, dst_node), bytes, tag++,
-                          space));
+          PlanOp::message(topo.owner_rank_of_gpu(part.gpu),
+                          paired_rank(topo, part.gpu, pair.dst_node),
+                          part.bytes, tag++, space));
     }
   }
   if (!global.ops.empty()) plan.phases.push_back(std::move(global));
 
-  // Step 2: the paired receivers redistribute on-node.
+  // Step 2: the paired receivers redistribute on-node.  A node pair's flows
+  // are already one per (src_gpu, dst_gpu), in that order.
   PlanPhase redist;
   redist.label = "redistribute";
   tag = kTagRedist;
-  for (const auto& [nodes, flows] : traffic.flows) {
-    const auto [src_node, dst_node] = nodes;
-    (void)src_node;
-    // Receiver of src_gpu's bundle forwards each dst_gpu portion.
-    std::map<std::pair<int, int>, std::int64_t> per_pair;  // (src,dst gpu)
-    for (const Flow& f : flows) per_pair[{f.src_gpu, f.dst_gpu}] += f.bytes;
-    for (const auto& [gpus, bytes] : per_pair) {
-      const auto [src_gpu, dst_gpu] = gpus;
-      const int receiver = paired_rank(topo, src_gpu, dst_node);
-      const int owner = topo.owner_rank_of_gpu(dst_gpu);
+  for (const NodePair& pair : traffic) {
+    for (const Flow& f : pair.flows) {
+      // Receiver of src_gpu's bundle forwards each dst_gpu portion.
+      const int receiver = paired_rank(topo, f.src_gpu, pair.dst_node);
+      const int owner = topo.owner_rank_of_gpu(f.dst_gpu);
       if (receiver == owner) continue;
-      redist.ops.push_back(PlanOp::message(receiver, owner, bytes, tag++,
+      redist.ops.push_back(PlanOp::message(receiver, owner, f.bytes, tag++,
                                            space));
     }
   }

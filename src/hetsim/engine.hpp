@@ -318,7 +318,7 @@ class Engine {
   Topology topo_;
   ParamSet params_;
   NoiseModel noise_;
-  PathTable paths_;  ///< dense (rank,rank) -> taxonomy class id
+  PathTable paths_;  ///< (rank,rank) -> taxonomy class id
 
   std::vector<double> clock_;
   std::vector<BusyServer> send_port_;  ///< per-rank outbound transport

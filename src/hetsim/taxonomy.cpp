@@ -169,31 +169,20 @@ PathTable::PathTable(const Topology& topo, const PathTaxonomy& taxonomy) {
   taxonomy.validate();
   const MachineShape& shape = topo.shape();
   cpn_ = shape.cores_per_node();
+  cps_ = shape.cores_per_socket;
+  gps_ = shape.gpus_per_socket;
   num_classes_ = taxonomy.num_classes();
   for (int c = 0; c < num_classes_; ++c) {
     locality_[c] = taxonomy.cls(c).locality;
   }
-  const std::size_t block = static_cast<std::size_t>(cpn_) * cpn_;
-  table_.resize(2 * block);
-  for (int la = 0; la < cpn_; ++la) {
-    const int sock_a = la / shape.cores_per_socket;
-    const bool owner_a = la % shape.cores_per_socket < shape.gpus_per_socket;
-    for (int lb = 0; lb < cpn_; ++lb) {
-      const int sock_b = lb / shape.cores_per_socket;
-      const bool owner_b = lb % shape.cores_per_socket < shape.gpus_per_socket;
-      const std::size_t cell =
-          static_cast<std::size_t>(la) * cpn_ + static_cast<std::size_t>(lb);
-      PairPlacement same;
-      same.same_node = true;
-      same.same_socket = sock_a == sock_b;
-      same.both_gpu_owners = owner_a && owner_b;
-      table_[cell] = static_cast<std::uint8_t>(taxonomy.resolve(same));
-      PairPlacement cross;
-      cross.same_node = false;
-      cross.same_socket = false;
-      cross.both_gpu_owners = owner_a && owner_b;
-      table_[block + cell] = static_cast<std::uint8_t>(taxonomy.resolve(cross));
-    }
+  for (const bool owners : {false, true}) {
+    const int base = owners ? 3 : 0;
+    ids_[base + kSameSocket] =
+        static_cast<std::uint8_t>(taxonomy.resolve({true, true, owners}));
+    ids_[base + kSameNode] =
+        static_cast<std::uint8_t>(taxonomy.resolve({true, false, owners}));
+    ids_[base + kOffNode] =
+        static_cast<std::uint8_t>(taxonomy.resolve({false, false, owners}));
   }
 }
 

@@ -14,9 +14,9 @@
 // class ids 0/1/2 are on-socket/on-node/off-node, so code that indexes
 // parameter tables with the PathClass enum keeps working bit-for-bit.
 //
-// Rule resolution is only run at machine-construction time: consumers
-// resolve a whole Topology into a PathTable once (dense per-placement class
-// ids) and the simulation hot path does O(1) allocation-free lookups.
+// Rule resolution is only run when a PathTable is built: the table keeps
+// the class id of each of the six feasible placements, and lookups are
+// O(1) and allocation-free.
 
 #include <cstdint>
 #include <string>
@@ -114,30 +114,32 @@ class PathTaxonomy {
   std::vector<PathRule> rules_;
 };
 
-/// Dense resolved path-class ids for every rank pair of a Topology.
+/// Resolved path-class ids for every rank pair of a Topology.
 ///
-/// All nodes are identical, so a pair's class depends only on the two
-/// local ranks and whether the ranks share a node; the table therefore
-/// stores 2 * cores_per_node^2 ids (same-node block, cross-node block)
-/// instead of num_ranks^2, stays cache-resident for any machine size, and
-/// the per-message lookup is two divisions and one load -- cheaper than
-/// the historical rank_location()-based classification.
+/// All nodes are identical and rule resolution reads only a pair's three
+/// placement bits (same node, same socket, both GPU owners), of which six
+/// combinations are feasible.  The table stores the six resolved ids and
+/// path_of() derives the bits from the two ranks with integer arithmetic,
+/// so building a table costs six rule resolutions for any machine size.
 class PathTable {
  public:
   PathTable() = default;
   PathTable(const Topology& topo, const PathTaxonomy& taxonomy);
 
-  [[nodiscard]] bool empty() const noexcept { return table_.empty(); }
   [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
 
   /// Class id for a rank pair.  No bounds checks: callers validate ranks.
   [[nodiscard]] std::uint8_t path_of(int rank_a, int rank_b) const noexcept {
-    const int na = rank_a / cpn_;
-    const int nb = rank_b / cpn_;
-    const std::size_t block =
-        na == nb ? 0 : static_cast<std::size_t>(cpn_) * cpn_;
-    return table_[block + static_cast<std::size_t>(rank_a - na * cpn_) * cpn_ +
-                  static_cast<std::size_t>(rank_b - nb * cpn_)];
+    // Ranks fill cores socket by socket, node by node, so a rank's global
+    // socket index is rank / cores_per_socket.
+    const int sock_a = rank_a / cps_;
+    const int sock_b = rank_b / cps_;
+    const bool owners =
+        rank_a - sock_a * cps_ < gps_ && rank_b - sock_b * cps_ < gps_;
+    const int place = sock_a == sock_b               ? kSameSocket
+                      : rank_a / cpn_ == rank_b / cpn_ ? kSameNode
+                                                       : kOffNode;
+    return ids_[place + (owners ? 3 : 0)];
   }
 
   /// Base locality / NIC semantics of a class id.
@@ -149,9 +151,15 @@ class PathTable {
   }
 
  private:
-  std::vector<std::uint8_t> table_;  ///< [same-node | cross-node] x local^2
+  static constexpr int kSameSocket = 0;
+  static constexpr int kSameNode = 1;  ///< same node, different sockets
+  static constexpr int kOffNode = 2;
+  /// [placement + 3 * both_gpu_owners] -> class id
+  std::uint8_t ids_[6] = {};
   PathClass locality_[kMaxPathClasses] = {};
-  int cpn_ = 1;          ///< cores per node
+  int cpn_ = 1;  ///< cores per node
+  int cps_ = 1;  ///< cores per socket
+  int gps_ = 0;  ///< GPUs (owner cores) per socket
   int num_classes_ = 0;
 };
 

@@ -307,7 +307,7 @@ struct Service::Impl {
                                       hash_hex(src.ref) +
                                       " (the server has not seen it)");
         }
-        check_gpus(*found, topo, "pattern ref");
+        check_pattern(*found, topo, "pattern ref");
         req.pattern = std::move(found);
         req.pattern_fp = src.ref;
         return;
@@ -332,19 +332,22 @@ struct Service::Impl {
     }
   }
 
-  static void check_gpus(const core::CommPattern& pattern,
-                         const Topology& topo, const char* what) {
+  /// Where a pattern meets the request's machine: its GPU count must match
+  /// and its dedup annotations must fit the machine's nodes and payloads.
+  static void check_pattern(const core::CommPattern& pattern,
+                            const Topology& topo, const char* what) {
     if (pattern.num_gpus() != topo.num_gpus()) {
       throw std::invalid_argument(std::string(what) + " GPU count (" +
                                   std::to_string(pattern.num_gpus()) +
                                   ") does not match the machine (" +
                                   std::to_string(topo.num_gpus()) + ")");
     }
+    core::check_dedup(pattern, topo);
   }
 
   void register_pattern(core::CommPattern pattern, const Topology& topo,
                         Request& req) {
-    check_gpus(pattern, topo, "pattern");
+    check_pattern(pattern, topo, "pattern");
     req.pattern_fp = core::pattern_hash(pattern);
     // Park the pattern in the registry so later requests can say
     // {"ref": "<hash>"} and skip re-sending (and re-parsing) the body.

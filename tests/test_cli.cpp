@@ -150,6 +150,28 @@ TEST(CliWorkload, PatternFileMustMatchMachine) {
                std::invalid_argument);
 }
 
+TEST(CliWorkload, DedupAnnotationsMustFitTheMachine) {
+  // Two Lassen nodes: GPU 0 sends 100 payload bytes to node 1.
+  const std::string path = ::testing::TempDir() + "/cli_dedup.pattern";
+  for (const char* dedup : {"dedup 0 1 1000000", "dedup 0 1 101",
+                            "dedup 0 9 7", "dedup 0 1 100"}) {
+    {
+      std::ofstream f(path);
+      f << "hetcomm-pattern v1\ngpus 8\nmsg 0 4 100 1\n" << dedup << "\n";
+    }
+    const Options opts =
+        parse({"model", "--nodes", "2", "--pattern", path.c_str()});
+    const Topology topo = make_topology(opts);
+    if (std::string(dedup) == "dedup 0 1 100") {
+      EXPECT_EQ(make_workload(opts, topo).node_dedup_bytes(0, 1), 100);
+    } else {
+      EXPECT_THROW((void)make_workload(opts, topo), std::invalid_argument)
+          << dedup;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 class CliRunTest : public ::testing::Test {
  protected:
   std::string run_cli(std::initializer_list<const char*> args) {
@@ -363,6 +385,19 @@ TEST_F(CliExitCodeTest, UsageAndInputErrorsReturnTwo) {
       << "ranking-stability requires --faults";
   // Every failure leaves a one-line "hetcomm: ..." diagnostic on stderr.
   EXPECT_NE(err_.str().find("hetcomm: "), std::string::npos);
+}
+
+TEST_F(CliExitCodeTest, ContradictoryDedupReturnsTwo) {
+  const std::string path = ::testing::TempDir() + "/cli_bad_dedup.pattern";
+  {
+    std::ofstream f(path);
+    f << "hetcomm-pattern v1\ngpus 8\nmsg 0 4 100 1\n"
+         "dedup 0 1 1000000\ndedup 0 9 7\n";
+  }
+  EXPECT_EQ(guarded({"model", "--nodes", "2", "--pattern", path.c_str()}), 2);
+  EXPECT_NE(err_.str().find("dedup annotation"), std::string::npos)
+      << err_.str();
+  std::remove(path.c_str());
 }
 
 TEST_F(CliExitCodeTest, SimulationFailureReturnsThreeWithMessage) {

@@ -13,7 +13,7 @@ TEST(CommPattern, AccumulatesBytesAndMultiplicity) {
   EXPECT_EQ(p.bytes(0, 1), 150);
   EXPECT_EQ(p.total_bytes(), 160);
   EXPECT_EQ(p.total_messages(), 3);
-  const std::vector<GpuMessage> sends = p.sends_from(0);
+  const auto sends = p.sends_from(0);
   ASSERT_EQ(sends.size(), 2u);
   EXPECT_EQ(sends[0].dst_gpu, 1);
   EXPECT_EQ(sends[0].count, 2);
@@ -84,22 +84,6 @@ TEST(CommPattern, FilterPreservesMultiplicity) {
   const CommPattern inter = p.internode_only(topo);
   EXPECT_EQ(inter.sends_from(0).front().count, 2);
   EXPECT_EQ(inter.total_bytes(), 200);
-}
-
-TEST(CommPattern, ScaledShrinksVolume) {
-  CommPattern p(4);
-  p.add(0, 1, 1000);
-  p.add(2, 3, 400);
-  const CommPattern s = p.scaled(0.75);
-  EXPECT_EQ(s.bytes(0, 1), 750);
-  EXPECT_EQ(s.bytes(2, 3), 300);
-  EXPECT_THROW((void)p.scaled(-1.0), std::invalid_argument);
-}
-
-TEST(CommPattern, ScaledNeverDropsToZero) {
-  CommPattern p(2);
-  p.add(0, 1, 2);
-  EXPECT_GE(p.scaled(0.1).bytes(0, 1), 1);
 }
 
 TEST(PatternStats, Table7QuantitiesOnHandPattern) {

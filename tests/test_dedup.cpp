@@ -201,10 +201,5 @@ TEST_F(DedupTest, SpmvExtractorRejectsMismatchedTopology) {
                std::invalid_argument);  // topo has 8 GPUs, partition 4
 }
 
-TEST_F(DedupTest, ScaledDropsAnnotations) {
-  const CommPattern p = overlapping_pattern();
-  EXPECT_FALSE(p.scaled(0.5).has_dedup_info());
-}
-
 }  // namespace
 }  // namespace hetcomm

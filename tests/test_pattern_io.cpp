@@ -91,5 +91,33 @@ TEST(PatternIo, FileRoundTrip) {
                std::runtime_error);
 }
 
+// Clients hold pattern hashes as refs across server restarts and releases,
+// so the values themselves are part of the contract.  Each constant was
+// recorded from the byte-by-byte FNV-1a fold.
+TEST(PatternHash, ValuesArePinned) {
+  // sample() carries a dedup annotation.
+  EXPECT_EQ(pattern_hash(sample()), 0x50b5ac1e684223b2ULL);
+  EXPECT_EQ(pattern_hash(random_pattern(Topology(presets::lassen(4)), 16,
+                                        4096, 1)),
+            0x6e9661b782dedad9ULL);
+  {
+    // Interior zero bytes (65536 = 0x010000) and words above 2^32.
+    CommPattern p(300);
+    p.add(0, 1, 65536);
+    p.add(1, 299, (std::int64_t{1} << 32) + 7);
+    p.add(299, 0, std::int64_t{0x0102030405060708});
+    p.set_node_dedup(1, 70000, std::int64_t{1} << 40);
+    EXPECT_EQ(pattern_hash(p), 0x0bd16772638a13bcULL);
+  }
+  {
+    // A flow count above 255 needs a second count byte.
+    CommPattern p(4);
+    for (int i = 0; i < 300; ++i) p.add(2, 3, 1 + i % 5);
+    EXPECT_EQ(pattern_hash(p), 0x56fdc61400467a5eULL);
+  }
+  EXPECT_EQ(pattern_hash(CommPattern(1)), 0x89cd31291d2aefa4ULL);
+  EXPECT_EQ(pattern_hash(CommPattern(16)), 0x987468c2d70edbd5ULL);
+}
+
 }  // namespace
 }  // namespace hetcomm::core

@@ -558,6 +558,38 @@ TEST(ServeProtocolTest, IntegersAreRangeCheckedBeforeNarrowing) {
   EXPECT_EQ(ok.source.pattern->total_bytes(), 64);
 }
 
+TEST(ServeTest, DedupAnnotationsMustFitTheMachine) {
+  Service service;
+  // Two Lassen nodes: GPU 0 sends 200 payload bytes to node 1.
+  const std::string head =
+      R"({"machine": "lassen", "nodes": 2, "reps": 0, "pattern": )"
+      R"({"gpus": 8, "msgs": [[0, 4, 100], [0, 5, 100]], "dedup": )";
+  for (const char* dedup : {"[[0, 1, 1000000]]", "[[0, 1, 201]]",
+                            "[[0, 9, 7]]", "[[0, 2, 0]]"}) {
+    const JsonValue doc = parse(service.handle_line(head + dedup + "}}"));
+    EXPECT_FALSE(doc.at("ok").as_bool()) << dedup;
+    EXPECT_EQ(doc.at("error_code").as_string(), "bad_request") << dedup;
+    EXPECT_NE(doc.at("error").as_string().find("dedup annotation"),
+              std::string::npos)
+        << dedup;
+  }
+  const JsonValue fits =
+      parse(service.handle_line(head + "[[0, 1, 200], [0, 0, 0]]}}"));
+  ASSERT_TRUE(fits.at("ok").as_bool());
+
+  // A ref meets each request's machine anew: 12 GPUs are three Lassen
+  // nodes but two Summit nodes, where node 2 does not exist.
+  const JsonValue lassen = parse(service.handle_line(
+      R"({"machine": "lassen", "nodes": 3, "reps": 0, "pattern": )"
+      R"({"gpus": 12, "msgs": [[0, 8, 100]], "dedup": [[0, 2, 50]]}})"));
+  ASSERT_TRUE(lassen.at("ok").as_bool());
+  const JsonValue summit = parse(service.handle_line(
+      R"({"machine": "summit", "nodes": 2, "reps": 0, "pattern": {"ref": ")" +
+      lassen.at("pattern_hash").as_string() + R"("}})"));
+  EXPECT_FALSE(summit.at("ok").as_bool());
+  EXPECT_EQ(summit.at("error_code").as_string(), "bad_request");
+}
+
 TEST(ServeTest, ZeroCapacityCacheCompilesEveryQuery) {
   ServiceOptions options;
   options.cache_capacity = 0;
