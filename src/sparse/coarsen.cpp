@@ -30,26 +30,21 @@ Aggregation aggregate_greedy(const CsrMatrix& a) {
 }
 
 CsrMatrix coarsen(const CsrMatrix& a, const Aggregation& agg) {
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument("coarsen: matrix must be square");
+  }
   if (static_cast<std::int64_t>(agg.aggregate_of.size()) != a.rows()) {
     throw std::invalid_argument("coarsen: aggregation size mismatch");
   }
-  std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(a.nnz()));
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_idx();
-  const bool hv = a.has_values();
-  for (std::int64_t r = 0; r < a.rows(); ++r) {
-    const std::int64_t cr = agg.aggregate_of[static_cast<std::size_t>(r)];
-    for (std::int64_t k = rp[static_cast<std::size_t>(r)];
-         k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
-      const std::int64_t cc =
-          agg.aggregate_of[static_cast<std::size_t>(
-              ci[static_cast<std::size_t>(k)])];
-      t.push_back({cr, cc, hv ? a.values()[static_cast<std::size_t>(k)] : 1.0});
-    }
-  }
-  return CsrMatrix::from_triplets(agg.num_aggregates, agg.num_aggregates,
-                                  std::move(t), hv);
+  const auto& agg_of = agg.aggregate_of;
+  return CsrMatrix::assemble(
+      agg.num_aggregates, agg.num_aggregates, a.has_values(),
+      [&](auto&& emit) {
+        a.for_each_entry([&](std::int64_t r, std::int64_t c, double v) {
+          emit(agg_of[static_cast<std::size_t>(r)],
+               agg_of[static_cast<std::size_t>(c)], v);
+        });
+      });
 }
 
 Hierarchy build_hierarchy(const CsrMatrix& fine, std::int64_t min_rows,

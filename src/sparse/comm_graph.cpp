@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <stdexcept>
 
 namespace hetcomm::sparse {
@@ -35,25 +34,40 @@ HaloMap halo_map(const CsrMatrix& a, const RowPartition& partition) {
   return halo;
 }
 
-core::CommPattern spmv_comm_pattern(const CsrMatrix& a,
+namespace {
+
+/// One message per (owner, needer) pair, sized by the distinct columns the
+/// needer takes from the owner.  needed[p] is sorted and parts own
+/// contiguous row ranges, so each owner's columns form one run.
+core::CommPattern pattern_from_halo(const HaloMap& halo,
                                     const RowPartition& partition,
                                     std::int64_t bytes_per_value) {
   if (bytes_per_value <= 0) {
     throw std::invalid_argument("spmv_comm_pattern: bad bytes_per_value");
   }
-  const HaloMap halo = halo_map(a, partition);
   core::CommPattern pattern(partition.parts());
   for (int p = 0; p < partition.parts(); ++p) {
-    // Count distinct needed columns per owning part.
-    std::map<int, std::int64_t> per_owner;
-    for (const std::int64_t c : halo.needed[static_cast<std::size_t>(p)]) {
-      ++per_owner[partition.owner_of(c)];
-    }
-    for (const auto& [owner, count] : per_owner) {
-      pattern.add(owner, p, count * bytes_per_value);
+    const std::vector<std::int64_t>& need =
+        halo.needed[static_cast<std::size_t>(p)];
+    for (std::size_t i = 0; i < need.size();) {
+      const int owner = partition.owner_of(need[i]);
+      const std::int64_t end = partition.last_row(owner);
+      std::size_t j = i;
+      while (j < need.size() && need[j] < end) ++j;
+      pattern.add(owner, p, static_cast<std::int64_t>(j - i) * bytes_per_value);
+      i = j;
     }
   }
   return pattern;
+}
+
+}  // namespace
+
+core::CommPattern spmv_comm_pattern(const CsrMatrix& a,
+                                    const RowPartition& partition,
+                                    std::int64_t bytes_per_value) {
+  return pattern_from_halo(halo_map(a, partition), partition,
+                           bytes_per_value);
 }
 
 core::CommPattern spmv_comm_pattern(const CsrMatrix& a,
@@ -64,25 +78,36 @@ core::CommPattern spmv_comm_pattern(const CsrMatrix& a,
     throw std::invalid_argument(
         "spmv_comm_pattern: one partition part per GPU required");
   }
+  const HaloMap halo = halo_map(a, partition);
   core::CommPattern pattern =
-      spmv_comm_pattern(a, partition, bytes_per_value);
+      pattern_from_halo(halo, partition, bytes_per_value);
 
   // Deduplicated volumes: distinct columns of owner q needed by *any* part
-  // on destination node l.
-  const HaloMap halo = halo_map(a, partition);
-  std::map<std::pair<int, int>, std::set<std::int64_t>> distinct;
-  for (int p = 0; p < partition.parts(); ++p) {
-    const int dst_node = topo.gpu_location(p).node;
-    for (const std::int64_t c : halo.needed[static_cast<std::size_t>(p)]) {
-      const int owner = partition.owner_of(c);
-      if (topo.gpu_location(owner).node == dst_node) continue;
-      distinct[{owner, dst_node}].insert(c);
+  // on destination node l.  seen_by[c] == l marks column c as counted for
+  // node l.
+  const int parts = partition.parts();
+  std::vector<int> seen_by(static_cast<std::size_t>(a.cols()), -1);
+  std::vector<std::int64_t> distinct(static_cast<std::size_t>(parts));
+  for (int node = 0; node < topo.num_nodes(); ++node) {
+    std::fill(distinct.begin(), distinct.end(), 0);
+    for (int p = 0; p < parts; ++p) {
+      if (topo.gpu_location(p).node != node) continue;
+      for (const std::int64_t c : halo.needed[static_cast<std::size_t>(p)]) {
+        int& seen = seen_by[static_cast<std::size_t>(c)];
+        if (seen == node) continue;
+        seen = node;
+        const int owner = partition.owner_of(c);
+        if (topo.gpu_location(owner).node != node) {
+          ++distinct[static_cast<std::size_t>(owner)];
+        }
+      }
     }
-  }
-  for (const auto& [key, columns] : distinct) {
-    pattern.set_node_dedup(key.first, key.second,
-                           static_cast<std::int64_t>(columns.size()) *
-                               bytes_per_value);
+    for (int owner = 0; owner < parts; ++owner) {
+      const std::int64_t count = distinct[static_cast<std::size_t>(owner)];
+      if (count > 0) {
+        pattern.set_node_dedup(owner, node, count * bytes_per_value);
+      }
+    }
   }
   return pattern;
 }

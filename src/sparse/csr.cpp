@@ -1,55 +1,95 @@
 #include "sparse/csr.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace hetcomm::sparse {
 
-CsrMatrix CsrMatrix::from_triplets(std::int64_t rows, std::int64_t cols,
-                                   std::vector<Triplet> triplets,
-                                   bool with_values) {
+CsrMatrix::CsrMatrix(std::int64_t rows, std::int64_t cols)
+    : rows_(rows), cols_(cols) {
   if (rows < 0 || cols < 0) {
     throw std::invalid_argument("CsrMatrix: negative dimensions");
   }
-  for (const Triplet& t : triplets) {
-    if (t.row < 0 || t.row >= rows || t.col < 0 || t.col >= cols) {
-      throw std::out_of_range("CsrMatrix: triplet (" + std::to_string(t.row) +
-                              "," + std::to_string(t.col) + ") out of range");
+  row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
+}
+
+void CsrMatrix::throw_out_of_range(std::int64_t row, std::int64_t col) {
+  throw std::out_of_range("CsrMatrix: triplet (" + std::to_string(row) + "," +
+                          std::to_string(col) + ") out of range");
+}
+
+void CsrMatrix::throw_pass_mismatch() {
+  throw std::logic_error(
+      "CsrMatrix::assemble: the fill pass emitted different rows than the "
+      "count pass");
+}
+
+std::vector<std::int64_t> CsrMatrix::begin_fill(bool with_values) {
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows_); ++r) {
+    row_ptr_[r + 1] += row_ptr_[r];
+  }
+  const auto total = static_cast<std::size_t>(row_ptr_.back());
+  col_idx_.resize(total);
+  if (with_values) values_.resize(total);
+  return {row_ptr_.begin(), row_ptr_.end() - 1};
+}
+
+void CsrMatrix::finish_assembly(const std::vector<std::int64_t>& next) {
+  const auto rows = static_cast<std::size_t>(rows_);
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (next[r] != row_ptr_[r + 1]) throw_pass_mismatch();
+  }
+  // Rows shrink as they merge, so each row's output starts at or before its
+  // input and a forward copy never overwrites an unread entry.
+  std::int64_t* const cols = col_idx_.data();
+  std::vector<std::pair<std::int64_t, double>> row;  // valued rows only
+  std::int64_t out = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::int64_t begin = row_ptr_[r];
+    const std::int64_t end = row_ptr_[r + 1];
+    row_ptr_[r] = out;
+    if (values_.empty()) {
+      std::sort(cols + begin, cols + end);
+      for (std::int64_t k = begin; k < end; ++k) {
+        if (k == begin || cols[k] != cols[k - 1]) cols[out++] = cols[k];
+      }
+      continue;
+    }
+    row.clear();
+    for (std::int64_t k = begin; k < end; ++k) {
+      row.emplace_back(cols[k], values_[static_cast<std::size_t>(k)]);
+    }
+    std::stable_sort(row.begin(), row.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (i > 0 && row[i].first == row[i - 1].first) {
+        values_[static_cast<std::size_t>(out) - 1] += row[i].second;
+        continue;
+      }
+      cols[out] = row[i].first;
+      values_[static_cast<std::size_t>(out++)] = row[i].second;
     }
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              if (a.row != b.row) return a.row < b.row;
-              return a.col < b.col;
-            });
-
-  CsrMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
-  m.col_idx_.reserve(triplets.size());
-  if (with_values) m.values_.reserve(triplets.size());
-
-  for (std::size_t i = 0; i < triplets.size();) {
-    const std::int64_t r = triplets[i].row;
-    const std::int64_t c = triplets[i].col;
-    double v = 0.0;
-    std::size_t j = i;
-    for (; j < triplets.size() && triplets[j].row == r && triplets[j].col == c;
-         ++j) {
-      v += triplets[j].value;  // duplicates sum
-    }
-    m.col_idx_.push_back(c);
-    if (with_values) m.values_.push_back(v);
-    ++m.row_ptr_[static_cast<std::size_t>(r) + 1];
-    i = j;
+  row_ptr_[rows] = out;
+  // Release the duplicates' slack: the matrix keeps exactly nnz entries.
+  col_idx_.resize(static_cast<std::size_t>(out));
+  col_idx_.shrink_to_fit();
+  if (!values_.empty()) {
+    values_.resize(static_cast<std::size_t>(out));
+    values_.shrink_to_fit();
   }
-  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
-    m.row_ptr_[r + 1] += m.row_ptr_[r];
-  }
-  return m;
+}
+
+CsrMatrix CsrMatrix::from_triplets(std::int64_t rows, std::int64_t cols,
+                                   const std::vector<Triplet>& triplets,
+                                   bool with_values) {
+  return assemble(rows, cols, with_values, [&triplets](auto&& emit) {
+    for (const Triplet& t : triplets) emit(t.row, t.col, t.value);
+  });
 }
 
 std::int64_t CsrMatrix::row_nnz(std::int64_t row) const {
@@ -74,15 +114,18 @@ std::int64_t CsrMatrix::bandwidth() const {
 
 bool CsrMatrix::pattern_symmetric() const {
   if (rows_ != cols_) return false;
-  std::set<std::pair<std::int64_t, std::int64_t>> entries;
+  // Columns are strictly increasing within a row, so (c, r) is a binary
+  // search in row c.
+  const auto row_begin = [this](std::int64_t r) {
+    return col_idx_.begin() + row_ptr_[static_cast<std::size_t>(r)];
+  };
   for (std::int64_t r = 0; r < rows_; ++r) {
-    for (std::int64_t k = row_ptr_[static_cast<std::size_t>(r)];
-         k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-      entries.insert({r, col_idx_[static_cast<std::size_t>(k)]});
+    for (auto it = row_begin(r); it != row_begin(r + 1); ++it) {
+      const std::int64_t c = *it;
+      if (c != r && !std::binary_search(row_begin(c), row_begin(c + 1), r)) {
+        return false;
+      }
     }
-  }
-  for (const auto& [r, c] : entries) {
-    if (r != c && entries.count({c, r}) == 0) return false;
   }
   return true;
 }

@@ -6,6 +6,12 @@
 // test matrices (FEM band structure, dense arrow heads, scattered
 // long-range couplings).  Values, when requested, make the matrix strictly
 // diagonally dominant so SpMV results are well-behaved.
+//
+// Each generator emits its entries straight into CsrMatrix::assemble,
+// re-seeding its RNG for the second pass.  A coupling may hit an entry
+// already emitted; duplicates sum on assembly, in emission order: the input
+// matrix's entries row by row (with_arrow, with_long_range), then the
+// couplings in RNG order, then the unit base diagonal.
 
 #include <cstdint>
 

@@ -3,6 +3,12 @@
 //
 // Supports `matrix coordinate (real|pattern|integer) (general|symmetric)`.
 // Symmetric inputs are expanded to full storage on read.
+//
+// A file is outside input: the size line is checked before anything is
+// allocated (rows and cols in [1, 2^26], symmetric matrices square, at most
+// rows * cols entries), and every entry against it.  Each defect throws
+// std::invalid_argument naming the line; read_matrix_market_file also names
+// the path.
 
 #include <iosfwd>
 #include <string>

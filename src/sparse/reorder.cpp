@@ -68,21 +68,12 @@ CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& perm) {
   if (perm.size() != a.rows()) {
     throw std::invalid_argument("permute_symmetric: permutation size mismatch");
   }
-  std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(a.nnz()));
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_idx();
-  const bool hv = a.has_values();
-  for (std::int64_t r = 0; r < a.rows(); ++r) {
-    const std::int64_t nr = perm.new_of(r);
-    for (std::int64_t k = rp[static_cast<std::size_t>(r)];
-         k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
-      const std::int64_t nc =
-          perm.new_of(ci[static_cast<std::size_t>(k)]);
-      t.push_back({nr, nc, hv ? a.values()[static_cast<std::size_t>(k)] : 1.0});
-    }
-  }
-  return CsrMatrix::from_triplets(a.rows(), a.cols(), std::move(t), hv);
+  return CsrMatrix::assemble(
+      a.rows(), a.cols(), a.has_values(), [&](auto&& emit) {
+        a.for_each_entry([&](std::int64_t r, std::int64_t c, double v) {
+          emit(perm.new_of(r), perm.new_of(c), v);
+        });
+      });
 }
 
 Permutation reverse_cuthill_mckee(const CsrMatrix& a) {

@@ -8,6 +8,12 @@
 // documents, empty files), schema versioning (unknown machine/fault schema
 // tags), and semantic validation (bad probabilities, bad retry policies,
 // path classes the target machine does not declare).
+//
+// tests/data/bad_mtx/ holds malformed Matrix Market files for `--matrix`:
+// indices outside the header, unparsable entries, size lines that overflow
+// or would allocate without bound, and truncated entry lists.  It is a
+// directory of its own because bench/serve_chaos --bad-dir feeds every file
+// of tests/data/bad/ to the server as a request line.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +25,7 @@
 #include "cli/cli.hpp"
 #include "fault/fault_json.hpp"
 #include "machine/machine_json.hpp"
+#include "sparse/matrix_market.hpp"
 
 #ifndef HETCOMM_TEST_DATA_DIR
 #error "HETCOMM_TEST_DATA_DIR must point at tests/data"
@@ -94,6 +101,67 @@ TEST(BadInput, CliExitsTwoOnEveryCorpusFile) {
     EXPECT_NE(err.str().find("hetcomm: "), std::string::npos) << c.file;
     EXPECT_NE(err.str().find(path), std::string::npos)
         << c.file << ": stderr must name the offending file: " << err.str();
+  }
+}
+
+struct BadMatrix {
+  const char* file;    ///< relative to tests/data/bad_mtx/
+  const char* expect;  ///< substring the diagnostic must contain
+};
+
+const BadMatrix kMatrixCorpus[] = {
+    {"entry_out_of_range.mtx", "line 4: entry (9,1) outside the 4 x 4"},
+    {"zero_index.mtx", "line 4: entry (0,2)"},
+    {"bad_entry_line.mtx", "line 4: bad entry line"},
+    {"missing_value.mtx", "line 4: missing value"},
+    {"symmetric_count_overflow.mtx",
+     "line 2: entry count 4611686018427387904 outside [0, 16]"},
+    {"huge_dimensions.mtx", "line 2: dimensions 1000000000000 x 4"},
+    {"zero_dimension.mtx", "line 2: dimensions 0 x 4"},
+    {"more_entries_than_cells.mtx", "line 2: entry count 5 outside [0, 4]"},
+    {"symmetric_not_square.mtx", "line 2: a symmetric matrix must be square"},
+    {"truncated.mtx", "truncated entry list: 2 of 4"},
+    {"array_format.mtx", "line 1: unsupported header"},
+    {"missing_size_line.mtx", "missing size line"},
+};
+
+std::string bad_matrix_path(const char* file) {
+  return std::string(HETCOMM_TEST_DATA_DIR) + "/bad_mtx/" + file;
+}
+
+TEST(BadInput, MatrixMarketLoaderRejectsWithStructuredErrors) {
+  for (const BadMatrix& c : kMatrixCorpus) {
+    const std::string path = bad_matrix_path(c.file);
+    try {
+      (void)sparse::read_matrix_market_file(path);
+      FAIL() << c.file << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos)
+          << c.file << ": diagnostic must name the file: " << what;
+      EXPECT_NE(what.find(c.expect), std::string::npos)
+          << c.file << ": diagnostic must mention \"" << c.expect
+          << "\": " << what;
+    }
+  }
+}
+
+TEST(BadInput, CliExitsTwoOnEveryMatrixMarketCorpusFile) {
+  std::vector<std::string> paths;
+  for (const BadMatrix& c : kMatrixCorpus) {
+    paths.push_back(bad_matrix_path(c.file));
+  }
+  paths.push_back(bad_matrix_path("no_such_file.mtx"));
+  for (const std::string& path : paths) {
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(cli::main_guarded({"compare", "--matrix", path, "--nodes", "1",
+                                 "--reps", "1"},
+                                out, err),
+              2)
+        << path << ": " << err.str();
+    EXPECT_NE(err.str().find(path), std::string::npos)
+        << "stderr must name the offending file: " << err.str();
   }
 }
 

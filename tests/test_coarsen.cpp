@@ -38,6 +38,9 @@ TEST(Aggregation, MeshCoarseningRatioNearStencilSize) {
 TEST(Aggregation, RejectsRectangular) {
   const CsrMatrix rect = CsrMatrix::from_triplets(2, 3, {{0, 1, 1.0}});
   EXPECT_THROW((void)aggregate_greedy(rect), std::invalid_argument);
+  // Columns past the aggregation would index outside it.
+  EXPECT_THROW((void)coarsen(rect, Aggregation{{0, 0}, 1}),
+               std::invalid_argument);
 }
 
 TEST(Coarsen, GalerkinPreservesRowSums) {

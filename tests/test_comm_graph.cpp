@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pattern_io.hpp"
+#include "machine/machine.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/suitesparse_profiles.hpp"
 
 namespace hetcomm::sparse {
 namespace {
@@ -92,6 +95,32 @@ TEST(SpmvCommPattern, WideBandTouchesManyParts) {
         max_fanout, static_cast<int>(pattern.sends_from(p).size()));
   }
   EXPECT_GE(max_fanout, 3);
+}
+
+TEST(SpmvCommPattern, NodeAwarePatternHashesArePinned) {
+  // Clients hold pattern hashes as refs, so these must never change.  The
+  // audikw_1 case is the benchmark's fixture; thermal2 takes the long-range
+  // generator.
+  struct Pinned {
+    const char* name;
+    double scale;
+    std::int64_t bytes_per_value;
+    std::uint64_t hash;
+  };
+  const Pinned kPinned[] = {
+      {"audikw_1", 0.015, 533, 0x84382ea4d3a8be1bULL},
+      {"thermal2", 0.01, 800, 0x883dd68e3dc2d7b1ULL},
+  };
+  const Topology topo = machine::preset_machine("lassen").topology(4);
+  for (const Pinned& p : kPinned) {
+    const CsrMatrix m = generate_standin(profile_by_name(p.name), p.scale, 1);
+    const RowPartition part =
+        RowPartition::contiguous(m.rows(), topo.num_gpus());
+    EXPECT_EQ(core::pattern_hash(
+                  spmv_comm_pattern(m, part, topo, p.bytes_per_value)),
+              p.hash)
+        << p.name;
+  }
 }
 
 TEST(DistributedSpmv, MatchesSequentialKernel) {

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "sparse/generators.hpp"
+
+#ifndef HETCOMM_TEST_DATA_DIR
+#error "HETCOMM_TEST_DATA_DIR must point at tests/data"
+#endif
 
 namespace hetcomm::sparse {
 namespace {
@@ -50,12 +58,12 @@ TEST(MatrixMarket, ReadPattern) {
 
 TEST(MatrixMarket, RejectsBadHeaders) {
   std::istringstream bad1("%%MatrixMarket matrix array real general\n1 1\n");
-  EXPECT_THROW((void)read_matrix_market(bad1), std::runtime_error);
+  EXPECT_THROW((void)read_matrix_market(bad1), std::invalid_argument);
   std::istringstream bad2(
       "%%MatrixMarket matrix coordinate complex general\n1 1 0\n");
-  EXPECT_THROW((void)read_matrix_market(bad2), std::runtime_error);
+  EXPECT_THROW((void)read_matrix_market(bad2), std::invalid_argument);
   std::istringstream bad3("");
-  EXPECT_THROW((void)read_matrix_market(bad3), std::runtime_error);
+  EXPECT_THROW((void)read_matrix_market(bad3), std::invalid_argument);
 }
 
 TEST(MatrixMarket, RejectsTruncatedEntries) {
@@ -63,7 +71,40 @@ TEST(MatrixMarket, RejectsTruncatedEntries) {
       "%%MatrixMarket matrix coordinate real general\n"
       "2 2 3\n"
       "1 1 1.0\n");
-  EXPECT_THROW((void)read_matrix_market(in), std::runtime_error);
+  EXPECT_THROW((void)read_matrix_market(in), std::invalid_argument);
+}
+
+TEST(MatrixMarket, EntryErrorsNameTheirLine) {
+  // Comment lines count: the bad entry is on line 5 of the stream.
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "% comment\n"
+      "3 3 2\n"
+      "1 1\n"
+      "4 1\n");
+  try {
+    (void)read_matrix_market(in);
+    FAIL() << "entry outside the header accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 5: entry (4,1) outside"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MatrixMarket, RejectsEveryFileOfTheMalformedCorpus) {
+  // Each file under tests/data/bad_mtx/ is rejected by the stream reader as
+  // an input error, whatever else the directory comes to hold.
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(HETCOMM_TEST_DATA_DIR) + "/bad_mtx")) {
+    std::ifstream in(entry.path());
+    ASSERT_TRUE(in) << entry.path();
+    EXPECT_THROW((void)read_matrix_market(in), std::invalid_argument)
+        << entry.path();
+    ++files;
+  }
+  EXPECT_GE(files, 12);
 }
 
 TEST(MatrixMarket, RoundTripPreservesStructureAndValues) {
@@ -90,7 +131,7 @@ TEST(MatrixMarket, RoundTripPatternOnly) {
 
 TEST(MatrixMarket, MissingFileThrows) {
   EXPECT_THROW((void)read_matrix_market_file("/nonexistent/path.mtx"),
-               std::runtime_error);
+               std::invalid_argument);
 }
 
 }  // namespace
