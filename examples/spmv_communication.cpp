@@ -8,9 +8,12 @@
 // row-wise across GPUs of a Lassen-like machine, extracts the halo-exchange
 // communication pattern -- including duplicate-data annotations -- and
 // compares every strategy, separating the wire volume a node-aware scheme
-// ships from the payload standard communication ships.
+// ships from the payload standard communication ships.  An unreadable or
+// malformed input, or an unknown profile name, prints
+// `spmv_communication: <error>` and exits 2.
 
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -24,7 +27,9 @@
 
 using namespace hetcomm;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const std::string source = argc > 1 ? argv[1] : "thermal2";
   const int num_gpus = argc > 2 ? std::atoi(argv[2]) : 64;
   if (num_gpus < 4 || num_gpus % 4 != 0) {
@@ -121,4 +126,15 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "spmv_communication: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -1,6 +1,7 @@
 #include "sparse/csr.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,6 +12,10 @@ CsrMatrix::CsrMatrix(std::int64_t rows, std::int64_t cols)
     : rows_(rows), cols_(cols) {
   if (rows < 0 || cols < 0) {
     throw std::invalid_argument("CsrMatrix: negative dimensions");
+  }
+  if (cols > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("CsrMatrix: " + std::to_string(cols) +
+                                " columns exceed the 32-bit column index");
   }
   row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
 }
@@ -43,8 +48,8 @@ void CsrMatrix::finish_assembly(const std::vector<std::int64_t>& next) {
   }
   // Rows shrink as they merge, so each row's output starts at or before its
   // input and a forward copy never overwrites an unread entry.
-  std::int64_t* const cols = col_idx_.data();
-  std::vector<std::pair<std::int64_t, double>> row;  // valued rows only
+  std::int32_t* const cols = col_idx_.data();
+  std::vector<std::pair<std::int32_t, double>> row;  // valued rows only
   std::int64_t out = 0;
   for (std::size_t r = 0; r < rows; ++r) {
     const std::int64_t begin = row_ptr_[r];

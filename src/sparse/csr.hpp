@@ -17,6 +17,15 @@
 // order), duplicates are merged with their values summed in emission order,
 // and the result is compacted to exactly `nnz` entries.  No sort ever runs
 // over a whole matrix's entries, and no triplet buffer is built.
+//
+// Column indices are stored as std::int32_t, half the memory of 64-bit ones,
+// so a matrix has at most INT32_MAX columns; the constructor every assembly
+// goes through rejects more with std::invalid_argument.  No input reaches
+// that limit: the Matrix Market reader caps each dimension at 2^26, and a
+// stand-in has at most 1.44M rows (Geo_1438 at scale 1).  Row offsets,
+// `Triplet` and the `emit(row, col, value)` arguments stay 64-bit: each
+// entry is range-checked in 64 bits and narrowed only after the check, and
+// readers widen a column to std::int64_t before any arithmetic on it.
 
 #include <cstdint>
 #include <vector>
@@ -34,10 +43,11 @@ class CsrMatrix {
   CsrMatrix() = default;
 
   /// Counting assembly (see the file comment).  `enumerate(emit)` is called
-  /// exactly twice.  An entry outside [0,rows)x[0,cols) throws
-  /// std::out_of_range; a second pass that emits different rows than the
-  /// first throws std::logic_error.  `with_values` false discards values
-  /// (pattern-only matrix).
+  /// exactly twice.  Negative dimensions or more than INT32_MAX columns throw
+  /// std::invalid_argument before either call.  An entry outside
+  /// [0,rows)x[0,cols) throws std::out_of_range; a second pass that emits
+  /// different rows than the first throws std::logic_error.  `with_values`
+  /// false discards values (pattern-only matrix).
   template <class Enumerate>
   static CsrMatrix assemble(std::int64_t rows, std::int64_t cols,
                             bool with_values, Enumerate&& enumerate);
@@ -57,7 +67,7 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<std::int64_t>& row_ptr() const noexcept {
     return row_ptr_;
   }
-  [[nodiscard]] const std::vector<std::int64_t>& col_idx() const noexcept {
+  [[nodiscard]] const std::vector<std::int32_t>& col_idx() const noexcept {
     return col_idx_;
   }
   [[nodiscard]] const std::vector<double>& values() const noexcept {
@@ -75,7 +85,7 @@ class CsrMatrix {
       for (std::int64_t k = row_ptr_[static_cast<std::size_t>(r)];
            k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
         const auto i = static_cast<std::size_t>(k);
-        f(r, col_idx_[i], values_.empty() ? 1.0 : values_[i]);
+        f(r, std::int64_t{col_idx_[i]}, values_.empty() ? 1.0 : values_[i]);
       }
     }
   }
@@ -118,7 +128,7 @@ class CsrMatrix {
     }
     const auto k =
         static_cast<std::size_t>(next[static_cast<std::size_t>(row)]++);
-    col_idx_[k] = col;
+    col_idx_[k] = static_cast<std::int32_t>(col);
     if (!values_.empty()) values_[k] = value;
   }
   /// Checks every row is full, then sorts, merges and compacts each row.
@@ -130,7 +140,7 @@ class CsrMatrix {
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
   std::vector<std::int64_t> row_ptr_{0};
-  std::vector<std::int64_t> col_idx_;
+  std::vector<std::int32_t> col_idx_;
   std::vector<double> values_;
 };
 

@@ -141,7 +141,8 @@ void write_matrix_market(std::ostream& out, const CsrMatrix& m) {
   for (std::int64_t r = 0; r < m.rows(); ++r) {
     for (std::int64_t k = rp[static_cast<std::size_t>(r)];
          k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
-      out << (r + 1) << " " << (ci[static_cast<std::size_t>(k)] + 1);
+      out << (r + 1) << " "
+          << (std::int64_t{ci[static_cast<std::size_t>(k)]} + 1);
       if (hv) out << " " << m.values()[static_cast<std::size_t>(k)];
       out << "\n";
     }

@@ -6,11 +6,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "sparse/matrix_market.hpp"
 #include "sparse/suitesparse_profiles.hpp"
 
 namespace hetcomm::sparse {
@@ -117,7 +120,7 @@ TEST(Spmv, IdentityActsAsIdentity) {
 
 struct Assembled {
   std::vector<std::int64_t> row_ptr;
-  std::vector<std::int64_t> col_idx;
+  std::vector<std::int32_t> col_idx;
   std::vector<double> values;
 };
 
@@ -134,7 +137,7 @@ Assembled reference_assembly(std::int64_t rows, std::vector<Triplet> t) {
       ref.values.back() += t[i].value;
       continue;
     }
-    ref.col_idx.push_back(t[i].col);
+    ref.col_idx.push_back(static_cast<std::int32_t>(t[i].col));
     ref.values.push_back(t[i].value);
     ++ref.row_ptr[static_cast<std::size_t>(t[i].row) + 1];
   }
@@ -188,17 +191,18 @@ TEST(CsrAssembly, MatchesStableSortReference) {
   EXPECT_EQ(empty.nnz(), 0);
 }
 
-/// FNV-1a over the little-endian bytes of row_ptr, then col_idx.
+/// FNV-1a over the little-endian bytes of row_ptr, then of each column
+/// widened to std::int64_t, so a digest does not depend on the index width.
 std::uint64_t pattern_digest(const CsrMatrix& m) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::vector<std::int64_t>* v : {&m.row_ptr(), &m.col_idx()}) {
-    for (const std::int64_t x : *v) {
-      for (int b = 0; b < 8; ++b) {
-        h ^= static_cast<std::uint64_t>(x) >> (8 * b) & 0xffU;
-        h *= 0x100000001b3ULL;
-      }
+  const auto mix = [&h](std::int64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(x) >> (8 * b) & 0xffU;
+      h *= 0x100000001b3ULL;
     }
-  }
+  };
+  for (const std::int64_t x : m.row_ptr()) mix(x);
+  for (const std::int64_t c : m.col_idx()) mix(c);
   return h;
 }
 
@@ -231,6 +235,34 @@ TEST(CsrAssembly, StandinPatternsArePinned) {
                                          p.seed);
     EXPECT_EQ(pattern_digest(m), p.digest) << p.name << " seed " << p.seed;
   }
+}
+
+TEST(CsrAssembly, RejectsMoreColumnsThanAnInt32Index) {
+  constexpr std::int64_t kTooWide =
+      std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1;
+  int calls = 0;
+  EXPECT_THROW((void)CsrMatrix::assemble(1, kTooWide, true,
+                                         [&calls](auto&&) { ++calls; }),
+               std::invalid_argument);
+  EXPECT_EQ(calls, 0) << "the enumerator ran before the column check";
+  EXPECT_THROW((void)CsrMatrix::from_triplets(1, kTooWide, {{0, 0, 1.0}}),
+               std::invalid_argument);
+}
+
+TEST(CsrAssembly, LastInt32ColumnAssemblesAndWrites) {
+  constexpr std::int64_t kCols = std::numeric_limits<std::int32_t>::max();
+  const CsrMatrix m =
+      CsrMatrix::from_triplets(1, kCols, {{0, kCols - 1, 2.5}});
+  EXPECT_NO_THROW(m.validate());
+  ASSERT_EQ(m.nnz(), 1);
+  EXPECT_EQ(m.col_idx()[0], 2147483646);
+  // The writer's 1-based column is INT32_MAX itself.
+  std::ostringstream out;
+  write_matrix_market(out, m);
+  EXPECT_EQ(out.str(),
+            "%%MatrixMarket matrix coordinate real general\n"
+            "1 2147483647 1\n"
+            "1 2147483647 2.5\n");
 }
 
 /// Runs `enumerate` through assemble() and returns the std::logic_error it
