@@ -9,13 +9,15 @@
 // example extracts that per-level pattern, simulates every strategy on it,
 // and reports how the best strategy changes as the frontier sweeps through
 // the graph -- small fringe levels favor latency-lean strategies, the bulge
-// favors volume-efficient ones.
+// favors volume-efficient ones.  A bad argument prints
+// `bfs_frontier: <error>` and exits 2.
 
-#include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <queue>
 #include <vector>
 
+#include "benchutil/bench_options.hpp"
 #include "benchutil/table.hpp"
 #include "core/executor.hpp"
 #include "core/strategy.hpp"
@@ -24,9 +26,14 @@
 
 using namespace hetcomm;
 
-int main(int argc, char** argv) {
-  const std::int64_t n = argc > 1 ? std::atoll(argv[1]) : 20000;
-  const int num_gpus = argc > 2 ? std::atoi(argv[2]) : 32;
+namespace {
+
+int run(int argc, char** argv) {
+  const std::int64_t n =
+      argc > 1 ? benchutil::parse_number<std::int64_t>(argv[1], "n_vertices")
+               : 20000;
+  const int num_gpus =
+      argc > 2 ? benchutil::parse_number<int>(argv[2], "num_gpus") : 32;
   if (num_gpus < 4 || num_gpus % 4 != 0) {
     std::cerr << "num_gpus must be a positive multiple of 4\n";
     return 1;
@@ -111,4 +118,15 @@ int main(int argc, char** argv) {
             << "x) -- adapting the strategy per level pays off when the\n"
                "frontier shape changes this much.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "bfs_frontier: " << e.what() << "\n";
+    return 2;
+  }
 }

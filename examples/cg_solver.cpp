@@ -8,13 +8,15 @@
 // halo exchange (via a persistent NeighborhoodExchange) and two allreduce
 // calls for the dot products.  Reports iteration counts, residuals, and the
 // simulated communication time per strategy -- the end-to-end view of why
-// strategy choice matters for solvers (paper §2.3.3 / ref [16]).
+// strategy choice matters for solvers (paper §2.3.3 / ref [16]).  A bad
+// argument prints `cg_solver: <error>` and exits 2.
 
 #include <cmath>
-#include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <vector>
 
+#include "benchutil/bench_options.hpp"
 #include "benchutil/table.hpp"
 #include "core/neighborhood.hpp"
 #include "simmpi/collectives.hpp"
@@ -35,11 +37,12 @@ void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += alpha * x[i];
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const std::int64_t grid = argc > 1 ? std::atoll(argv[1]) : 96;
-  const int num_gpus = argc > 2 ? std::atoi(argv[2]) : 32;
+int run(int argc, char** argv) {
+  const std::int64_t grid =
+      argc > 1 ? benchutil::parse_number<std::int64_t>(argv[1], "grid_n")
+               : 96;
+  const int num_gpus =
+      argc > 2 ? benchutil::parse_number<int>(argv[2], "num_gpus") : 32;
   if (num_gpus < 4 || num_gpus % 4 != 0) {
     std::cerr << "num_gpus must be a positive multiple of 4\n";
     return 1;
@@ -126,4 +129,15 @@ int main(int argc, char** argv) {
             << "solve column extrapolates over all " << iterations
             << " iterations.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "cg_solver: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -6,11 +6,13 @@
 // Walks through the core API: build a Topology + ParamSet, describe traffic
 // as a CommPattern, compile it into per-strategy CommPlans, execute them on
 // the discrete-event simulator, and ask the model-driven Advisor which
-// strategy it would have picked.
+// strategy it would have picked.  A bad argument prints
+// `quickstart: <error>` and exits 2.
 
-#include <cstdlib>
+#include <exception>
 #include <iostream>
 
+#include "benchutil/bench_options.hpp"
 #include "benchutil/table.hpp"
 #include "core/advisor.hpp"
 #include "core/executor.hpp"
@@ -18,10 +20,16 @@
 
 using namespace hetcomm;
 
-int main(int argc, char** argv) {
-  const int num_nodes = argc > 1 ? std::atoi(argv[1]) : 8;
-  const int msgs_per_gpu = argc > 2 ? std::atoi(argv[2]) : 32;
-  const std::int64_t msg_bytes = argc > 3 ? std::atoll(argv[3]) : 4096;
+namespace {
+
+int run(int argc, char** argv) {
+  const int num_nodes =
+      argc > 1 ? benchutil::parse_number<int>(argv[1], "num_nodes") : 8;
+  const int msgs_per_gpu =
+      argc > 2 ? benchutil::parse_number<int>(argv[2], "msgs_per_gpu") : 32;
+  const std::int64_t msg_bytes =
+      argc > 3 ? benchutil::parse_number<std::int64_t>(argv[3], "msg_bytes")
+               : 4096;
 
   // 1. A machine: Lassen nodes (2 sockets x [Power9 + 2 V100], 40 cores)
   //    with the paper's measured communication parameters.
@@ -74,4 +82,15 @@ int main(int argc, char** argv) {
             << " (predicted " << benchutil::Table::sci(rec.predicted_seconds)
             << " s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 2;
+  }
 }

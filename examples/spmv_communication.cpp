@@ -9,14 +9,14 @@
 // communication pattern -- including duplicate-data annotations -- and
 // compares every strategy, separating the wire volume a node-aware scheme
 // ships from the payload standard communication ships.  An unreadable or
-// malformed input, or an unknown profile name, prints
-// `spmv_communication: <error>` and exits 2.
+// malformed input, an unknown profile name or a non-numeric num_gpus
+// prints `spmv_communication: <error>` and exits 2.
 
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <string>
 
+#include "benchutil/bench_options.hpp"
 #include "benchutil/table.hpp"
 #include "core/executor.hpp"
 #include "core/pattern_io.hpp"
@@ -31,7 +31,8 @@ namespace {
 
 int run(int argc, char** argv) {
   const std::string source = argc > 1 ? argv[1] : "thermal2";
-  const int num_gpus = argc > 2 ? std::atoi(argv[2]) : 64;
+  const int num_gpus =
+      argc > 2 ? benchutil::parse_number<int>(argv[2], "num_gpus") : 64;
   if (num_gpus < 4 || num_gpus % 4 != 0) {
     std::cerr << "num_gpus must be a positive multiple of 4 (Lassen nodes)\n";
     return 1;

@@ -4,10 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "obs/engine_metrics.hpp"
 #include "runtime/thread_pool.hpp"
@@ -114,6 +116,273 @@ RepFold fold_repetitions(std::span<const double> clocks,
   return fold;
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// A job's state while its repetitions run.
+struct LiveJob {
+  std::once_flag allocated;
+  std::vector<double> clocks;  ///< reps x ranks, first claim to fold
+  std::atomic<int> stop{0};  ///< the lowest failed repetition, or reps
+  /// Repetitions not yet run or skipped, on its own cache line.
+  alignas(64) std::atomic<int> pending{0};
+};
+
+/// Repetition 0's engine observations as children of its block span
+/// `span`, [t0, t1] on `worker`: the sink's phase ends as `engine.phase`
+/// spans, and the engine's trace as `engine.msg` / `engine.copy` spans on
+/// engine-rank tracks.  Simulated times are scaled into [t0, t1], so the
+/// timeline shows each part's share of the repetition.
+void record_rep0(obs::Tracer& tracer, std::uint64_t trace_id,
+                 std::uint32_t span, int worker, double t0, double t1,
+                 const obs::EngineMetrics* sink, const Trace* events) {
+  const auto record = [&](std::uint16_t name, int track, double scale,
+                          double a, double b,
+                          std::initializer_list<obs::TraceAttr> attrs) {
+    tracer.record_span(worker, trace_id, span, name,
+                       static_cast<std::uint16_t>(track), t0 + a * scale,
+                       t0 + b * scale, {attrs.begin(), attrs.size()});
+  };
+  if (sink != nullptr && !sink->phase_makespan.empty() &&
+      sink->phase_makespan.back() > 0.0) {
+    const std::vector<double>& ends = sink->phase_makespan;
+    const std::uint16_t name = tracer.intern("engine.phase");
+    const std::uint16_t k_phase = tracer.intern("phase");
+    const std::uint16_t k_sim = tracer.intern("sim_ns");
+    for (std::size_t p = 0; p < ends.size(); ++p) {
+      const double prev = p == 0 ? 0.0 : ends[p - 1];
+      record(name, worker, (t1 - t0) / ends.back(), prev, ends[p],
+             {{k_phase, false, static_cast<std::int64_t>(p)},
+              {k_sim, false, std::llround((ends[p] - prev) * 1e9)}});
+    }
+  }
+  if (events == nullptr) return;
+  double sim_total = 0.0;
+  for (const MessageTrace& m : events->messages) {
+    sim_total = std::max(sim_total, m.completion);
+  }
+  for (const CopyTrace& c : events->copies) {
+    sim_total = std::max(sim_total, c.completion);
+  }
+  if (sim_total <= 0.0 || t1 <= t0) return;
+  std::size_t budget = 256;  // bound the conversion cost
+  const auto emit = [&](int rank, std::uint16_t name, double a, double b,
+                        std::initializer_list<obs::TraceAttr> attrs) {
+    const int track = static_cast<int>(obs::kEngineTrackBase) + rank;
+    if (budget == 0 || rank < 0 || track > 0xffff) return;
+    --budget;
+    tracer.name_track(static_cast<std::uint16_t>(track),
+                      "engine rank " + std::to_string(rank));
+    record(name, track, (t1 - t0) / sim_total, a, b, attrs);
+  };
+  const std::uint16_t k_bytes = tracer.intern("bytes");
+  const std::uint16_t msg = tracer.intern("engine.msg");
+  const std::uint16_t k_src = tracer.intern("src");
+  const std::uint16_t k_dst = tracer.intern("dst");
+  const std::uint16_t k_path = tracer.intern("path");
+  for (const MessageTrace& m : events->messages) {
+    emit(m.src, msg, m.start, m.completion,
+         {{k_src, false, m.src}, {k_dst, false, m.dst},
+          {k_bytes, false, m.bytes},
+          {k_path, false, static_cast<std::int64_t>(m.path)}});
+  }
+  const std::uint16_t copy = tracer.intern("engine.copy");
+  const std::uint16_t k_rank = tracer.intern("rank");
+  const std::uint16_t k_gpu = tracer.intern("gpu");
+  const std::uint16_t k_dir = tracer.intern("dir");
+  for (const CopyTrace& c : events->copies) {
+    emit(c.rank, copy, c.start, c.completion,
+         {{k_rank, false, c.rank}, {k_gpu, false, c.gpu},
+          {k_bytes, false, c.bytes},
+          {k_dir, false, static_cast<std::int64_t>(c.dir)}});
+  }
+}
+
+}  // namespace
+
+RepBatch RepRunner::run(std::span<const RepJob> jobs,
+                        runtime::ThreadPool& pool, const BatchTrace& trace) {
+  const auto workers = static_cast<std::size_t>(pool.num_threads());
+  if (engines_.size() < workers) engines_.resize(workers);
+  RepBatch batch;
+  batch.jobs.resize(jobs.size());
+  batch.workers.resize(workers);
+  // Task t is repetition t - first[k] of the last job k with first[k] <= t.
+  std::vector<std::int64_t> first(jobs.size());
+  std::vector<LiveJob> live(jobs.size());
+  std::int64_t tasks = 0;
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    if (jobs[k].reps < 1) {
+      throw std::invalid_argument("RepRunner: a job needs reps >= 1");
+    }
+    first[k] = tasks;
+    tasks += jobs[k].reps;
+    live[k].stop.store(jobs[k].reps);
+    live[k].pending.store(jobs[k].reps);
+  }
+  obs::Tracer* const tracer = trace.tracer;
+  const bool timed = trace.timed || tracer != nullptr;
+  const bool spans = tracer != nullptr && trace.trace_id != 0;
+  const std::uint16_t n_block = spans ? tracer->intern(trace.block) : 0;
+  const std::uint16_t k_rep = spans ? tracer->intern("first_rep") : 0;
+  const std::uint16_t k_job = spans ? tracer->intern(trace.job_key) : 0;
+
+  // `mu` guards the outcomes.  A job keeps only its lowest failure, the
+  // repetition a serial loop stops at, so it is the same at any pool size.
+  std::mutex mu;
+  const auto fail = [&](std::size_t k, int rep, std::exception_ptr error) {
+    if (rep >= live[k].stop.load()) return;
+    live[k].stop.store(rep);
+    batch.jobs[k].failed_rep = rep;
+    batch.jobs[k].error = std::move(error);
+  };
+  // A job's last repetition to finish, run or skipped, folds its clocks in
+  // repetition order and frees them.
+  const auto finish = [&](std::size_t k) {
+    LiveJob& job = live[k];
+    if (job.pending.fetch_sub(1) != 1) return;
+    if (job.stop.load() == jobs[k].reps) {
+      batch.jobs[k].fold = fold_repetitions(
+          job.clocks, static_cast<std::size_t>(jobs[k].topo->num_ranks()));
+    }
+    std::vector<double>().swap(job.clocks);
+  };
+  const auto run_rep = [&](std::int64_t t, int worker) {
+    const auto k = static_cast<std::size_t>(
+        std::upper_bound(first.begin(), first.end(), t) - first.begin() - 1);
+    const RepJob& job = jobs[k];
+    const int rep = static_cast<int>(t - first[k]);
+    // Skip a repetition above a failure; fail one claimed past the deadline.
+    const bool above = rep > live[k].stop.load();
+    if (above || (job.deadline && Clock::now() >= *job.deadline)) {
+      if (!above) {
+        const std::lock_guard<std::mutex> lock(mu);
+        fail(k, rep, nullptr);
+      }
+      finish(k);
+      return;
+    }
+    const auto ranks = static_cast<std::size_t>(job.topo->num_ranks());
+    // A clock read costs tens of ns, a repetition a few µs: read only
+    // when the batch is timed.
+    const auto start = timed ? Clock::now() : Clock::time_point{};
+    const double t0 = tracer != nullptr ? tracer->now() : 0.0;
+    std::unique_ptr<Engine>& engine =
+        engines_[static_cast<std::size_t>(worker)][job.engine_key];
+    std::exception_ptr error;
+    try {
+      if (!engine) {
+        engine = std::make_unique<Engine>(*job.topo, *job.params,
+                                          NoiseModel(0, job.noise_sigma));
+        if (job.fabric != nullptr) engine->set_fabric(*job.fabric);
+      }
+      std::call_once(live[k].allocated, [&] {
+        live[k].clocks.resize(static_cast<std::size_t>(job.reps) * ranks);
+      });
+      if (engine->faults() != job.faults) engine->set_faults(job.faults);
+      engine->set_metrics(rep == 0 ? job.rep0_metrics : nullptr);
+      engine->set_tracing(spans && rep == 0 && job.trace_rep0);
+      engine->reset(mix_seed(job.seed, static_cast<std::uint64_t>(rep)));
+      const std::span<double> out(
+          live[k].clocks.data() + static_cast<std::size_t>(rep) * ranks,
+          ranks);
+      if (job.compiled != nullptr) {
+        run_plan(*engine, *job.compiled, out);
+      } else {
+        run_plan(*engine, *job.plan, out);
+      }
+    } catch (...) {
+      error = std::current_exception();
+    }
+    const double seconds =
+        timed ? std::chrono::duration<double>(Clock::now() - start).count()
+              : 0.0;
+    const double t1 = tracer != nullptr ? tracer->now() : 0.0;
+    if (spans) {
+      const obs::TraceAttr attrs[] = {{k_rep, false, rep},
+                                      {k_job, false, job.tag}};
+      const std::uint32_t span = tracer->record_span(
+          worker, trace.trace_id, trace.parent, n_block,
+          static_cast<std::uint16_t>(worker), t0, t1, attrs);
+      if (rep == 0 && !error) {
+        record_rep0(*tracer, trace.trace_id, span, worker, t0, t1,
+                    job.rep0_metrics,
+                    job.trace_rep0 ? &engine->trace() : nullptr);
+      }
+    }
+    if (error || timed) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (error) fail(k, rep, error);
+      RepOutcome& out = batch.jobs[k];
+      out.trace_t0 = out.reps_run == 0 ? t0 : std::min(out.trace_t0, t0);
+      out.trace_t1 = std::max(out.trace_t1, t1);
+      out.reps_run += 1;
+      out.busy_seconds += seconds;
+      obs::WorkerStat& load = batch.workers[static_cast<std::size_t>(worker)];
+      load.worker = worker;
+      load.reps += 1;
+      load.busy_seconds += seconds;
+    }
+    finish(k);
+  };
+
+  pool.parallel_for(tasks, run_rep,
+                    runtime::ThreadPool::TraceHook(
+                        trace.pool_spans && spans ? tracer : nullptr,
+                        trace.trace_id, trace.parent));
+  return batch;
+}
+
+RepJob measure_job(const CommPlan& plan, const CompiledPlan* compiled,
+                   const Topology& topo, const ParamSet& params,
+                   const MeasureOptions& options) {
+  RepJob job;
+  job.compiled = compiled;
+  job.plan = &plan;
+  job.topo = &topo;
+  job.params = &params;
+  job.reps = options.reps;
+  job.seed = options.seed;
+  job.noise_sigma = options.noise_sigma;
+  job.fabric = options.fabric ? &*options.fabric : nullptr;
+  job.faults = options.faults;
+  return job;
+}
+
+void rethrow(const RepOutcome& outcome, const std::string& strategy) {
+  if (!outcome.error) throw std::runtime_error("deadline exceeded");
+  try {
+    std::rethrow_exception(outcome.error);
+  } catch (const FaultAbort& e) {
+    if (!e.strategy.empty()) throw;
+    // Stamp the structured error with the plan it killed; everything else
+    // (ranks, path class, attempt count) came from the engine.
+    throw FaultAbort(e.reason, strategy, e.src, e.dst, e.path_id, e.path,
+                     e.attempts);
+  }
+}
+
+MeasureTrace::MeasureTrace(const MeasureOptions& options)
+    : BatchTrace{options.tracer, options.trace_id, options.trace_parent} {
+  timed = options.collect_metrics;
+  if (tracer != nullptr && trace_id == 0) trace_id = tracer->begin_trace();
+  if (tracer != nullptr && !tracer->sampled(trace_id)) tracer = nullptr;
+  if (tracer != nullptr && parent == 0) {
+    own_root = true;
+    parent = tracer->new_span_id();
+    t0 = tracer->now();
+  }
+}
+
+void MeasureTrace::close(int reps, int jobs) const {
+  if (!own_root) return;
+  const obs::TraceAttr attrs[] = {{tracer->intern("reps"), false, reps},
+                                  {tracer->intern("jobs"), false, jobs}};
+  tracer->record_span(0, trace_id, 0, tracer->intern("measure"), 0, t0,
+                      tracer->now(), attrs, parent);
+}
+
 MeasureResult measure(const CommPlan& plan, const Topology& topo,
                       const ParamSet& params, const MeasureOptions& options) {
   if (options.reps < 1) {
@@ -125,194 +394,41 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
 
   MeasureResult result;
   result.summary = plan.summarize(topo);
-
   int jobs = options.jobs == 0 ? runtime::hardware_jobs() : options.jobs;
   jobs = std::min(jobs, options.reps);
-
-  const std::size_t num_ranks = static_cast<std::size_t>(topo.num_ranks());
-
-  // Span tracing: resolve the trace id up front; an unsampled id turns the
-  // local tracer pointer off entirely, so the hot path below stays on the
-  // exact tracing-off code for skipped traces.
-  obs::Tracer* tracer = options.tracer;
-  std::uint64_t trace_id = options.trace_id;
-  std::uint32_t trace_root = options.trace_parent;
-  bool own_root = false;
-  double root_t0 = 0.0;
-  std::uint16_t n_compile = 0, n_block = 0, n_phase = 0;
-  std::uint16_t k_block = 0, k_phase = 0, k_sim = 0;
-  if (tracer != nullptr && trace_id == 0) trace_id = tracer->begin_trace();
-  if (tracer != nullptr && !tracer->sampled(trace_id)) tracer = nullptr;
-  if (tracer != nullptr) {
-    n_compile = tracer->intern("measure.compile");
-    n_block = tracer->intern("measure.block");
-    n_phase = tracer->intern("engine.phase");
-    k_block = tracer->intern("first_rep");
-    k_phase = tracer->intern("phase");
-    k_sim = tracer->intern("sim_ns");
-    if (options.trace_parent == 0) {
-      own_root = true;
-      trace_root = tracer->new_span_id();
-      root_t0 = tracer->now();
-    }
-  }
+  const MeasureTrace trace(options);
 
   // Compile the rep-invariant work once; the immutable CompiledPlan is
   // shared by const reference across every worker thread.  A caller-owned
-  // precompiled plan (serve cache, stability ensemble) skips even that.
+  // precompiled plan skips even that.
   std::optional<CompiledPlan> compiled_local;
-  const CompiledPlan* compiled = nullptr;
-  if (options.engine == ExecMode::Compiled) {
-    if (options.precompiled != nullptr) {
-      compiled = options.precompiled;
-    } else {
-      const obs::ScopedSpan compile_span(
-          obs::TraceContext{tracer, 0, trace_id, trace_root, 0}, n_compile);
-      compiled_local.emplace(plan, topo, params);
-      compiled = &*compiled_local;
-    }
+  const CompiledPlan* compiled = options.precompiled;
+  if (options.engine == ExecMode::Interpreted) {
+    compiled = nullptr;
+  } else if (compiled == nullptr) {
+    const obs::ScopedSpan compile_span(
+        obs::TraceContext{trace.tracer, 0, trace.trace_id, trace.parent, 0},
+        trace.tracer != nullptr ? trace.tracer->intern("measure.compile") : 0);
+    compiled = &compiled_local.emplace(plan, topo, params);
   }
 
-  // Per-repetition clocks in one flat reps x num_ranks buffer (a single
-  // allocation instead of one per repetition), keyed by repetition so the
-  // reduction below is independent of which worker ran which repetition.
-  std::vector<double> rep_clocks(static_cast<std::size_t>(options.reps) *
-                                 num_ranks);
-
-  // One reusable engine per worker, constructed lazily on first use.
-  std::vector<std::unique_ptr<Engine>> engines(static_cast<std::size_t>(jobs));
-
-  // Repetition 0 alone records into `sink` (metrics, and the phase-end
-  // clocks behind the engine.phase spans); every other repetition runs
-  // with no sink, so it takes the engine's hook-free path.  Whichever
-  // worker runs repetition 0 is the sink's only writer, and it is read
-  // after the pool joins, so the report is the same at any jobs count.
-  const bool observe_rep0 = options.collect_metrics || tracer != nullptr;
+  // Repetition 0 alone records into `sink` (metrics, and the phase ends
+  // behind engine.phase spans), so the report is the same at any jobs.
   obs::EngineMetrics sink;
-  std::vector<std::int64_t> worker_rep_count;
-  std::vector<double> worker_busy_seconds;
-  if (options.collect_metrics) {
-    worker_rep_count.assign(static_cast<std::size_t>(jobs), 0);
-    worker_busy_seconds.assign(static_cast<std::size_t>(jobs), 0.0);
-  }
-
-  // Tracing scratch, written only by the worker that runs repetition 0
-  // and read back serially after the pool joins.
-  std::uint32_t lead_span = 0;
-  int lead_ring = 0;
-  double lead_t0 = 0.0;
-  double lead_t1 = 0.0;
-
-  const auto run_rep = [&](std::int64_t rep, int worker) {
-    std::unique_ptr<Engine>& slot = engines[static_cast<std::size_t>(worker)];
-    if (!slot) {
-      slot = std::make_unique<Engine>(topo, params,
-                                      NoiseModel(0, options.noise_sigma));
-      if (options.fabric) slot->set_fabric(*options.fabric);
-      if (options.faults) slot->set_faults(options.faults);
-    }
-    const double trace_t0 = tracer != nullptr ? tracer->now() : 0.0;
-    if (observe_rep0) slot->set_metrics(rep == 0 ? &sink : nullptr);
-    Engine& engine = *slot;
-    engine.reset(mix_seed(options.seed, static_cast<std::uint64_t>(rep)));
-    const auto rep_start = options.collect_metrics
-                               ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
-    const std::span<double> clocks_out(
-        rep_clocks.data() + static_cast<std::size_t>(rep) * num_ranks,
-        num_ranks);
-    if (compiled) {
-      run_plan(engine, *compiled, clocks_out);
-    } else {
-      run_plan(engine, plan, clocks_out);
-    }
-    if (options.collect_metrics) {
-      ++worker_rep_count[static_cast<std::size_t>(worker)];
-      worker_busy_seconds[static_cast<std::size_t>(worker)] +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        rep_start)
-              .count();
-    }
-    if (tracer != nullptr) {
-      const double trace_t1 = tracer->now();
-      const obs::TraceAttr attr[] = {{k_block, false, rep}};
-      const std::uint32_t span = tracer->record_span(
-          worker, trace_id, trace_root, n_block,
-          static_cast<std::uint16_t>(worker), trace_t0, trace_t1, attr);
-      if (rep == 0) {
-        lead_span = span;
-        lead_ring = worker;
-        lead_t0 = trace_t0;
-        lead_t1 = trace_t1;
-      }
-    }
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  // A FaultAbort is recorded against its repetition instead of failing the
-  // pool, and the lowest aborting repetition's error -- the one a jobs=1
-  // sweep reaches first -- is rethrown after the join, so the reported
-  // abort is the same at any jobs count.  Repetitions above the lowest
-  // abort seen so far are skipped: they can no longer change the outcome.
-  std::mutex abort_mu;
-  std::atomic<std::int64_t> abort_rep{options.reps};
-  std::optional<FaultAbort> abort;
+  RepJob job = measure_job(plan, compiled, topo, params, options);
+  job.rep0_metrics =
+      options.collect_metrics || trace.tracer != nullptr ? &sink : nullptr;
   runtime::ThreadPool pool(jobs);
-  pool.parallel_for(
-      options.reps,
-      [&](std::int64_t rep, int worker) {
-        try {
-          run_rep(rep, worker);
-        } catch (FaultAbort& e) {
-          const std::lock_guard<std::mutex> lock(abort_mu);
-          if (rep < abort_rep.load()) {
-            abort_rep.store(rep);
-            abort.emplace(std::move(e));
-          }
-        }
-      },
-      runtime::ThreadPool::TraceHook(), [&](std::int64_t rep) {
-        return rep > abort_rep.load();
-      });
-  if (abort) {
-    if (abort->strategy.empty()) {
-      // Stamp the structured error with the plan it killed; everything else
-      // (ranks, path class, attempt count) came from the engine.
-      throw FaultAbort(abort->reason, plan.strategy_name, abort->src,
-                       abort->dst, abort->path_id, abort->path,
-                       abort->attempts);
-    }
-    throw std::move(*abort);
-  }
+  const auto start = Clock::now();
+  RepBatch batch = RepRunner().run({&job, 1}, pool, trace);
+  RepOutcome& outcome = batch.jobs.front();
+  if (outcome.failed()) rethrow(outcome, plan.strategy_name);
   result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+      std::chrono::duration<double>(Clock::now() - start).count();
   result.reps_per_second =
       result.wall_seconds > 0.0 ? options.reps / result.wall_seconds : 0.0;
 
-  // Repetition-0 engine phase spans, nested inside that repetition's
-  // span.  The engine reports *simulated* phase-end clocks; the spans scale
-  // them proportionally into the repetition's wall interval so the timeline
-  // shows each phase's share of it, not wall truth.
-  const std::vector<double>& ends = sink.phase_makespan;
-  if (tracer != nullptr && lead_span != 0 && !ends.empty() &&
-      ends.back() > 0.0) {
-    const double scale = (lead_t1 - lead_t0) / ends.back();
-    double prev = 0.0;
-    for (std::size_t p = 0; p < ends.size(); ++p) {
-      const obs::TraceAttr attrs[] = {
-          {k_phase, false, static_cast<std::int64_t>(p)},
-          {k_sim, false, std::llround((ends[p] - prev) * 1e9)}};
-      tracer->record_span(lead_ring, trace_id, lead_span, n_phase,
-                          static_cast<std::uint16_t>(lead_ring),
-                          lead_t0 + prev * scale, lead_t0 + ends[p] * scale,
-                          attrs);
-      prev = ends[p];
-    }
-  }
-
-  // Serial reduction in repetition order: bit-identical at any jobs count.
-  RepFold fold = fold_repetitions(rep_clocks, num_ranks);
+  RepFold& fold = outcome.fold;
   result.makespan_mean = fold.makespan_mean;
   result.makespan_min = fold.makespan_min;
   result.makespan_max = fold.makespan_max;
@@ -334,22 +450,13 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     report.reps_per_second = result.reps_per_second;
 
     obs::fill_from_engine_metrics(report, sink);
-    for (int w = 0; w < jobs; ++w) {
-      if (worker_rep_count[static_cast<std::size_t>(w)] == 0) continue;
-      report.workers.push_back(
-          {w, worker_rep_count[static_cast<std::size_t>(w)],
-           worker_busy_seconds[static_cast<std::size_t>(w)]});
+    for (const obs::WorkerStat& w : batch.workers) {
+      if (w.reps > 0) report.workers.push_back(w);
     }
     result.metrics = std::move(report);
   }
 
-  if (tracer != nullptr && own_root) {
-    const obs::TraceAttr attrs[] = {
-        {tracer->intern("reps"), false, options.reps},
-        {tracer->intern("jobs"), false, jobs}};
-    tracer->record_span(0, trace_id, 0, tracer->intern("measure"), 0, root_t0,
-                        tracer->now(), attrs, trace_root);
-  }
+  trace.close(options.reps, jobs);
   return result;
 }
 

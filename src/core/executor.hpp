@@ -4,15 +4,20 @@
 // repetitions, then the maximum over processes ("maximum average time
 // required for communication by any single process", §4.5/§5).
 //
-// measure() is the repetition runtime: it keeps one reusable Engine per
-// worker thread (reset(seed) between repetitions instead of reconstructing),
-// derives each repetition's noise seed as mix_seed(options.seed, rep), and
-// reduces per-repetition results in repetition order -- so the aggregate is
-// bit-identical for any `jobs` value, including jobs=1.
+// RepRunner is the one repetition runtime: it fans a batch of jobs' (job,
+// repetition) pairs out onto a caller-owned ThreadPool and folds each job
+// in repetition order, so results are bit-identical for any pool size.
+// measure() is a batch of one; a ranking-stability report and a serve
+// window are one batch each.
 
+#include <chrono>
 #include <cstdint>
+#include <exception>
+#include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/compiled_plan.hpp"
@@ -21,6 +26,7 @@
 #include "hetsim/network.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace hetcomm::core {
 
@@ -53,31 +59,20 @@ struct MeasureOptions {
   /// Recording never perturbs the simulation: clocks, traces and statistics
   /// are bit-identical with this on or off (and for every jobs value).
   bool collect_metrics = false;
-  /// Caller-owned fault model attached to every per-worker engine (nullptr
-  /// or an empty model = unfaulted).  Faulted results stay bit-identical
-  /// across `jobs` values and engine modes (the fault stream is keyed by
-  /// repetition seed and schedule-order message id, never worker identity).
-  /// When repetitions abort, the lowest aborting repetition's FaultAbort
-  /// is rethrown (the same one at every `jobs` value) with the plan's
-  /// strategy name filled in; no partial result is returned.
+  /// Caller-owned fault model attached to every engine (nullptr or an
+  /// empty model = unfaulted); results stay bit-identical across `jobs`
+  /// and engine modes.  When repetitions abort, the lowest aborting
+  /// repetition's FaultAbort is rethrown with the plan's strategy name
+  /// filled in; no partial result is returned.
   const FaultModel* faults = nullptr;
   /// Caller-owned pre-compiled plan to replay instead of compiling inside
-  /// measure() (Compiled mode only; ignored when Interpreted).  Must have
-  /// been compiled from exactly the (plan, topo, params) triple passed to
-  /// measure() -- results are then bit-identical to the compile-in-call
-  /// path.  This is how callers that re-measure one plan many times (the
-  /// serve plan cache, the ranking-stability fault ensemble) skip the
-  /// per-call compile entirely.
+  /// measure() (Compiled mode only).  It must come from exactly the (plan,
+  /// topo, params) passed to measure(), so results stay bit-identical.
   const CompiledPlan* precompiled = nullptr;
-  /// Span tracing (null = off; see obs/trace.hpp and docs/tracing.md).
-  /// When set -- and trace_id is on the tracer's sampled grid -- measure()
-  /// records a compile span, one span per repetition on the running
-  /// worker's ring/track (the tracer needs rings >= effective jobs), and
-  /// repetition-0 engine phase spans scaled into that repetition's wall
-  /// interval.  trace_id 0 allocates a fresh trace with a root `measure`
-  /// span; a nonzero trace_id parents everything under `trace_parent`.
-  /// Tracing never perturbs results: clocks and statistics stay
-  /// bit-identical with the tracer attached or not.
+  /// Span tracing (null = off; docs/tracing.md), resolved by MeasureTrace:
+  /// a compile span, a `measure.block` span per repetition on its worker's
+  /// ring (rings >= effective jobs) and repetition 0's `engine.phase`
+  /// spans.  Tracing never perturbs results.
   obs::Tracer* tracer = nullptr;
   std::uint64_t trace_id = 0;
   std::uint32_t trace_parent = 0;
@@ -133,21 +128,123 @@ struct RepFold {
 };
 
 /// Fold `clocks`, reps x `num_ranks` final rank clocks (row = repetition).
-/// measure(), NeighborhoodExchange::measure_overlapped() and serve all
-/// reduce through here, so a serve reply and a one-shot measurement of the
-/// same query are bit-identical.  Each rank's sum runs in repetition
-/// order, which is why the whole buffer is kept: the result is the same at
-/// any `--jobs`.
+/// RepRunner and NeighborhoodExchange::measure_overlapped() both reduce
+/// through here, so a serve reply and a one-shot measurement of the same
+/// query are bit-identical.  Each rank's sum runs in repetition order,
+/// which is why the whole buffer is kept: the result is the same at any
+/// `--jobs`.
 [[nodiscard]] RepFold fold_repetitions(std::span<const double> clocks,
                                        std::size_t num_ranks);
 
-/// Repeatedly execute `plan` with per-repetition reseeded noise -- on
-/// per-worker reused engines, fanned across `options.jobs` threads -- and
-/// aggregate.  Deterministic: the result depends only on (plan, topo,
+/// One measurement in a RepRunner batch: repetition k runs
+/// reset(mix_seed(seed, k)); execute(plan) with `faults` attached, on an
+/// engine for (topo, params, noise_sigma, fabric).  Jobs with one
+/// engine_key must share those four; they then share each worker's engine.
+struct RepJob {
+  const CompiledPlan* compiled = nullptr;  ///< null = interpret `plan`
+  const CommPlan* plan = nullptr;
+  const Topology* topo = nullptr;
+  const ParamSet* params = nullptr;
+  std::uint64_t engine_key = 0;
+  int reps = 1;
+  std::uint64_t seed = 0;
+  double noise_sigma = 0.0;
+  const FatTreeConfig* fabric = nullptr;
+  const FaultModel* faults = nullptr;
+  /// A repetition claimed at or after this instant fails unrun.
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  /// Repetition 0 records into this sink; the others run hook-free.
+  obs::EngineMetrics* rep0_metrics = nullptr;
+  /// Traced, repetition 0 shows its messages and copies as spans.
+  bool trace_rep0 = false;
+  std::int64_t tag = 0;  ///< caller's label; its block spans' `job_key`
+};
+
+/// A job's lowest failed repetition (-1 = none): it threw `error`, or it
+/// was claimed past the deadline (`error` null).  Repetitions above it are
+/// skipped, so the same one fails at any pool size.  A timed or traced
+/// batch also records the repetitions that ran, their summed wall time and
+/// the tracer interval they span.
+struct RepOutcome {
+  int failed_rep = -1;
+  std::exception_ptr error;
+  RepFold fold;  ///< the folded clocks, when none failed
+  int reps_run = 0;
+  double busy_seconds = 0.0;
+  double trace_t0 = 0.0;
+  double trace_t1 = 0.0;
+
+  [[nodiscard]] bool failed() const noexcept { return failed_rep >= 0; }
+};
+
+/// A batch's timing and spans: per repetition a `block` span (attributes
+/// `first_rep` and `job_key`) on its worker's ring under `parent`,
+/// repetition 0's engine spans inside it and, with `pool_spans`,
+/// `pool.wait`/`pool.run`.  Trace id 0 records no span but still times
+/// repetitions, as `timed` does without a tracer.
+struct BatchTrace {
+  obs::Tracer* tracer = nullptr;
+  std::uint64_t trace_id = 0;
+  std::uint32_t parent = 0;
+  const char* block = "measure.block";
+  const char* job_key = "job";
+  bool pool_spans = false;
+  bool timed = false;
+};
+
+struct RepBatch {
+  std::vector<RepOutcome> jobs;          ///< in job order
+  std::vector<obs::WorkerStat> workers;  ///< per pool worker, when timed
+};
+
+/// The repetition runner: it keeps one engine per pool worker per engine
+/// key for as long as it lives, so it runs one batch at a time.
+class RepRunner {
+ public:
+  /// Fan every (job, repetition) out onto `pool` and fold each job in
+  /// repetition order.  A job's reps x ranks clocks live from its first
+  /// claimed repetition to its fold.  Throws std::invalid_argument when a
+  /// job has reps < 1.
+  RepBatch run(std::span<const RepJob> jobs, runtime::ThreadPool& pool,
+               const BatchTrace& trace = {});
+
+ private:
+  std::vector<std::unordered_map<std::uint64_t, std::unique_ptr<Engine>>>
+      engines_;  ///< [worker][engine_key]
+};
+
+/// measure()'s job for `plan` (replaying `compiled` unless null) under
+/// `options`, which must outlive it.
+[[nodiscard]] RepJob measure_job(const CommPlan& plan,
+                                 const CompiledPlan* compiled,
+                                 const Topology& topo, const ParamSet& params,
+                                 const MeasureOptions& options);
+
+/// Throw what failed `outcome`: its exception, a FaultAbort stamped with
+/// `strategy`, or a std::runtime_error for a deadline.
+[[noreturn]] void rethrow(const RepOutcome& outcome,
+                          const std::string& strategy);
+
+/// MeasureOptions' tracing for one measurement's batch: trace_id 0 begins
+/// a trace, an unsampled one turns tracing off (null tracer), trace_parent
+/// 0 opens a root `measure` span that close() records, and collect_metrics
+/// times the repetitions.
+struct MeasureTrace : BatchTrace {
+  explicit MeasureTrace(const MeasureOptions& options);
+  void close(int reps, int jobs) const;
+
+  bool own_root = false;
+  double t0 = 0.0;
+};
+
+/// Repeatedly execute `plan` with per-repetition reseeded noise and
+/// aggregate: a RepRunner batch of one on a pool of min(jobs, reps)
+/// threads.  Deterministic: the result depends only on (plan, topo,
 /// params, reps, seed, noise_sigma, fabric), never on the thread count and
 /// never on the execution mode (compiled and interpreted are bit-identical).
 /// In Compiled mode the plan is compiled once per call and the immutable
-/// CompiledPlan is shared across all workers.
+/// CompiledPlan is shared across all workers.  Callers that measure many
+/// plans batch them on one pool instead (see fault::ranking_stability).
 [[nodiscard]] MeasureResult measure(const CommPlan& plan, const Topology& topo,
                                     const ParamSet& params,
                                     const MeasureOptions& options = {});

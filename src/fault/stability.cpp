@@ -1,6 +1,7 @@
 #include "fault/stability.hpp"
 
 #include <chrono>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -10,6 +11,8 @@
 #include "fault/fault_json.hpp"
 #include "hetsim/faults.hpp"
 #include "hetsim/noise.hpp"
+#include "obs/engine_metrics.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace hetcomm::fault {
 
@@ -30,41 +33,6 @@ std::string pick_winner(const std::vector<StrategyOutcome>& outcomes) {
     }
   }
   return winner;
-}
-
-/// Measure every roster plan under one fault model (nullptr = nominal).
-/// `alias[i] >= 0` marks plan i as an alias of plan alias[i], reported but
-/// not measured.  `compiled` (index-aligned with `plans`) carries the
-/// once-compiled form each measurement replays instead of recompiling;
-/// empty entries compile inside measure().
-std::vector<StrategyOutcome> measure_all(
-    const std::vector<core::CommPlan>& plans, const std::vector<int>& alias,
-    const std::vector<std::optional<core::CompiledPlan>>& compiled,
-    const Topology& topo, const ParamSet& params, const FaultModel* faults,
-    const core::MeasureOptions& base) {
-  std::vector<StrategyOutcome> outcomes;
-  outcomes.reserve(plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    const core::CommPlan& plan = plans[i];
-    StrategyOutcome o;
-    o.strategy = plan.strategy_name;
-    if (alias[i] >= 0) {
-      o.alias_of = plans[static_cast<std::size_t>(alias[i])].strategy_name;
-      outcomes.push_back(std::move(o));
-      continue;
-    }
-    core::MeasureOptions mopts = base;
-    mopts.faults = faults;
-    if (compiled[i]) mopts.precompiled = &*compiled[i];
-    try {
-      o.max_avg = core::measure(plan, topo, params, mopts).max_avg;
-    } catch (const FaultAbort& e) {
-      o.failed = true;
-      o.error = e.what();
-    }
-    outcomes.push_back(std::move(o));
-  }
-  return outcomes;
 }
 
 JsonValue outcome_json(const StrategyOutcome& o) {
@@ -148,10 +116,16 @@ StabilityReport ranking_stability(const core::CommPattern& pattern,
     throw std::invalid_argument(
         "ranking stability: MeasureOptions::faults is managed by the sweep");
   }
-  // Compile fault plan first: scope errors (unknown path class, bad lane)
-  // should surface before any simulation work happens.
+  // Compile the ensemble first, so scope errors (unknown path class, bad
+  // lane) surface before any other work.  Instance k re-derives the plan's
+  // fault seed as mix_seed(plan.seed, k).
   plan.validate();
-  { const FaultModel probe = plan.compile(topo, params); (void)probe; }
+  std::vector<FaultModel> models;
+  for (int k = 0; k < options.instances; ++k) {
+    FaultPlan member = plan;
+    member.seed = mix_seed(plan.seed, static_cast<std::uint64_t>(k));
+    models.push_back(member.compile(topo, params));
+  }
 
   // Build each roster plan once; plans are rep- and fault-invariant.  A
   // variant that lowers to its base's plan on this machine is an alias:
@@ -194,27 +168,60 @@ StabilityReport ranking_stability(const core::CommPattern& pattern,
   report.seed = options.measure.seed;
   report.engine = core::to_string(options.measure.engine);
 
-  report.nominal.outcomes =
-      measure_all(plans, alias, compiled, topo, params, nullptr,
-                  options.measure);
-  report.nominal.winner = pick_winner(report.nominal.outcomes);
+  // The whole report is one batch on one pool: a job per measured strategy
+  // for the nominal run (no faults), then for every ensemble member.
+  // Traced, every job gets a repetition-0 sink for its engine.phase spans.
+  const core::MeasureTrace trace(options.measure);
+  std::deque<obs::EngineMetrics> sinks;
+  std::vector<core::RepJob> jobs;
+  for (std::size_t run = 0; run <= models.size(); ++run) {
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      if (alias[i] >= 0) continue;
+      core::RepJob& job = jobs.emplace_back(core::measure_job(
+          plans[i], compiled[i] ? &*compiled[i] : nullptr, topo, params,
+          options.measure));
+      job.faults = run == 0 ? nullptr : &models[run - 1];
+      job.tag = static_cast<std::int64_t>(jobs.size() - 1);
+      if (trace.tracer != nullptr) job.rep0_metrics = &sinks.emplace_back();
+    }
+  }
+  runtime::ThreadPool pool(options.measure.jobs);
+  const core::RepBatch batch = core::RepRunner().run(jobs, pool, trace);
+  trace.close(options.measure.reps, pool.num_threads());
 
   for (const core::CommPlan& p : plans) {
     report.strategies.push_back({p.strategy_name, 0, 0});
   }
-
-  for (int k = 0; k < options.instances; ++k) {
-    FaultPlan member = plan;
-    member.seed = mix_seed(plan.seed, static_cast<std::uint64_t>(k));
-    const FaultModel model = member.compile(topo, params);
-
-    StabilityInstance inst;
-    inst.instance = k;
-    inst.fault_seed = member.seed;
-    inst.outcomes = measure_all(plans, alias, compiled, topo, params, &model,
-                                options.measure);
+  report.results.resize(models.size());
+  auto outcome = batch.jobs.begin();
+  for (std::size_t run = 0; run <= models.size(); ++run) {
+    StabilityInstance& inst =
+        run == 0 ? report.nominal : report.results[run - 1];
+    if (run > 0) {
+      inst.instance = static_cast<int>(run - 1);
+      inst.fault_seed = models[run - 1].seed;
+    }
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      StrategyOutcome& o = inst.outcomes.emplace_back();
+      o.strategy = plans[i].strategy_name;
+      if (alias[i] >= 0) {
+        o.alias_of = plans[static_cast<std::size_t>(alias[i])].strategy_name;
+      } else if (!outcome->failed()) {
+        o.max_avg = outcome->fold.max_avg;
+      } else {
+        // A FaultAbort is this strategy's structured failure; anything
+        // else fails the report.
+        try {
+          core::rethrow(*outcome, o.strategy);
+        } catch (const FaultAbort& e) {
+          o.failed = true;
+          o.error = e.what();
+        }
+      }
+      if (alias[i] < 0) ++outcome;
+    }
     inst.winner = pick_winner(inst.outcomes);
-
+    if (run == 0) continue;
     if (!inst.winner.empty() && inst.winner == report.nominal.winner) {
       ++report.winner_survived;
     }
@@ -225,7 +232,6 @@ StabilityReport ranking_stability(const core::CommPattern& pattern,
         ++report.strategies[i].wins;
       }
     }
-    report.results.push_back(std::move(inst));
   }
   report.survival_rate = static_cast<double>(report.winner_survived) /
                          static_cast<double>(options.instances);

@@ -11,13 +11,13 @@
 // nominal winner stays on top.
 //
 // Everything is deterministic: instance k uses fault seed
-// mix_seed(plan.seed, k), each measurement inherits the caller's
-// MeasureOptions (seed, reps, jobs, engine mode), and results are
-// bit-identical for any --jobs value.  A strategy whose run hard-fails
-// (FaultAbort: retry budget exhausted, no NIC lane recovers) is recorded as
-// a structured failure for that instance, not a crash -- an undeliverable
-// plan losing its ranking slot is exactly the signal this analysis exists
-// to surface.
+// mix_seed(plan.seed, k), and results are bit-identical for any --jobs
+// value.  The nominal run and every instance are one core::RepRunner batch,
+// a job per measured strategy, on one pool of MeasureOptions::jobs threads.
+// A strategy whose run hard-fails (FaultAbort: retry budget exhausted, no
+// NIC lane recovers) is recorded as a structured failure for that instance,
+// not a crash -- an undeliverable plan losing its ranking slot is exactly
+// the signal this analysis exists to surface.
 //
 // The report round-trips through the hetcomm.stability.v1 JSON schema
 // (tools/validate_stability checks the contract in CI).
@@ -40,8 +40,8 @@ inline constexpr const char* kStabilitySchema = "hetcomm.stability.v1";
 struct StabilityOptions {
   /// Ensemble size: number of fault-seed instances to sweep.
   int instances = 4;
-  /// Per-measurement options (reps, seed, jobs, engine, fabric); `faults`
-  /// is managed by the sweep itself and must be left null.
+  /// Per-measurement options (reps, seed, engine, fabric); `jobs` sizes the
+  /// report's one pool; `faults` is the sweep's and must be left null.
   core::MeasureOptions measure;
 };
 

@@ -21,7 +21,6 @@ struct ThreadPool::Impl {
 
   // Current job, published under `mu` and bumped via `epoch`.
   const Task* task = nullptr;
-  const CancelFn* cancel = nullptr;
   std::int64_t count = 0;
   std::uint64_t epoch = 0;
   std::size_t workers_done = 0;
@@ -46,21 +45,6 @@ struct ThreadPool::Impl {
       if (failed.load(std::memory_order_relaxed)) return;
       const std::int64_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
-      // Cooperative cancellation: ask the caller's predicate whether this
-      // claimed index should still run.  A throwing predicate counts as a
-      // task failure (first exception wins, remaining claims stop).
-      if (cancel != nullptr && *cancel) {
-        bool skip = false;
-        try {
-          skip = (*cancel)(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!error) error = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (skip) continue;
-      }
       const obs::TraceAttr task_attr[] = {{task_key, false, i}};
       const auto track = static_cast<std::uint16_t>(worker);
       double claimed = 0.0;
@@ -127,12 +111,11 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::parallel_for(std::int64_t count, const Task& fn,
-                              const TraceHook& trace, const CancelFn& cancel) {
+                              const TraceHook& trace) {
   if (count <= 0) return;
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->task = &fn;
-    impl_->cancel = &cancel;
     impl_->count = count;
     impl_->trace = trace;
     if (trace.tracer != nullptr) {
@@ -155,7 +138,6 @@ void ThreadPool::parallel_for(std::int64_t count, const Task& fn,
   impl_->done_cv.wait(lock,
                       [&] { return impl_->workers_done == workers_.size(); });
   impl_->task = nullptr;
-  impl_->cancel = nullptr;
   impl_->trace = TraceHook();
   if (impl_->error) {
     std::exception_ptr error = impl_->error;

@@ -42,16 +42,6 @@ class ThreadPool {
   /// Task signature: fn(task_index, worker_index).
   using Task = std::function<void(std::int64_t, int)>;
 
-  /// Cooperative cancellation for one parallel_for call: evaluated on the
-  /// claiming worker *after* a task index is claimed and *before* fn runs.
-  /// Returning true skips that task (fn never sees the index) and the
-  /// worker moves on to the next claim -- later indices still get their
-  /// own check, so a predicate can cancel some tasks and keep others.
-  /// Callers that need to know which tasks were skipped record that inside
-  /// the predicate (each index is claimed exactly once).  An empty
-  /// function (the default) costs one branch per task.
-  using CancelFn = std::function<bool(std::int64_t)>;
-
   /// Span tracing for one parallel_for call: each task records a
   /// `pool.wait` span (submission to claim -- how long the task sat in
   /// the queue) and a `pool.run` span, both on the claiming worker's ring
@@ -75,8 +65,7 @@ class ThreadPool {
   /// first exception is rethrown here (after every worker has drained).
   /// Not reentrant: one parallel_for at a time per pool.
   void parallel_for(std::int64_t count, const Task& fn,
-                    const TraceHook& trace = TraceHook(),
-                    const CancelFn& cancel = CancelFn());
+                    const TraceHook& trace = TraceHook());
 
  private:
   struct Impl;

@@ -1,10 +1,8 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <istream>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <span>
 #include <stdexcept>
@@ -22,7 +20,6 @@
 #include "core/strategy.hpp"
 #include "fault/fault_json.hpp"
 #include "fault/plan.hpp"
-#include "hetsim/engine.hpp"
 #include "hetsim/faults.hpp"
 #include "hetsim/noise.hpp"
 #include "machine/machine_json.hpp"
@@ -69,8 +66,7 @@ struct Service::Impl {
       : options(std::move(opts)),
         pool(options.jobs),
         plans(options.cache_shards, options.cache_capacity),
-        patterns(std::max(1, options.cache_shards / 2), kPatternCapacity),
-        engines(static_cast<std::size_t>(pool.num_threads())) {
+        patterns(std::max(1, options.cache_shards / 2), kPatternCapacity) {
     if (options.window < 1) {
       throw std::invalid_argument("serve: window must be >= 1");
     }
@@ -94,9 +90,6 @@ struct Service::Impl {
       tn.deadline = tracer->intern("request.deadline");
       tn.window = tracer->intern("window");
       tn.render = tracer->intern("window.render");
-      tn.block = tracer->intern("serve.block");
-      tn.engine_msg = tracer->intern("engine.msg");
-      tn.engine_copy = tracer->intern("engine.copy");
       tn.k_pattern = tracer->intern("pattern");
       tn.k_machine = tracer->intern("machine");
       tn.k_strategy = tracer->intern("strategy");
@@ -107,14 +100,6 @@ struct Service::Impl {
       tn.k_nodes = tracer->intern("nodes");
       tn.k_error = tracer->intern("error");
       tn.k_requests = tracer->intern("requests");
-      tn.k_request = tracer->intern("request");
-      tn.k_src = tracer->intern("src");
-      tn.k_dst = tracer->intern("dst");
-      tn.k_bytes = tracer->intern("bytes");
-      tn.k_path = tracer->intern("path");
-      tn.k_rank = tracer->intern("rank");
-      tn.k_gpu = tracer->intern("gpu");
-      tn.k_dir = tracer->intern("dir");
     }
   }
 
@@ -130,10 +115,8 @@ struct Service::Impl {
   std::unordered_map<std::uint64_t, Topology> topos;  ///< by engine_key
   std::unordered_map<std::string, std::shared_ptr<const FaultModel>> faults;
 
-  /// engines[worker][engine_key]: one reusable Engine per worker per
-  /// (machine, nodes); workers only ever touch their own map.
-  std::vector<std::unordered_map<std::uint64_t, std::unique_ptr<Engine>>>
-      engines;
+  /// One reusable Engine per pool worker per engine_key (machine, nodes).
+  core::RepRunner runner;
 
   bool shutdown = false;
 
@@ -145,11 +128,10 @@ struct Service::Impl {
   struct TraceNames {
     std::uint16_t request = 0, parse = 0, queue_wait = 0, execute = 0,
                   error = 0, shed = 0, degraded = 0, deadline = 0, window = 0,
-                  render = 0, block = 0, engine_msg = 0, engine_copy = 0;
+                  render = 0;
     std::uint16_t k_pattern = 0, k_machine = 0, k_strategy = 0, k_cache = 0,
                   k_hit = 0, k_miss = 0, k_reps = 0, k_nodes = 0, k_error = 0,
-                  k_requests = 0, k_request = 0, k_src = 0, k_dst = 0,
-                  k_bytes = 0, k_path = 0, k_rank = 0, k_gpu = 0, k_dir = 0;
+                  k_requests = 0;
   } tn;
 
   // -- accounting (window-driving thread only) ---------------------------
@@ -357,7 +339,7 @@ struct Service::Impl {
   }
 
   // ---------------------------------------------------------------------
-  // Phases B+C: compile unique plans, then execute one task per repetition.
+  // Phases B+C: compile unique plans, then run one repetition batch.
   // ---------------------------------------------------------------------
 
   /// A request that reaches the engine: valid, measured, not shed.
@@ -434,242 +416,78 @@ struct Service::Impl {
       req.cache_hit = true;
     }
 
-    // One pool task per (measured request, repetition) pair, requests in
-    // input order, so a single large-reps request spreads over every
-    // worker.  Task t is repetition t - first_task[k] of range k, the last
-    // range starting at or before t.  A task writes its rank clocks into
-    // its request's reps x ranks buffer, folded after the join.
-    struct RepSlot {
-      bool ran = false;
-      double seconds = 0.0;  ///< wall time of the repetition
-      double t0 = 0.0;       ///< tracer interval (tracing only)
-      double t1 = 0.0;
-    };
-    struct RepRange {
-      std::size_t request = 0;  ///< index into reqs
-      std::size_t num_ranks = 0;
-      std::vector<double> clocks;  ///< reps x ranks, row = repetition
-      std::vector<RepSlot> slots;  ///< one per repetition
-      // The lowest failed repetition's outcome (written under fail_mu).
-      ErrorCode code = ErrorCode::None;
-      std::string error;
-      std::optional<FaultAbort> fault;
-    };
-    std::vector<RepRange> ranges;
-    std::vector<std::int64_t> first_task;
-    std::int64_t num_tasks = 0;
+    // One runner batch: a job per measured request, in input order, so a
+    // single large-reps request spreads over every worker.  A traced window
+    // shows its first job's repetition-0 engine events.
+    std::vector<core::RepJob> jobs;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!measured(reqs[i])) continue;
-      RepRange& range = ranges.emplace_back();
-      range.request = i;
-      range.num_ranks =
-          static_cast<std::size_t>(topos.at(reqs[i].engine_key).num_ranks());
-      range.clocks.resize(static_cast<std::size_t>(reqs[i].reps) *
-                          range.num_ranks);
-      range.slots.resize(static_cast<std::size_t>(reqs[i].reps));
-      first_task.push_back(num_tasks);
-      num_tasks += reqs[i].reps;
+      const Request& req = reqs[i];
+      if (!measured(req)) continue;
+      core::RepJob& job = jobs.emplace_back();
+      job.compiled = req.plan.get();
+      job.topo = &topos.at(req.engine_key);
+      job.params = &req.machine->model.params;
+      job.engine_key = req.engine_key;
+      job.reps = req.reps;
+      job.seed = req.seed;
+      // Measurement noise matches the CLI's measure default.
+      job.noise_sigma = core::MeasureOptions{}.noise_sigma;
+      job.faults = req.faults.get();
+      job.deadline = req.deadline;
+      job.trace_rep0 = jobs.size() == 1;
+      job.tag = static_cast<std::int64_t>(i);
     }
-    const auto range_of = [&first_task](std::int64_t t) {
-      return static_cast<std::size_t>(
-          std::upper_bound(first_task.begin(), first_task.end(), t) -
-          first_task.begin() - 1);
-    };
-
-    // A request's reply is its lowest failed repetition -- a FaultAbort, an
-    // engine error, or a deadline found expired when the repetition was
-    // claimed -- the one a serial loop stops at, so the reply is the same
-    // at any jobs count (as in core::measure).  stop_rep[k] holds that
-    // repetition (reps while none failed); repetitions above it are
-    // skipped unrun.
-    std::mutex fail_mu;
-    std::vector<std::atomic<int>> stop_rep(ranges.size());
-    for (std::size_t k = 0; k < ranges.size(); ++k) {
-      stop_rep[k].store(reqs[ranges[k].request].reps);
-    }
-    const auto fail = [&](std::size_t k, int rep, ErrorCode code,
-                          std::string error,
-                          std::optional<FaultAbort> fault) {
-      const std::lock_guard<std::mutex> lock(fail_mu);
-      if (rep >= stop_rep[k].load()) return;
-      stop_rep[k].store(rep);
-      ranges[k].code = code;
-      ranges[k].error = std::move(error);
-      ranges[k].fault = std::move(fault);
-    };
-    const auto cancel = [&](std::int64_t t) {
-      const std::size_t k = range_of(t);
-      const int rep = static_cast<int>(t - first_task[k]);
-      if (rep > stop_rep[k].load()) return true;
-      const Request& req = reqs[ranges[k].request];
-      if (req.deadline && Clock::now() >= *req.deadline) {
-        fail(k, rep, ErrorCode::DeadlineExceeded,
-             "deadline exceeded during execution (remaining repetitions "
-             "cancelled)",
-             std::nullopt);
-        return true;
-      }
-      return false;
-    };
-
-    // Engine-event merge: task 0 (the first request's repetition 0) records
-    // the engine's message/copy events, converted below onto engine-rank
-    // tracks of the window trace.  One repetition per window bounds the
-    // cost; set_tracing never perturbs clocks, so replies stay
-    // bit-identical.  Only task 0 writes engine_trace / lead_*.
-    Trace engine_trace;
-    const bool merge_engine = wtrace != 0 && num_tasks > 0;
-    double lead_t0 = 0.0;
-    double lead_t1 = 0.0;
-    std::uint32_t lead_span = 0;
-
-    pool.parallel_for(
-        num_tasks,
-        [&](std::int64_t t, int worker) {
-          const std::size_t k = range_of(t);
-          RepRange& range = ranges[k];
-          const Request& req = reqs[range.request];
-          const int rep = static_cast<int>(t - first_task[k]);
-          RepSlot& slot = range.slots[static_cast<std::size_t>(rep)];
-          const auto t0 = Clock::now();
-          const double tt0 = tracer != nullptr ? tracer->now() : 0.0;
-          try {
-            std::unique_ptr<Engine>& engine =
-                engines[static_cast<std::size_t>(worker)][req.engine_key];
-            if (!engine) {
-              // Measurement noise matches the CLI's measure defaults.
-              engine = std::make_unique<Engine>(
-                  topos.at(req.engine_key), req.machine->model.params,
-                  NoiseModel(0, core::MeasureOptions{}.noise_sigma));
-            }
-            engine->set_faults(req.faults.get());
-            const bool traced = merge_engine && t == 0;
-            engine->reset(mix_seed(req.seed, static_cast<std::uint64_t>(rep)));
-            engine->set_tracing(traced);
-            engine->execute(*req.plan);
-            if (traced) {
-              engine_trace = engine->trace();
-              engine->set_tracing(false);
-            }
-            const std::vector<double>& clocks = engine->clocks();
-            std::copy(clocks.begin(), clocks.end(),
-                      range.clocks.data() +
-                          static_cast<std::size_t>(rep) * range.num_ranks);
-          } catch (const FaultAbort& e) {
-            // Structured abort: the reply carries the fault's coordinates;
-            // the strategy is filled in after the join (the engine throws
-            // with it empty).
-            fail(k, rep, ErrorCode::FaultAborted, e.what(), e);
-          } catch (const std::exception& e) {
-            std::string error = e.what();
-            if (error.empty()) error = "execution failed";
-            fail(k, rep, ErrorCode::Internal, std::move(error), std::nullopt);
-          }
-          slot.ran = true;
-          slot.seconds = seconds_between(t0, Clock::now());
-          if (tracer == nullptr) return;
-          slot.t0 = tt0;
-          slot.t1 = tracer->now();
-          if (wtrace == 0) return;
-          const obs::TraceAttr attr[] = {
-              {tn.k_request, false, static_cast<std::int64_t>(range.request)}};
-          const std::uint32_t span = tracer->record_span(
-              worker, wtrace, wspan, tn.block,
-              static_cast<std::uint16_t>(worker), slot.t0, slot.t1, attr);
-          if (t == 0) {
-            lead_t0 = slot.t0;
-            lead_t1 = slot.t1;
-            lead_span = span;
-          }
-        },
-        whook, cancel);
+    const core::RepBatch batch = runner.run(
+        jobs, pool,
+        {tracer.get(), wtrace, wspan, "serve.block", "request", true, true});
 
     // Per request: its execute time is the summed wall time of the
-    // repetitions that ran and its `execute` span covers them.  Its reply
-    // is the lowest failed repetition's error, or else the clocks folded in
-    // repetition order as core::measure folds them, so the numbers are
+    // repetitions that ran, and its `execute` span covers them.  Its reply
+    // is the lowest failed repetition's error, or else the folded clocks,
     // bit-identical to a one-shot measurement of the same query.
-    for (RepRange& range : ranges) {
-      Request& req = reqs[range.request];
-      double span_t0 = 0.0;
-      double span_t1 = 0.0;
-      bool any = false;
-      for (const RepSlot& slot : range.slots) {
-        if (!slot.ran) continue;
-        req.execute_seconds += slot.seconds;
-        span_t0 = any ? std::min(span_t0, slot.t0) : slot.t0;
-        span_t1 = any ? std::max(span_t1, slot.t1) : slot.t1;
-        any = true;
-      }
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      Request& req = reqs[static_cast<std::size_t>(jobs[k].tag)];
+      const core::RepOutcome& outcome = batch.jobs[k];
+      req.execute_seconds = outcome.busy_seconds;
       execute_seconds_total += req.execute_seconds;
       add_sample(execute_samples, req.execute_seconds);
-      if (range.code != ErrorCode::None) {
-        req.error = std::move(range.error);
-        req.code = range.code;
-        if (range.fault) {
-          range.fault->strategy = req.strategy.name();
-          req.fault = std::move(range.fault);
-        }
-        if (req.code == ErrorCode::DeadlineExceeded) cancelled_requests += 1;
+      if (outcome.failed()) {
+        fail(req, outcome);
       } else {
-        const core::RepFold fold =
-            core::fold_repetitions(range.clocks, range.num_ranks);
-        req.max_avg = fold.max_avg;
-        req.makespan = obs::summarize(fold.makespans);
+        req.max_avg = outcome.fold.max_avg;
+        req.makespan = obs::summarize(outcome.fold.makespans);
       }
-      if (tracer != nullptr && req.trace_id != 0 && any) {
+      if (tracer != nullptr && req.trace_id != 0 && outcome.reps_run > 0) {
         const obs::TraceAttr attr[] = {{tn.k_reps, false, req.reps}};
         tracer->record_span(0, req.trace_id, req.trace_root, tn.execute, 0,
-                            span_t0, span_t1, attr);
+                            outcome.trace_t0, outcome.trace_t1, attr);
       }
     }
+  }
 
-    // Convert the captured engine events onto engine-rank tracks, nested
-    // inside the first task's span and scaled proportionally from
-    // simulated time into that task's wall interval (the engine reports
-    // simulated clocks; the timeline shows their *shares* of the task).
-    if (merge_engine && lead_span != 0 &&
-        (!engine_trace.messages.empty() || !engine_trace.copies.empty())) {
-      double sim_total = 0.0;
-      for (const MessageTrace& m : engine_trace.messages) {
-        sim_total = std::max(sim_total, m.completion);
-      }
-      for (const CopyTrace& c : engine_trace.copies) {
-        sim_total = std::max(sim_total, c.completion);
-      }
-      if (sim_total > 0.0 && lead_t1 > lead_t0) {
-        const double scale = (lead_t1 - lead_t0) / sim_total;
-        std::size_t budget = 256;  // bound the per-window conversion cost
-        const auto emit = [&](int rank, std::uint16_t name, double start,
-                              double completion,
-                              std::span<const obs::TraceAttr> attrs) {
-          const int track = static_cast<int>(obs::kEngineTrackBase) + rank;
-          if (budget == 0 || rank < 0 || track > 0xffff) return;
-          --budget;
-          tracer->name_track(static_cast<std::uint16_t>(track),
-                             "engine rank " + std::to_string(rank));
-          tracer->record_span(0, wtrace, lead_span, name,
-                              static_cast<std::uint16_t>(track),
-                              lead_t0 + start * scale,
-                              lead_t0 + completion * scale, attrs);
-        };
-        for (const MessageTrace& m : engine_trace.messages) {
-          const obs::TraceAttr attrs[] = {
-              {tn.k_src, false, m.src},
-              {tn.k_dst, false, m.dst},
-              {tn.k_bytes, false, m.bytes},
-              {tn.k_path, false, static_cast<std::int64_t>(m.path)}};
-          emit(m.src, tn.engine_msg, m.start, m.completion, attrs);
-        }
-        for (const CopyTrace& c : engine_trace.copies) {
-          const obs::TraceAttr attrs[] = {
-              {tn.k_rank, false, c.rank},
-              {tn.k_gpu, false, c.gpu},
-              {tn.k_bytes, false, c.bytes},
-              {tn.k_dir, false, static_cast<std::int64_t>(c.dir)}};
-          emit(c.rank, tn.engine_copy, c.start, c.completion, attrs);
-        }
-      }
+  /// A failed request's reply: its deadline, a structured FaultAbort (the
+  /// engine leaves the strategy empty) or an internal error.
+  void fail(Request& req, const core::RepOutcome& outcome) {
+    if (!outcome.error) {
+      req.code = ErrorCode::DeadlineExceeded;
+      req.error =
+          "deadline exceeded during execution (remaining repetitions "
+          "cancelled)";
+      cancelled_requests += 1;
+      return;
+    }
+    req.code = ErrorCode::Internal;
+    req.error = "execution failed";
+    try {
+      std::rethrow_exception(outcome.error);
+    } catch (const FaultAbort& e) {
+      req.code = ErrorCode::FaultAborted;
+      req.fault = e;
+      req.fault->strategy = req.strategy.name();
+      req.error = e.what();
+    } catch (const std::exception& e) {
+      if (*e.what() != '\0') req.error = e.what();
+    } catch (...) {
     }
   }
 

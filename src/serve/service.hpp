@@ -13,11 +13,10 @@
 //      count and the strategy name): a repeated query skips build_plan +
 //      CompiledPlan construction entirely and goes straight to replay.
 //   2. **Request windowing**: every request drained in one input window
-//      shares one compile per distinct plan; every repetition of every
-//      measured request then becomes one runtime::ThreadPool task that
-//      runs Engine::execute (repetition k seeded mix_seed(seed, k),
-//      exactly what core::measure would use), and each request's clocks
-//      are folded in repetition order after the tasks join.
+//      shares one compile per distinct plan; its measured requests then
+//      run as one core::RepRunner batch (the runner core::measure uses)
+//      on the service's pool and engines: every repetition one pool task
+//      seeded mix_seed(seed, k), each request folded in repetition order.
 //      Responses are bit-identical to one-shot Advisor::rank +
 //      core::measure for the same query at any --jobs / window size.
 //   3. **Per-request accounting** reusing src/obs/: cache hits/misses,
@@ -144,7 +143,7 @@ class Service {
 
   /// Answer a window of request lines; responses come back in input
   /// order.  This is the windowing entry point: all measured requests in
-  /// the window share compiles and run as one pool task per repetition.
+  /// the window share compiles and run as one repetition batch.
   [[nodiscard]] std::vector<std::string> handle_window(
       const std::vector<std::string>& lines);
 

@@ -1,13 +1,14 @@
-# Runs TOOL on FILE, followed by the optional argument list ARGS, and fails
-# unless it exits with EXPECT and its standard error matches the regular
-# expression MATCH:
+# Runs TOOL on FILE, followed by the optional space-separated arguments
+# ARGS, and fails unless it exits with EXPECT and its standard error matches
+# the regular expression MATCH:
 #
 #   cmake -DTOOL=validate_trace -DFILE=t.json -DEXPECT=1 -DMATCH=missing
 #         -P expect_exit.cmake
 #
 # ctest's WILL_FAIL accepts any non-zero exit, an abort included; the
 # validators promise exactly 1 for a bad file (2 is a usage error).
-execute_process(COMMAND "${TOOL}" "${FILE}" ${ARGS}
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${TOOL}" "${FILE}" ${args}
                 RESULT_VARIABLE rc ERROR_VARIABLE err)
 message("${err}")
 if(NOT rc STREQUAL EXPECT)

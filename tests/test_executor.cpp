@@ -2,7 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "core/strategy.hpp"
+#include "fault/fault_json.hpp"
+#include "fault/plan.hpp"
+#include "runtime/thread_pool.hpp"
+
+#ifndef HETCOMM_TEST_DATA_DIR
+#error "HETCOMM_TEST_DATA_DIR must point at tests/data"
+#endif
 
 namespace hetcomm::core {
 namespace {
@@ -193,6 +205,136 @@ TEST_F(ExecutorTest, StagedBeatsDeviceForManyMessages) {
         .max_avg;
   };
   EXPECT_LT(time_for(MemSpace::Host), time_for(MemSpace::Device));
+}
+
+void expect_same(const RepFold& fold, const MeasureResult& m) {
+  EXPECT_EQ(fold.max_avg, m.max_avg);
+  EXPECT_EQ(fold.makespan_mean, m.makespan_mean);
+  EXPECT_EQ(fold.makespan_min, m.makespan_min);
+  EXPECT_EQ(fold.makespan_max, m.makespan_max);
+  EXPECT_EQ(fold.per_rank_mean, m.per_rank_mean);
+}
+
+// One batch on pools of 1, 2 and 4 threads.  It holds plans on Lassen at 2
+// and at 4 nodes (two engine keys), the interpreted reference, a job that
+// aborts under flaky_abort and a job whose deadline has already passed.
+TEST(RepRunnerTest, BatchMatchesMeasureAndIsolatesFailures) {
+  const ParamSet params = lassen_params();
+  const Topology small{presets::lassen(2)};
+  const Topology large{presets::lassen(4)};
+  const CommPlan plan2 =
+      build_plan(random_pattern(small, 8, 4096, 3), small, params,
+                 {StrategyKind::SplitMD, MemSpace::Host});
+  const CommPlan plan4 =
+      build_plan(random_pattern(large, 8, 4096, 4), large, params,
+                 {StrategyKind::ThreeStep, MemSpace::Host});
+  const CompiledPlan compiled2(plan2, small, params);
+  const CompiledPlan compiled4(plan4, large, params);
+  const FaultModel flaky =
+      fault::load_fault_file(std::string(HETCOMM_TEST_DATA_DIR) +
+                             "/flaky_abort.json")
+          .compile(large, params);
+
+  MeasureOptions opts;
+  opts.reps = 6;
+  opts.noise_sigma = 0.02;
+  const auto job_for = [&](const CommPlan& plan, const CompiledPlan* compiled,
+                           const Topology& topo, std::uint64_t seed) {
+    RepJob job = measure_job(plan, compiled, topo, params, opts);
+    job.seed = seed;
+    job.engine_key = static_cast<std::uint64_t>(topo.num_nodes());
+    return job;
+  };
+  const std::vector<RepJob> healthy = {job_for(plan2, &compiled2, small, 11),
+                                       job_for(plan4, &compiled4, large, 12),
+                                       job_for(plan2, nullptr, small, 13)};
+  RepJob aborting = job_for(plan4, &compiled4, large, 14);
+  aborting.faults = &flaky;
+  RepJob expired = job_for(plan2, &compiled2, small, 15);
+  expired.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  const std::vector<RepJob> mixed = {healthy[0], aborting, healthy[1], expired,
+                                     healthy[2]};
+  const std::size_t healthy_in_mixed[] = {0, 2, 4};
+
+  // Each healthy job measured on its own.
+  std::vector<MeasureResult> expected;
+  for (const RepJob& job : healthy) {
+    MeasureOptions o = opts;
+    o.seed = job.seed;
+    o.engine = job.compiled != nullptr ? ExecMode::Compiled
+                                       : ExecMode::Interpreted;
+    expected.push_back(measure(*job.plan, *job.topo, params, o));
+  }
+  // What measure() throws for the aborting job, and the repetition a
+  // serial loop stops at.
+  MeasureOptions abort_opts = opts;
+  abort_opts.seed = aborting.seed;
+  abort_opts.faults = &flaky;
+  std::optional<FaultAbort> thrown;
+  try {
+    (void)measure(plan4, large, params, abort_opts);
+  } catch (const FaultAbort& e) {
+    thrown = e;
+  }
+  ASSERT_TRUE(thrown.has_value());
+  int first_abort = -1;
+  Engine engine(large, params, NoiseModel(0, opts.noise_sigma));
+  engine.set_faults(&flaky);
+  for (int rep = 0; rep < opts.reps && first_abort < 0; ++rep) {
+    engine.reset(mix_seed(aborting.seed, static_cast<std::uint64_t>(rep)));
+    try {
+      engine.execute(compiled4);
+    } catch (const FaultAbort&) {
+      first_abort = rep;
+    }
+  }
+  ASSERT_GE(first_abort, 0);
+
+  RepRunner runner;  // one runner across every pool, as serve keeps one
+  BatchTrace timed;
+  timed.timed = true;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    runtime::ThreadPool pool(threads);
+    const RepBatch alone = runner.run(healthy, pool);
+    const RepBatch batch = runner.run(mixed, pool, timed);
+    ASSERT_EQ(batch.jobs.size(), mixed.size());
+    for (std::size_t i = 0; i < healthy.size(); ++i) {
+      SCOPED_TRACE("healthy job " + std::to_string(i));
+      const RepOutcome& shared = batch.jobs[healthy_in_mixed[i]];
+      ASSERT_FALSE(alone.jobs[i].failed());
+      ASSERT_FALSE(shared.failed());
+      expect_same(alone.jobs[i].fold, expected[i]);
+      expect_same(shared.fold, expected[i]);
+      EXPECT_EQ(shared.reps_run, opts.reps);
+    }
+
+    const RepOutcome& aborted = batch.jobs[1];
+    EXPECT_EQ(aborted.failed_rep, first_abort);
+    try {
+      rethrow(aborted, plan4.strategy_name);
+    } catch (const FaultAbort& e) {
+      EXPECT_STREQ(e.what(), thrown->what());
+      EXPECT_EQ(e.reason, thrown->reason);
+      EXPECT_EQ(e.strategy, thrown->strategy);
+      EXPECT_EQ(e.src, thrown->src);
+      EXPECT_EQ(e.dst, thrown->dst);
+      EXPECT_EQ(e.path_id, thrown->path_id);
+      EXPECT_EQ(e.attempts, thrown->attempts);
+    }
+
+    const RepOutcome& late = batch.jobs[3];
+    EXPECT_EQ(late.failed_rep, 0);
+    EXPECT_FALSE(late.error);
+    EXPECT_EQ(late.reps_run, 0);
+    EXPECT_EQ(late.busy_seconds, 0.0);
+
+    std::int64_t worker_reps = 0;
+    for (const obs::WorkerStat& w : batch.workers) worker_reps += w.reps;
+    std::int64_t job_reps = 0;
+    for (const RepOutcome& o : batch.jobs) job_reps += o.reps_run;
+    EXPECT_EQ(worker_reps, job_reps);
+  }
 }
 
 }  // namespace

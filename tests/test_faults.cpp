@@ -28,6 +28,10 @@
 #include "obs/engine_metrics.hpp"
 #include "obs/json.hpp"
 
+#ifndef HETCOMM_TEST_DATA_DIR
+#error "HETCOMM_TEST_DATA_DIR must point at tests/data"
+#endif
+
 namespace hetcomm {
 namespace {
 
@@ -840,17 +844,57 @@ TEST(RankingStability, DeterministicReportWithConsistentSummary) {
   for (const fault::StrategySummary& s : report.strategies) wins += s.wins;
   EXPECT_EQ(wins, 3) << "every instance crowns exactly one winner here";
 
-  // The whole report -- every clock in every instance -- is reproducible.
-  // Only the compile-reuse accounting is wall-clock (how long the one-time
-  // plan compiles actually took), so normalize it before comparing.
-  fault::StabilityReport again =
-      fault::ranking_stability(pattern, topo, mach.params, plan, sopts);
-  EXPECT_TRUE(again.plans_precompiled);
-  EXPECT_GE(again.compile_seconds, 0.0);
-  fault::StabilityReport baseline = report;
-  again.compile_seconds = baseline.compile_seconds = 0.0;
-  again.saved_compile_seconds = baseline.saved_compile_seconds = 0.0;
-  EXPECT_EQ(again.to_json().dump_string(), baseline.to_json().dump_string());
+  EXPECT_TRUE(report.plans_precompiled);
+  EXPECT_GE(report.compile_seconds, 0.0);
+
+  // The whole report -- every clock in every instance, every failure -- is
+  // the same at any jobs count, for the lossy plan and for one under which
+  // every faulted strategy aborts.  Only the compile-reuse accounting is
+  // wall-clock (how long the one-time plan compiles actually took), so it
+  // is zeroed before comparing.
+  const auto normalized = [](fault::StabilityReport r) {
+    r.compile_seconds = 0.0;
+    r.saved_compile_seconds = 0.0;
+    return r;
+  };
+  const FaultPlan flaky = fault::load_fault_file(
+      std::string(HETCOMM_TEST_DATA_DIR) + "/flaky_abort.json");
+  const FaultPlan* const plans[] = {&plan, &flaky};
+  for (const FaultPlan* fp : plans) {
+    std::vector<fault::StabilityReport> reports;
+    for (const int jobs : {1, 2, 4}) {
+      sopts.measure.jobs = jobs;
+      reports.push_back(normalized(
+          fault::ranking_stability(pattern, topo, mach.params, *fp, sopts)));
+    }
+    int failures = 0;
+    for (const fault::StabilityInstance& inst : reports[0].results) {
+      for (const fault::StrategyOutcome& o : inst.outcomes) {
+        failures += o.failed ? 1 : 0;
+      }
+    }
+    if (fp == &flaky) {
+      EXPECT_GT(failures, 0) << "flaky_abort must fail some outcomes";
+    } else {
+      EXPECT_EQ(normalized(report).to_json().dump_string(),
+                reports[0].to_json().dump_string())
+          << "the jobs-2 report above matches jobs 1";
+    }
+    for (std::size_t j = 1; j < reports.size(); ++j) {
+      EXPECT_EQ(reports[j].to_json().dump_string(),
+                reports[0].to_json().dump_string())
+          << fp->name << ", report " << j;
+      for (std::size_t r = 0; r < reports[0].results.size(); ++r) {
+        const auto& want = reports[0].results[r].outcomes;
+        const auto& got = reports[j].results[r].outcomes;
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].failed, want[i].failed) << want[i].strategy;
+          EXPECT_EQ(got[i].error, want[i].error) << want[i].strategy;
+        }
+      }
+    }
+  }
 }
 
 TEST(RankingStability, RejectsBadOptions) {

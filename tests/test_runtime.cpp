@@ -73,44 +73,6 @@ TEST(ThreadPoolTest, PropagatesFirstTaskException) {
   EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPoolTest, CancelPredicateSkipsExactlyTheCancelledTasks) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> ran(101);
-  std::vector<std::atomic<int>> asked(101);
-  pool.parallel_for(
-      101, [&](std::int64_t i, int) { ++ran[i]; },
-      ThreadPool::TraceHook(),
-      [&](std::int64_t i) {
-        ++asked[i];
-        return i % 3 == 0;  // cancel every third task
-      });
-  for (std::int64_t i = 0; i < 101; ++i) {
-    EXPECT_EQ(asked[i].load(), 1) << i;  // each claim consulted once
-    EXPECT_EQ(ran[i].load(), i % 3 == 0 ? 0 : 1) << i;
-  }
-  // The pool stays usable with the default (empty) predicate afterwards.
-  std::atomic<int> count{0};
-  pool.parallel_for(8, [&](std::int64_t, int) { ++count; });
-  EXPECT_EQ(count.load(), 8);
-}
-
-TEST(ThreadPoolTest, ThrowingCancelPredicateFailsTheRun) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(pool.parallel_for(
-                   64, [&](std::int64_t, int) { ++ran; },
-                   ThreadPool::TraceHook(),
-                   [](std::int64_t i) -> bool {
-                     if (i == 5) throw std::runtime_error("cancel 5");
-                     return false;
-                   }),
-               std::runtime_error);
-  EXPECT_LT(ran.load(), 64);  // the failure stopped remaining claims
-  std::atomic<int> count{0};
-  pool.parallel_for(4, [&](std::int64_t, int) { ++count; });
-  EXPECT_EQ(count.load(), 4);
-}
-
 TEST(ThreadPoolTest, ZeroTasksIsANoOp) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
