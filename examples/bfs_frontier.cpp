@@ -15,6 +15,7 @@
 #include <exception>
 #include <iostream>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
 #include "benchutil/bench_options.hpp"
@@ -35,8 +36,7 @@ int run(int argc, char** argv) {
   const int num_gpus =
       argc > 2 ? benchutil::parse_number<int>(argv[2], "num_gpus") : 32;
   if (num_gpus < 4 || num_gpus % 4 != 0) {
-    std::cerr << "num_gpus must be a positive multiple of 4\n";
-    return 1;
+    throw std::invalid_argument("num_gpus must be a positive multiple of 4");
   }
 
   // Graph: banded structure (geometric locality) plus long-range edges

@@ -9,11 +9,13 @@
 // communication pattern -- including duplicate-data annotations -- and
 // compares every strategy, separating the wire volume a node-aware scheme
 // ships from the payload standard communication ships.  An unreadable or
-// malformed input, an unknown profile name or a non-numeric num_gpus
-// prints `spmv_communication: <error>` and exits 2.
+// malformed input, an unknown profile name, or a num_gpus that is not a
+// positive multiple of 4 or not a replayed pattern's GPU count prints
+// `spmv_communication: <error>` and exits 2.
 
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "benchutil/bench_options.hpp"
@@ -34,8 +36,8 @@ int run(int argc, char** argv) {
   const int num_gpus =
       argc > 2 ? benchutil::parse_number<int>(argv[2], "num_gpus") : 64;
   if (num_gpus < 4 || num_gpus % 4 != 0) {
-    std::cerr << "num_gpus must be a positive multiple of 4 (Lassen nodes)\n";
-    return 1;
+    throw std::invalid_argument(
+        "num_gpus must be a positive multiple of 4 (Lassen nodes)");
   }
 
   // Replay a saved pattern directly, bypassing matrix construction.
@@ -43,9 +45,9 @@ int run(int argc, char** argv) {
       source.substr(source.size() - 8) == ".pattern") {
     const core::CommPattern pattern = core::read_pattern_file(source);
     if (pattern.num_gpus() != num_gpus) {
-      std::cerr << "pattern has " << pattern.num_gpus() << " GPUs; pass "
-                << pattern.num_gpus() << " as num_gpus\n";
-      return 1;
+      const std::string gpus = std::to_string(pattern.num_gpus());
+      throw std::invalid_argument("pattern has " + gpus + " GPUs; pass " +
+                                  gpus + " as num_gpus");
     }
     const Topology topo(presets::lassen(num_gpus / 4));
     const ParamSet params = lassen_params();

@@ -479,17 +479,31 @@ int cmd_model(const Options& opts, std::ostream& os) {
 
   // Model evaluation fans across the sweep pool too -- cheap per cell, but
   // the same --jobs plumbing as `compare`, and rows stay in Table 5 order.
+  // A variant that lowers to its base strategy's plan on this machine is
+  // not predicted: its row names the base it aliases, as in `compare`.
   const std::vector<core::StrategyConfig> strategies =
       core::all_strategies();
+  const std::vector<int> alias = core::identity_aliases(strategies, params);
+  std::vector<core::StrategyConfig> modeled;
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    if (alias[i] < 0) modeled.push_back(strategies[i]);
+  }
   const std::vector<double> predicted = runtime::sweep(
-      strategies,
+      modeled,
       [&](const core::StrategyConfig& cfg) {
         return core::models::predict(cfg, st, params, topo);
       },
       runtime::SweepOptions{opts.jobs, /*progress=*/false, nullptr});
   Table table({"strategy", "predicted [s]"});
+  auto seconds = predicted.begin();
   for (std::size_t i = 0; i < strategies.size(); ++i) {
-    table.add_row({strategies[i].name(), Table::sci(predicted[i])});
+    if (alias[i] >= 0) {
+      const core::StrategyConfig& base =
+          strategies[static_cast<std::size_t>(alias[i])];
+      table.add_row({strategies[i].name(), "= " + base.name()});
+      continue;
+    }
+    table.add_row({strategies[i].name(), Table::sci(*seconds++)});
   }
   emit(opts, os, table, "Table 6 model predictions");
   return 0;

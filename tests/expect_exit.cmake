@@ -1,6 +1,7 @@
 # Runs TOOL on FILE, followed by the optional space-separated arguments
-# ARGS, and fails unless it exits with EXPECT and its standard error matches
-# the regular expression MATCH:
+# ARGS, and fails unless it exits with EXPECT.  Two optional checks:
+# MATCH is a regular expression its standard error must match, and STDOUT
+# a file its standard output must equal byte for byte:
 #
 #   cmake -DTOOL=validate_trace -DFILE=t.json -DEXPECT=1 -DMATCH=missing
 #         -P expect_exit.cmake
@@ -9,11 +10,17 @@
 # validators promise exactly 1 for a bad file (2 is a usage error).
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${TOOL}" "${FILE}" ${args}
-                RESULT_VARIABLE rc ERROR_VARIABLE err)
-message("${err}")
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+message("${out}${err}")
 if(NOT rc STREQUAL EXPECT)
   message(FATAL_ERROR "${TOOL} exited ${rc}, expected ${EXPECT}")
 endif()
-if(NOT err MATCHES "${MATCH}")
+if(DEFINED MATCH AND NOT err MATCHES "${MATCH}")
   message(FATAL_ERROR "${TOOL} stderr does not match '${MATCH}'")
+endif()
+if(DEFINED STDOUT)
+  file(READ "${STDOUT}" expected)
+  if(NOT out STREQUAL expected)
+    message(FATAL_ERROR "${TOOL} stdout differs from ${STDOUT}")
+  endif()
 endif()

@@ -204,6 +204,31 @@ TEST_F(CliRunTest, ModelPrintsTable7AndPredictions) {
   EXPECT_NE(out.find("Table 6 model predictions"), std::string::npos);
 }
 
+TEST_F(CliRunTest, ModelPrintsSingleRailStripedVariantsAsAliases) {
+  const auto row = [](const std::string& out, const std::string& name) {
+    const std::size_t at = out.find("\n" + name + " ");
+    return at == std::string::npos
+               ? std::string()
+               : out.substr(at + 1, out.find('\n', at + 1) - at - 1);
+  };
+  // Lassen has one NIC per node, so striping lowers to the base plan: the
+  // row names its base instead of a prediction.
+  const std::string lassen = run_cli({"model", "--nodes", "4"});
+  const std::string aliased = row(lassen, "3-step (staged, striped)");
+  EXPECT_NE(aliased.find("= 3-step (staged)"), std::string::npos) << aliased;
+  EXPECT_EQ(aliased.find("e-"), std::string::npos) << aliased;
+  // nvisland has two NICs per node: every striped variant is predicted.
+  const std::string nvisland =
+      run_cli({"model", "--machine", "nvisland", "--nodes", "4"});
+  for (const char* name :
+       {"3-step (staged, striped)", "3-step (device-aware, striped)",
+        "2-step (staged, striped)", "standard (device-aware, striped)"}) {
+    const std::string predicted = row(nvisland, name);
+    EXPECT_NE(predicted.find("e-"), std::string::npos) << name;
+    EXPECT_EQ(predicted.find("= "), std::string::npos) << predicted;
+  }
+}
+
 TEST_F(CliRunTest, ParamsPrintsCalibration) {
   const std::string out = run_cli({"params"});
   EXPECT_NE(out.find("rendezvous"), std::string::npos);
