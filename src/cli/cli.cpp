@@ -290,6 +290,19 @@ Options Options::parse(const std::vector<std::string>& args) {
     throw std::invalid_argument("--trace-sample must be >= 1");
   }
   if (opts.top < 1) throw std::invalid_argument("--top must be >= 1");
+  // Only these modes read --faults; any other would accept the file and
+  // ignore it (serve requests name their own fault plans).
+  const bool reads_faults =
+      opts.command == "compare" || opts.command == "report" ||
+      opts.command == "ranking-stability" ||
+      (opts.command == "trace" && opts.action.empty());
+  if (!opts.faults_file.empty() && !reads_faults) {
+    const std::string mode =
+        opts.action.empty() ? opts.command : opts.command + " " + opts.action;
+    throw std::invalid_argument(
+        "--faults applies to compare, trace, report and ranking-stability, "
+        "not " + mode);
+  }
   const int sources = (opts.pattern_file.empty() ? 0 : 1) +
                       (opts.matrix_file.empty() ? 0 : 1) +
                       (opts.standin.empty() ? 0 : 1);

@@ -19,41 +19,48 @@ void factors_scalar(std::uint64_t stream, std::uint64_t first, double sigma,
 using U64x8 = std::uint64_t __attribute__((vector_size(64)));
 using F64x8 = double __attribute__((vector_size(64)));
 
-/// out[k] = ((u0 + u1) + u2) + u3 of draw first + k for every k < n, n a
-/// multiple of 8: noise_factor's four mix_seed hashes, `>> 11` and exact
-/// integer-to-double conversions and its sum, eight draws per iteration.
-/// AVX-512DQ supplies the 64-bit lane multiply and the u64 -> double
-/// conversion.  The vectors stay inside this function, so no 64-byte
-/// vector is passed to or from baseline code.
-__attribute__((target("avx512f,avx512dq"))) void uniform_sums_avx512dq(
-    std::uint64_t stream, std::uint64_t first, double* out,
+/// out[k] = noise_factor(stream, first + k, sigma) for every k < n, eight
+/// draws per iteration in one pass: noise_factor's four mix_seed hashes,
+/// `>> 11` and exact integer-to-double conversions, its sum and the
+/// noise_factor_from_sum tail, each IEEE operation in the scalar order.
+/// mix_seed's hash input stream + kGolden * (sequence + 1) advances by
+/// kGolden per uniform and by 32 * kGolden per eight draws, which modulo
+/// 2^64 is the same input without a multiply.  AVX-512DQ supplies the
+/// 64-bit lane multiplies of the hash and the u64 -> double conversion.
+/// The vectors stay inside this function, so no 64-byte vector is passed
+/// to or from baseline code.
+__attribute__((target("avx512f,avx512dq"))) void factors_avx512dq(
+    std::uint64_t stream, std::uint64_t first, double sigma, double* out,
     std::size_t n) noexcept {
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;  // mix_seed's
   constexpr std::uint64_t kMul1 = 0xbf58476d1ce4e5b9ULL;
   constexpr std::uint64_t kMul2 = 0x94d049bb133111ebULL;
+  constexpr double kUniform = 0x1.0p-53;  // noise_factor_from_sum's
+  constexpr double kSqrt3 = 1.7320508075688772935;
   const U64x8 lane = {0, 1, 2, 3, 4, 5, 6, 7};
+  const F64x8 floor = F64x8{} + 0x1.0p-6;
+  // The hash input of u0 of draws first + k + lane.
+  U64x8 input = stream + kGolden * (4 * (first + lane) + 1);
   for (std::size_t k = 0; k < n; k += 8) {
-    const U64x8 sequence = 4 * (first + k + lane);  // of u0
     F64x8 sum = {};  // 0 + u0 == u0 exactly, so the order is noise_factor's
-    for (std::uint64_t j = 0; j < 4; ++j) {
-      U64x8 z = stream + kGolden * (sequence + (j + 1));
+    U64x8 z_in = input;
+    for (int j = 0; j < 4; ++j) {
+      U64x8 z = z_in;
       z = (z ^ (z >> 30)) * kMul1;
       z = (z ^ (z >> 27)) * kMul2;
       z ^= z >> 31;
       sum += __builtin_convertvector(z >> 11, F64x8);
+      z_in += kGolden;
     }
-    std::memcpy(out + k, &sum, sizeof sum);
+    input += 32 * kGolden;
+    F64x8 factor = 1.0 + sigma * ((sum * kUniform - 2.0) * kSqrt3);
+    factor = factor > floor ? factor : floor;
+    if (n - k >= 8) {
+      std::memcpy(out + k, &factor, sizeof factor);
+    } else {
+      std::memcpy(out + k, &factor, (n - k) * sizeof(double));  // the tail
+    }
   }
-}
-
-void factors_avx512dq(std::uint64_t stream, std::uint64_t first,
-                      double sigma, double* out, std::size_t n) noexcept {
-  const std::size_t whole = n - n % 8;
-  uniform_sums_avx512dq(stream, first, out, whole);
-  for (std::size_t k = 0; k < whole; ++k) {
-    out[k] = noise_factor_from_sum(out[k], sigma);
-  }
-  factors_scalar(stream, first + whole, sigma, out + whole, n - whole);
 }
 #endif
 

@@ -36,9 +36,11 @@ namespace hetcomm {
 }
 
 /// The mean-one tail of noise_factor: `sum` is the unscaled sum
-/// ((u0 + u1) + u2) + u3 of its four 53-bit uniforms.  The batch kernel
-/// (noise_factors) computes the sums in vector code and runs this tail in
-/// baseline code, so both round exactly as the scalar draw does.
+/// ((u0 + u1) + u2) + u3 of its four 53-bit uniforms.  The AVX-512DQ batch
+/// kernel (noise_factors) runs the same operations in the same order on
+/// eight sums at once.  Each is one correctly rounded IEEE operation, and
+/// -ffp-contract=off keeps the compiler from fusing any pair of them, so
+/// both round exactly as this scalar tail does.
 [[nodiscard]] inline double noise_factor_from_sum(double sum,
                                                   double sigma) noexcept {
   constexpr double kUniform = 0x1.0p-53;  // 53-bit mantissa -> [0, 1)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -410,6 +411,36 @@ TEST_F(CliExitCodeTest, UsageAndInputErrorsReturnTwo) {
       << "ranking-stability requires --faults";
   // Every failure leaves a one-line "hetcomm: ..." diagnostic on stderr.
   EXPECT_NE(err_.str().find("hetcomm: "), std::string::npos);
+}
+
+TEST_F(CliExitCodeTest, FaultsOnModesThatWouldIgnoreThemReturnTwo) {
+  // These modes never read --faults, so they refuse it before opening the
+  // file: a missing file gives the same answer as a valid one.
+  const std::string mild = write_mild_plan();
+  for (const char* plan : {mild.c_str(), "/nonexistent/faults.json"}) {
+    const std::vector<std::vector<const char*>> modes = {
+        {"model", "--nodes", "2"},   {"advise", "--nodes", "2"},
+        {"params"},                  {"machine", "describe"},
+        {"serve", "--nodes", "2"},   {"trace", "report", "--in", "t.json"},
+        {"trace", "export", "--in", "t.json"}};
+    for (const std::vector<const char*>& mode : modes) {
+      std::vector<std::string> args(mode.begin(), mode.end());
+      args.push_back("--faults");
+      args.push_back(plan);
+      out_.str("");
+      err_.str("");
+      EXPECT_EQ(main_guarded(args, out_, err_), 2) << args[0] << " " << plan;
+      const std::string err = err_.str();
+      EXPECT_EQ(err.rfind("hetcomm: --faults applies to compare, trace, "
+                          "report and ranking-stability, not " +
+                              std::string(mode[0]),
+                          0),
+                0u)
+          << err;
+      EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    }
+  }
+  std::remove(mild.c_str());
 }
 
 TEST_F(CliExitCodeTest, ContradictoryDedupReturnsTwo) {

@@ -465,6 +465,41 @@ TEST(EngineNoise, Avx512dqKernelMatchesScalarReference) {
   expect_batch_matches_reference(kernel);
 }
 
+/// Checks `batch` against noise_factor at batch lengths that leave 1 to 7
+/// draws past the last whole vector of eight, from first draws whose hash
+/// input counter 4 * draw + j + 1 (or the draw index itself) wraps 2^64
+/// inside the batch.
+void expect_wrapping_batches_match_reference(NoiseBatchFn batch) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t firsts[] = {
+      (kMax >> 2) - 3,   // 4 * draw wraps to 0 at k = 4
+      (kMax >> 2) - 12,  // ... at k = 13, in the second vector of eight
+      kMax >> 2,         // u3's counter of the first draw wraps to 0
+      kMax - 5,          // the draw index first + k wraps at k = 6
+  };
+  std::vector<double> out;
+  for (const std::uint64_t first : firsts) {
+    for (const std::size_t n : {3u, 5u, 13u, 15u, 22u, 31u, 33u}) {
+      out.assign(n + 1, -1.0);
+      batch(0x1234abcdULL, first, 0.05, out.data(), n);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(out[k], noise_factor(0x1234abcdULL, first + k, 0.05))
+            << "first " << first << " k " << k << " n " << n;
+      }
+      ASSERT_EQ(out[n], -1.0) << "wrote past n = " << n;
+    }
+  }
+}
+
+TEST(EngineNoise, WrappingCountersAndShortTailsMatchScalarReference) {
+  expect_wrapping_batches_match_reference(&noise_factors);
+  const NoiseBatchFn kernel = noise_factors_avx512dq();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "this build or CPU has no AVX-512DQ kernel";
+  }
+  expect_wrapping_batches_match_reference(kernel);
+}
+
 TEST(EngineNoise, DrawsPastThePrefetchedBatchContinueTheSequence) {
   // execute() prefetches one factor per step; lost-message retries draw
   // past the batch, and a second prefetch replaces an unread remainder.

@@ -1,7 +1,9 @@
 // ReadyOrder: the compiled engine's per-phase schedule order.  Its result
 // must be the exact (ready, index) order -- the order Engine::resolve()
 // sorts by -- for every input, and an engine that runs several plans must
-// schedule each exactly as a fresh engine would.
+// schedule each exactly as a fresh engine would.  Each ReadyOrderTest case
+// runs the portable passes alone; its ReadyOrderAvx512fTest twin runs the
+// same case with the AVX-512F network, where this CPU has it.
 
 #include "hetsim/schedule_order.hpp"
 
@@ -14,6 +16,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/compiled_plan.hpp"
@@ -39,6 +42,25 @@ std::vector<std::uint32_t> all_indices(std::size_t n) {
   return v;
 }
 
+/// Defines ReadyOrderTest.<name> and ReadyOrderAvx512fTest.<name>, which
+/// run the body that follows on the portable passes alone and with the
+/// AVX-512F network.
+#define READY_ORDER_TEST(name)                                           \
+  void name##Body(ReadyOrder& order);                                    \
+  TEST(ReadyOrderTest, name) {                                           \
+    ReadyOrder order(nullptr);                                           \
+    name##Body(order);                                                   \
+  }                                                                      \
+  TEST(ReadyOrderAvx512fTest, name) {                                    \
+    const ReadyOrder::NetworkFn network = ready_order_network_avx512f(); \
+    if (network == nullptr) {                                            \
+      GTEST_SKIP() << "this build or CPU has no AVX-512F network";       \
+    }                                                                    \
+    ReadyOrder order(network);                                           \
+    name##Body(order);                                                   \
+  }                                                                      \
+  void name##Body(ReadyOrder& order)
+
 /// Checks `ready` both as a whole phase and as a wave of every other index.
 void expect_reference_order(ReadyOrder& order,
                             const std::vector<double>& ready) {
@@ -50,8 +72,7 @@ void expect_reference_order(ReadyOrder& order,
             reference(ready, wave));
 }
 
-TEST(ReadyOrderTest, EmptyAndSingle) {
-  ReadyOrder order;
+READY_ORDER_TEST(EmptyAndSingle) {
   EXPECT_TRUE(order.sort(nullptr, nullptr, 0).empty());
   const double one = 3.5;
   EXPECT_EQ(order.sort(&one, nullptr, 1), std::vector<std::uint32_t>{0});
@@ -59,8 +80,7 @@ TEST(ReadyOrderTest, EmptyAndSingle) {
   EXPECT_EQ(order.sort(&one, &member, 1), std::vector<std::uint32_t>{0});
 }
 
-TEST(ReadyOrderTest, AllEqualKeepsIndexOrder) {
-  ReadyOrder order;
+READY_ORDER_TEST(AllEqualKeepsIndexOrder) {
   for (const std::size_t n : {2u, 16u, 17u, 300u}) {
     const std::vector<double> ready(n, 1.25e-5);
     EXPECT_EQ(order.sort(ready.data(), nullptr, n), all_indices(n));
@@ -68,16 +88,14 @@ TEST(ReadyOrderTest, AllEqualKeepsIndexOrder) {
   }
 }
 
-TEST(ReadyOrderTest, ManyTiesBreakByIndex) {
-  ReadyOrder order;
+READY_ORDER_TEST(ManyTiesBreakByIndex) {
   std::mt19937_64 rng(7);
   std::vector<double> ready(257);
   for (double& r : ready) r = 1e-5 * static_cast<double>(rng() % 5);
   expect_reference_order(order, ready);
 }
 
-TEST(ReadyOrderTest, Reversed) {
-  ReadyOrder order;
+READY_ORDER_TEST(Reversed) {
   for (const std::size_t n : {5u, 16u, 40u, 600u}) {
     std::vector<double> ready(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -90,22 +108,22 @@ TEST(ReadyOrderTest, Reversed) {
   }
 }
 
-TEST(ReadyOrderTest, HugeOutlierBesideACrowdedCluster) {
-  // Every key but the outlier lands in the first bucket, in random order:
-  // the move budget runs out and std::sort finishes.
-  ReadyOrder order;
+READY_ORDER_TEST(HugeOutlierBesideACrowdedCluster) {
+  // An outlier two binades above or below the cluster still fits in one
+  // key, and every key but the outlier lands in one bucket, in random
+  // order: the move budget runs out and std::sort finishes.  At 1e12 the
+  // span leaves no room for the index, and the pairs sort it.
   std::mt19937_64 rng(11);
   std::uniform_real_distribution<double> jitter(0.0, 1e-9);
   std::vector<double> ready(600);
   for (double& r : ready) r = 1.0 + jitter(rng);
-  ready[123] = 1e12;
-  expect_reference_order(order, ready);
-  ready[123] = 0.5;  // the outlier below the cluster instead
-  expect_reference_order(order, ready);
+  for (const double outlier : {4.0, 0.25, 1e12}) {
+    ready[123] = outlier;
+    expect_reference_order(order, ready);
+  }
 }
 
-TEST(ReadyOrderTest, PositiveInfinity) {
-  ReadyOrder order;
+READY_ORDER_TEST(PositiveInfinity) {
   std::vector<double> ready(40);
   for (std::size_t i = 0; i < ready.size(); ++i) {
     ready[i] = 1e-6 * static_cast<double>((i * 7) % 40);
@@ -117,15 +135,14 @@ TEST(ReadyOrderTest, PositiveInfinity) {
   expect_reference_order(order, small);
 }
 
-TEST(ReadyOrderTest, SpanTooSmallForAFiniteScale) {
-  ReadyOrder order;
+READY_ORDER_TEST(SpanTooSmallForAFiniteScale) {
   const double tiny = std::numeric_limits<double>::denorm_min();
   std::vector<double> ready(64);
   for (std::size_t i = 0; i < ready.size(); ++i) {
     ready[i] = (i * 5) % 3 == 0 ? tiny : 0.0;
   }
   expect_reference_order(order, ready);
-  // A span of a few ulps still has a finite scale; keys crowd the buckets.
+  // A span of a few ulps: keys that differ in little but their index.
   for (std::size_t i = 0; i < ready.size(); ++i) {
     ready[i] = 1.0;
     for (std::size_t u = 0; u < (i * 13) % 4; ++u) {
@@ -135,20 +152,90 @@ TEST(ReadyOrderTest, SpanTooSmallForAFiniteScale) {
   expect_reference_order(order, ready);
 }
 
-std::vector<std::uint32_t> by_bit_pattern(const std::vector<double>& ready) {
-  std::vector<std::uint32_t> v = all_indices(ready.size());
-  std::stable_sort(v.begin(), v.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return std::bit_cast<std::uint64_t>(ready[a]) <
-           std::bit_cast<std::uint64_t>(ready[b]);
-  });
-  return v;
+/// The (bit pattern of ready[i], i) order of `members`, in any order.
+std::vector<std::uint32_t> by_bit_pattern(const std::vector<double>& ready,
+                                          std::vector<std::uint32_t> members) {
+  std::sort(members.begin(), members.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return std::pair(std::bit_cast<std::uint64_t>(ready[a]), a) <
+                     std::pair(std::bit_cast<std::uint64_t>(ready[b]), b);
+            });
+  return members;
 }
 
-TEST(ReadyOrderTest, AnyDoubleIsOrderedByBitPattern) {
+std::vector<std::uint32_t> by_bit_pattern(const std::vector<double>& ready) {
+  return by_bit_pattern(ready, all_indices(ready.size()));
+}
+
+/// expect_reference_order for any double: (bit pattern, index) order.
+void expect_bit_pattern_order(ReadyOrder& order,
+                              const std::vector<double>& ready) {
+  EXPECT_EQ(order.sort(ready.data(), nullptr, ready.size()),
+            by_bit_pattern(ready));
+  std::vector<std::uint32_t> wave;
+  for (std::uint32_t i = 1; i < ready.size(); i += 2) wave.push_back(i);
+  EXPECT_EQ(order.sort(ready.data(), wave.data(), wave.size()),
+            by_bit_pattern(ready, wave));
+}
+
+READY_ORDER_TEST(SizesAroundEachPathBoundary) {
+  // 16 and 17 keys: insertion against the bucket passes.  128 and 129: the
+  // network against the portable passes.  The rest straddle the network's
+  // padding to 8, 16, 32 or 64 keys.  Waves of every other index of 256
+  // to 258 keys hold 128 or 129 members.
+  std::mt19937_64 rng(19);
+  for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
+                              33u, 63u, 64u, 65u, 127u, 128u, 129u, 256u,
+                              257u, 258u}) {
+    std::vector<double> ready(n);
+    for (int trial = 0; trial < 20; ++trial) {
+      for (double& r : ready) {
+        r = 1e-5 + 1e-8 * static_cast<double>(rng() % (n / 2 + 1));
+      }
+      expect_reference_order(order, ready);
+    }
+  }
+}
+
+READY_ORDER_TEST(SpansTooWideForOneKeySortAsPairs) {
+  // A ready time of 0 beside positive ones, -0.0 or NaN leaves no room for
+  // the index beside the bit-pattern span, at every size.
+  for (const std::size_t n : {5u, 16u, 17u, 100u, 128u, 129u, 300u}) {
+    std::vector<double> ready(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ready[i] = 1e-6 * static_cast<double>((i * 7) % 13 + 1);
+    }
+    for (const double odd :
+         {0.0, -0.0, std::numeric_limits<double>::quiet_NaN()}) {
+      ready[n / 2] = odd;
+      expect_bit_pattern_order(order, ready);
+    }
+  }
+}
+
+READY_ORDER_TEST(SpanAtTheKeyLimit) {
+  // With w index bits the widest span that fits is 2^(64 - w) - 1.  There
+  // the largest index's key is all ones, the network's padding value; one
+  // more and the span no longer fits.
+  const std::uint64_t one = std::bit_cast<std::uint64_t>(1.0);
+  for (const std::size_t n : {16u, 17u, 128u, 129u, 300u}) {
+    const int w = std::bit_width(n - 1);
+    for (const std::uint64_t past : {0u, 1u}) {
+      std::vector<double> ready(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ready[i] = std::bit_cast<double>(one + (i * 7919) % 1000);
+      }
+      const std::uint64_t widest = (std::uint64_t{1} << (64 - w)) - 1;
+      ready[n - 1] = std::bit_cast<double>(one + widest + past);
+      expect_bit_pattern_order(order, ready);
+    }
+  }
+}
+
+READY_ORDER_TEST(AnyDoubleIsOrderedByBitPattern) {
   // Outside the engine's domain (negative, NaN, -inf) the routine still
   // returns the exact (bit pattern, index) order, with no undefined
   // behaviour and in bounded time.
-  ReadyOrder order;
   std::mt19937_64 rng(13);
   std::uniform_real_distribution<double> unit(-1.0, 1.0);
   for (const std::size_t n : {9u, 100u, 513u}) {
@@ -160,18 +247,16 @@ TEST(ReadyOrderTest, AnyDoubleIsOrderedByBitPattern) {
     EXPECT_EQ(order.sort(ready.data(), nullptr, n), by_bit_pattern(ready));
     std::rotate(ready.begin(), ready.begin() + 1, ready.end());  // NaN last
     EXPECT_EQ(order.sort(ready.data(), nullptr, n), by_bit_pattern(ready));
-    // Finite bounds: negative keys fall in the first buckets, but their bit
-    // patterns sort last.
+    // Finite values of both signs: negative bit patterns sort last.
     for (double& r : ready) r = unit(rng);
     ready[n / 3] = std::numeric_limits<double>::quiet_NaN();
     EXPECT_EQ(order.sort(ready.data(), nullptr, n), by_bit_pattern(ready));
   }
 }
 
-TEST(ReadyOrderTest, RandomArraysMatchStableSort) {
+READY_ORDER_TEST(RandomArraysMatchStableSort) {
   // 10k arrays of 1-600 keys drawn from a few distinct levels plus jitter,
   // so ties are common; one ReadyOrder serves them all, as in the engine.
-  ReadyOrder order;
   std::mt19937_64 rng(17);
   std::vector<double> ready;
   for (int trial = 0; trial < 10000; ++trial) {
@@ -186,6 +271,60 @@ TEST(ReadyOrderTest, RandomArraysMatchStableSort) {
     const std::vector<std::uint32_t>& got =
         order.sort(ready.data(), nullptr, n);
     ASSERT_EQ(got, reference(ready, all_indices(n))) << "trial " << trial;
+  }
+}
+
+TEST(ReadyOrderAvx512fTest, NetworkOrdersEverySizeOrDeclinesWideSpans) {
+  // The network called directly, at every size it takes, on whole phases
+  // and on shuffled members: the (bit pattern, index) order when the span
+  // fits in one key, and false, with nothing written, exactly when not.
+  const ReadyOrder::NetworkFn network = ready_order_network_avx512f();
+  if (network == nullptr) {
+    GTEST_SKIP() << "this build or CPU has no AVX-512F network";
+  }
+  std::mt19937_64 rng(23);
+  const std::uint64_t one = std::bit_cast<std::uint64_t>(1.0);
+  for (std::size_t n = 1; n <= ReadyOrder::kNetworkMax; ++n) {
+    for (int trial = 0; trial < 24; ++trial) {
+      // Spans of about 2^40 always fit, and spans of 3 ulps too, with
+      // ties among shuffled members; spans of about 2^62 fit only beside
+      // indices of at most 1 bit.
+      const int span_bits = trial % 3 == 0 ? 62 : trial % 3 == 1 ? 40 : 2;
+      std::vector<double> ready(2 * n);
+      for (double& r : ready) {
+        r = std::bit_cast<double>(one + (rng() >> (64 - span_bits)));
+      }
+      std::vector<std::uint32_t> members = all_indices(2 * n);
+      std::shuffle(members.begin(), members.end(), rng);
+      members.resize(n);
+      if (trial % 2 == 0) members = all_indices(n);
+
+      std::uint64_t lo = ~std::uint64_t{0};
+      std::uint64_t hi = 0;
+      std::uint32_t any = 0;
+      for (const std::uint32_t i : members) {
+        lo = std::min(lo, std::bit_cast<std::uint64_t>(ready[i]));
+        hi = std::max(hi, std::bit_cast<std::uint64_t>(ready[i]));
+        any |= i;
+      }
+      const int w = std::bit_width(any);
+      const bool fits = w == 0 || ((hi - lo) >> (64 - w)) == 0;
+
+      std::vector<std::uint32_t> order(n + 1, 0xdeadu);
+      const bool whole = trial % 2 == 0;
+      ASSERT_EQ(network(ready.data(), whole ? nullptr : members.data(), n,
+                        order.data()),
+                fits)
+          << "n " << n << " trial " << trial;
+      EXPECT_EQ(order[n], 0xdeadu) << "wrote past n = " << n;
+      order.pop_back();
+      if (fits) {
+        ASSERT_EQ(order, by_bit_pattern(ready, members))
+            << "n " << n << " trial " << trial;
+      } else {
+        EXPECT_EQ(order, std::vector<std::uint32_t>(n, 0xdeadu));
+      }
+    }
   }
 }
 
