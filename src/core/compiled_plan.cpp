@@ -277,16 +277,18 @@ void Engine::execute(const core::CompiledPlan& plan) {
     steps += phase.steps.size();
   }
   noise_.prefetch(steps);
-  // Steady-state repetitions attach none of these, so they run the
-  // instantiation with every hook compiled away.
-  if (faults_ || metrics_ || tracing_ || fabric_) {
-    execute_phases<true>(plan);
+  // Steady-state repetitions attach nothing, or only a fault model, so they
+  // run a body with the metrics, trace and fabric hooks compiled away.
+  if (metrics_ || tracing_ || fabric_) {
+    execute_phases<Hooks::All>(plan);
+  } else if (faults_) {
+    execute_phases<Hooks::Faults>(plan);
   } else {
-    execute_phases<false>(plan);
+    execute_phases<Hooks::None>(plan);
   }
 }
 
-template <bool Observed>
+template <Hooks H>
 void Engine::execute_phases(const core::CompiledPlan& plan) {
   const double post_overhead = params_.overheads.post_overhead;
   for (const core::CompiledPhase& phase : plan.phases()) {
@@ -311,15 +313,15 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
           break;
         }
         case core::StepKind::Copy:
-          copy_step<Observed>(phase.copies[step.index]);
+          copy_step<H>(phase.copies[step.index]);
           break;
         case core::StepKind::Pack:
-          pack_step<Observed>(phase.packs[step.index]);
+          pack_step<H>(phase.packs[step.index]);
           break;
       }
     }
     if (num_messages == 0) {
-      if (Observed && metrics_) metrics_->on_phase_end(max_clock());
+      if (H == Hooks::All && metrics_) metrics_->on_phase_end(max_clock());
       continue;
     }
 
@@ -328,8 +330,10 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
     // schedule sequence (with it the noise-draw sequence) is bit-identical.
     // A phase without dependency edges is one wave of every message; in
     // dependency waves (split plans) a dependent message is ready no
-    // earlier than its gating chunk's completion.  The one transfer call
-    // site keeps the hook-free step inlined.
+    // earlier than its gating chunk's completion.  At this one transfer
+    // call site the hook-free body inlines the step on its own, the
+    // faults-only body forces it (transfer_inline), and the all-hooks body
+    // calls it out of line.
     const bool waves = phase.num_waves() > 1;
     matched_completion_scratch_.resize(num_messages);
     for (std::size_t w = 0; w < phase.num_waves(); ++w) {
@@ -350,13 +354,18 @@ void Engine::execute_phases(const core::CompiledPlan& plan) {
       }
       for (const std::uint32_t i :
            schedule_order_.sort(ready_scratch_.data(), members, count)) {
-        matched_completion_scratch_[i] = transfer<Observed>(
-            phase.messages[i], phase.message_meta[i], ready_scratch_[i]);
+        if constexpr (H == Hooks::Faults) {
+          matched_completion_scratch_[i] = transfer_inline<H>(
+              phase.messages[i], phase.message_meta[i], ready_scratch_[i]);
+        } else {
+          matched_completion_scratch_[i] = transfer<H>(
+              phase.messages[i], phase.message_meta[i], ready_scratch_[i]);
+        }
       }
     }
     network_bytes_ += phase.network_bytes;
     network_messages_ += phase.network_messages;
-    if (Observed && metrics_) metrics_->on_phase_end(max_clock());
+    if (H == Hooks::All && metrics_) metrics_->on_phase_end(max_clock());
   }
 }
 

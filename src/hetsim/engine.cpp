@@ -90,10 +90,11 @@ void Engine::copy(int rank, int gpu, CopyDir dir, std::int64_t bytes,
   // degree: concurrent sharers overlap nearly fully while sequential copies
   // still queue.
   const PostalParams raw = copy_params_for(params_.copies, dir, 1);
-  copy_step<true>({rank, gpu, dir, sharing_procs, bytes,
-                   params_.overheads.dma_op_overhead +
-                       raw.beta * static_cast<double>(bytes) / sharing_procs,
-                   cp.time(bytes)});
+  copy_step<Hooks::All>(
+      {rank, gpu, dir, sharing_procs, bytes,
+       params_.overheads.dma_op_overhead +
+           raw.beta * static_cast<double>(bytes) / sharing_procs,
+       cp.time(bytes)});
 }
 
 void Engine::set_fabric(const FatTreeConfig& config) {
@@ -115,7 +116,7 @@ void Engine::pack(int rank, std::int64_t bytes) {
   if (bytes < 0) throw std::invalid_argument("Engine::pack: negative size");
   const double base =
       params_.overheads.pack_per_byte * static_cast<double>(bytes);
-  pack_step<true>({rank, bytes, base});
+  pack_step<Hooks::All>({rank, bytes, base});
 }
 
 void Engine::set_metrics(obs::EngineMetrics* sink) {
@@ -140,6 +141,22 @@ void Engine::set_faults(const FaultModel* faults) {
                      std::max(1, params_.injection.nics_per_node));
   }
   faults_ = faults;
+  fault_scope_ = {};
+  if (faults_ != nullptr) {
+    for (const LinkDegradeRule& r : faults_->degradations) {
+      fault_scope_.paths |= r.path_id < 0 ? ~0u : 1u << r.path_id;
+    }
+    for (const LossRule& r : faults_->losses) {
+      fault_scope_.paths |= r.path_id < 0 ? ~0u : 1u << r.path_id;
+    }
+    fault_scope_.nic = !faults_->nic_degradations.empty();
+    // By value: FaultPlan::compile fills 1.0 for every rank as soon as any
+    // straggler exists, a compute-only one included.
+    fault_scope_.injection =
+        std::any_of(faults_->injection_factor.begin(),
+                    faults_->injection_factor.end(),
+                    [](double f) { return f != 1.0; });
+  }
   refresh_fault_stream();
 }
 
@@ -403,8 +420,8 @@ double Engine::schedule(const Matched& m,
         inv_rate * size + params_.overheads.nic_message_overhead;
   }
 
-  const double completion =
-      transfer<true>(msg, {s.tag, s.space, proto, path_id, path}, m.ready);
+  const double completion = transfer<Hooks::All>(
+      msg, {s.tag, s.space, proto, path_id, path}, m.ready);
   if (msg.off_node) {
     network_bytes_ += s.bytes;
     ++network_messages_;

@@ -47,6 +47,14 @@ namespace obs {
 struct EngineMetrics;  // fixed-slot metrics sink (obs/engine_metrics.hpp)
 }  // namespace obs
 
+/// Which hooks an engine step body compiles in.  execute() picks one per
+/// call from what is attached; the interpreted path always runs All.
+enum class Hooks : std::uint8_t {
+  None,    ///< nothing attached: no fault model, metrics, trace or fabric
+  Faults,  ///< a fault model alone: metrics, trace and fabric compiled away
+  All,     ///< every hook, each behind its own run-time check
+};
+
 /// One message's rep-invariant inputs to the engine's transfer step: one
 /// send together with the receive that matches it.  A CompiledPlan stores
 /// one per Message op; resolve() derives one per matched pair.
@@ -165,8 +173,8 @@ class Engine {
   /// CompiledPlan at compile time, so this loop only posts, orders each
   /// phase by ready time, and runs the same transfer, copy and pack steps
   /// as resolve(), copy() and pack() (noise prefetched in one batch per
-  /// call).  With no fault model, metrics sink, trace or fabric attached
-  /// the steps run with those hooks compiled out.  Event-for-event
+  /// call).  Each call runs one of three bodies (see Hooks): none attached,
+  /// a fault model alone, or anything else.  Event-for-event
   /// identical -- clocks, traces, counters, noise stream -- to posting the
   /// original CommPlan through isend/irecv/copy/pack + resolve().  The
   /// engine must have been constructed with the same Topology and
@@ -215,7 +223,7 @@ class Engine {
   /// across reset() calls, so a caller that wants one run's numbers
   /// attaches a fresh sink for that run: core::measure() attaches one to
   /// repetition 0 and detaches it for the rest, which then run execute()'s
-  /// hook-free instantiation.
+  /// hook-free body (or its faults-only body under a fault model).
   void set_metrics(obs::EngineMetrics* sink);
   [[nodiscard]] obs::EngineMetrics* metrics() const noexcept {
     return metrics_;
@@ -227,7 +235,10 @@ class Engine {
   /// std::invalid_argument) and then shared read-only -- one model may be
   /// attached to many per-worker engines.  An empty model is normalized to
   /// nullptr, so zero-fault plans take the exact unfaulted hot path and are
-  /// bit-identical to running with no fault layer at all.  Fault decisions
+  /// bit-identical to running with no fault layer at all.  Attaching also
+  /// resolves which messages no rule can touch (FaultScope), so the model
+  /// must not change while attached; those messages skip the rule walks
+  /// but still take their message id.  Fault decisions
   /// draw from a dedicated mix_seed stream keyed by (run seed, model seed,
   /// message id, attempt) -- never from the noise stream and never from
   /// worker identity -- so faulted runs keep the bit-identical-across-jobs
@@ -274,36 +285,53 @@ class Engine {
   /// transfers into dependency waves and schedules wave by wave.
   void resolve_waves();
   void fail_resolve(const std::string& what);  ///< clear pending, then throw
-  /// execute()'s body.  `Observed` is false when no fault model, metrics
-  /// sink, trace or fabric is attached; that instantiation compiles their
-  /// hooks away.  Defined in core/compiled_plan.cpp.
-  template <bool Observed>
+  /// execute()'s body, one per Hooks value: None when nothing is attached,
+  /// Faults when only a fault model is, All otherwise.  The None and Faults
+  /// bodies inline the transfer step at their one call site; All calls it.
+  /// Defined in core/compiled_plan.cpp.
+  template <Hooks H>
   void execute_phases(const core::CompiledPlan& plan);
 
   // The step bodies, one per step kind, defined once in
   // hetsim/engine_steps.hpp for both execution paths: the interpreted one
-  // runs them with Observed = true, execute() with its own `Observed`.
+  // runs them with Hooks::All, execute() with its body's `H`.
 
   /// One message from `ready` on: takes the send port, the NIC lanes
   /// (routed around outages), the fabric and the receive port, draws the
   /// completion noise, retries lost attempts, advances both ranks' clocks
   /// and feeds the metrics, trace and fault hooks.  Returns the
   /// completion time.
-  template <bool Observed>
+  template <Hooks H>
   double transfer(const MessageSchedule& msg, const MessageMeta& meta,
                   double ready);
+  /// transfer()'s body, forced inline.  The faults-only execute() body
+  /// calls it at its one call site, which GCC would otherwise leave out of
+  /// line; forcing transfer() itself would also change how the hook-free
+  /// body compiles.
+  template <Hooks H>
+  [[gnu::always_inline]] inline double transfer_inline(
+      const MessageSchedule& msg, const MessageMeta& meta, double ready);
   /// A blocking copy on its GPU's DMA engine, from the rank's clock on.
-  template <bool Observed>
+  template <Hooks H>
   void copy_step(const CopyOp& op);
   /// A blocking pack on the rank's clock.
-  template <bool Observed>
+  template <Hooks H>
   void pack_step(const PackOp& op);
 
+  /// Whether body `H` runs with a fault model attached: always in the
+  /// faults-only body, never in the hook-free one.
+  template <Hooks H>
+  [[nodiscard]] bool has_faults() const noexcept {
+    return H == Hooks::Faults || (H == Hooks::All && faults_ != nullptr);
+  }
   /// Outage-aware NIC-lane server for `server` (= node*lanes + lane) at
   /// time `t`: the server to use, with `t` advanced to the earliest
   /// recovery when every lane of the node is down; a reroute counts as a
   /// failover in the metrics sink.  Throws FaultAbort when no lane of the
-  /// node ever recovers.  Call only with outages in the fault model.
+  /// node ever recovers.  Call only with outages in the fault model.  `t`
+  /// stays a reference: returning it by value measured no faster, since
+  /// the inlined faults-only body keeps `t` in a register outside the
+  /// outage branch anyway.
   [[nodiscard]] std::int32_t route_nic(std::int32_t node, std::int32_t server,
                                        double& t, const MessageSchedule& msg,
                                        std::uint8_t path_id);
@@ -358,12 +386,29 @@ class Engine {
   std::int64_t network_bytes_ = 0;
   std::int64_t network_messages_ = 0;
 
+  /// Which messages the attached fault model's rules can touch, resolved
+  /// once per set_faults.  A message outside every scope skips
+  /// FaultModel::effective() and loss_rule(): no rule could change it.
+  struct FaultScope {
+    /// Bit c set when a link-degradation or loss rule scopes path class c
+    /// (a wildcard rule sets every bit).
+    std::uint32_t paths = 0;
+    bool nic = false;        ///< a NIC degradation exists (off-node only)
+    bool injection = false;  ///< some rank's injection factor is not 1.0
+    [[nodiscard]] bool touches(const MessageSchedule& msg,
+                               std::uint8_t path_id) const noexcept {
+      return ((paths >> path_id) & 1u) != 0 || (nic && msg.off_node) ||
+             injection;
+    }
+  };
+
   // Fault layer (null = no faults, the hot paths' fast case).  The stream
   // mixes the run seed with the model seed so distinct fault seeds decohere
   // even under the same run seed; the message counter advances in schedule
   // order (identical across worker counts and engine modes) and resets with
   // the engine, keying every loss decision deterministically.
   const FaultModel* faults_ = nullptr;  ///< caller-owned; may be null
+  FaultScope fault_scope_;
   std::uint64_t run_seed_ = 0x5eedULL;
   std::uint64_t fault_stream_ = 0;
   std::uint64_t fault_msg_counter_ = 0;

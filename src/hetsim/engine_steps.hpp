@@ -4,7 +4,12 @@
 // Engine-internal: only hetsim/engine.cpp (the interpreted resolve(),
 // copy() and pack()) and core/compiled_plan.cpp (Engine::execute) include
 // this header.  Each instantiates the steps where it calls them, so the
-// hook-free execute() inlines them instead of calling across files.
+// hook-free and faults-only execute() bodies inline them instead of calling
+// across files.
+//
+// `H` is the calling body's Hooks value.  Hooks::Faults knows that a fault
+// model is attached and nothing else is, so it tests neither faults_ nor
+// the metrics sink, the trace or the fabric.
 
 #include <algorithm>
 #include <cstdint>
@@ -14,9 +19,18 @@
 
 namespace hetcomm {
 
-template <bool Observed>
-double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
-                        const double ready0) {
+template <Hooks H>
+inline double Engine::transfer(const MessageSchedule& msg,
+                               const MessageMeta& meta, const double ready) {
+  return transfer_inline<H>(msg, meta, ready);
+}
+
+template <Hooks H>
+inline double Engine::transfer_inline(const MessageSchedule& msg,
+                                      const MessageMeta& meta,
+                                      const double ready0) {
+  constexpr bool kObserved = H == Hooks::All;
+  const bool faulted = has_faults<H>();
   // Fault-adjusted occupancies; without a fault model, the inputs.  A loss
   // rule stays null when none matches, which also disables the retry loop.
   FaultModel::EffectiveMessage occ{msg.send_occupancy, msg.drain_occupancy,
@@ -24,8 +38,10 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
                                    msg.nic_occupancy};
   const LossRule* loss = nullptr;
   std::uint64_t msg_id = 0;
-  if (Observed && faults_) {
-    msg_id = fault_msg_counter_++;
+  // Every message takes its schedule-order id, which keys its loss draws;
+  // one that no rule scopes keeps its inputs and draws nothing.
+  if (faulted) msg_id = fault_msg_counter_++;
+  if (faulted && fault_scope_.touches(msg, meta.path_id)) {
     const int lanes = std::max(1, params_.injection.nics_per_node);
     const FaultModel::MessageView view{
         .src = msg.src,
@@ -41,14 +57,14 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
         .nic_occupancy = msg.nic_occupancy,
         .nic_overhead = params_.overheads.nic_message_overhead};
     occ = faults_->effective(view, ready0);
-    if (occ.degraded && metrics_) {
+    if (kObserved && occ.degraded && metrics_) {
       metrics_->on_fault_degraded(meta.path_id, occ.extra_seconds);
     }
     loss = faults_->loss_rule(meta.path_id, ready0);
   }
-  const bool reroute = Observed && faults_ && faults_->has_outages();
+  const bool reroute = faulted && faults_->has_outages();
   const double hop_latency =
-      (Observed && msg.off_node && fabric_)
+      (kObserved && msg.off_node && fabric_)
           ? fabric_->hop_latency(msg.src_node, msg.dst_node)
           : 0.0;
 
@@ -64,7 +80,7 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
     // Sender-side occupancy: the sending process cannot initiate the next
     // message until this one's latency+transfer work is handed off.
     t = send_port_[msg.src].acquire(ready, occ.send_occupancy);
-    if (Observed && metrics_) {
+    if (kObserved && metrics_) {
       if (attempt == 0) {
         metrics_->on_message(meta.path_id, meta.protocol, msg.bytes);
       }
@@ -78,7 +94,7 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
                   : msg.src_nic;
       const double t_out =
           nic_out_[egress_server].acquire(t, occ.nic_occupancy_src);
-      if (Observed && metrics_) {
+      if (kObserved && metrics_) {
         metrics_->on_occupancy(obs::SimResource::NicOut,
                                occ.nic_occupancy_src);
         if (attempt == 0) {
@@ -87,7 +103,7 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
         metrics_->on_wait(obs::SimResource::NicOut, t, t_out);
       }
       t = t_out;
-      if (Observed && fabric_) {
+      if (kObserved && fabric_) {
         const double t_fab =
             fabric_->acquire(msg.src_node, msg.dst_node, msg.bytes, t);
         // Fabric wait folds queueing and link serialization together (the
@@ -99,7 +115,7 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
           reroute ? route_nic(msg.dst_node, msg.dst_nic, t, msg, meta.path_id)
                   : msg.dst_nic;
       const double t_in = nic_in_[in_server].acquire(t, occ.nic_occupancy_dst);
-      if (Observed && metrics_) {
+      if (kObserved && metrics_) {
         metrics_->on_occupancy(obs::SimResource::NicIn, occ.nic_occupancy_dst);
         metrics_->on_wait(obs::SimResource::NicIn, t, t_in);
       }
@@ -108,7 +124,7 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
 
     // Receiver-side drain occupancy.
     const double t_drain = recv_port_[msg.dst].acquire(t, occ.drain_occupancy);
-    if (Observed && metrics_) {
+    if (kObserved && metrics_) {
       metrics_->on_occupancy(obs::SimResource::RecvPort, occ.drain_occupancy);
       metrics_->on_wait(obs::SimResource::RecvPort, t, t_drain);
     }
@@ -126,7 +142,7 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
         throw_retries_exhausted(msg.src, msg.dst, meta.path_id, attempt);
       }
       const double delay = retry_delay(loss->retry, attempt - 1);
-      if (metrics_) {
+      if (kObserved && metrics_) {
         const int lanes = std::max(1, params_.injection.nics_per_node);
         metrics_->on_fault_retry(
             delay, egress_server < 0 ? -1
@@ -146,7 +162,7 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
   clock_[msg.src] = std::max(clock_[msg.src], sender_done);
   clock_[msg.dst] = std::max(clock_[msg.dst], completion);
 
-  if (Observed && tracing_) {
+  if (kObserved && tracing_) {
     trace_.messages.push_back({msg.src, msg.dst, msg.bytes, meta.tag,
                                meta.space, meta.protocol, meta.path, ready0, t,
                                completion});
@@ -154,18 +170,19 @@ double Engine::transfer(const MessageSchedule& msg, const MessageMeta& meta,
   return completion;
 }
 
-template <bool Observed>
+template <Hooks H>
 void Engine::copy_step(const CopyOp& op) {
+  constexpr bool kObserved = H == Hooks::All;
   BusyServer& dma = op.dir == CopyDir::HostToDevice ? dma_h2d_[op.gpu]
                                                     : dma_d2h_[op.gpu];
   const double ready = clock_[op.rank];
   const double start = dma.acquire(ready, op.occupancy);
   double base = op.duration_base;
-  if (Observed && faults_) base = faults_->rank_compute_factor(op.rank) * base;
+  if (has_faults<H>()) base = faults_->rank_compute_factor(op.rank) * base;
   const double duration = noise_.perturb(base);
   clock_[op.rank] = start + duration;
 
-  if (Observed && metrics_) {
+  if (kObserved && metrics_) {
     const obs::SimResource res = op.dir == CopyDir::HostToDevice
                                      ? obs::SimResource::DmaH2D
                                      : obs::SimResource::DmaD2H;
@@ -173,19 +190,20 @@ void Engine::copy_step(const CopyOp& op) {
     metrics_->on_wait(res, ready, start);
     metrics_->on_copy(op.dir, op.sharing_procs, op.bytes, duration);
   }
-  if (Observed && tracing_) {
+  if (kObserved && tracing_) {
     trace_.copies.push_back({op.rank, op.gpu, op.dir, op.bytes,
                              op.sharing_procs, start, clock_[op.rank]});
   }
 }
 
-template <bool Observed>
+template <Hooks H>
 void Engine::pack_step(const PackOp& op) {
+  constexpr bool kObserved = H == Hooks::All;
   double base = op.duration_base;
-  if (Observed && faults_) base = faults_->rank_compute_factor(op.rank) * base;
+  if (has_faults<H>()) base = faults_->rank_compute_factor(op.rank) * base;
   const double duration = noise_.perturb(base);
   clock_[op.rank] += duration;
-  if (Observed && metrics_) metrics_->on_pack(op.bytes, duration);
+  if (kObserved && metrics_) metrics_->on_pack(op.bytes, duration);
 }
 
 }  // namespace hetcomm

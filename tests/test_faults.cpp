@@ -4,7 +4,8 @@
 // FaultAbort failure contract (engine reusable afterwards, the lowest
 // aborting repetition reported at any jobs count), the metrics
 // fault section, hand-computed faulted times of the engine's transfer step,
-// and ranking-stability determinism.
+// bit-equal faulted execute() bodies, what the per-attach rule scopes may
+// skip, and ranking-stability determinism.
 
 #include "fault/plan.hpp"
 
@@ -792,6 +793,268 @@ TEST(SharedStep, StragglerScalesOnlyItsInjection) {
         << run.path;
     EXPECT_EQ(occupancy(obs::SimResource::RecvPort), m.drain_occupancy)
         << run.path;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// execute()'s faulted bodies.  A fault model alone runs the faults-only
+// body; a metrics sink or tracing beside it runs the all-hooks body.  Both
+// must simulate the same bits and fail the same way.
+
+enum class Attach { FaultsOnly, WithMetrics, WithTracing };
+
+/// One repetition's simulated results, and the abort that ended it if any.
+struct RepOutcome {
+  std::vector<double> clocks;
+  std::int64_t network_bytes = 0;
+  std::int64_t network_messages = 0;
+  bool aborted = false;
+  FaultAbort::Reason reason = FaultAbort::Reason::RetriesExhausted;
+  int src = -1;
+  int dst = -1;
+  int attempts = 0;
+
+  bool operator==(const RepOutcome&) const = default;
+};
+
+std::vector<RepOutcome> execute_reps(const core::CompiledPlan& plan,
+                                     const Topology& topo,
+                                     const ParamSet& params,
+                                     const FaultModel& model, Attach attach,
+                                     std::uint64_t seed, int reps) {
+  Engine engine(topo, params, NoiseModel(0, 0.02));
+  engine.set_faults(&model);
+  obs::EngineMetrics sink;
+  if (attach == Attach::WithMetrics) engine.set_metrics(&sink);
+  if (attach == Attach::WithTracing) engine.set_tracing(true);
+  std::vector<RepOutcome> out;
+  for (int rep = 0; rep < reps; ++rep) {
+    engine.reset(mix_seed(seed, static_cast<std::uint64_t>(rep)));
+    RepOutcome o;
+    try {
+      engine.execute(plan);
+    } catch (const FaultAbort& e) {
+      o.aborted = true;
+      o.reason = e.reason;
+      o.src = e.src;
+      o.dst = e.dst;
+      o.attempts = e.attempts;
+    }
+    o.clocks = engine.clocks();
+    o.network_bytes = engine.network_bytes();
+    o.network_messages = engine.network_messages();
+    out.push_back(std::move(o));
+  }
+  return out;
+}
+
+/// Runs every Table-5 strategy's compiled plan under `model` three ways and
+/// expects bit-equal outcomes; returns how many repetitions aborted.
+int expect_bodies_agree(const machine::MachineModel& mach,
+                        const Topology& topo, const FaultModel& model,
+                        int reps) {
+  const core::CommPattern pattern = core::random_pattern(topo, 16, 4096, 5);
+  int aborted = 0;
+  for (const core::StrategyConfig& cfg : core::table5_strategies()) {
+    const core::CompiledPlan compiled(
+        core::build_plan(pattern, topo, mach.params, cfg), topo, mach.params);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const std::vector<RepOutcome> lean = execute_reps(
+          compiled, topo, mach.params, model, Attach::FaultsOnly, seed, reps);
+      EXPECT_EQ(execute_reps(compiled, topo, mach.params, model,
+                             Attach::WithMetrics, seed, reps),
+                lean)
+          << cfg.name() << " seed " << seed << ": metrics sink";
+      EXPECT_EQ(execute_reps(compiled, topo, mach.params, model,
+                             Attach::WithTracing, seed, reps),
+                lean)
+          << cfg.name() << " seed " << seed << ": tracing";
+      for (const RepOutcome& o : lean) aborted += o.aborted ? 1 : 0;
+    }
+  }
+  return aborted;
+}
+
+TEST(FaultBodies, CompositePlanBitEqualAcrossBodies) {
+  const machine::MachineModel mach = machine::preset_machine("nvisland");
+  const Topology topo = mach.topology(2);
+  const FaultModel model = composite_plan().compile(topo, mach.params);
+  EXPECT_EQ(expect_bodies_agree(mach, topo, model, 4), 0);
+}
+
+TEST(FaultBodies, ExhaustedRetriesAbortAlikeInEveryBody) {
+  const machine::MachineModel mach = machine::preset_machine("lassen");
+  const Topology topo = mach.topology(2);
+  // faults/flaky_abort.json aborts the first off-node message; the 12% rate
+  // aborts some repetitions and not others, each at its own message.
+  const FaultPlan flaky_abort = fault::load_fault_file(
+      std::string(HETCOMM_TEST_DATA_DIR) + "/flaky_abort.json");
+  FaultPlan sometimes = flaky_abort;
+  sometimes.message_loss.front().probability = 0.12;
+  const FaultPlan* const plans[] = {&flaky_abort, &sometimes};
+  for (const FaultPlan* plan : plans) {
+    const FaultModel model = plan->compile(topo, mach.params);
+    const int reps = 12;
+    const int aborted = expect_bodies_agree(mach, topo, model, reps);
+    EXPECT_GT(aborted, 0) << "p = " << plan->message_loss.front().probability;
+    if (plan == &sometimes) {
+      EXPECT_LT(aborted, 3 * reps * static_cast<int>(
+                                        core::table5_strategies().size()));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// What the per-attach rule scopes may skip.  Engine::set_faults resolves
+// which messages no rule can touch; those skip the rule walks but still take
+// their schedule-order message id.
+
+/// Every Table-5 strategy's max_avg and per-rank means, on the compiled
+/// engine at two workers and on the interpreted engine.
+std::vector<Measurement> measure_table5(const machine::MachineModel& mach,
+                                        const Topology& topo,
+                                        const FaultModel* faults) {
+  const core::CommPattern pattern = core::random_pattern(topo, 16, 4096, 5);
+  std::vector<Measurement> out;
+  for (const core::StrategyConfig& cfg : core::table5_strategies()) {
+    const core::CommPlan plan =
+        core::build_plan(pattern, topo, mach.params, cfg);
+    for (const ExecMode engine : {ExecMode::Compiled, ExecMode::Interpreted}) {
+      out.push_back(measure_with(plan, topo, mach.params, faults, engine, 2));
+    }
+  }
+  return out;
+}
+
+int class_id(const machine::MachineModel& mach, const char* name) {
+  const int id = mach.params.taxonomy.id_of(name);
+  EXPECT_GE(id, 0) << name;
+  return id;
+}
+
+TEST(FaultScope, RuleOnAnUntakenClassChangesNothing) {
+  const machine::MachineModel mach = machine::preset_machine("lassen");
+  FaultModel model;
+  const int off_node = class_id(mach, "off-node");
+  model.degradations.push_back({off_node, 4.0, 4.0, {}});
+  model.losses.push_back({off_node, 0.3, RetryPolicy{1e-5, 2.0, 1e-3, 50}, {}});
+
+  // On one node no message is off-node, so no message is in scope.
+  const Topology one_node = mach.topology(1);
+  EXPECT_EQ(measure_table5(mach, one_node, &model),
+            measure_table5(mach, one_node, nullptr));
+  // On two nodes the same rules are live.
+  const Topology two_nodes = mach.topology(2);
+  EXPECT_NE(measure_table5(mach, two_nodes, &model),
+            measure_table5(mach, two_nodes, nullptr));
+}
+
+TEST(FaultScope, SkippedMessagesStillTakeTheirMessageId) {
+  const machine::MachineModel mach = machine::preset_machine("lassen");
+  const Topology topo = mach.topology(2);
+  // Built directly, so no compile step drops the neutral rule.
+  FaultModel lossy;
+  lossy.seed = 5;
+  lossy.losses.push_back(
+      {class_id(mach, "off-node"), 0.3, RetryPolicy{1e-5, 2.0, 1e-3, 50}, {}});
+  // The x1.0 rule puts on-node messages in scope, so they walk the rules
+  // instead of skipping them.  Their ids, and so every off-node loss draw,
+  // must not depend on that.
+  FaultModel lossy_on_node_in_scope = lossy;
+  lossy_on_node_in_scope.degradations.push_back(
+      {class_id(mach, "on-node"), 1.0, 1.0, {}});
+
+  const std::vector<Measurement> expected = measure_table5(mach, topo, &lossy);
+  EXPECT_NE(expected, measure_table5(mach, topo, nullptr));
+  EXPECT_EQ(measure_table5(mach, topo, &lossy_on_node_in_scope), expected);
+}
+
+TEST(FaultScope, ComputeOnlyStragglerNeedsNoInjectionScope) {
+  const machine::MachineModel mach = machine::preset_machine("lassen");
+  const Topology topo = mach.topology(2);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.stragglers.push_back({0, 1.5, 1.0});
+  {
+    fault::MessageLoss loss;
+    loss.path = "off-node";
+    loss.probability = 0.1;
+    loss.retry.max_attempts = 50;
+    plan.message_loss.push_back(loss);
+  }
+  const FaultModel compiled = plan.compile(topo, mach.params);
+  // compile() fills 1.0 for every rank once any straggler exists.
+  ASSERT_EQ(compiled.injection_factor.size(),
+            static_cast<std::size_t>(topo.num_ranks()));
+  FaultModel no_injection = compiled;
+  no_injection.injection_factor.clear();
+
+  const std::vector<Measurement> expected =
+      measure_table5(mach, topo, &no_injection);
+  EXPECT_NE(expected, measure_table5(mach, topo, nullptr));
+  EXPECT_EQ(measure_table5(mach, topo, &compiled), expected);
+}
+
+/// Final clocks after one phase at sigma 0, through the interpreted engine
+/// and the compiled one with only `faults` attached: an on-node message
+/// 0 -> 1, and two off-node ones from rank 2 to the last two ranks, the
+/// second queued behind the first on rank 2's NIC lane.
+std::vector<std::vector<double>> mixed_phase(const Topology& topo,
+                                             const ParamSet& params,
+                                             const FaultModel* faults) {
+  const int last = topo.num_ranks() - 1;
+  core::CommPlan plan;
+  plan.phases.emplace_back();
+  plan.phases.back().ops = {
+      core::PlanOp::message(0, 1, 4096, 0, MemSpace::Host),
+      core::PlanOp::message(2, last, 4096, 0, MemSpace::Host),
+      core::PlanOp::message(2, last - 1, 4096, 0, MemSpace::Host)};
+  const core::CompiledPlan compiled(plan, topo, params);
+  std::vector<std::vector<double>> out;
+  for (const bool interpreted : {true, false}) {
+    Engine engine(topo, params, NoiseModel(7, 0.0));
+    engine.set_faults(faults);
+    if (interpreted) {
+      out.push_back(core::run_plan(engine, plan));
+    } else {
+      engine.execute(compiled);
+      out.push_back(engine.clocks());
+    }
+  }
+  return out;
+}
+
+TEST(FaultScope, WildcardAndNicRulesPerturbExactlyTheirMessages) {
+  const machine::MachineModel mach = machine::preset_machine("nvisland");
+  const Topology topo = mach.topology(2);
+  const int last = topo.num_ranks() - 1;
+  ASSERT_EQ(topo.node_of_rank(2), 0);
+  ASSERT_EQ(topo.node_of_rank(last - 1), 1);
+  const std::vector<double> unfaulted =
+      mixed_phase(topo, mach.params, nullptr)[0];
+  const auto moved = [&](const std::vector<double>& clocks, int rank) {
+    return clocks[static_cast<std::size_t>(rank)] !=
+           unfaulted[static_cast<std::size_t>(rank)];
+  };
+
+  FaultModel wildcard;
+  wildcard.degradations.push_back({-1, 2.0, 2.0, {}});
+  for (const std::vector<double>& clocks :
+       mixed_phase(topo, mach.params, &wildcard)) {
+    EXPECT_TRUE(moved(clocks, 1)) << "on-node message";
+    EXPECT_TRUE(moved(clocks, last)) << "first off-node message";
+    EXPECT_TRUE(moved(clocks, last - 1)) << "second off-node message";
+  }
+
+  // A NIC occupancy delays only what queues behind it on the lane: the
+  // second off-node message.
+  FaultModel nic;
+  nic.nic_degradations.push_back({-1, -1, 50.0, 50.0, {}});
+  for (const std::vector<double>& clocks :
+       mixed_phase(topo, mach.params, &nic)) {
+    EXPECT_FALSE(moved(clocks, 0)) << "on-node sender";
+    EXPECT_FALSE(moved(clocks, 1)) << "on-node message";
+    EXPECT_TRUE(moved(clocks, last - 1)) << "second off-node message";
   }
 }
 
