@@ -28,7 +28,8 @@ struct ThreadPool::Impl {
 
   std::atomic<std::int64_t> next{0};
   std::atomic<bool> failed{false};
-  std::exception_ptr error;
+  std::exception_ptr error;  ///< of the lowest failed task, under `mu`
+  std::int64_t error_task = 0;
 
   // Tracing for the current job (set by parallel_for before the epoch
   // bump, so workers read it after their start_cv wake).  Name slots are
@@ -59,8 +60,14 @@ struct ThreadPool::Impl {
       try {
         (*task)(i, worker);
       } catch (...) {
+        // Tasks are claimed in index order, so every task below the first
+        // failure seen is already claimed and runs to completion: keeping
+        // the lowest failed index makes the rethrown error deterministic.
         std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
+        if (!error || i < error_task) {
+          error = std::current_exception();
+          error_task = i;
+        }
         failed.store(true, std::memory_order_relaxed);
         return;
       }

@@ -61,8 +61,10 @@ class ThreadPool {
   };
 
   /// Run tasks 0..count-1 across the pool and block until all complete.
-  /// If any task throws, remaining unclaimed tasks are skipped and the
-  /// first exception is rethrown here (after every worker has drained).
+  /// If any task throws, remaining unclaimed tasks are skipped and, after
+  /// every worker has drained, the exception of the lowest-index failed
+  /// task is rethrown here.  Tasks are claimed in index order, so that is
+  /// the lowest failing task of the whole range, whatever the timing.
   /// Not reentrant: one parallel_for at a time per pool.
   void parallel_for(std::int64_t count, const Task& fn,
                     const TraceHook& trace = TraceHook());

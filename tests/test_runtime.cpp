@@ -7,6 +7,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,6 +72,27 @@ TEST(ThreadPoolTest, PropagatesFirstTaskException) {
   std::atomic<int> count{0};
   pool.parallel_for(8, [&](std::int64_t, int) { ++count; });
   EXPECT_EQ(count.load(), 8);
+}
+
+TEST(ThreadPoolTest, RethrowsTheLowestFailedTask) {
+  // Task 7 throws while task 3 is still asleep; task 3's error, the lowest
+  // failed index, must be the one rethrown, in every round.
+  ThreadPool pool(4);
+  for (int round = 0; round < 5; ++round) {
+    std::string what;
+    try {
+      pool.parallel_for(16, [](std::int64_t i, int) {
+        if (i == 3) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("task 3");
+        }
+        if (i == 7) throw std::runtime_error("task 7");
+      });
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, "task 3") << "round " << round;
+  }
 }
 
 TEST(ThreadPoolTest, ZeroTasksIsANoOp) {

@@ -3,7 +3,10 @@
 // sorts by -- for every input, and an engine that runs several plans must
 // schedule each exactly as a fresh engine would.  Each ReadyOrderTest case
 // runs the portable passes alone; its ReadyOrderAvx512fTest twin runs the
-// same case with the AVX-512F network, where this CPU has it.
+// same case with the AVX-512F network, where this CPU has it: 32-bit keys
+// and a fix-up pass, one block of up to 256 keys or two merged.  The sizes
+// 129, 256, 257, 512 and 513 sit at its padding to a whole block, its
+// second block and its limit.
 
 #include "hetsim/schedule_order.hpp"
 
@@ -81,7 +84,8 @@ READY_ORDER_TEST(EmptyAndSingle) {
 }
 
 READY_ORDER_TEST(AllEqualKeepsIndexOrder) {
-  for (const std::size_t n : {2u, 16u, 17u, 300u}) {
+  for (const std::size_t n :
+       {2u, 16u, 17u, 129u, 256u, 257u, 300u, 512u, 513u}) {
     const std::vector<double> ready(n, 1.25e-5);
     EXPECT_EQ(order.sort(ready.data(), nullptr, n), all_indices(n));
     expect_reference_order(order, ready);
@@ -90,13 +94,16 @@ READY_ORDER_TEST(AllEqualKeepsIndexOrder) {
 
 READY_ORDER_TEST(ManyTiesBreakByIndex) {
   std::mt19937_64 rng(7);
-  std::vector<double> ready(257);
-  for (double& r : ready) r = 1e-5 * static_cast<double>(rng() % 5);
-  expect_reference_order(order, ready);
+  for (const std::size_t n : {129u, 256u, 257u, 512u, 513u}) {
+    std::vector<double> ready(n);
+    for (double& r : ready) r = 1e-5 * static_cast<double>(rng() % 5);
+    expect_reference_order(order, ready);
+  }
 }
 
 READY_ORDER_TEST(Reversed) {
-  for (const std::size_t n : {5u, 16u, 40u, 600u}) {
+  for (const std::size_t n :
+       {5u, 16u, 40u, 129u, 256u, 257u, 512u, 513u, 600u}) {
     std::vector<double> ready(n);
     for (std::size_t i = 0; i < n; ++i) {
       ready[i] = 1e-6 * static_cast<double>(n - i);
@@ -112,44 +119,52 @@ READY_ORDER_TEST(HugeOutlierBesideACrowdedCluster) {
   // An outlier two binades above or below the cluster still fits in one
   // key, and every key but the outlier lands in one bucket, in random
   // order: the move budget runs out and std::sort finishes.  At 1e12 the
-  // span leaves no room for the index, and the pairs sort it.
+  // span leaves no room for the index, and the pairs sort it.  Up to 512
+  // keys the cluster also shares one truncated 32-bit key, so the
+  // network's fix-up runs out of moves and declines first.
   std::mt19937_64 rng(11);
   std::uniform_real_distribution<double> jitter(0.0, 1e-9);
-  std::vector<double> ready(600);
-  for (double& r : ready) r = 1.0 + jitter(rng);
-  for (const double outlier : {4.0, 0.25, 1e12}) {
-    ready[123] = outlier;
-    expect_reference_order(order, ready);
+  for (const std::size_t n : {129u, 300u, 512u, 600u}) {
+    std::vector<double> ready(n);
+    for (double& r : ready) r = 1.0 + jitter(rng);
+    for (const double outlier : {4.0, 0.25, 1e12}) {
+      ready[123] = outlier;
+      expect_reference_order(order, ready);
+    }
   }
 }
 
 READY_ORDER_TEST(PositiveInfinity) {
-  std::vector<double> ready(40);
-  for (std::size_t i = 0; i < ready.size(); ++i) {
-    ready[i] = 1e-6 * static_cast<double>((i * 7) % 40);
+  for (const std::size_t n : {40u, 129u, 256u, 257u, 512u, 513u}) {
+    std::vector<double> ready(n);
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+      ready[i] = 1e-6 * static_cast<double>((i * 7) % 40);
+    }
+    ready[3] = std::numeric_limits<double>::infinity();
+    ready[30] = std::numeric_limits<double>::infinity();
+    expect_reference_order(order, ready);
+    std::vector<double> small(ready.begin(), ready.begin() + 8);  // <= 16
+    expect_reference_order(order, small);
   }
-  ready[3] = std::numeric_limits<double>::infinity();
-  ready[30] = std::numeric_limits<double>::infinity();
-  expect_reference_order(order, ready);
-  std::vector<double> small(ready.begin(), ready.begin() + 8);  // <= 16 keys
-  expect_reference_order(order, small);
 }
 
 READY_ORDER_TEST(SpanTooSmallForAFiniteScale) {
   const double tiny = std::numeric_limits<double>::denorm_min();
-  std::vector<double> ready(64);
-  for (std::size_t i = 0; i < ready.size(); ++i) {
-    ready[i] = (i * 5) % 3 == 0 ? tiny : 0.0;
-  }
-  expect_reference_order(order, ready);
-  // A span of a few ulps: keys that differ in little but their index.
-  for (std::size_t i = 0; i < ready.size(); ++i) {
-    ready[i] = 1.0;
-    for (std::size_t u = 0; u < (i * 13) % 4; ++u) {
-      ready[i] = std::nextafter(ready[i], 2.0);
+  for (const std::size_t n : {64u, 129u, 256u, 257u, 512u, 513u}) {
+    std::vector<double> ready(n);
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+      ready[i] = (i * 5) % 3 == 0 ? tiny : 0.0;
     }
+    expect_reference_order(order, ready);
+    // A span of a few ulps: keys that differ in little but their index.
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+      ready[i] = 1.0;
+      for (std::size_t u = 0; u < (i * 13) % 4; ++u) {
+        ready[i] = std::nextafter(ready[i], 2.0);
+      }
+    }
+    expect_reference_order(order, ready);
   }
-  expect_reference_order(order, ready);
 }
 
 /// The (bit pattern of ready[i], i) order of `members`, in any order.
@@ -179,14 +194,17 @@ void expect_bit_pattern_order(ReadyOrder& order,
 }
 
 READY_ORDER_TEST(SizesAroundEachPathBoundary) {
-  // 16 and 17 keys: insertion against the bucket passes.  128 and 129: the
-  // network against the portable passes.  The rest straddle the network's
-  // padding to 8, 16, 32 or 64 keys.  Waves of every other index of 256
-  // to 258 keys hold 128 or 129 members.
+  // 16 and 17 keys: insertion against the bucket passes, and the network's
+  // padding to 16 or 32 keys.  256 and 257: one block of the network
+  // against two merged.  512 and 513: the network against the portable
+  // passes.  The rest straddle the padding to 64, 128 or 256 keys.  Waves
+  // of every other index of 256 to 258 keys hold 128 or 129 members, of
+  // 512 to 514 keys 256 or 257, and of 1024 to 1026 keys 512 or 513.
   std::mt19937_64 rng(19);
-  for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
-                              33u, 63u, 64u, 65u, 127u, 128u, 129u, 256u,
-                              257u, 258u}) {
+  for (const std::size_t n :
+       {1u,   2u,   7u,   8u,   9u,   15u,  16u,  17u,   31u,   32u,  33u,
+        63u,  64u,  65u,  127u, 128u, 129u, 255u, 256u,  257u,  258u, 511u,
+        512u, 513u, 514u, 1024u, 1025u, 1026u}) {
     std::vector<double> ready(n);
     for (int trial = 0; trial < 20; ++trial) {
       for (double& r : ready) {
@@ -200,7 +218,8 @@ READY_ORDER_TEST(SizesAroundEachPathBoundary) {
 READY_ORDER_TEST(SpansTooWideForOneKeySortAsPairs) {
   // A ready time of 0 beside positive ones, -0.0 or NaN leaves no room for
   // the index beside the bit-pattern span, at every size.
-  for (const std::size_t n : {5u, 16u, 17u, 100u, 128u, 129u, 300u}) {
+  for (const std::size_t n :
+       {5u, 16u, 17u, 100u, 128u, 129u, 256u, 257u, 300u, 512u, 513u}) {
     std::vector<double> ready(n);
     for (std::size_t i = 0; i < n; ++i) {
       ready[i] = 1e-6 * static_cast<double>((i * 7) % 13 + 1);
@@ -214,11 +233,13 @@ READY_ORDER_TEST(SpansTooWideForOneKeySortAsPairs) {
 }
 
 READY_ORDER_TEST(SpanAtTheKeyLimit) {
-  // With w index bits the widest span that fits is 2^(64 - w) - 1.  There
-  // the largest index's key is all ones, the network's padding value; one
-  // more and the span no longer fits.
+  // With w index bits the widest span that fits the portable passes' 64-bit
+  // key is 2^(64 - w) - 1, and one more no longer fits.  At the widest the
+  // largest index's key is all ones, and at 16, 128, 256 and 512 keys so is
+  // its truncated 32-bit key, the network's padding value.
   const std::uint64_t one = std::bit_cast<std::uint64_t>(1.0);
-  for (const std::size_t n : {16u, 17u, 128u, 129u, 300u}) {
+  for (const std::size_t n :
+       {16u, 17u, 128u, 129u, 256u, 257u, 300u, 512u, 513u}) {
     const int w = std::bit_width(n - 1);
     for (const std::uint64_t past : {0u, 1u}) {
       std::vector<double> ready(n);
@@ -238,7 +259,7 @@ READY_ORDER_TEST(AnyDoubleIsOrderedByBitPattern) {
   // behaviour and in bounded time.
   std::mt19937_64 rng(13);
   std::uniform_real_distribution<double> unit(-1.0, 1.0);
-  for (const std::size_t n : {9u, 100u, 513u}) {
+  for (const std::size_t n : {9u, 100u, 129u, 256u, 257u, 512u, 513u}) {
     std::vector<double> ready(n);
     for (double& r : ready) r = std::bit_cast<double>(rng());
     ready[0] = std::numeric_limits<double>::quiet_NaN();
@@ -274,10 +295,33 @@ READY_ORDER_TEST(RandomArraysMatchStableSort) {
   }
 }
 
-TEST(ReadyOrderAvx512fTest, NetworkOrdersEverySizeOrDeclinesWideSpans) {
+READY_ORDER_TEST(NeighboursThatShareTheirTopBits) {
+  // Keys distinct in 64 bits whose difference sits far below the span's top
+  // bits, with the later ready time at the smaller index: runs of 2, 3 or 4
+  // keys a few ulps apart, descending with the index, spaced 2^40 ulps from
+  // the next run.  The network's truncated keys tie inside a run and order
+  // it by index, so its fix-up must reverse every run.
+  const std::uint64_t one = std::bit_cast<std::uint64_t>(1.0);
+  for (const std::size_t n :
+       {17u, 100u, 129u, 200u, 256u, 257u, 300u, 511u, 512u}) {
+    for (const std::size_t run : {2u, 3u, 4u}) {
+      std::vector<double> ready(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t base = static_cast<std::uint64_t>(i / run) << 40;
+        const std::uint64_t ulps = 3 * (run - 1 - i % run);
+        ready[i] = std::bit_cast<double>(one + base + ulps);
+      }
+      expect_bit_pattern_order(order, ready);
+    }
+  }
+}
+
+TEST(ReadyOrderAvx512fTest, NetworkOrdersEverySize) {
   // The network called directly, at every size it takes, on whole phases
-  // and on shuffled members: the (bit pattern, index) order when the span
-  // fits in one key, and false, with nothing written, exactly when not.
+  // and on shuffled members.  Spans of 3 ulps keep every bit, and random
+  // spans of about 2^40 and 2^62 ulps leave the truncated keys few ties:
+  // the fix-up stays within its budget, and the network returns the
+  // (bit pattern, index) order and writes nothing past n.
   const ReadyOrder::NetworkFn network = ready_order_network_avx512f();
   if (network == nullptr) {
     GTEST_SKIP() << "this build or CPU has no AVX-512F network";
@@ -286,9 +330,6 @@ TEST(ReadyOrderAvx512fTest, NetworkOrdersEverySizeOrDeclinesWideSpans) {
   const std::uint64_t one = std::bit_cast<std::uint64_t>(1.0);
   for (std::size_t n = 1; n <= ReadyOrder::kNetworkMax; ++n) {
     for (int trial = 0; trial < 24; ++trial) {
-      // Spans of about 2^40 always fit, and spans of 3 ulps too, with
-      // ties among shuffled members; spans of about 2^62 fit only beside
-      // indices of at most 1 bit.
       const int span_bits = trial % 3 == 0 ? 62 : trial % 3 == 1 ? 40 : 2;
       std::vector<double> ready(2 * n);
       for (double& r : ready) {
@@ -297,33 +338,51 @@ TEST(ReadyOrderAvx512fTest, NetworkOrdersEverySizeOrDeclinesWideSpans) {
       std::vector<std::uint32_t> members = all_indices(2 * n);
       std::shuffle(members.begin(), members.end(), rng);
       members.resize(n);
-      if (trial % 2 == 0) members = all_indices(n);
-
-      std::uint64_t lo = ~std::uint64_t{0};
-      std::uint64_t hi = 0;
-      std::uint32_t any = 0;
-      for (const std::uint32_t i : members) {
-        lo = std::min(lo, std::bit_cast<std::uint64_t>(ready[i]));
-        hi = std::max(hi, std::bit_cast<std::uint64_t>(ready[i]));
-        any |= i;
-      }
-      const int w = std::bit_width(any);
-      const bool fits = w == 0 || ((hi - lo) >> (64 - w)) == 0;
+      const bool whole = trial % 2 == 0;
+      if (whole) members = all_indices(n);
 
       std::vector<std::uint32_t> order(n + 1, 0xdeadu);
-      const bool whole = trial % 2 == 0;
-      ASSERT_EQ(network(ready.data(), whole ? nullptr : members.data(), n,
-                        order.data()),
-                fits)
+      ASSERT_TRUE(network(ready.data(), whole ? nullptr : members.data(), n,
+                          order.data()))
           << "n " << n << " trial " << trial;
       EXPECT_EQ(order[n], 0xdeadu) << "wrote past n = " << n;
       order.pop_back();
-      if (fits) {
-        ASSERT_EQ(order, by_bit_pattern(ready, members))
-            << "n " << n << " trial " << trial;
-      } else {
-        EXPECT_EQ(order, std::vector<std::uint32_t>(n, 0xdeadu));
-      }
+      ASSERT_EQ(order, by_bit_pattern(ready, members))
+          << "n " << n << " trial " << trial;
+    }
+  }
+}
+
+TEST(ReadyOrderAvx512fTest, NetworkDeclinesACrowdedCluster) {
+  // A cluster within 2^-30 of 1.0, beside an outlier at 4.0, shares one
+  // truncated key: the fix-up would have to sort it whole, so the network
+  // declines and writes nothing.  Without the outlier the same cluster
+  // keeps enough bits, and the order is exact.
+  const ReadyOrder::NetworkFn network = ready_order_network_avx512f();
+  if (network == nullptr) {
+    GTEST_SKIP() << "this build or CPU has no AVX-512F network";
+  }
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> jitter(0.0, 1e-9);
+  for (const std::size_t n : {64u, 128u, 129u, 256u, 257u, 300u, 512u}) {
+    std::vector<double> ready(2 * n);
+    for (double& r : ready) r = 1.0 + jitter(rng);
+    std::vector<std::uint32_t> members = all_indices(2 * n);
+    std::shuffle(members.begin(), members.end(), rng);
+    members.resize(n);
+    for (const bool whole : {true, false}) {
+      const std::uint32_t* m = whole ? nullptr : members.data();
+      const std::vector<std::uint32_t> subset =
+          whole ? all_indices(n) : members;
+      std::vector<std::uint32_t> order(n, 0xdeadu);
+      ASSERT_TRUE(network(ready.data(), m, n, order.data())) << "n " << n;
+      EXPECT_EQ(order, by_bit_pattern(ready, subset)) << "n " << n;
+
+      std::vector<double> outlier = ready;
+      outlier[whole ? n / 2 : members[n / 2]] = 4.0;
+      std::fill(order.begin(), order.end(), 0xdeadu);
+      EXPECT_FALSE(network(outlier.data(), m, n, order.data())) << "n " << n;
+      EXPECT_EQ(order, std::vector<std::uint32_t>(n, 0xdeadu));
     }
   }
 }
