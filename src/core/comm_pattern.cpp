@@ -54,6 +54,40 @@ void CommPattern::add(int src_gpu, int dst_gpu, std::int64_t bytes) {
   ++total_messages_;
 }
 
+void CommPattern::add_sorted(int src_gpu, std::span<const int> dsts,
+                             std::int64_t bytes) {
+  check_gpu(src_gpu);
+  if (bytes < 0) throw std::invalid_argument("CommPattern::add: negative size");
+  if (bytes == 0) return;
+  std::vector<GpuMessage>& row = sends_[static_cast<std::size_t>(src_gpu)];
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < dsts.size(); ++i) {
+    distinct += i == 0 || dsts[i] != dsts[i - 1];
+  }
+  row.reserve(distinct);
+  for (std::size_t i = 0; i < dsts.size();) {
+    const int dst = dsts[i];
+    check_gpu(dst);
+    std::size_t n = 1;
+    while (i + n < dsts.size() && dsts[i + n] == dst) ++n;
+    i += n;
+    if (dst == src_gpu) continue;
+    // check_room() of the n adds at once: one of them fails exactly when
+    // n * bytes exceeds the room left.
+    const auto count = static_cast<std::int64_t>(n);
+    if (bytes > (std::numeric_limits<std::int64_t>::max() - total_bytes_ -
+                 dedup_bytes_) / count) {
+      throw std::invalid_argument("CommPattern: total bytes overflow int64");
+    }
+    const std::int64_t sum = bytes * count;
+    row.push_back({dst, sum, static_cast<int>(n)});
+    send_total_[static_cast<std::size_t>(src_gpu)] += sum;
+    recv_total_[static_cast<std::size_t>(dst)] += sum;
+    total_bytes_ += sum;
+    total_messages_ += count;
+  }
+}
+
 std::span<const GpuMessage> CommPattern::sends_from(int src_gpu) const {
   check_gpu(src_gpu);
   return sends_[static_cast<std::size_t>(src_gpu)];
@@ -271,12 +305,17 @@ CommPattern random_pattern(const Topology& topo, int msgs_per_gpu,
   if (topo.num_gpus() < 2) return pattern;
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> pick(0, topo.num_gpus() - 2);
+  // Each source's draws are sorted and written into its row in one pass.
+  // A row's entries are sums over its draws, so the pattern is the one
+  // that adding them in draw order gives.
+  std::vector<int> dsts(static_cast<std::size_t>(msgs_per_gpu));
   for (int src = 0; src < topo.num_gpus(); ++src) {
-    for (int k = 0; k < msgs_per_gpu; ++k) {
-      int dst = pick(rng);
+    for (int& dst : dsts) {
+      dst = pick(rng);
       if (dst >= src) ++dst;  // skip self
-      pattern.add(src, dst, bytes);
     }
+    std::sort(dsts.begin(), dsts.end());
+    pattern.add_sorted(src, dsts, bytes);
   }
   return pattern;
 }

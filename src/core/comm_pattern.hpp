@@ -103,7 +103,14 @@ class CommPattern {
   [[nodiscard]] std::span<const NodeDedup> dedup_from(int src_gpu) const;
 
  private:
+  friend CommPattern random_pattern(const Topology& topo, int msgs_per_gpu,
+                                    std::int64_t bytes, std::uint64_t seed);
+
   void check_gpu(int gpu) const;
+  /// add(src_gpu, dst, bytes) for every dst of `dsts`, with add()'s checks,
+  /// written in one pass into src_gpu's row, which must be empty; `dsts`
+  /// must be in ascending order.
+  void add_sorted(int src_gpu, std::span<const int> dsts, std::int64_t bytes);
   /// Throws std::invalid_argument unless `extra` more bytes keep payload
   /// plus dedup bytes within int64: every byte total derived from the
   /// pattern (per GPU, node or pair, with or without dedup) is at most

@@ -73,9 +73,24 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
   std::vector<int> recv_depth(static_cast<std::size_t>(num_ranks_), 0);
 
   for (const PlanPhase& phase : plan.phases) {
+    // Size every table exactly before filling it.
+    std::size_t num_messages = 0;
+    std::size_t num_copies = 0;
+    std::size_t num_packs = 0;
+    for (const PlanOp& op : phase.ops) {
+      num_messages += op.type == OpType::Message;
+      num_copies += op.type == OpType::Copy;
+      num_packs += op.type == OpType::Pack;
+    }
     CompiledPhase out;
     out.steps.reserve(phase.ops.size());
+    out.messages.reserve(num_messages);
+    out.message_meta.reserve(num_messages);
+    out.msg_dep.reserve(num_messages);
+    out.copies.reserve(num_copies);
+    out.packs.reserve(num_packs);
     std::fill(recv_depth.begin(), recv_depth.end(), 0);
+    bool any_dep = false;
 
     for (const PlanOp& op : phase.ops) {
       switch (op.type) {
@@ -135,6 +150,7 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
           }
           out.msg_dep.push_back(
               resolve_dep(out, op.depends_on, op.src_rank, true));
+          any_dep = any_dep || out.msg_dep.back() >= 0;
           out.steps.push_back(
               {StepKind::Message,
                static_cast<std::uint32_t>(out.messages.size())});
@@ -210,6 +226,10 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
     // forward pass computes depths and acyclicity is structural.  Phases
     // without message-to-message deps leave wave_begin empty and keep the
     // historical single-sort schedule path.
+    if (!any_dep) {
+      phases_.push_back(std::move(out));
+      continue;
+    }
     std::vector<std::int32_t> depth(out.messages.size(), 0);
     std::int32_t max_depth = 0;
     for (std::size_t i = 0; i < out.messages.size(); ++i) {

@@ -13,9 +13,16 @@
 //   * Receive chunks are assigned in descending size order starting at
 //     local rank 0; send chunks in descending order starting at local rank
 //     PPN-1 (line 18).
+//
+// A setup allocates per call, not per chunk: every chunk's slices live in
+// one SplitSetup::slices array, appended as chunks are cut, and a chunk
+// names its slices by offset and count.  Nothing stores a span or pointer
+// into the setup's own vectors, so a copied setup stays self-contained;
+// SplitSetup::slices_of gives a view on demand.
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/comm_pattern.hpp"
@@ -35,12 +42,14 @@ struct FlowSlice {
   std::int64_t payload_bytes = 0;
 };
 
-/// One inter-node message of the split scheme.
+/// One inter-node message of the split scheme.  Its slices are
+/// SplitSetup::slices[first_slice .. first_slice + num_slices).
 struct SplitChunk {
   int src_node = -1;
   int dst_node = -1;
   std::int64_t bytes = 0;  ///< wire bytes crossing the network
-  std::vector<FlowSlice> slices;
+  std::uint32_t first_slice = 0;
+  std::uint32_t num_slices = 0;
   int send_rank = -1;  ///< world host rank injecting this chunk
   int recv_rank = -1;  ///< world host rank receiving this chunk
 };
@@ -55,7 +64,14 @@ struct SplitNodeInfo {
 
 struct SplitSetup {
   std::vector<SplitChunk> chunks;
+  std::vector<FlowSlice> slices;  ///< every chunk's slices, chunk after chunk
   std::map<int, SplitNodeInfo> node_info;  ///< keyed by receiving node
+
+  /// The slices one chunk of this setup carries.
+  [[nodiscard]] std::span<const FlowSlice> slices_of(
+      const SplitChunk& chunk) const {
+    return {slices.data() + chunk.first_slice, chunk.num_slices};
+  }
 
   /// Chunks received by / sent from one node, in assignment order.
   [[nodiscard]] std::vector<const SplitChunk*> recv_chunks(int node) const;

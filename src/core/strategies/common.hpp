@@ -1,7 +1,14 @@
 #pragma once
 // Internal helpers shared by the strategy plan builders.
+//
+// Lowering allocates per phase, not per flow: node-pair traffic keeps every
+// flow in one array, and a NodePair names its flows by offset and count.
+// A struct never stores a span or pointer into a vector it owns (a copy
+// would point into the original's storage); readers ask the owner for a
+// view (NodeTraffic::flows_of) when they need one.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/comm_pattern.hpp"
@@ -33,18 +40,28 @@ struct Flow {
   std::int64_t wire_bytes = 0;
 };
 
-/// The inter-node flows from one node to another, in (src_gpu, dst_gpu)
-/// order, with the sum of their wire bytes.
+/// The inter-node flows from one node to another, with the sum of their
+/// wire bytes.  Its flows are NodeTraffic::flows[first_flow ..
+/// first_flow + num_flows), in (src_gpu, dst_gpu) order.
 struct NodePair {
   int src_node = -1;
   int dst_node = -1;
   std::int64_t wire_bytes = 0;
-  std::vector<Flow> flows;
+  std::uint32_t first_flow = 0;
+  std::uint32_t num_flows = 0;
 };
 
 /// All inter-node traffic: one entry per communicating node pair, in
-/// (src_node, dst_node) order.
-using NodeTraffic = std::vector<NodePair>;
+/// (src_node, dst_node) order, and every pair's flows in one array, pair
+/// after pair.
+struct NodeTraffic {
+  std::vector<NodePair> pairs;
+  std::vector<Flow> flows;
+
+  [[nodiscard]] std::span<const Flow> flows_of(const NodePair& pair) const {
+    return {flows.data() + pair.first_flow, pair.num_flows};
+  }
+};
 
 [[nodiscard]] NodeTraffic internode_traffic(const CommPattern& pattern,
                                             const Topology& topo);
@@ -55,10 +72,10 @@ struct GpuBytes {
   std::int64_t bytes = 0;
 };
 
-/// Sum `parts` by GPU in place: afterwards it holds one entry per GPU, in
-/// ascending GPU order (the order the builders emit per-GPU ops in).
-/// Zero sums stay.
-void sum_by_gpu(std::vector<GpuBytes>& parts);
+/// Sum `parts` by GPU in place: afterwards its first n entries, n returned,
+/// hold one entry per GPU, in ascending GPU order (the order the builders
+/// emit per-GPU ops in).  Zero sums stay.
+[[nodiscard]] std::size_t sum_by_gpu(std::span<GpuBytes> parts);
 
 /// Sending leader on `src_node` for traffic toward `dst_node`: the host
 /// rank owning local GPU (dst_node mod gpus-per-node).  Distinct

@@ -19,6 +19,8 @@
 //
 // Device-aware transport does not apply to split strategies (Table 5).
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -39,47 +41,72 @@ int holder_rank(const Topology& topo, int gpu, int ppg, int k) {
   return topo.rank_of(loc.node, loc.socket, core);
 }
 
-/// One chunk's per-GPU parts, each in ascending GPU order.  Source parts
-/// sum wire (deduplicated) bytes -- what is staged, scattered and
-/// injected; destination parts sum payload bytes -- what the receiving
+/// Every chunk's per-GPU parts, chunk after chunk: chunk c's source parts
+/// are src[src_begin[c] .. src_begin[c + 1]) and its destination parts
+/// dst[dst_begin[c] .. dst_begin[c + 1]), each in ascending GPU order.
+/// Source parts sum wire (deduplicated) bytes -- what is staged, scattered
+/// and injected; destination parts sum payload bytes -- what the receiving
 /// GPUs must end up with after redistribution.  Under Split+DD each part
 /// also has its holder rank, computed once so the copy and message phases
 /// agree on data provenance.
 struct ChunkParts {
   std::vector<GpuBytes> src;
   std::vector<GpuBytes> dst;
+  std::vector<std::uint32_t> src_begin;  ///< one per chunk, plus the end
+  std::vector<std::uint32_t> dst_begin;
   std::vector<int> src_holder;  ///< indexed like `src`; empty under MD
   std::vector<int> dst_holder;  ///< indexed like `dst`; empty under MD
 };
 
-std::vector<ChunkParts> chunk_parts(const SplitSetup& setup,
-                                    const Topology& topo, bool dd, int ppg) {
-  std::vector<ChunkParts> parts(setup.chunks.size());
+ChunkParts chunk_parts(const SplitSetup& setup, const Topology& topo, bool dd,
+                       int ppg) {
+  ChunkParts p;
+  const std::size_t num_slices = setup.slices.size();
+  p.src.reserve(num_slices);
+  p.dst.reserve(num_slices);
+  p.src_begin.reserve(setup.chunks.size() + 1);
+  p.dst_begin.reserve(setup.chunks.size() + 1);
+  if (dd) {
+    p.src_holder.reserve(num_slices);
+    p.dst_holder.reserve(num_slices);
+  }
+  // Appends one chunk's parts of one side and merges them by GPU on their
+  // own subrange.
+  const auto append = [](std::vector<GpuBytes>& parts,
+                         std::vector<std::uint32_t>& begin,
+                         std::span<const FlowSlice> slices, auto part_of) {
+    const std::size_t first = parts.size();
+    begin.push_back(static_cast<std::uint32_t>(first));
+    for (const FlowSlice& s : slices) parts.push_back(part_of(s));
+    parts.resize(first + sum_by_gpu(std::span<GpuBytes>(parts).subspan(first)));
+  };
   // Per GPU: how many holders it has handed out so far, per side.
   std::vector<int> send_cursor(dd ? static_cast<std::size_t>(topo.num_gpus())
                                   : 0);
   std::vector<int> recv_cursor(send_cursor.size());
-  for (std::size_t ci = 0; ci < setup.chunks.size(); ++ci) {
-    ChunkParts& p = parts[ci];
-    for (const FlowSlice& s : setup.chunks[ci].slices) {
-      p.src.push_back({s.src_gpu, s.bytes});
-      p.dst.push_back({s.dst_gpu, s.payload_bytes});
-    }
-    sum_by_gpu(p.src);
-    sum_by_gpu(p.dst);
+  for (const SplitChunk& chunk : setup.chunks) {
+    const std::span<const FlowSlice> slices = setup.slices_of(chunk);
+    append(p.src, p.src_begin, slices, [](const FlowSlice& s) {
+      return GpuBytes{s.src_gpu, s.bytes};
+    });
+    append(p.dst, p.dst_begin, slices, [](const FlowSlice& s) {
+      return GpuBytes{s.dst_gpu, s.payload_bytes};
+    });
     if (!dd) continue;
-    for (const GpuBytes& part : p.src) {
+    for (std::size_t i = p.src_begin.back(); i < p.src.size(); ++i) {
+      const int gpu = p.src[i].gpu;
       p.src_holder.push_back(holder_rank(
-          topo, part.gpu, ppg,
-          send_cursor[static_cast<std::size_t>(part.gpu)]++));
+          topo, gpu, ppg, send_cursor[static_cast<std::size_t>(gpu)]++));
     }
-    for (const GpuBytes& part : p.dst) {
+    for (std::size_t i = p.dst_begin.back(); i < p.dst.size(); ++i) {
+      const int gpu = p.dst[i].gpu;
       p.dst_holder.push_back(holder_rank(
-          topo, part.gpu, ppg,
-          recv_cursor[static_cast<std::size_t>(part.gpu)]++));
+          topo, gpu, ppg, recv_cursor[static_cast<std::size_t>(gpu)]++));
     }
   }
-  return parts;
+  p.src_begin.push_back(static_cast<std::uint32_t>(p.src.size()));
+  p.dst_begin.push_back(static_cast<std::uint32_t>(p.dst.size()));
+  return p;
 }
 
 }  // namespace
@@ -101,9 +128,11 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
 
   CommPlan plan;
   plan.strategy_name = config.name();
+  plan.phases.reserve(6);
 
   const SplitSetup setup = split_setup(pattern, topo, cap);
-  const std::vector<ChunkParts> parts = chunk_parts(setup, topo, dd, ppg);
+  const ChunkParts parts = chunk_parts(setup, topo, dd, ppg);
+  const auto num_gpus = static_cast<std::size_t>(pattern.num_gpus());
 
   // ---- Staging copies, device to host. ----
   //
@@ -114,6 +143,7 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
   {
     PlanPhase phase;
     phase.label = "d2h";
+    phase.ops.reserve(dd ? num_gpus + parts.src.size() : 2 * num_gpus);
     for (int gpu = 0; gpu < pattern.num_gpus(); ++gpu) {
       const std::int64_t intra = intra_send_bytes(pattern, topo, gpu);
       const int owner = topo.owner_rank_of_gpu(gpu);
@@ -131,12 +161,11 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
       }
     }
     if (dd) {
-      for (const ChunkParts& p : parts) {
-        for (std::size_t i = 0; i < p.src.size(); ++i) {
-          phase.ops.push_back(PlanOp::copy(p.src_holder[i], p.src[i].gpu,
-                                           CopyDir::DeviceToHost,
-                                           p.src[i].bytes, ppg));
-        }
+      for (std::size_t i = 0; i < parts.src.size(); ++i) {
+        phase.ops.push_back(PlanOp::copy(parts.src_holder[i],
+                                         parts.src[i].gpu,
+                                         CopyDir::DeviceToHost,
+                                         parts.src[i].bytes, ppg));
       }
     }
     if (!phase.ops.empty()) plan.phases.push_back(std::move(phase));
@@ -150,16 +179,17 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
   {
     PlanPhase phase;
     phase.label = "scatter";
+    phase.ops.reserve(parts.src.size());
     int tag = kTagScatter;
     for (std::size_t ci = 0; ci < setup.chunks.size(); ++ci) {
       const SplitChunk& chunk = setup.chunks[ci];
-      const ChunkParts& p = parts[ci];
-      for (std::size_t i = 0; i < p.src.size(); ++i) {
-        const int source_rank =
-            dd ? p.src_holder[i] : topo.owner_rank_of_gpu(p.src[i].gpu);
+      for (std::size_t i = parts.src_begin[ci]; i < parts.src_begin[ci + 1];
+           ++i) {
+        const int source_rank = dd ? parts.src_holder[i]
+                                   : topo.owner_rank_of_gpu(parts.src[i].gpu);
         if (source_rank == chunk.send_rank) continue;
         phase.ops.push_back(PlanOp::message(source_rank, chunk.send_rank,
-                                            p.src[i].bytes, tag++,
+                                            parts.src[i].bytes, tag++,
                                             MemSpace::Host));
       }
     }
@@ -170,6 +200,7 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
   {
     PlanPhase phase;
     phase.label = "global";
+    phase.ops.reserve(setup.chunks.size());
     int tag = kTagGlobal;
     for (const SplitChunk& chunk : setup.chunks) {
       phase.ops.push_back(PlanOp::message(chunk.send_rank, chunk.recv_rank,
@@ -182,16 +213,17 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
   {
     PlanPhase phase;
     phase.label = "redistribute";
+    phase.ops.reserve(parts.dst.size());
     int tag = kTagRedist;
     for (std::size_t ci = 0; ci < setup.chunks.size(); ++ci) {
       const SplitChunk& chunk = setup.chunks[ci];
-      const ChunkParts& p = parts[ci];
-      for (std::size_t i = 0; i < p.dst.size(); ++i) {
-        const int target_rank =
-            dd ? p.dst_holder[i] : topo.owner_rank_of_gpu(p.dst[i].gpu);
+      for (std::size_t i = parts.dst_begin[ci]; i < parts.dst_begin[ci + 1];
+           ++i) {
+        const int target_rank = dd ? parts.dst_holder[i]
+                                   : topo.owner_rank_of_gpu(parts.dst[i].gpu);
         if (target_rank == chunk.recv_rank) continue;
         phase.ops.push_back(PlanOp::message(chunk.recv_rank, target_rank,
-                                            p.dst[i].bytes, tag++,
+                                            parts.dst[i].bytes, tag++,
                                             MemSpace::Host));
       }
     }
@@ -202,9 +234,9 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
   {
     PlanPhase phase;
     phase.label = "h2d";
+    phase.ops.reserve(dd ? num_gpus + parts.dst.size() : 2 * num_gpus);
     // Per destination GPU: payload arriving from off-node.
-    std::vector<std::int64_t> inter_recv(
-        static_cast<std::size_t>(pattern.num_gpus()), 0);
+    std::vector<std::int64_t> inter_recv(num_gpus, 0);
     for (int src = 0; src < pattern.num_gpus(); ++src) {
       const int src_node = topo.gpu_location(src).node;
       for (const GpuMessage& m : pattern.sends_from(src)) {
@@ -226,12 +258,11 @@ CommPlan build_split(const CommPattern& pattern, const Topology& topo,
       }
     }
     if (dd) {
-      for (const ChunkParts& p : parts) {
-        for (std::size_t i = 0; i < p.dst.size(); ++i) {
-          phase.ops.push_back(PlanOp::copy(p.dst_holder[i], p.dst[i].gpu,
-                                           CopyDir::HostToDevice,
-                                           p.dst[i].bytes, ppg));
-        }
+      for (std::size_t i = 0; i < parts.dst.size(); ++i) {
+        phase.ops.push_back(PlanOp::copy(parts.dst_holder[i],
+                                         parts.dst[i].gpu,
+                                         CopyDir::HostToDevice,
+                                         parts.dst[i].bytes, ppg));
       }
     }
     if (!phase.ops.empty()) plan.phases.push_back(std::move(phase));

@@ -12,6 +12,7 @@ CommPlan build_standard(const CommPattern& pattern, const Topology& topo,
   (void)params;
   CommPlan plan;
   plan.strategy_name = config.name();
+  plan.phases.reserve(3);
 
   const bool staged = config.transport == MemSpace::Host;
   if (staged) {
@@ -20,6 +21,7 @@ CommPlan build_standard(const CommPattern& pattern, const Topology& topo,
 
   PlanPhase msgs;
   msgs.label = "exchange";
+  msgs.ops.reserve(static_cast<std::size_t>(pattern.total_messages()));
   int tag = kTagStandard;
   for (int src = 0; src < pattern.num_gpus(); ++src) {
     for (const GpuMessage& m : pattern.sends_from(src)) {

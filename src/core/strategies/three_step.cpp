@@ -21,6 +21,7 @@ CommPlan build_three_step(const CommPattern& pattern, const Topology& topo,
   (void)params;
   CommPlan plan;
   plan.strategy_name = config.name();
+  plan.phases.reserve(6);
 
   const bool staged = config.transport == MemSpace::Host;
   const MemSpace space = config.transport;
@@ -34,16 +35,17 @@ CommPlan build_three_step(const CommPattern& pattern, const Topology& topo,
   // Step 1: gather each node's l-bound data on the sending leader.
   PlanPhase gather;
   gather.label = "gather";
+  gather.ops.reserve(traffic.flows.size() + traffic.pairs.size());
   int tag = kTagGather;
   std::vector<GpuBytes> per_gpu;
-  for (const NodePair& pair : traffic) {
+  for (const NodePair& pair : traffic.pairs) {
     const int leader = send_leader(topo, pair.src_node, pair.dst_node);
     // Only the deduplicated (wire) volume is gathered and injected.
     per_gpu.clear();
-    for (const Flow& f : pair.flows) {
+    for (const Flow& f : traffic.flows_of(pair)) {
       per_gpu.push_back({f.src_gpu, f.wire_bytes});
     }
-    sum_by_gpu(per_gpu);
+    per_gpu.resize(sum_by_gpu(per_gpu));
     for (const GpuBytes& part : per_gpu) {
       const int owner = topo.owner_rank_of_gpu(part.gpu);
       if (owner == leader || part.bytes == 0) continue;  // already resident
@@ -58,8 +60,9 @@ CommPlan build_three_step(const CommPattern& pattern, const Topology& topo,
   // Step 2: one inter-node message per communicating node pair.
   PlanPhase global;
   global.label = "global";
+  global.ops.reserve(traffic.pairs.size());
   tag = kTagGlobal;
-  for (const NodePair& pair : traffic) {
+  for (const NodePair& pair : traffic.pairs) {
     global.ops.push_back(PlanOp::message(
         send_leader(topo, pair.src_node, pair.dst_node),
         recv_leader(topo, pair.dst_node, pair.src_node), pair.wire_bytes,
@@ -70,12 +73,15 @@ CommPlan build_three_step(const CommPattern& pattern, const Topology& topo,
   // Step 3: redistribute on the destination node.
   PlanPhase redist;
   redist.label = "redistribute";
+  redist.ops.reserve(traffic.flows.size());
   tag = kTagRedist;
-  for (const NodePair& pair : traffic) {
+  for (const NodePair& pair : traffic.pairs) {
     const int leader = recv_leader(topo, pair.dst_node, pair.src_node);
     per_gpu.clear();
-    for (const Flow& f : pair.flows) per_gpu.push_back({f.dst_gpu, f.bytes});
-    sum_by_gpu(per_gpu);
+    for (const Flow& f : traffic.flows_of(pair)) {
+      per_gpu.push_back({f.dst_gpu, f.bytes});
+    }
+    per_gpu.resize(sum_by_gpu(per_gpu));
     for (const GpuBytes& part : per_gpu) {
       const int owner = topo.owner_rank_of_gpu(part.gpu);
       if (owner == leader) continue;

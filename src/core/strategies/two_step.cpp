@@ -16,6 +16,7 @@ CommPlan build_two_step(const CommPattern& pattern, const Topology& topo,
   (void)params;
   CommPlan plan;
   plan.strategy_name = config.name();
+  plan.phases.reserve(5);
 
   const bool staged = config.transport == MemSpace::Host;
   const MemSpace space = config.transport;
@@ -30,15 +31,16 @@ CommPlan build_two_step(const CommPattern& pattern, const Topology& topo,
   // destination node, to its paired process there.
   PlanPhase global;
   global.label = "pairwise";
+  global.ops.reserve(traffic.flows.size());
   int tag = kTagGlobal;
   std::vector<GpuBytes> per_src_gpu;
-  for (const NodePair& pair : traffic) {
+  for (const NodePair& pair : traffic.pairs) {
     // Each process injects only its deduplicated (wire) volume.
     per_src_gpu.clear();
-    for (const Flow& f : pair.flows) {
+    for (const Flow& f : traffic.flows_of(pair)) {
       per_src_gpu.push_back({f.src_gpu, f.wire_bytes});
     }
-    sum_by_gpu(per_src_gpu);
+    per_src_gpu.resize(sum_by_gpu(per_src_gpu));
     for (const GpuBytes& part : per_src_gpu) {
       if (part.bytes == 0) continue;
       global.ops.push_back(
@@ -53,9 +55,10 @@ CommPlan build_two_step(const CommPattern& pattern, const Topology& topo,
   // are already one per (src_gpu, dst_gpu), in that order.
   PlanPhase redist;
   redist.label = "redistribute";
+  redist.ops.reserve(traffic.flows.size());
   tag = kTagRedist;
-  for (const NodePair& pair : traffic) {
-    for (const Flow& f : pair.flows) {
+  for (const NodePair& pair : traffic.pairs) {
+    for (const Flow& f : traffic.flows_of(pair)) {
       // Receiver of src_gpu's bundle forwards each dst_gpu portion.
       const int receiver = paired_rank(topo, f.src_gpu, pair.dst_node);
       const int owner = topo.owner_rank_of_gpu(f.dst_gpu);

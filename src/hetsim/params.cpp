@@ -1,5 +1,9 @@
 #include "hetsim/params.hpp"
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 namespace hetcomm {
 
 namespace {
@@ -21,27 +25,35 @@ void ParamSet::validate() const {
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("ParamSet '" + name + "': " + e.what());
   }
-  auto check_pair = [this](const PostalParams& p, const std::string& what) {
-    if (p.alpha <= 0.0 || p.beta <= 0.0) {
-      throw std::invalid_argument("ParamSet '" + name + "': " + what +
-                                  " has non-positive alpha/beta");
-    }
+  // Labels are built only for a failing row: every check of a valid set
+  // passes, and validate() runs on every plan compile.
+  const auto bad = [](const PostalParams& p) {
+    return p.alpha <= 0.0 || p.beta <= 0.0;
+  };
+  const auto row_error = [this](const std::string& what) {
+    return std::invalid_argument("ParamSet '" + name + "': " + what +
+                                 " has non-positive alpha/beta");
   };
   for (const MemSpace space : {MemSpace::Host, MemSpace::Device}) {
     for (const Protocol proto :
          {Protocol::Short, Protocol::Eager, Protocol::Rendezvous}) {
       if (space == MemSpace::Device && proto == Protocol::Short) continue;
       for (int path = 0; path < taxonomy.num_classes(); ++path) {
-        check_pair(messages.get(space, proto, path),
-                   std::string(to_string(space)) + "/" + to_string(proto) +
-                       "/" + taxonomy.cls(path).name);
+        if (bad(messages.get(space, proto, path))) {
+          throw row_error(std::string(to_string(space)) + "/" +
+                          to_string(proto) + "/" + taxonomy.cls(path).name);
+        }
       }
     }
   }
-  check_pair(copies.h2d_1proc, "copy H2D (1 proc)");
-  check_pair(copies.d2h_1proc, "copy D2H (1 proc)");
-  check_pair(copies.h2d_4proc, "copy H2D (shared)");
-  check_pair(copies.d2h_4proc, "copy D2H (shared)");
+  const std::pair<const PostalParams*, const char*> copy_rows[] = {
+      {&copies.h2d_1proc, "copy H2D (1 proc)"},
+      {&copies.d2h_1proc, "copy D2H (1 proc)"},
+      {&copies.h2d_4proc, "copy H2D (shared)"},
+      {&copies.d2h_4proc, "copy D2H (shared)"}};
+  for (const auto& [row, what] : copy_rows) {
+    if (bad(*row)) throw row_error(what);
+  }
   if (copies.shared_procs < 2) {
     throw std::invalid_argument("ParamSet '" + name +
                                 "': shared_procs must be >= 2");

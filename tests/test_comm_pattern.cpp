@@ -148,5 +148,31 @@ TEST(RandomPattern, NeverSendsToSelf) {
   }
 }
 
+// Two messages of 2^62 + 1 bytes overflow the int64 byte total.  With
+// two GPUs both of the first source's messages go to the one other GPU, so
+// the overflow falls inside one destination's run.
+TEST(RandomPattern, RejectsByteTotalOverflow) {
+  const std::int64_t big = (std::int64_t{1} << 62) + 1;
+  for (const int gpus_per_socket : {2, 4}) {
+    const Topology topo(MachineShape{1, 1, gpus_per_socket, 4});
+    try {
+      (void)random_pattern(topo, 2, big, 3);
+      ADD_FAILURE() << "no overflow with " << topo.num_gpus() << " GPUs";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "CommPattern: total bytes overflow int64");
+    }
+  }
+}
+
+TEST(RandomPattern, RejectsNegativeSize) {
+  const Topology topo(presets::lassen(1));
+  try {
+    (void)random_pattern(topo, 1, -1, 3);
+    ADD_FAILURE() << "negative size accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "CommPattern::add: negative size");
+  }
+}
+
 }  // namespace
 }  // namespace hetcomm::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "benchutil/pingpong.hpp"
@@ -50,6 +51,33 @@ TEST(ParamValidation, CatchesBadSharedProcs) {
   ParamSet p = lassen_params();
   p.copies.shared_procs = 1;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+/// The message validate() throws for `p`, or "" when it passes.
+std::string validation_error(const ParamSet& p) {
+  try {
+    p.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParamValidation, MessageRowErrorNamesTheRow) {
+  ParamSet p = lassen_params();
+  p.messages.set(MemSpace::Device, Protocol::Rendezvous, PathClass::OffNode,
+                 {1.10e-05, 0.0});
+  EXPECT_EQ(validation_error(p),
+            "ParamSet 'lassen': device/rendezvous/off-node has "
+            "non-positive alpha/beta");
+}
+
+TEST(ParamValidation, CopyRowErrorNamesTheRow) {
+  ParamSet p = lassen_params();
+  p.copies.d2h_4proc = {1.47e-05, 0.0};
+  EXPECT_EQ(validation_error(p),
+            "ParamSet 'lassen': copy D2H (shared) has non-positive "
+            "alpha/beta");
 }
 
 TEST(ParamValidation, EngineRejectsInvalidCalibration) {

@@ -1,0 +1,96 @@
+// Heap-allocation budget of a plan-cache miss: random_pattern, build_plan
+// and the CompiledPlan constructor, for each of the 8 Table-5 strategies,
+// on the CLI's default pattern (4 lassen nodes, 16 messages of 4096 bytes
+// per GPU, seed 1).  Lowering and compiling allocate per phase, not per
+// flow, slice or chunk; a change that allocates per flow again fails here.
+//
+// This binary alone replaces the global operator new and operator delete:
+// they count calls and forward to malloc and free.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <iterator>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "core/compiled_plan.hpp"
+#include "core/strategy.hpp"
+#include "hetsim/params.hpp"
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace hetcomm {
+namespace {
+
+/// Heap allocations made by `f()`.
+template <class F>
+std::size_t allocations_of(F&& f) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  f();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+const Topology& topo() {
+  static const Topology t(presets::lassen(4));
+  return t;
+}
+
+// Budgets are the counts this layout makes plus 25%, rounded down.  The
+// per-flow layout before it made 81 (random_pattern), 11-834 (build_plan)
+// and 50-138 (CompiledPlan) on the same input; CHANGES.md lists both.
+TEST(PlanAllocations, RandomPatternAllocatesPerRow) {
+  const std::size_t n =
+      allocations_of([] { (void)core::random_pattern(topo(), 16, 4096, 1); });
+  EXPECT_LE(n, 25u) << "random_pattern made " << n << " allocations";
+}
+
+struct Budget {
+  const char* strategy;
+  std::size_t build_plan;
+  std::size_t compile;
+};
+
+TEST(PlanAllocations, LoweringAndCompileAllocatePerPhase) {
+  const Budget budgets[] = {
+      {"standard (staged)", 6, 12},   {"standard (device-aware)", 3, 7},
+      {"3-step (staged)", 18, 28},    {"3-step (device-aware)", 17, 23},
+      {"2-step (staged)", 17, 22},    {"2-step (device-aware)", 16, 17},
+      {"split+MD", 27, 27},           {"split+DD", 32, 27},
+  };
+  const core::CommPattern pattern = core::random_pattern(topo(), 16, 4096, 1);
+  const ParamSet params = lassen_params();
+  const std::vector<core::StrategyConfig> roster = core::table5_strategies();
+  ASSERT_EQ(roster.size(), std::size(budgets));
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    const core::StrategyConfig& cfg = roster[i];
+    ASSERT_EQ(cfg.name(), budgets[i].strategy);
+    core::CommPlan plan;
+    const std::size_t built = allocations_of(
+        [&] { plan = core::build_plan(pattern, topo(), params, cfg); });
+    const std::size_t compiled = allocations_of(
+        [&] { (void)core::CompiledPlan(plan, topo(), params); });
+    EXPECT_LE(built, budgets[i].build_plan)
+        << cfg.name() << ": build_plan made " << built << " allocations";
+    EXPECT_LE(compiled, budgets[i].compile)
+        << cfg.name() << ": CompiledPlan made " << compiled << " allocations";
+  }
+}
+
+}  // namespace
+}  // namespace hetcomm

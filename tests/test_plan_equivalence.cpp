@@ -3,7 +3,10 @@
 // roster.  One fingerprint folds each pattern's hash, every Table-7
 // statistic, and every plan op field and phase label; it must equal the
 // constant below, which pins the plan builders' exact output.  Every plan
-// must also pass the byte-conservation checks of plan_check.
+// must also pass the byte-conservation checks of plan_check.  A second
+// fingerprint folds every table of each plan's CompiledPlan (doubles by
+// bit pattern), and a third folds random_pattern over a grid of its
+// arguments.
 //
 // The generator covers the inputs a builder must treat carefully:
 // zero-byte adds, self adds, repeated pairs (multiplicity), sizes from one
@@ -12,11 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "core/compiled_plan.hpp"
 #include "core/pattern_io.hpp"
 #include "core/plan_check.hpp"
 #include "core/strategy.hpp"
@@ -36,6 +41,7 @@ struct Fingerprint {
     h ^= static_cast<std::uint64_t>(v);
     h *= 0x100000001b3ULL;
   }
+  void add(double v) { add(std::bit_cast<std::int64_t>(v)); }
   void add(const std::string& s) {
     add(static_cast<std::int64_t>(s.size()));
     for (const char c : s) add(static_cast<std::int64_t>(c));
@@ -120,10 +126,71 @@ void fold_plan(Fingerprint& fp, const CommPlan& plan) {
   }
 }
 
+void fold_compiled(Fingerprint& fp, const core::CompiledPlan& compiled) {
+  fp.add(static_cast<std::int64_t>(compiled.phases().size()));
+  for (const core::CompiledPhase& phase : compiled.phases()) {
+    fp.add(static_cast<std::int64_t>(phase.steps.size()));
+    for (const core::CompiledStep& step : phase.steps) {
+      fp.add(std::int64_t{static_cast<int>(step.kind)});
+      fp.add(std::int64_t{step.index});
+    }
+    fp.add(static_cast<std::int64_t>(phase.messages.size()));
+    for (const MessageSchedule& m : phase.messages) {
+      for (const std::int64_t v :
+           {std::int64_t{m.src}, std::int64_t{m.dst}, m.bytes,
+            std::int64_t{m.src_node}, std::int64_t{m.dst_node},
+            std::int64_t{m.src_nic}, std::int64_t{m.dst_nic},
+            std::int64_t{m.rail}, std::int64_t{m.off_node},
+            std::int64_t{m.rendezvous}}) {
+        fp.add(v);
+      }
+      for (const double v : {m.send_occupancy, m.drain_occupancy,
+                             m.completion_base, m.nic_occupancy}) {
+        fp.add(v);
+      }
+    }
+    fp.add(static_cast<std::int64_t>(phase.message_meta.size()));
+    for (const MessageMeta& m : phase.message_meta) {
+      for (const std::int64_t v :
+           {std::int64_t{m.tag}, std::int64_t{static_cast<int>(m.space)},
+            std::int64_t{static_cast<int>(m.protocol)},
+            std::int64_t{m.path_id}, std::int64_t{static_cast<int>(m.path)}}) {
+        fp.add(v);
+      }
+    }
+    fp.add(static_cast<std::int64_t>(phase.msg_dep.size()));
+    for (const std::int32_t d : phase.msg_dep) fp.add(std::int64_t{d});
+    fp.add(static_cast<std::int64_t>(phase.wave_members.size()));
+    for (const std::uint32_t w : phase.wave_members) fp.add(std::int64_t{w});
+    fp.add(static_cast<std::int64_t>(phase.wave_begin.size()));
+    for (const std::uint32_t w : phase.wave_begin) fp.add(std::int64_t{w});
+    fp.add(static_cast<std::int64_t>(phase.copies.size()));
+    for (const CopyOp& c : phase.copies) {
+      for (const std::int64_t v :
+           {std::int64_t{c.rank}, std::int64_t{c.gpu},
+            std::int64_t{static_cast<int>(c.dir)},
+            std::int64_t{c.sharing_procs}, c.bytes}) {
+        fp.add(v);
+      }
+      fp.add(c.occupancy);
+      fp.add(c.duration_base);
+    }
+    fp.add(static_cast<std::int64_t>(phase.packs.size()));
+    for (const PackOp& k : phase.packs) {
+      fp.add(std::int64_t{k.rank});
+      fp.add(k.bytes);
+      fp.add(k.duration_base);
+    }
+    fp.add(phase.network_bytes);
+    fp.add(phase.network_messages);
+  }
+}
+
 TEST(PlanEquivalence, GeneratedPatternsMatchRecordedFingerprint) {
   constexpr int kPatternsPerShape = 12;
   const std::vector<StrategyConfig> roster = core::all_strategies();
   Fingerprint fp;
+  Fingerprint compiled_fp;  // every table of each plan's CompiledPlan
   int plans = 0;
   const std::vector<std::string> names = machine::preset_machine_names();
   for (std::size_t mi = 0; mi < names.size(); ++mi) {
@@ -140,6 +207,7 @@ TEST(PlanEquivalence, GeneratedPatternsMatchRecordedFingerprint) {
         for (const StrategyConfig& cfg : roster) {
           const CommPlan plan = core::build_plan(p, topo, params, cfg);
           fold_plan(fp, plan);
+          fold_compiled(compiled_fp, core::CompiledPlan(plan, topo, params));
           ++plans;
           const bool staged = cfg.transport == MemSpace::Host;
           const int lanes = params.injection.nics_per_node;
@@ -163,6 +231,33 @@ TEST(PlanEquivalence, GeneratedPatternsMatchRecordedFingerprint) {
   }
   EXPECT_EQ(plans, 5 * 4 * kPatternsPerShape * 14);
   EXPECT_EQ(fp.h, 0xff3eebed77c49182ULL);
+  EXPECT_EQ(compiled_fp.h, 0xb0a6450e290bd2c7ULL);
+}
+
+TEST(PlanEquivalence, RandomPatternsMatchRecordedFingerprint) {
+  Fingerprint fp;
+  int patterns = 0;
+  for (const std::string& name : machine::preset_machine_names()) {
+    const machine::MachineModel model = machine::preset_machine(name);
+    for (const int nodes : {1, 2, 4, 7}) {
+      const Topology topo = model.topology(nodes);
+      for (const int msgs : {0, 1, 3, 16, 40}) {
+        for (const std::int64_t bytes :
+             {std::int64_t{0}, std::int64_t{1}, std::int64_t{4096},
+              std::int64_t{1} << 20}) {
+          for (const std::uint64_t seed : {1ULL, 7ULL, 9601ULL}) {
+            const CommPattern p = core::random_pattern(topo, msgs, bytes, seed);
+            fp.add(static_cast<std::int64_t>(core::pattern_hash(p)));
+            fp.add(p.total_messages());
+            fp.add(p.total_bytes());
+            ++patterns;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(patterns, 5 * 4 * 5 * 4 * 3);
+  EXPECT_EQ(fp.h, 0xc61202c676b37b08ULL);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ TEST_F(SplitSetupTest, ChunkSlicesPartitionFlows) {
   std::map<std::pair<int, int>, std::int64_t> flow_bytes;
   for (const SplitChunk& c : setup.chunks) {
     std::int64_t chunk_total = 0;
-    for (const FlowSlice& s : c.slices) {
+    for (const FlowSlice& s : setup.slices_of(c)) {
       flow_bytes[{s.src_gpu, s.dst_gpu}] += s.bytes;
       chunk_total += s.bytes;
     }
@@ -135,6 +135,52 @@ TEST_F(SplitSetupTest, AssignmentsWrapAroundPpn) {
   }
   EXPECT_EQ(senders.size(), 2u);
   EXPECT_EQ(receivers.size(), 2u);
+}
+
+// Ties in chunk size keep the (source node, destination node) order, and
+// the local ranks wrap around ppn.  Two GPUs and two cores per node.
+TEST_F(SplitSetupTest, EqualInboundChunksKeepSourceOrderAndWrap) {
+  const Topology small(MachineShape{4, 1, 2, 2});  // ppn=2, gpn=2
+  CommPattern p(small.num_gpus());
+  p.add(7, 1, 1000);  // node3 -> node0
+  p.add(2, 0, 1000);  // node1 -> node0
+  p.add(5, 0, 1000);  // node2 -> node0
+  const SplitSetup setup = split_setup(p, small, /*cap=*/16384);
+  ASSERT_EQ(setup.chunks.size(), 3u);
+  std::map<int, int> recv_local_by_src;
+  std::map<int, int> send_local_by_src;
+  for (const SplitChunk& c : setup.chunks) {
+    ASSERT_EQ(c.dst_node, 0);
+    EXPECT_EQ(c.bytes, 1000);
+    recv_local_by_src[c.src_node] =
+        small.rank_location(c.recv_rank).local_rank;
+    send_local_by_src[c.src_node] =
+        small.rank_location(c.send_rank).local_rank;
+  }
+  EXPECT_EQ(recv_local_by_src, (std::map<int, int>{{1, 0}, {2, 1}, {3, 0}}));
+  EXPECT_EQ(send_local_by_src, (std::map<int, int>{{1, 1}, {2, 1}, {3, 1}}));
+}
+
+TEST_F(SplitSetupTest, EqualOutboundChunksKeepDestinationOrderAndWrap) {
+  const Topology small(MachineShape{4, 1, 2, 2});  // ppn=2, gpn=2
+  CommPattern p(small.num_gpus());
+  p.add(1, 7, 1000);  // node0 -> node3
+  p.add(0, 2, 1000);  // node0 -> node1
+  p.add(1, 4, 1000);  // node0 -> node2
+  const SplitSetup setup = split_setup(p, small, /*cap=*/16384);
+  ASSERT_EQ(setup.chunks.size(), 3u);
+  std::map<int, int> send_local_by_dst;
+  std::map<int, int> recv_local_by_dst;
+  for (const SplitChunk& c : setup.chunks) {
+    ASSERT_EQ(c.src_node, 0);
+    EXPECT_EQ(c.bytes, 1000);
+    send_local_by_dst[c.dst_node] =
+        small.rank_location(c.send_rank).local_rank;
+    recv_local_by_dst[c.dst_node] =
+        small.rank_location(c.recv_rank).local_rank;
+  }
+  EXPECT_EQ(send_local_by_dst, (std::map<int, int>{{1, 1}, {2, 0}, {3, 1}}));
+  EXPECT_EQ(recv_local_by_dst, (std::map<int, int>{{1, 0}, {2, 0}, {3, 0}}));
 }
 
 TEST_F(SplitSetupTest, EveryChunkHasAssignedEndpointsOnCorrectNodes) {
