@@ -2,20 +2,27 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace hetcomm::core {
+
+Advisor::Advisor(const Topology& topo, ParamSet params)
+    : topo_(topo), params_(std::move(params)) {
+  // A variant whose lowering is the identity on this machine builds its
+  // base's plan: list the base once, as compare and ranking-stability do.
+  const std::vector<StrategyConfig> all = all_strategies();
+  const std::vector<int> alias = identity_aliases(all, params_);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (alias[i] < 0) roster_.push_back(all[i]);
+  }
+}
 
 std::vector<Recommendation> Advisor::rank(const CommPattern& pattern,
                                           const AdvisorOptions& options) const {
   const PatternStats stats = compute_stats(pattern, topo_);
-  const std::vector<StrategyConfig> roster = all_strategies();
-  // A variant whose lowering is the identity on this machine builds its
-  // base's plan: list the base once, as compare and ranking-stability do.
-  const std::vector<int> alias = identity_aliases(roster, params_);
   std::vector<Recommendation> out;
-  for (std::size_t i = 0; i < roster.size(); ++i) {
-    const StrategyConfig& cfg = roster[i];
-    if (alias[i] >= 0) continue;
+  out.reserve(roster_.size());
+  for (const StrategyConfig& cfg : roster_) {
     if (options.staged_only && cfg.transport == MemSpace::Device) continue;
     out.push_back(
         {cfg, models::predict(cfg, stats, params_, topo_, options.predict),

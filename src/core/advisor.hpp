@@ -30,8 +30,7 @@ struct AdvisorOptions {
 
 class Advisor {
  public:
-  Advisor(const Topology& topo, ParamSet params)
-      : topo_(topo), params_(std::move(params)) {}
+  Advisor(const Topology& topo, ParamSet params);
 
   /// All strategies ranked fastest-first.  A split variant that lowers to
   /// its base's plan on this machine (core::identity_aliases) is left out.
@@ -42,9 +41,14 @@ class Advisor {
   [[nodiscard]] Recommendation best(const CommPattern& pattern,
                                     const AdvisorOptions& options = {}) const;
 
+  [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
+
  private:
   Topology topo_;
   ParamSet params_;
+  /// all_strategies() minus this machine's identity aliases, in roster
+  /// order: what rank() predicts.  It depends only on the machine.
+  std::vector<StrategyConfig> roster_;
 };
 
 }  // namespace hetcomm::core

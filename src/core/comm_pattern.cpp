@@ -227,17 +227,17 @@ PatternStats compute_stats(const CommPattern& pattern, const Topology& topo) {
   // GPUs are node-major, so a node's GPUs are consecutive and one scratch
   // row per source node, indexed by destination node, holds every
   // node-pair total.
+  struct PairTotals {
+    std::int64_t bytes = 0;
+    std::int64_t bytes_dedup = 0;
+    int msgs = 0;
+  };
   const int num_nodes = topo.num_nodes();
   const int gpn = topo.gpn();
-  const auto row_len = static_cast<std::size_t>(num_nodes);
-  std::vector<std::int64_t> pair_bytes(row_len);
-  std::vector<std::int64_t> pair_bytes_dedup(row_len);
-  std::vector<int> pair_msgs(row_len);
+  std::vector<PairTotals> pairs(static_cast<std::size_t>(num_nodes));
 
   for (int src_node = 0; src_node < num_nodes; ++src_node) {
-    std::fill(pair_bytes.begin(), pair_bytes.end(), 0);
-    std::fill(pair_bytes_dedup.begin(), pair_bytes_dedup.end(), 0);
-    std::fill(pair_msgs.begin(), pair_msgs.end(), 0);
+    std::fill(pairs.begin(), pairs.end(), PairTotals{});
     std::int64_t injected = 0;
     std::int64_t injected_dedup = 0;
     int active_gpus = 0;
@@ -257,10 +257,10 @@ PatternStats compute_stats(const CommPattern& pattern, const Topology& topo) {
         }
         const std::int64_t dedup = pattern.node_dedup_bytes(src, dst_node);
         const std::int64_t wire = dedup >= 0 ? dedup : payload;
-        const auto d = static_cast<std::size_t>(dst_node);
-        pair_bytes[d] += payload;
-        pair_bytes_dedup[d] += wire;
-        pair_msgs[d] += msgs;
+        PairTotals& pair = pairs[static_cast<std::size_t>(dst_node)];
+        pair.bytes += payload;
+        pair.bytes_dedup += wire;
+        pair.msgs += msgs;
         proc_bytes += payload;
         proc_bytes_dedup += wire;
         proc_msgs += msgs;
@@ -280,12 +280,11 @@ PatternStats compute_stats(const CommPattern& pattern, const Topology& topo) {
     st.s_node = std::max(st.s_node, injected);
     st.dedup_s_node = std::max(st.dedup_s_node, injected_dedup);
     int dest_nodes = 0;
-    for (std::size_t d = 0; d < row_len; ++d) {
-      st.s_node_node = std::max(st.s_node_node, pair_bytes[d]);
-      st.dedup_s_node_node =
-          std::max(st.dedup_s_node_node, pair_bytes_dedup[d]);
-      st.m_node_node = std::max(st.m_node_node, pair_msgs[d]);
-      if (pair_msgs[d] > 0) ++dest_nodes;
+    for (const PairTotals& pair : pairs) {
+      st.s_node_node = std::max(st.s_node_node, pair.bytes);
+      st.dedup_s_node_node = std::max(st.dedup_s_node_node, pair.bytes_dedup);
+      st.m_node_node = std::max(st.m_node_node, pair.msgs);
+      if (pair.msgs > 0) ++dest_nodes;
     }
     st.num_internode_nodes = std::max(st.num_internode_nodes, dest_nodes);
   }

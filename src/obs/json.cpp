@@ -1,13 +1,12 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace hetcomm::obs {
@@ -93,100 +92,163 @@ JsonValue& JsonValue::push_back(JsonValue value) {
   return *this;
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Appends `text` escaped: runs that need no escape are copied in one append.
+void append_escaped(std::string& out, std::string_view text) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
-void JsonValue::dump_impl(std::ostream& os, int indent, int depth) const {
-  const auto newline_pad = [&](int level) {
-    if (indent <= 0) return;
-    os << '\n';
-    for (int i = 0; i < indent * level; ++i) os << ' ';
-  };
-  switch (kind_) {
-    case Kind::Null: os << "null"; break;
-    case Kind::Bool: os << (bool_ ? "true" : "false"); break;
-    case Kind::Int: os << int_; break;
-    case Kind::Double: {
-      if (!std::isfinite(double_)) {
-        // JSON has no Infinity/NaN; emit null rather than invalid tokens.
-        os << "null";
-        break;
-      }
-      // to_chars at max_digits10 is defined as printf("%.17g"): the bytes
-      // an ostream at that precision writes, without building a stream.
-      char buf[32];
-      const std::to_chars_result res =
-          std::to_chars(buf, buf + sizeof buf, double_,
-                        std::chars_format::general,
-                        std::numeric_limits<double>::max_digits10);
-      os.write(buf, res.ptr - buf);
-      break;
-    }
-    case Kind::String: os << '"' << json_escape(string_) << '"'; break;
-    case Kind::Array: {
-      if (array_.empty()) {
-        os << "[]";
-        break;
-      }
-      os << '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) os << ',';
-        newline_pad(depth + 1);
-        array_[i].dump_impl(os, indent, depth + 1);
-      }
-      newline_pad(depth);
-      os << ']';
-      break;
-    }
-    case Kind::Object: {
-      if (object_.empty()) {
-        os << "{}";
-        break;
-      }
-      os << '{';
-      for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i > 0) os << ',';
-        newline_pad(depth + 1);
-        os << '"' << json_escape(object_[i].first) << "\": ";
-        object_[i].second.dump_impl(os, indent, depth + 1);
-      }
-      newline_pad(depth);
-      os << '}';
-      break;
-    }
+void JsonWriter::newline_pad(int level) {
+  if (indent_ <= 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * level, ' ');
+}
+
+void JsonWriter::element() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
   }
+  if (depth_ == 0) return;
+  if (!first_) out_ += ',';
+  first_ = false;
+  newline_pad(depth_);
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  element();
+  out_ += bracket;
+  ++depth_;
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  --depth_;
+  if (!first_) newline_pad(depth_);
+  out_ += bracket;
+  first_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  element();
+  out_ += '"';
+  append_escaped(out_, name);
+  out_ += "\": ";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::nullptr_t) {
+  element();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool b) {
+  element();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::int64_t v) {
+  element();
+  char buf[24];
+  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, v);
+  out_.append(buf, res.ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double v) {
+  element();
+  if (!std::isfinite(v)) {
+    // JSON has no Infinity/NaN; emit null rather than invalid tokens.
+    out_ += "null";
+    return *this;
+  }
+  // to_chars at max_digits10 is defined as printf("%.17g").
+  char buf[32];
+  const std::to_chars_result res =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                    std::numeric_limits<double>::max_digits10);
+  out_.append(buf, res.ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  element();
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::Null: return value(nullptr);
+    case JsonValue::Kind::Bool: return value(v.as_bool());
+    case JsonValue::Kind::Int: return value(v.as_int());
+    case JsonValue::Kind::Double: return value(v.as_double());
+    case JsonValue::Kind::String: return value(v.as_string());
+    case JsonValue::Kind::Array:
+      begin_array();
+      for (const JsonValue& item : v.items()) value(item);
+      return end_array();
+    case JsonValue::Kind::Object:
+      begin_object();
+      for (const auto& [name, member] : v.members()) {
+        key(name);
+        value(member);
+      }
+      return end_object();
+  }
+  return *this;
 }
 
 void JsonValue::dump(std::ostream& os, int indent) const {
-  dump_impl(os, indent, 0);
-  os << '\n';
+  const std::string text = dump_string(indent);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 std::string JsonValue::dump_string(int indent) const {
-  std::ostringstream os;
-  dump(os, indent);
-  return os.str();
+  std::string text;
+  JsonWriter(text, indent).value(*this);
+  text += '\n';
+  return text;
 }
 
 // ---------------------------------------------------------------------------
@@ -254,8 +316,18 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each level costs parser stack: bound it, so a line of brackets
+        // is a parse error and not a stack overflow.
+        if (++depth_ > JsonValue::kMaxParseDepth) {
+          fail("arrays and objects nest deeper than " +
+               std::to_string(JsonValue::kMaxParseDepth) + " levels");
+        }
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -428,6 +500,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

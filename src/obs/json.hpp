@@ -1,13 +1,20 @@
 #pragma once
-// Minimal JSON document model for the observability subsystem.
+// Minimal JSON document model and writer for the observability subsystem.
 //
 // The metrics run-report, the CI schema validator, and the trace-export
 // tests all need to read and write small JSON documents without an external
 // dependency.  JsonValue is an ordered DOM (object keys keep insertion
 // order, so emitted reports are stable and diffable) with a strict
 // recursive-descent parser: malformed input throws std::runtime_error with
-// a byte offset instead of yielding a half-parsed document.
+// a line and column instead of yielding a half-parsed document.
+//
+// JsonWriter is the one JSON formatter in the program.  JsonValue::dump
+// writes through it, and so do serve replies (serve/protocol.cpp), which
+// stream their fields straight into the reply string without building a
+// tree.  Every artifact and reply therefore formats numbers, strings and
+// separators the same way.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -94,18 +101,22 @@ class JsonValue {
   /// Array mutation; only valid on arrays.
   JsonValue& push_back(JsonValue value);
 
-  /// Serialize.  indent > 0 pretty-prints with that many spaces per level;
-  /// 0 emits a single line.  Doubles round-trip (max_digits10).
+  /// Serialize through JsonWriter, followed by a newline.  indent > 0
+  /// pretty-prints with that many spaces per level; 0 emits a single line.
   void dump(std::ostream& os, int indent = 2) const;
   [[nodiscard]] std::string dump_string(int indent = 2) const;
 
   /// Strict parse of a complete JSON document (trailing garbage is an
-  /// error).  Throws std::runtime_error with a byte offset on bad input.
+  /// error).  Throws std::runtime_error with the line and column on bad
+  /// input, including arrays and objects nested deeper than kMaxParseDepth.
   [[nodiscard]] static JsonValue parse(std::string_view text);
 
- private:
-  void dump_impl(std::ostream& os, int indent, int depth) const;
+  /// Deepest nesting parse() accepts.  The deepest document the program
+  /// reads or writes nests fewer than 10 levels; the bound keeps a hostile
+  /// line of brackets from overflowing the parser's stack.
+  static constexpr int kMaxParseDepth = 256;
 
+ private:
   Kind kind_;
   bool bool_ = false;
   std::int64_t int_ = 0;
@@ -115,8 +126,65 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+/// Appends one JSON document to a string.  Scalars format as follows:
+/// integers exactly; doubles by std::to_chars at max_digits10 in general
+/// format (the bytes printf("%.17g") writes), so they round-trip;
+/// non-finite doubles as null, which JSON has no other spelling for; strings
+/// and keys escaped (quotes, backslashes, control characters), with the
+/// unescaped runs between escapes copied in one append.  Members are
+/// written `"key": value`, separated by a bare ','.  With indent > 0 every
+/// member or element starts a new line indented `indent` spaces per level,
+/// and empty containers print as {} and [].
+///
+/// The caller keeps the document well formed: key() inside objects before
+/// each value, and every begin_* matched by its end_*.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out, int indent = 0) noexcept
+      : out_(out), indent_(indent) {}
+
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+  /// An object member's name; the next value or begin_* is its value.
+  JsonWriter& key(std::string_view name);
+
+  JsonWriter& value(std::nullptr_t);
+  JsonWriter& value(bool b);
+  JsonWriter& value(int v) { return value(std::int64_t{v}); }
+  JsonWriter& value(std::int64_t v);
+  JsonWriter& value(double v);
+  JsonWriter& value(std::string_view s);
+  JsonWriter& value(const std::string& s) {
+    return value(std::string_view(s));
+  }
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(const JsonValue& v);
+
+  /// key(name) followed by value(v).
+  template <class T>
+  JsonWriter& field(std::string_view name, const T& v) {
+    key(name);
+    return value(v);
+  }
+
+ private:
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+  /// The separator and indentation a value or key needs at this point.
+  void element();
+  void newline_pad(int level);
+
+  std::string& out_;
+  int indent_;
+  int depth_ = 0;
+  bool first_ = true;       ///< nothing written yet in the open container
+  bool after_key_ = false;  ///< the next value belongs to a key
+};
+
 /// JSON-escape `text` (quotes, backslashes, control characters) without the
-/// surrounding quotes.
+/// surrounding quotes, as JsonWriter escapes strings.
 [[nodiscard]] std::string json_escape(std::string_view text);
 
 }  // namespace hetcomm::obs

@@ -36,12 +36,7 @@ Summary summarize(std::span<const double> samples) {
 
 JsonValue Summary::to_json() const {
   JsonValue out = JsonValue::object();
-  out.set("count", count);
-  out.set("mean", mean);
-  out.set("p50", p50);
-  out.set("p99", p99);
-  out.set("min", min);
-  out.set("max", max);
+  for_each_field([&out](const char* name, auto v) { out.set(name, v); });
   return out;
 }
 

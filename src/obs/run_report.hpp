@@ -46,6 +46,18 @@ struct Summary {
   double min = 0.0;
   double max = 0.0;
 
+  /// Calls f(name, value) for each field in print order: the one field
+  /// list behind to_json() and the serve reply's "makespan".
+  template <class F>
+  void for_each_field(F&& f) const {
+    f("count", count);
+    f("mean", mean);
+    f("p50", p50);
+    f("p99", p99);
+    f("min", min);
+    f("max", max);
+  }
+
   [[nodiscard]] JsonValue to_json() const;
 };
 

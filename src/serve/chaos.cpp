@@ -730,6 +730,9 @@ std::vector<std::string> builtin_malformed_lines() {
       "{\"id\": \"dedup-overflow\", \"nodes\": 3, \"pattern\": "
       "{\"gpus\": 12, \"msgs\": [[0, 4, 64], [0, 8, 64]], \"dedup\": "
       "[[0, 1, 4611686018427387904], [0, 2, 4611686018427387904]]}}",
+      // 100,000 nested arrays, past the parser's depth bound; a parser
+      // without it overflows its stack.
+      std::string(100000, '['),
   };
 }
 

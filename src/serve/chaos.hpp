@@ -107,7 +107,8 @@ struct ChaosReport {
 
 /// Built-in malformed request lines (a superset of the failure shapes in
 /// tests/data/bad): bad JSON, non-objects, unknown keys/cmds, bad types,
-/// out-of-range integers.  Each answers bad_request when admitted.
+/// out-of-range integers, nesting past the parser's depth bound.  Each
+/// answers bad_request when admitted.
 [[nodiscard]] std::vector<std::string> builtin_malformed_lines();
 
 /// Run the full chaos schedule against fresh Service instances.

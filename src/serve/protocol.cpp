@@ -1,6 +1,6 @@
 #include "serve/protocol.hpp"
 
-#include <cstdio>
+#include <string_view>
 #include <utility>
 
 #include "core/pattern_io.hpp"
@@ -26,12 +26,29 @@ const char* abort_reason_name(FaultAbort::Reason reason) noexcept {
   return "unknown";
 }
 
-/// Render a document as one NDJSON line (dump() appends a newline; the
-/// transport frames lines itself).
-std::string to_line(const obs::JsonValue& doc) {
-  std::string text = doc.dump_string(0);
-  text.pop_back();
-  return text;
+/// `h` as replies echo fingerprints: "0x" + 16 lowercase hex digits.
+std::string_view format_hash(char (&buf)[18], std::uint64_t h) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  buf[0] = '0';
+  buf[1] = 'x';
+  for (int i = 17; i >= 2; --i, h >>= 4) buf[i] = kHex[h & 15];
+  return {buf, sizeof buf};
+}
+
+/// The "recommended" and "ranking" members: the fastest strategy, then one
+/// row {strategy, predicted_seconds, relative} per strategy, fastest first.
+void write_ranking(obs::JsonWriter& w,
+                   const std::vector<core::Recommendation>& ranking) {
+  w.field("recommended", ranking.front().config.name());
+  w.key("ranking").begin_array();
+  for (const core::Recommendation& r : ranking) {
+    w.begin_object()
+        .field("strategy", r.config.name())
+        .field("predicted_seconds", r.predicted_seconds)
+        .field("relative", r.relative)
+        .end_object();
+  }
+  w.end_array();
 }
 
 /// Strict hex fingerprint parse ("0x" prefix optional); rejects partial
@@ -181,10 +198,8 @@ const char* error_code_name(ErrorCode code) noexcept {
 }
 
 std::string hash_hex(std::uint64_t h) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf);
+  char buf[18];
+  return std::string(format_hash(buf, h));
 }
 
 void parse_request(const std::string& line, const ServiceOptions& options,
@@ -294,106 +309,102 @@ void parse_request(const std::string& line, const ServiceOptions& options,
   }
 }
 
-obs::JsonValue ranking_json(const std::vector<core::Recommendation>& ranking) {
-  obs::JsonValue rows = obs::JsonValue::array();
-  for (const core::Recommendation& r : ranking) {
-    obs::JsonValue row = obs::JsonValue::object();
-    row.set("strategy", r.config.name());
-    row.set("predicted_seconds", r.predicted_seconds);
-    row.set("relative", r.relative);
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 std::string render(const Request& req, Clock::time_point done,
-                   std::int64_t retry_after_ms, obs::JsonValue control_body) {
-  obs::JsonValue doc = obs::JsonValue::object();
-  doc.set("id", req.id);
+                   std::int64_t retry_after_ms,
+                   const obs::JsonValue& control_body) {
+  std::string line;
+  obs::JsonWriter w(line);
+  w.begin_object().field("id", req.id);
   // Every reply -- data, control or error -- reports its own latency so
   // clients never need to time the wire themselves.
   const double latency = seconds_between(req.enqueued, done);
-  doc.set("latency_seconds", latency);
+  w.field("latency_seconds", latency);
   if (!req.error.empty()) {
     const ErrorCode code =
         req.code == ErrorCode::None ? ErrorCode::BadRequest : req.code;
-    doc.set("ok", false);
-    doc.set("error", req.error);
-    doc.set("error_code", error_code_name(code));
-    if (carries_retry_hint(code)) doc.set("retry_after_ms", retry_after_ms);
+    w.field("ok", false)
+        .field("error", req.error)
+        .field("error_code", error_code_name(code));
+    if (carries_retry_hint(code)) w.field("retry_after_ms", retry_after_ms);
     if (req.fault) {
-      obs::JsonValue fault = obs::JsonValue::object();
-      fault.set("reason", abort_reason_name(req.fault->reason));
-      fault.set("strategy", req.fault->strategy);
-      fault.set("src", req.fault->src);
-      fault.set("dst", req.fault->dst);
-      fault.set("path_id", req.fault->path_id);
-      fault.set("path", req.fault->path);
-      fault.set("attempts", req.fault->attempts);
-      doc.set("fault", std::move(fault));
+      w.key("fault")
+          .begin_object()
+          .field("reason", abort_reason_name(req.fault->reason))
+          .field("strategy", req.fault->strategy)
+          .field("src", req.fault->src)
+          .field("dst", req.fault->dst)
+          .field("path_id", req.fault->path_id)
+          .field("path", req.fault->path)
+          .field("attempts", req.fault->attempts)
+          .end_object();
     }
     if (code == ErrorCode::DeadlineExceeded && !req.ranking.empty()) {
       // The model ranking was already computed when the deadline fired;
       // hand it over rather than discarding mid-flight work.
-      obs::JsonValue partial = obs::JsonValue::object();
-      partial.set("recommended", req.ranking.front().config.name());
-      partial.set("ranking", ranking_json(req.ranking));
-      doc.set("partial", std::move(partial));
+      w.key("partial").begin_object();
+      write_ranking(w, req.ranking);
+      w.end_object();
     }
-    return to_line(doc);
+    w.end_object();
+    return line;
   }
-  doc.set("ok", true);
   if (req.control) {
     if (req.cmd == "stats") {
-      doc.set("stats", std::move(control_body));
+      w.field("ok", true).field("stats", control_body);
     } else if (req.cmd == "trace") {
       if (control_body.is_null()) {
-        doc.set("ok", false);
-        doc.set("error",
-                "tracing is disabled (start the server with --trace)");
+        w.field("ok", false)
+            .field("error",
+                   "tracing is disabled (start the server with --trace)");
       } else {
-        doc.set("trace", std::move(control_body));
+        w.field("ok", true).field("trace", control_body);
       }
     } else {
-      doc.set("shutdown", true);
+      w.field("ok", true).field("shutdown", true);
     }
-    return to_line(doc);
+    w.end_object();
+    return line;
   }
 
-  doc.set("machine", req.machine->model.name);
-  doc.set("nodes", req.nodes);
-  doc.set("gpus", req.pattern->num_gpus());
-  doc.set("pattern_hash", hash_hex(req.pattern_fp));
-  if (!req.ranking.empty()) {
-    doc.set("recommended", req.ranking.front().config.name());
-    doc.set("ranking", ranking_json(req.ranking));
-  }
+  char hash[18];
+  w.field("ok", true)
+      .field("machine", req.machine->model.name)
+      .field("nodes", req.nodes)
+      .field("gpus", req.pattern->num_gpus())
+      .field("pattern_hash", format_hash(hash, req.pattern_fp));
+  if (!req.ranking.empty()) write_ranking(w, req.ranking);
 
   if (req.degraded) {
     // Model-only answer under load shedding: no engine work ran, so
     // there is no "measured" section; the ranking above *is* the reply.
-    doc.set("degraded", true);
-    doc.set("confidence", req.confidence);
-    doc.set("cache", req.plan_cached ? "hit" : "miss");
+    w.field("degraded", true)
+        .field("confidence", req.confidence)
+        .field("cache", req.plan_cached ? "hit" : "miss");
   } else if (req.reps > 0) {
-    obs::JsonValue measured = obs::JsonValue::object();
-    measured.set("strategy", req.strategy.name());
-    measured.set("reps", req.reps);
-    measured.set("seed", static_cast<std::int64_t>(req.seed));
-    measured.set("max_avg", req.max_avg);
-    measured.set("makespan", req.makespan.to_json());
-    doc.set("measured", std::move(measured));
-    doc.set("cache", req.cache_hit ? "hit" : "miss");
-    if (req.compiled_here) doc.set("compile_seconds", req.compile_seconds);
+    w.key("measured")
+        .begin_object()
+        .field("strategy", req.strategy.name())
+        .field("reps", req.reps)
+        .field("seed", static_cast<std::int64_t>(req.seed))
+        .field("max_avg", req.max_avg)
+        .key("makespan")
+        .begin_object();
+    req.makespan.for_each_field(
+        [&w](const char* name, auto v) { w.field(name, v); });
+    w.end_object().end_object();  // makespan, measured
+    w.field("cache", req.cache_hit ? "hit" : "miss");
+    if (req.compiled_here) w.field("compile_seconds", req.compile_seconds);
   }
 
-  obs::JsonValue timing = obs::JsonValue::object();
-  timing.set("queue_wait_seconds", req.queue_wait_seconds);
-  timing.set("compile_seconds", req.compiled_here ? req.compile_seconds : 0.0);
-  timing.set("execute_seconds", req.execute_seconds);
-  timing.set("latency_seconds", latency);
-  doc.set("timing", std::move(timing));
-  return to_line(doc);
+  w.key("timing")
+      .begin_object()
+      .field("queue_wait_seconds", req.queue_wait_seconds)
+      .field("compile_seconds", req.compiled_here ? req.compile_seconds : 0.0)
+      .field("execute_seconds", req.execute_seconds)
+      .field("latency_seconds", latency)
+      .end_object()
+      .end_object();
+  return line;
 }
 
 }  // namespace hetcomm::serve

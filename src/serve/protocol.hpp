@@ -171,10 +171,6 @@ void parse_request(const std::string& line, const ServiceOptions& options,
 /// trace when tracing is off).
 [[nodiscard]] std::string render(const Request& req, Clock::time_point done,
                                  std::int64_t retry_after_ms,
-                                 obs::JsonValue control_body);
-
-/// Ranking rows {strategy, predicted_seconds, relative}, fastest first.
-[[nodiscard]] obs::JsonValue ranking_json(
-    const std::vector<core::Recommendation>& ranking);
+                                 const obs::JsonValue& control_body);
 
 }  // namespace hetcomm::serve

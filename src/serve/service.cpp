@@ -112,7 +112,9 @@ struct Service::Impl {
 
   // Serial-phase caches (touched only by the window-driving thread).
   std::unordered_map<std::string, MachineEntry> machines;
-  std::unordered_map<std::uint64_t, Topology> topos;  ///< by engine_key
+  /// By engine_key: the (machine, nodes) topology and the advisor that
+  /// ranks on it.
+  std::unordered_map<std::uint64_t, core::Advisor> advisors;
   std::unordered_map<std::string, std::shared_ptr<const FaultModel>> faults;
 
   /// One reusable Engine per pool worker per engine_key (machine, nodes).
@@ -203,11 +205,12 @@ struct Service::Impl {
     return machines.emplace(arg, std::move(entry)).first->second;
   }
 
-  const Topology& topology_for(const Request& req) {
-    auto it = topos.find(req.engine_key);
-    if (it != topos.end()) return it->second;
-    return topos
-        .emplace(req.engine_key, req.machine->model.topology(req.nodes))
+  const core::Advisor& advisor_for(const Request& req) {
+    auto it = advisors.find(req.engine_key);
+    if (it != advisors.end()) return it->second;
+    return advisors
+        .try_emplace(req.engine_key, req.machine->model.topology(req.nodes),
+                     req.machine->model.params)
         .first->second;
   }
 
@@ -220,7 +223,8 @@ struct Service::Impl {
     req.engine_key =
         mix_seed(req.machine->fingerprint,
                  static_cast<std::uint64_t>(req.nodes));
-    const Topology& topo = topology_for(req);
+    const core::Advisor& advisor = advisor_for(req);
+    const Topology& topo = advisor.topology();
     resolve_pattern(req, topo);
 
     if (req.faults_path) {
@@ -245,7 +249,6 @@ struct Service::Impl {
     // -- the advisor's O(strategies) predictions are pure response garnish
     // once the client has picked its strategy.
     if (req.want_ranking || !req.has_strategy) {
-      const core::Advisor advisor(topo, req.machine->model.params);
       core::AdvisorOptions aopts;
       aopts.staged_only = req.staged_only;
       req.ranking = advisor.rank(*req.pattern, aopts);
@@ -379,7 +382,7 @@ struct Service::Impl {
                 req.plan_key,
                 [&] {
                   const auto t0 = Clock::now();
-                  const Topology& topo = topos.at(req.engine_key);
+                  const Topology& topo = advisors.at(req.engine_key).topology();
                   const ParamSet& params = req.machine->model.params;
                   auto built = std::make_shared<core::CompiledPlan>(
                       core::build_plan(*req.pattern, topo, params,
@@ -425,7 +428,7 @@ struct Service::Impl {
       if (!measured(req)) continue;
       core::RepJob& job = jobs.emplace_back();
       job.compiled = req.plan.get();
-      job.topo = &topos.at(req.engine_key);
+      job.topo = &advisors.at(req.engine_key).topology();
       job.params = &req.machine->model.params;
       job.engine_key = req.engine_key;
       job.reps = req.reps;

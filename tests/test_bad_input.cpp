@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,6 +26,8 @@
 #include "cli/cli.hpp"
 #include "fault/fault_json.hpp"
 #include "machine/machine_json.hpp"
+#include "obs/json.hpp"
+#include "serve/service.hpp"
 #include "sparse/matrix_market.hpp"
 
 #ifndef HETCOMM_TEST_DATA_DIR
@@ -181,6 +184,91 @@ TEST(BadInput, UndeclaredPathClassIsAnInputError) {
   EXPECT_EQ(rc, 2);
   EXPECT_NE(err.str().find("warp-drive"), std::string::npos) << err.str();
   EXPECT_NE(err.str().find(path), std::string::npos) << err.str();
+}
+
+// Nesting deeper than the parser's bound.  100,000 levels is what a parser
+// that recurses without a bound overflows its stack on; the bound makes it
+// a parse error at the first level past it, with the usual line and column.
+const std::string kDeepNesting(100000, '[');
+constexpr int kDeepDepth = obs::JsonValue::kMaxParseDepth;
+
+std::string write_deep_file(const char* name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path) << "\n" << kDeepNesting;
+  return path;
+}
+
+TEST(BadInput, ParserBoundsNestingDepth) {
+  const std::string within = std::string(kDeepDepth, '[') +
+                             std::string(kDeepDepth, ']');
+  EXPECT_EQ(obs::JsonValue::parse(within).size(), 1u);
+  try {
+    (void)obs::JsonValue::parse("{\"a\": " + std::string(kDeepDepth, '['));
+    FAIL() << "expected a nesting error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "line 1, column " + std::to_string(kDeepDepth + 6)),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("nest deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BadInput, DirectLoadersRejectDeepNesting) {
+  const std::string machine = write_deep_file("deep_machine.json");
+  const std::string faults = write_deep_file("deep_faults.json");
+  const std::string where =
+      "line 2, column " + std::to_string(kDeepDepth + 1);
+  try {
+    (void)machine::load_machine_file(machine);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(machine), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)fault::load_fault_file(faults);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(faults), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BadInput, CliExitsTwoOnDeepNesting) {
+  const std::string machine = write_deep_file("deep_cli_machine.json");
+  const std::string faults = write_deep_file("deep_cli_faults.json");
+  const std::vector<std::string> cases[] = {
+      {"machine", "validate", "--machine", machine},
+      {"compare", "--machine", machine, "--nodes", "2"},
+      {"ranking-stability", "--nodes", "2", "--faults", faults},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(cli::main_guarded(args, out, err), 2) << args[0];
+    EXPECT_NE(err.str().find("nest deeper than"), std::string::npos)
+        << args[0] << ": " << err.str();
+  }
+}
+
+TEST(BadInput, ServeAnswersDeepNestingWithBadRequest) {
+  serve::Service service;
+  const obs::JsonValue reply =
+      obs::JsonValue::parse(service.handle_line(kDeepNesting));
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("error_code").as_string(), "bad_request");
+  EXPECT_NE(reply.at("error").as_string().find("nest deeper than"),
+            std::string::npos)
+      << reply.at("error").as_string();
+  // The server keeps answering.
+  const obs::JsonValue stats =
+      obs::JsonValue::parse(service.handle_line(R"({"cmd": "stats"})"));
+  EXPECT_TRUE(stats.at("ok").as_bool());
 }
 
 }  // namespace

@@ -143,6 +143,114 @@ TEST(Json, RoundTripsDoublesExactly) {
   EXPECT_EQ(back.as_double(), 0.00017337684630217592);
 }
 
+// Exact dump bytes of a document holding every kind of value: escapes in
+// keys and strings, raw non-ASCII bytes, non-finite doubles (null), -0.0,
+// the int64 extremes, and empty and nested containers.
+obs::JsonValue every_kind_document() {
+  obs::JsonValue doc = obs::JsonValue::object();
+  doc.set("null", nullptr);
+  doc.set("true", true);
+  doc.set("false", false);
+  doc.set("int_min", std::numeric_limits<std::int64_t>::min());
+  doc.set("int_max", std::numeric_limits<std::int64_t>::max());
+  doc.set("zero", 0);
+  doc.set("negative_zero", -0.0);
+  doc.set("third", 1.0 / 3.0);
+  doc.set("tiny", 5e-324);
+  doc.set("huge", 1.7976931348623157e308);
+  doc.set("integral_double", 1e17);
+  doc.set("nan", std::numeric_limits<double>::quiet_NaN());
+  doc.set("inf", std::numeric_limits<double>::infinity());
+  doc.set("minus_inf", -std::numeric_limits<double>::infinity());
+  doc.set("controls", std::string("\x01\x02\b\f\n\r\t\x1b\x1f\x7f", 10));
+  doc.set("nul", std::string("a\0b", 3));
+  doc.set("quotes \"and\" \\slashes\\", "say \"hi\" \\ / \\\\");
+  doc.set("utf8 \xc3\xa9", "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80 \xff");
+  doc.set("", "");
+  doc.set("empty_object", obs::JsonValue::object());
+  doc.set("empty_array", obs::JsonValue::array());
+  obs::JsonValue inner = obs::JsonValue::object();
+  inner.set("list", obs::JsonValue::array());
+  obs::JsonValue deep = obs::JsonValue::array();
+  deep.push_back(std::int64_t{1});
+  deep.push_back(obs::JsonValue::array());
+  deep.push_back(obs::JsonValue::object());
+  obs::JsonValue nested = obs::JsonValue::array();
+  nested.push_back(obs::JsonValue::array());
+  nested.push_back("x\ty");
+  deep.push_back(std::move(nested));
+  inner.set("deep", std::move(deep));
+  inner.set("k", 2.5);
+  obs::JsonValue outer = obs::JsonValue::array();
+  outer.push_back(std::move(inner));
+  outer.push_back(nullptr);
+  doc.set("nested", std::move(outer));
+  return doc;
+}
+
+TEST(Json, DumpStringGoldenAtIndentZero) {
+  EXPECT_EQ(every_kind_document().dump_string(0),
+            "{\"null\": null,\"true\": true,\"false\": false,\"int_min"
+            "\": -9223372036854775808,\"int_max\": 9223372036854775807,"
+            "\"zero\": 0,\"negative_zero\": -0,\"third\": 0.33333333333"
+            "333331,\"tiny\": 4.9406564584124654e-324,\"huge\": 1.79769"
+            "31348623157e+308,\"integral_double\": 1e+17,\"nan\": null,"
+            "\"inf\": null,\"minus_inf\": null,\"controls\": \"\\u0001"
+            "\\u0002\\u0008\\u000c\\n\\r\\t\\u001b\\u001f\177\",\"nul\""
+            ": \"a\\u0000b\",\"quotes \\\"and\\\" \\\\slashes\\\\\": \""
+            "say \\\"hi\\\" \\\\ / \\\\\\\\\",\"utf8 \303\251\": \"caf"
+            "\303\251 \342\202\254 \360\237\230\200 \377\",\"\": \"\","
+            "\"empty_object\": {},\"empty_array\": [],\"nested\": [{\"l"
+            "ist\": [],\"deep\": [1,[],{},[[],\"x\\ty\"]],\"k\": 2.5},n"
+            "ull]}\n");
+}
+
+TEST(Json, DumpStringGoldenAtIndentTwo) {
+  EXPECT_EQ(every_kind_document().dump_string(2),
+            "{\n"
+            "  \"null\": null,\n"
+            "  \"true\": true,\n"
+            "  \"false\": false,\n"
+            "  \"int_min\": -9223372036854775808,\n"
+            "  \"int_max\": 9223372036854775807,\n"
+            "  \"zero\": 0,\n"
+            "  \"negative_zero\": -0,\n"
+            "  \"third\": 0.33333333333333331,\n"
+            "  \"tiny\": 4.9406564584124654e-324,\n"
+            "  \"huge\": 1.7976931348623157e+308,\n"
+            "  \"integral_double\": 1e+17,\n"
+            "  \"nan\": null,\n"
+            "  \"inf\": null,\n"
+            "  \"minus_inf\": null,\n"
+            "  \"controls\": \"\\u0001\\u0002\\u0008\\u000c\\n\\r\\t\\u"
+            "001b\\u001f\177\",\n"
+            "  \"nul\": \"a\\u0000b\",\n"
+            "  \"quotes \\\"and\\\" \\\\slashes\\\\\": \"say \\\"hi\\\""
+            " \\\\ / \\\\\\\\\",\n"
+            "  \"utf8 \303\251\": \"caf\303\251 \342\202\254 \360\237"
+            "\230\200 \377\",\n"
+            "  \"\": \"\",\n"
+            "  \"empty_object\": {},\n"
+            "  \"empty_array\": [],\n"
+            "  \"nested\": [\n"
+            "    {\n"
+            "      \"list\": [],\n"
+            "      \"deep\": [\n"
+            "        1,\n"
+            "        [],\n"
+            "        {},\n"
+            "        [\n"
+            "          [],\n"
+            "          \"x\\ty\"\n"
+            "        ]\n"
+            "      ],\n"
+            "      \"k\": 2.5\n"
+            "    },\n"
+            "    null\n"
+            "  ]\n"
+            "}\n");
+}
+
 TEST(Json, DoublesDumpAsAStreamAtMaxDigits10Would) {
   // dump() must write each double byte for byte as the ostringstream at
   // max_digits10 precision it replaced (both are printf "%.17g").

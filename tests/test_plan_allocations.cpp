@@ -1,8 +1,9 @@
 // Heap-allocation budget of a plan-cache miss: random_pattern, build_plan
 // and the CompiledPlan constructor, for each of the 8 Table-5 strategies,
-// on the CLI's default pattern (4 lassen nodes, 16 messages of 4096 bytes
-// per GPU, seed 1).  Lowering and compiling allocate per phase, not per
-// flow, slice or chunk; a change that allocates per flow again fails here.
+// and Advisor::rank, on the CLI's default pattern (4 lassen nodes, 16
+// messages of 4096 bytes per GPU, seed 1).  Lowering and compiling allocate
+// per phase, not per flow, slice or chunk; a change that allocates per flow
+// again fails here.
 //
 // This binary alone replaces the global operator new and operator delete:
 // they count calls and forward to malloc and free.
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/advisor.hpp"
 #include "core/compiled_plan.hpp"
 #include "core/strategy.hpp"
 #include "hetsim/params.hpp"
@@ -30,10 +32,23 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// std::stable_sort's buffer comes from the nothrow form; under ASan an
+// unreplaced one would pair the sanitizer's new with the free below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace hetcomm {
 namespace {
@@ -90,6 +105,21 @@ TEST(PlanAllocations, LoweringAndCompileAllocatePerPhase) {
     EXPECT_LE(compiled, budgets[i].compile)
         << cfg.name() << ": CompiledPlan made " << compiled << " allocations";
   }
+}
+
+// Advisor::rank on the same pattern.  The roster minus this machine's
+// identity aliases is built once per Advisor, so a call allocates one
+// scratch row for its pattern statistics, its result and the stable sort's
+// buffer: 3.  Rebuilding the roster per call made 19.  The budget is the
+// count plus 25%, rounded down.
+TEST(PlanAllocations, AdvisorRankAllocatesItsResult) {
+  const core::Advisor advisor(topo(), lassen_params());
+  const core::CommPattern pattern = core::random_pattern(topo(), 16, 4096, 1);
+  std::vector<core::Recommendation> ranking;
+  const std::size_t n =
+      allocations_of([&] { ranking = advisor.rank(pattern); });
+  ASSERT_FALSE(ranking.empty());
+  EXPECT_LE(n, 3u) << "Advisor::rank made " << n << " allocations";
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "hetsim/engine.hpp"
 #include "hetsim/faults.hpp"
 #include "hetsim/noise.hpp"
+#include "machine/machine.hpp"
 #include "machine/machine_json.hpp"
 #include "obs/json.hpp"
 #include "serve/chaos.hpp"
@@ -605,6 +609,289 @@ TEST(ServeTest, ZeroCapacityCacheCompilesEveryQuery) {
   EXPECT_EQ(b.at("cache").as_string(), "miss");
   EXPECT_DOUBLE_EQ(a.at("measured").at("max_avg").as_double(),
                    b.at("measured").at("max_avg").as_double());
+}
+
+// ---------------------------------------------------------------------------
+// Exact reply bytes.  render() is a pure function of the request, the done
+// time, the retry hint and the control body, so fixed inputs pin every
+// byte, latency included.
+
+class RenderGolden : public ::testing::Test {
+ protected:
+  static Clock::time_point enqueued() {
+    return Clock::time_point{} + std::chrono::microseconds(5000);
+  }
+  static Clock::time_point done() {
+    return enqueued() + std::chrono::nanoseconds(1234567);
+  }
+
+  static std::vector<core::Recommendation> ranking() {
+    return {
+        {core::parse_strategy("split+MD"), 9.7312345678901234e-05, 1.0},
+        {core::parse_strategy("2-step (staged)"), 1.0541234567890123e-04,
+         1.0832375263842451},
+        {core::parse_strategy("standard (device-aware)"), 2.5e-4,
+         2.5690404040404041},
+    };
+  }
+
+  /// An answered data request: 8 measured repetitions of split+MD that
+  /// compiled its plan, ranked, with a string id that needs escaping.
+  Request measured() const {
+    Request req;
+    req.id = JsonValue(std::string("q\"1\\\n\t\x01\x1f caf\xc3\xa9"));
+    req.machine_name = "lassen";
+    req.nodes = 2;
+    req.reps = 8;
+    req.seed = 0x5eed;
+    req.has_strategy = true;
+    req.strategy = core::parse_strategy("split+MD");
+    req.machine = &machine_;
+    req.pattern = pattern_;
+    req.pattern_fp = 0x0123456789abcdefULL;
+    req.ranking = ranking();
+    req.compiled_here = true;
+    req.compile_seconds = 2.75e-5;
+    req.max_avg = 1.0234567890123457e-4;
+    req.makespan.count = 8;
+    req.makespan.mean = 1.0987654321098765e-4;
+    req.makespan.p50 = 1.0900000000000001e-4;
+    req.makespan.p99 = 1.2345678901234567e-4;
+    req.makespan.min = 1.0e-4;
+    req.makespan.max = 1.2345678901234567e-4;
+    req.enqueued = enqueued();
+    req.queue_wait_seconds = 3.0e-6;
+    req.execute_seconds = 4.5678901234567891e-5;
+    return req;
+  }
+
+  MachineEntry machine_{machine::lassen_machine(), 0x1234};
+  std::shared_ptr<const core::CommPattern> pattern_ =
+      std::make_shared<const core::CommPattern>(reference_pattern());
+};
+
+TEST_F(RenderGolden, MeasuredReplyWithRanking) {
+  EXPECT_EQ(render(measured(), done(), 7, JsonValue()),
+            "{\"id\": \"q\\\"1\\\\\\n\\t\\u0001\\u001f caf\303\251\",\""
+            "latency_seconds\": 0.001234567,\"ok\": true,\"machine\": "
+            "\"lassen\",\"nodes\": 2,\"gpus\": 8,\"pattern_hash\": \"0x"
+            "0123456789abcdef\",\"recommended\": \"split+MD\",\"ranking"
+            "\": [{\"strategy\": \"split+MD\",\"predicted_seconds\": 9."
+            "731234567890124e-05,\"relative\": 1},{\"strategy\": \"2-st"
+            "ep (staged)\",\"predicted_seconds\": 0.0001054123456789012"
+            "3,\"relative\": 1.0832375263842451},{\"strategy\": \"stand"
+            "ard (device-aware)\",\"predicted_seconds\": 0.000250000000"
+            "00000001,\"relative\": 2.569040404040404}],\"measured\": {"
+            "\"strategy\": \"split+MD\",\"reps\": 8,\"seed\": 24301,\"m"
+            "ax_avg\": 0.00010234567890123457,\"makespan\": {\"count\":"
+            " 8,\"mean\": 0.00010987654321098766,\"p50\": 0.00010900000"
+            "000000001,\"p99\": 0.00012345678901234567,\"min\": 0.0001,"
+            "\"max\": 0.00012345678901234567}},\"cache\": \"miss\",\"co"
+            "mpile_seconds\": 2.7500000000000001e-05,\"timing\": {\"que"
+            "ue_wait_seconds\": 3.0000000000000001e-06,\"compile_second"
+            "s\": 2.7500000000000001e-05,\"execute_seconds\": 4.5678901"
+            "234567889e-05,\"latency_seconds\": 0.001234567}}");
+}
+
+TEST_F(RenderGolden, MeasuredReplyWithoutRanking) {
+  Request req = measured();
+  JsonValue id = JsonValue::object();
+  id.set("client", "a/b");
+  id.set("seq", 7);
+  JsonValue tags = JsonValue::array();
+  tags.push_back("x");
+  tags.push_back(1.5);
+  id.set("tags", std::move(tags));
+  req.id = std::move(id);
+  req.want_ranking = false;
+  req.ranking.clear();
+  req.compiled_here = false;
+  req.cache_hit = true;
+  req.seed = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(render(req, done(), 7, JsonValue()),
+            "{\"id\": {\"client\": \"a/b\",\"seq\": 7,\"tags\": [\"x\","
+            "1.5]},\"latency_seconds\": 0.001234567,\"ok\": true,\"mach"
+            "ine\": \"lassen\",\"nodes\": 2,\"gpus\": 8,\"pattern_hash"
+            "\": \"0x0123456789abcdef\",\"measured\": {\"strategy\": \""
+            "split+MD\",\"reps\": 8,\"seed\": -1,\"max_avg\": 0.0001023"
+            "4567890123457,\"makespan\": {\"count\": 8,\"mean\": 0.0001"
+            "0987654321098766,\"p50\": 0.00010900000000000001,\"p99\": "
+            "0.00012345678901234567,\"min\": 0.0001,\"max\": 0.00012345"
+            "678901234567}},\"cache\": \"hit\",\"timing\": {\"queue_wai"
+            "t_seconds\": 3.0000000000000001e-06,\"compile_seconds\": 0"
+            ",\"execute_seconds\": 4.5678901234567889e-05,\"latency_sec"
+            "onds\": 0.001234567}}");
+}
+
+TEST_F(RenderGolden, PredictOnlyReply) {
+  Request req = measured();
+  req.id = JsonValue(std::int64_t{42});
+  req.reps = 0;
+  req.compiled_here = false;
+  req.execute_seconds = 0.0;
+  EXPECT_EQ(render(req, done(), 7, JsonValue()),
+            "{\"id\": 42,\"latency_seconds\": 0.001234567,\"ok\": true,"
+            "\"machine\": \"lassen\",\"nodes\": 2,\"gpus\": 8,\"pattern"
+            "_hash\": \"0x0123456789abcdef\",\"recommended\": \"split+M"
+            "D\",\"ranking\": [{\"strategy\": \"split+MD\",\"predicted_"
+            "seconds\": 9.731234567890124e-05,\"relative\": 1},{\"strat"
+            "egy\": \"2-step (staged)\",\"predicted_seconds\": 0.000105"
+            "41234567890123,\"relative\": 1.0832375263842451},{\"strate"
+            "gy\": \"standard (device-aware)\",\"predicted_seconds\": 0"
+            ".00025000000000000001,\"relative\": 2.569040404040404}],\""
+            "timing\": {\"queue_wait_seconds\": 3.0000000000000001e-06,"
+            "\"compile_seconds\": 0,\"execute_seconds\": 0,\"latency_se"
+            "conds\": 0.001234567}}");
+}
+
+TEST_F(RenderGolden, DegradedReply) {
+  Request req = measured();
+  JsonValue id = JsonValue::array();
+  id.push_back(1);
+  id.push_back("two");
+  id.push_back(nullptr);
+  id.push_back(true);
+  id.push_back(-0.0);
+  id.push_back(JsonValue::object());
+  id.push_back(JsonValue::array());
+  req.id = std::move(id);
+  req.compiled_here = false;
+  req.degraded = true;
+  req.confidence = 0.076895555555555556;
+  req.plan_cached = true;
+  req.execute_seconds = 0.0;
+  EXPECT_EQ(render(req, done(), 7, JsonValue()),
+            "{\"id\": [1,\"two\",null,true,-0,{},[]],\"latency_seconds"
+            "\": 0.001234567,\"ok\": true,\"machine\": \"lassen\",\"nod"
+            "es\": 2,\"gpus\": 8,\"pattern_hash\": \"0x0123456789abcdef"
+            "\",\"recommended\": \"split+MD\",\"ranking\": [{\"strategy"
+            "\": \"split+MD\",\"predicted_seconds\": 9.731234567890124e"
+            "-05,\"relative\": 1},{\"strategy\": \"2-step (staged)\",\""
+            "predicted_seconds\": 0.00010541234567890123,\"relative\": "
+            "1.0832375263842451},{\"strategy\": \"standard (device-awar"
+            "e)\",\"predicted_seconds\": 0.00025000000000000001,\"relat"
+            "ive\": 2.569040404040404}],\"degraded\": true,\"confidence"
+            "\": 0.07689555555555555,\"cache\": \"hit\",\"timing\": {\""
+            "queue_wait_seconds\": 3.0000000000000001e-06,\"compile_sec"
+            "onds\": 0,\"execute_seconds\": 0,\"latency_seconds\": 0.00"
+            "1234567}}");
+}
+
+TEST_F(RenderGolden, FaultAbortReplyCarriesTheFault) {
+  Request req = measured();
+  req.error = "fault abort: retries exhausted on \"inter-node\"";
+  req.code = ErrorCode::FaultAborted;
+  req.fault.emplace(FaultAbort::Reason::RetriesExhausted, "split+MD", 3, 12,
+                    2, "inter-node", 5);
+  EXPECT_EQ(render(req, done(), 7, JsonValue()),
+            "{\"id\": \"q\\\"1\\\\\\n\\t\\u0001\\u001f caf\303\251\",\""
+            "latency_seconds\": 0.001234567,\"ok\": false,\"error\": \""
+            "fault abort: retries exhausted on \\\"inter-node\\\"\",\"e"
+            "rror_code\": \"fault_abort\",\"fault\": {\"reason\": \"ret"
+            "ries_exhausted\",\"strategy\": \"split+MD\",\"src\": 3,\"d"
+            "st\": 12,\"path_id\": 2,\"path\": \"inter-node\",\"attempt"
+            "s\": 5}}");
+  req.fault->reason = FaultAbort::Reason::NicUnavailable;
+  req.ranking.clear();
+  EXPECT_EQ(render(req, done(), 7, JsonValue()),
+            "{\"id\": \"q\\\"1\\\\\\n\\t\\u0001\\u001f caf\303\251\",\""
+            "latency_seconds\": 0.001234567,\"ok\": false,\"error\": \""
+            "fault abort: retries exhausted on \\\"inter-node\\\"\",\"e"
+            "rror_code\": \"fault_abort\",\"fault\": {\"reason\": \"nic"
+            "_unavailable\",\"strategy\": \"split+MD\",\"src\": 3,\"dst"
+            "\": 12,\"path_id\": 2,\"path\": \"inter-node\",\"attempts"
+            "\": 5}}");
+}
+
+TEST_F(RenderGolden, DeadlineExceededReplyCarriesThePartialRanking) {
+  Request req = measured();
+  req.error = "deadline exceeded before execution";
+  req.code = ErrorCode::DeadlineExceeded;
+  EXPECT_EQ(render(req, done(), 17, JsonValue()),
+            "{\"id\": \"q\\\"1\\\\\\n\\t\\u0001\\u001f caf\303\251\",\""
+            "latency_seconds\": 0.001234567,\"ok\": false,\"error\": \""
+            "deadline exceeded before execution\",\"error_code\": \"dea"
+            "dline_exceeded\",\"retry_after_ms\": 17,\"partial\": {\"re"
+            "commended\": \"split+MD\",\"ranking\": [{\"strategy\": \"s"
+            "plit+MD\",\"predicted_seconds\": 9.731234567890124e-05,\"r"
+            "elative\": 1},{\"strategy\": \"2-step (staged)\",\"predict"
+            "ed_seconds\": 0.00010541234567890123,\"relative\": 1.08323"
+            "75263842451},{\"strategy\": \"standard (device-aware)\",\""
+            "predicted_seconds\": 0.00025000000000000001,\"relative\": "
+            "2.569040404040404}]}}");
+  req.ranking.clear();
+  EXPECT_EQ(render(req, done(), 17, JsonValue()),
+            "{\"id\": \"q\\\"1\\\\\\n\\t\\u0001\\u001f caf\303\251\",\""
+            "latency_seconds\": 0.001234567,\"ok\": false,\"error\": \""
+            "deadline exceeded before execution\",\"error_code\": \"dea"
+            "dline_exceeded\",\"retry_after_ms\": 17}");
+}
+
+TEST_F(RenderGolden, ShedAndUnclassifiedErrors) {
+  Request req;
+  req.enqueued = enqueued();
+  req.error = "server overloaded: pending queue is at max_queue (4)";
+  req.code = ErrorCode::Overloaded;
+  EXPECT_EQ(render(req, done(), 60000, JsonValue()),
+            "{\"id\": null,\"latency_seconds\": 0.001234567,\"ok\": fal"
+            "se,\"error\": \"server overloaded: pending queue is at max"
+            "_queue (4)\",\"error_code\": \"overloaded\",\"retry_after_"
+            "ms\": 60000}");
+  req.code = ErrorCode::ShuttingDown;
+  req.id = JsonValue("shed\x7f");
+  EXPECT_EQ(render(req, done(), 1, JsonValue()),
+            "{\"id\": \"shed\177\",\"latency_seconds\": 0.001234567,\"o"
+            "k\": false,\"error\": \"server overloaded: pending queue i"
+            "s at max_queue (4)\",\"error_code\": \"shutting_down\",\"r"
+            "etry_after_ms\": 1}");
+  req.code = ErrorCode::None;
+  req.error = "JSON parse error at line 1, column 2 (byte 1): \"\\\"";
+  EXPECT_EQ(render(req, done(), 1, JsonValue()),
+            "{\"id\": \"shed\177\",\"latency_seconds\": 0.001234567,\"o"
+            "k\": false,\"error\": \"JSON parse error at line 1, column"
+            " 2 (byte 1): \\\"\\\\\\\"\",\"error_code\": \"bad_request"
+            "\"}");
+  req.code = ErrorCode::Internal;
+  EXPECT_EQ(render(req, done(), 1, JsonValue()),
+            "{\"id\": \"shed\177\",\"latency_seconds\": 0.001234567,\"o"
+            "k\": false,\"error\": \"JSON parse error at line 1, column"
+            " 2 (byte 1): \\\"\\\\\\\"\",\"error_code\": \"internal\"}");
+}
+
+TEST_F(RenderGolden, ControlReplies) {
+  Request req;
+  req.enqueued = enqueued();
+  req.control = true;
+  req.id = JsonValue("ctl");
+  req.cmd = "stats";
+  JsonValue body = JsonValue::object();
+  body.set("schema", "hetcomm.metrics.v1");
+  body.set("requests", std::int64_t{3});
+  JsonValue cache = JsonValue::object();
+  cache.set("hit_rate", 2.0 / 3.0);
+  cache.set("entries", JsonValue::array());
+  body.set("cache", std::move(cache));
+  body.set("nan", std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(render(req, done(), 7, body),
+            "{\"id\": \"ctl\",\"latency_seconds\": 0.001234567,\"ok\": "
+            "true,\"stats\": {\"schema\": \"hetcomm.metrics.v1\",\"requ"
+            "ests\": 3,\"cache\": {\"hit_rate\": 0.66666666666666663,\""
+            "entries\": []},\"nan\": null}}");
+  req.cmd = "trace";
+  EXPECT_EQ(render(req, done(), 7, JsonValue()),
+            "{\"id\": \"ctl\",\"latency_seconds\": 0.001234567,\"ok\": "
+            "false,\"error\": \"tracing is disabled (start the server w"
+            "ith --trace)\"}");
+  EXPECT_EQ(render(req, done(), 7, body),
+            "{\"id\": \"ctl\",\"latency_seconds\": 0.001234567,\"ok\": "
+            "true,\"trace\": {\"schema\": \"hetcomm.metrics.v1\",\"requ"
+            "ests\": 3,\"cache\": {\"hit_rate\": 0.66666666666666663,\""
+            "entries\": []},\"nan\": null}}");
+  req.cmd = "shutdown";
+  req.id = JsonValue();
+  EXPECT_EQ(render(req, done(), 7, JsonValue()),
+            "{\"id\": null,\"latency_seconds\": 0.001234567,\"ok\": tru"
+            "e,\"shutdown\": true}");
 }
 
 }  // namespace
