@@ -19,7 +19,11 @@ Advisor::Advisor(const Topology& topo, ParamSet params)
 
 std::vector<Recommendation> Advisor::rank(const CommPattern& pattern,
                                           const AdvisorOptions& options) const {
-  const PatternStats stats = compute_stats(pattern, topo_);
+  return rank(compute_stats(pattern, topo_), options);
+}
+
+std::vector<Recommendation> Advisor::rank(const PatternStats& stats,
+                                          const AdvisorOptions& options) const {
   std::vector<Recommendation> out;
   out.reserve(roster_.size());
   for (const StrategyConfig& cfg : roster_) {

@@ -32,8 +32,14 @@ class Advisor {
  public:
   Advisor(const Topology& topo, ParamSet params);
 
-  /// All strategies ranked fastest-first.  A split variant that lowers to
-  /// its base's plan on this machine (core::identity_aliases) is left out.
+  /// All strategies ranked fastest-first by the models' predictions from
+  /// `stats`, a pattern's statistics on topology().  A split variant that
+  /// lowers to its base's plan on this machine (core::identity_aliases) is
+  /// left out.
+  [[nodiscard]] std::vector<Recommendation> rank(
+      const PatternStats& stats, const AdvisorOptions& options = {}) const;
+
+  /// rank(compute_stats(pattern, topology()), options).
   [[nodiscard]] std::vector<Recommendation> rank(
       const CommPattern& pattern, const AdvisorOptions& options = {}) const;
 

@@ -1,11 +1,22 @@
 #include "core/strategy.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <stdexcept>
 
 namespace hetcomm::core {
 
-std::string StrategyConfig::name() const {
+namespace {
+
+constexpr std::size_t kKinds =
+    static_cast<std::size_t>(StrategyKind::SplitDD) + 1;
+constexpr std::size_t kTransports =
+    static_cast<std::size_t>(MemSpace::Device) + 1;
+constexpr std::size_t kSplits =
+    static_cast<std::size_t>(SplitMode::ChunkedPipeline) + 1;
+
+std::string spell(StrategyKind kind, MemSpace transport, SplitMode split) {
   std::string n = to_string(kind);
   const bool split_kind =
       kind == StrategyKind::SplitMD || kind == StrategyKind::SplitDD;
@@ -20,6 +31,32 @@ std::string StrategyConfig::name() const {
   }
   if (!qual.empty()) n += " (" + qual + ")";
   return n;
+}
+
+}  // namespace
+
+const std::string& StrategyConfig::name() const {
+  // Every (kind, transport, split) name, spelled once: serve prints and
+  // hashes names several times per reply.
+  static const std::array<std::string, kKinds * kTransports * kSplits> names =
+      [] {
+        std::array<std::string, kKinds * kTransports * kSplits> out;
+        std::size_t i = 0;
+        for (std::size_t k = 0; k < kKinds; ++k) {
+          for (std::size_t t = 0; t < kTransports; ++t) {
+            for (std::size_t s = 0; s < kSplits; ++s) {
+              out[i++] = spell(static_cast<StrategyKind>(k),
+                               static_cast<MemSpace>(t),
+                               static_cast<SplitMode>(s));
+            }
+          }
+        }
+        return out;
+      }();
+  return names[(static_cast<std::size_t>(kind) * kTransports +
+                static_cast<std::size_t>(transport)) *
+                   kSplits +
+               static_cast<std::size_t>(split)];
 }
 
 void StrategyConfig::validate() const {

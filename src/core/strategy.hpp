@@ -55,7 +55,10 @@ struct StrategyConfig {
   /// ChunkedPipeline overlaps staging copies with wire time.
   SplitMode split = SplitMode::None;
 
-  [[nodiscard]] std::string name() const;
+  /// "kind (transport, split)" as printed, e.g. "2-step (staged)" or
+  /// "split+MD"; message_cap and ppg do not appear.  The string lives for
+  /// the whole program.
+  [[nodiscard]] const std::string& name() const;
   /// Device-aware transport is undefined for the split strategies
   /// (Table 5); a ChunkedPipeline lowering of a device-aware transport
   /// has no staging copy to pipeline; throws std::invalid_argument in

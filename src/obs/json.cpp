@@ -124,13 +124,6 @@ void append_escaped(std::string& out, std::string_view text) {
 
 }  // namespace
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  append_escaped(out, text);
-  return out;
-}
-
 void JsonWriter::newline_pad(int level) {
   if (indent_ <= 0) return;
   out_ += '\n';

@@ -183,8 +183,4 @@ class JsonWriter {
   bool after_key_ = false;  ///< the next value belongs to a key
 };
 
-/// JSON-escape `text` (quotes, backslashes, control characters) without the
-/// surrounding quotes, as JsonWriter escapes strings.
-[[nodiscard]] std::string json_escape(std::string_view text);
-
 }  // namespace hetcomm::obs

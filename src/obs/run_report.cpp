@@ -34,6 +34,38 @@ Summary summarize(std::span<const double> samples) {
   return s;
 }
 
+double LogLinearHistogram::quantile(double q) const noexcept {
+  const auto rank = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(count_))));
+  std::int64_t seen = 0;
+  int bin = 0;
+  for (; bin < kBins - 1; ++bin) {
+    seen += bins_[bin];
+    if (seen >= rank) break;
+  }
+  double value = max_;
+  if (bin == 0) {
+    value = min_;
+  } else if (bin < kBins - 1) {
+    const int octave = (bin - 1) / kSubBins;
+    const int sub = (bin - 1) % kSubBins;
+    value = std::ldexp(1.0 + (sub + 0.5) / kSubBins, kMinExponent + octave);
+  }
+  return std::clamp(value, min_, max_);
+}
+
+Summary LogLinearHistogram::summary() const {
+  Summary s;
+  s.count = count_;
+  if (count_ == 0) return s;
+  s.mean = sum_ / static_cast<double>(count_);
+  s.p50 = quantile(0.50);
+  s.p99 = quantile(0.99);
+  s.min = min_;
+  s.max = max_;
+  return s;
+}
+
 JsonValue Summary::to_json() const {
   JsonValue out = JsonValue::object();
   for_each_field([&out](const char* name, auto v) { out.set(name, v); });

@@ -22,7 +22,10 @@
 // tools/validate_metrics checks this shape in CI; docs/simulator.md
 // documents every field.
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,6 +66,52 @@ struct Summary {
 
 /// Summarize `samples`; sorts a copy, leaves the input untouched.
 [[nodiscard]] Summary summarize(std::span<const double> samples);
+
+/// A Summary of a stream of non-negative durations (seconds) in fixed
+/// memory.  count, mean, min and max are exact.  p50 and p99 come from a
+/// log-linear histogram of 128 equal sub-bins per power of two between
+/// 2^-30 s (about 1 ns) and 2^10 s: each is the midpoint of the bin that
+/// holds the nearest-rank sample, clamped to [min, max], so it is within
+/// 1/256 (0.4%) of that sample.  Samples below the range (zero included)
+/// share one bin that reports min, samples above it one that reports max.
+class LogLinearHistogram {
+ public:
+  void observe(double seconds) noexcept {
+    ++bins_[static_cast<std::size_t>(bin_of(seconds))];
+    ++count_;
+    sum_ += seconds;
+    min_ = seconds < min_ ? seconds : min_;
+    max_ = seconds > max_ ? seconds : max_;
+  }
+
+  [[nodiscard]] Summary summary() const;
+
+ private:
+  static constexpr int kSubBins = 128;
+  static constexpr int kMinExponent = -30;
+  static constexpr int kOctaves = 40;
+  static constexpr int kBins = kOctaves * kSubBins + 2;
+
+  /// 0 below 2^kMinExponent, kBins - 1 from 2^(kMinExponent + kOctaves);
+  /// in between, the octave and the top 7 mantissa bits, read from the
+  /// IEEE-754 representation.
+  [[nodiscard]] static int bin_of(double seconds) noexcept {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(seconds);
+    const int exponent = static_cast<int>((bits >> 52) & 0x7ffU) - 1023;
+    if (!(seconds > 0.0) || exponent < kMinExponent) return 0;
+    if (exponent >= kMinExponent + kOctaves) return kBins - 1;
+    return 1 + (exponent - kMinExponent) * kSubBins +
+           static_cast<int>((bits >> 45) & (kSubBins - 1));
+  }
+  /// Nearest-rank quantile at bin resolution, clamped to [min, max].
+  [[nodiscard]] double quantile(double q) const noexcept;
+
+  std::int64_t bins_[kBins] = {};
+  std::int64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+};
 
 /// One plan phase's contribution to repetition 0's makespan.
 struct PhaseStat {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
@@ -285,47 +286,61 @@ void write_chrome_trace_artifact(std::ostream& os, const JsonValue& artifact) {
                              " document");
   }
   const JsonValue& spans = artifact.at("spans");
-  os << "{\"traceEvents\": [\n";
+  // One event per line, every number written by JsonWriter: timestamps in
+  // microseconds keep all their digits, however long the trace ran.
+  std::string out = "{\"traceEvents\": [\n";
   bool first = true;
-  const auto sep = [&] {
-    if (!first) os << ",\n";
+  const auto event = [&](std::string_view name, const char* phase,
+                         std::int64_t tid) -> JsonWriter {
+    out += first ? "  " : ",\n  ";
     first = false;
+    JsonWriter w(out);
+    w.begin_object().field("name", name).field("ph", phase).field("pid", 0)
+        .field("tid", tid);
+    return w;
   };
-  sep();
-  os << "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
-        "\"tid\": 0, \"args\": {\"name\": \"hetcomm\"}}";
+  event("process_name", "M", 0)
+      .key("args")
+      .begin_object()
+      .field("name", "hetcomm")
+      .end_object()
+      .end_object();
   if (const JsonValue* tracks = artifact.find("tracks")) {
     for (const auto& [track, label] : tracks->members()) {
-      sep();
-      os << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
-         << "\"tid\": " << track << ", \"args\": {\"name\": \""
-         << json_escape(label.as_string()) << "\"}}";
+      std::int64_t tid = 0;
+      const auto [end, error] =
+          std::from_chars(track.data(), track.data() + track.size(), tid);
+      if (error != std::errc() || end != track.data() + track.size()) {
+        throw std::runtime_error("trace track id \"" + track +
+                                 "\" is not an integer");
+      }
+      event("thread_name", "M", tid)
+          .key("args")
+          .begin_object()
+          .field("name", label.as_string())
+          .end_object()
+          .end_object();
     }
   }
   for (const JsonValue& s : spans.items()) {
     const double t0 = s.at("t_start").as_double();
     const double t1 = s.at("t_end").as_double();
-    sep();
-    os << "  {\"name\": \"" << json_escape(s.at("name").as_string())
-       << "\", \"cat\": \"span\", \"ph\": \"X\", \"pid\": 0, \"tid\": "
-       << s.at("track").as_int() << ", \"ts\": " << t0 * 1e6
-       << ", \"dur\": " << std::max(0.0, t1 - t0) * 1e6 << ", \"args\": {"
-       << "\"trace\": " << s.at("trace").as_int()
-       << ", \"span\": " << s.at("span").as_int()
-       << ", \"parent\": " << s.at("parent").as_int();
+    JsonWriter w = event(s.at("name").as_string(), "X", s.at("track").as_int());
+    w.field("cat", "span")
+        .field("ts", t0 * 1e6)
+        .field("dur", std::max(0.0, t1 - t0) * 1e6)
+        .key("args")
+        .begin_object()
+        .field("trace", s.at("trace").as_int())
+        .field("span", s.at("span").as_int())
+        .field("parent", s.at("parent").as_int());
     if (const JsonValue* attrs = s.find("attrs")) {
-      for (const auto& [key, value] : attrs->members()) {
-        os << ", \"" << json_escape(key) << "\": ";
-        if (value.is_string()) {
-          os << "\"" << json_escape(value.as_string()) << "\"";
-        } else {
-          os << value.dump_string(0);
-        }
-      }
+      for (const auto& [key, value] : attrs->members()) w.field(key, value);
     }
-    os << "}}";
+    w.end_object().end_object();
   }
-  os << "\n]}\n";
+  out += "\n]}\n";
+  os << out;
 }
 
 }  // namespace hetcomm::obs

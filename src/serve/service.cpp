@@ -52,7 +52,8 @@ std::uint64_t fnv1a_bytes(std::string_view text,
   return h;
 }
 
-/// Pattern registry entries (patterns addressable by {"ref": hash}).
+/// Pattern registry entries (patterns addressable by {"ref": hash}), and
+/// resolved {"random": ...} specs.
 constexpr std::size_t kPatternCapacity = 1024;
 
 bool blank(const std::string& line) {
@@ -66,7 +67,8 @@ struct Service::Impl {
       : options(std::move(opts)),
         pool(options.jobs),
         plans(options.cache_shards, options.cache_capacity),
-        patterns(std::max(1, options.cache_shards / 2), kPatternCapacity) {
+        patterns(std::max(1, options.cache_shards / 2), kPatternCapacity),
+        sources(patterns.num_shards(), kPatternCapacity) {
     if (options.window < 1) {
       throw std::invalid_argument("serve: window must be >= 1");
     }
@@ -109,6 +111,16 @@ struct Service::Impl {
   /// everything a repeated query needs that does not depend on reps/seed.
   runtime::ShardedLruCache<core::CompiledPlan> plans;
   runtime::ShardedLruCache<core::CommPattern> patterns;
+  /// What a {"random": ...} spec resolves to on one (machine, nodes): its
+  /// pattern's hash and the statistics the advisor ranks from.  The
+  /// pattern itself lives only in the registry, which may evict it first;
+  /// the spec regenerates it then.
+  struct ResolvedSpec {
+    std::uint64_t pattern_fp = 0;
+    core::PatternStats stats;
+  };
+  /// Keyed by mix_seed over (engine_key, msgs_per_gpu, bytes, seed).
+  runtime::ShardedLruCache<ResolvedSpec> sources;
 
   // Serial-phase caches (touched only by the window-driving thread).
   std::unordered_map<std::string, MachineEntry> machines;
@@ -159,23 +171,11 @@ struct Service::Impl {
   double compile_seconds_total = 0.0;
   double execute_seconds_total = 0.0;
   double busy_seconds = 0.0;
-  static constexpr std::size_t kMaxSamples = 1u << 20;
-  // Timing samples are floats: ~7 significant digits is finer than the
-  // clock that took them, and at 4 bytes a sample the memory a run keeps
-  // per answered request stays small.
-  std::vector<float> latency_samples;
-  std::vector<float> queue_samples;
-  std::vector<float> compile_samples;
-  std::vector<float> execute_samples;
-
-  void add_sample(std::vector<float>& v, double s) {
-    if (v.size() < kMaxSamples) v.push_back(static_cast<float>(s));
-  }
-  [[nodiscard]] static obs::Summary summarize_samples(
-      const std::vector<float>& v) {
-    const std::vector<double> wide(v.begin(), v.end());
-    return obs::summarize(wide);
-  }
+  // Fixed memory however long the server runs.
+  obs::LogLinearHistogram latency_summary;
+  obs::LogLinearHistogram queue_summary;
+  obs::LogLinearHistogram compile_summary;
+  obs::LogLinearHistogram execute_summary;
 
   void note_queue_depth(std::size_t depth) {
     queue_depth = static_cast<std::int64_t>(depth);
@@ -225,7 +225,7 @@ struct Service::Impl {
                  static_cast<std::uint64_t>(req.nodes));
     const core::Advisor& advisor = advisor_for(req);
     const Topology& topo = advisor.topology();
-    resolve_pattern(req, topo);
+    const std::shared_ptr<const ResolvedSpec> spec = resolve_pattern(req, topo);
 
     if (req.faults_path) {
       // Fault models compile against a concrete machine; key the cache by
@@ -251,7 +251,8 @@ struct Service::Impl {
     if (req.want_ranking || !req.has_strategy) {
       core::AdvisorOptions aopts;
       aopts.staged_only = req.staged_only;
-      req.ranking = advisor.rank(*req.pattern, aopts);
+      req.ranking = spec != nullptr ? advisor.rank(spec->stats, aopts)
+                                    : advisor.rank(*req.pattern, aopts);
       if (!req.has_strategy) req.strategy = req.ranking.front().config;
     }
 
@@ -279,12 +280,15 @@ struct Service::Impl {
     }
   }
 
-  void resolve_pattern(Request& req, const Topology& topo) {
+  /// Sets req.pattern and req.pattern_fp; for a {"random": ...} spec also
+  /// returns its resolved entry (null for every other source).
+  std::shared_ptr<const ResolvedSpec> resolve_pattern(Request& req,
+                                                      const Topology& topo) {
     PatternSource& src = req.source;
     switch (src.kind) {
       case PatternSource::Kind::File:
         register_pattern(core::read_pattern_file(src.path), topo, req);
-        return;
+        return nullptr;
       case PatternSource::Kind::Ref: {
         std::shared_ptr<const core::CommPattern> found = patterns.find(src.ref);
         if (found == nullptr) {
@@ -295,26 +299,52 @@ struct Service::Impl {
         check_pattern(*found, topo, "pattern ref");
         req.pattern = std::move(found);
         req.pattern_fp = src.ref;
-        return;
+        return nullptr;
       }
-      case PatternSource::Kind::Random: {
-        const std::int64_t messages =
-            std::int64_t{topo.num_gpus()} * src.msgs_per_gpu;
-        if (messages > kMaxPatternSize) {
-          throw std::invalid_argument(
-              "random pattern would generate " + std::to_string(messages) +
-              " messages (gpus x msgs_per_gpu); the limit is " +
-              std::to_string(kMaxPatternSize));
-        }
-        register_pattern(
-            core::random_pattern(topo, src.msgs_per_gpu, src.bytes, src.seed),
-            topo, req);
-        return;
-      }
+      case PatternSource::Kind::Random:
+        return resolve_random(req, topo);
       case PatternSource::Kind::Inline:
         register_pattern(std::move(*src.pattern), topo, req);
-        return;
+        return nullptr;
     }
+    return nullptr;
+  }
+
+  /// A spec seen before on this (machine, nodes) skips generating, hashing
+  /// and summarizing its pattern: the registry hands the pattern back, or
+  /// the spec regenerates it if the registry evicted it.  A new spec
+  /// generates, checks and registers its pattern like any other source.
+  std::shared_ptr<const ResolvedSpec> resolve_random(Request& req,
+                                                     const Topology& topo) {
+    const PatternSource& src = req.source;
+    const std::int64_t messages =
+        std::int64_t{topo.num_gpus()} * src.msgs_per_gpu;
+    if (messages > kMaxPatternSize) {
+      throw std::invalid_argument(
+          "random pattern would generate " + std::to_string(messages) +
+          " messages (gpus x msgs_per_gpu); the limit is " +
+          std::to_string(kMaxPatternSize));
+    }
+    const auto generate = [&] {
+      return core::random_pattern(topo, src.msgs_per_gpu, src.bytes, src.seed);
+    };
+    const std::uint64_t key = mix_seed(
+        mix_seed(mix_seed(req.engine_key,
+                          static_cast<std::uint64_t>(src.msgs_per_gpu)),
+                 static_cast<std::uint64_t>(src.bytes)),
+        src.seed);
+    std::shared_ptr<const ResolvedSpec> spec = sources.get_or_create(key, [&] {
+      register_pattern(generate(), topo, req);
+      return std::make_shared<const ResolvedSpec>(ResolvedSpec{
+          req.pattern_fp, core::compute_stats(*req.pattern, topo)});
+    });
+    if (req.pattern == nullptr) {  // a hit: the lambda above did not run
+      req.pattern_fp = spec->pattern_fp;
+      req.pattern = patterns.get_or_create(req.pattern_fp, [&] {
+        return std::make_shared<const core::CommPattern>(generate());
+      });
+    }
+    return spec;
   }
 
   /// Where a pattern meets the request's machine: its GPU count must match
@@ -453,7 +483,7 @@ struct Service::Impl {
       const core::RepOutcome& outcome = batch.jobs[k];
       req.execute_seconds = outcome.busy_seconds;
       execute_seconds_total += req.execute_seconds;
-      add_sample(execute_samples, req.execute_seconds);
+      execute_summary.observe(req.execute_seconds);
       if (outcome.failed()) {
         fail(req, outcome);
       } else {
@@ -507,8 +537,8 @@ struct Service::Impl {
     if (!req.control) {
       if (req.admission == Admission::ShedOverload) shed_overloaded += 1;
       if (req.admission == Admission::ShedShutdown) shed_shutdown += 1;
-      add_sample(latency_samples, seconds_between(req.enqueued, done));
-      add_sample(queue_samples, req.queue_wait_seconds);
+      latency_summary.observe(seconds_between(req.enqueued, done));
+      queue_summary.observe(req.queue_wait_seconds);
     }
     // Exactly one bucket per request: error beats control (a malformed
     // cmd line is an error, full stop -- counting it in both buckets
@@ -540,7 +570,7 @@ struct Service::Impl {
     if (req.cache_hit) measured_cache_hits += 1;
     if (req.compiled_here) {
       compile_seconds_total += req.compile_seconds;
-      add_sample(compile_samples, req.compile_seconds);
+      compile_summary.observe(req.compile_seconds);
     }
   }
 
@@ -815,6 +845,9 @@ struct Service::Impl {
     cache.set("pattern",
               cache_json(patterns.stats(), patterns.num_shards(),
                          static_cast<std::int64_t>(patterns.capacity())));
+    cache.set("source",
+              cache_json(sources.stats(), sources.num_shards(),
+                         static_cast<std::int64_t>(sources.capacity())));
     serve.set("cache", std::move(cache));
 
     obs::JsonValue batching = obs::JsonValue::object();
@@ -825,14 +858,14 @@ struct Service::Impl {
     obs::JsonValue timing = obs::JsonValue::object();
     obs::JsonValue compile = obs::JsonValue::object();
     compile.set("total_seconds", compile_seconds_total);
-    compile.set("per_compile", summarize_samples(compile_samples).to_json());
+    compile.set("per_compile", compile_summary.summary().to_json());
     timing.set("compile", std::move(compile));
     obs::JsonValue execute = obs::JsonValue::object();
     execute.set("total_seconds", execute_seconds_total);
-    execute.set("per_request", summarize_samples(execute_samples).to_json());
+    execute.set("per_request", execute_summary.summary().to_json());
     timing.set("execute", std::move(execute));
-    timing.set("latency", summarize_samples(latency_samples).to_json());
-    timing.set("queue_wait", summarize_samples(queue_samples).to_json());
+    timing.set("latency", latency_summary.summary().to_json());
+    timing.set("queue_wait", queue_summary.summary().to_json());
     serve.set("timing", std::move(timing));
 
     obs::JsonValue resilience = obs::JsonValue::object();

@@ -11,7 +11,10 @@
 //   1. **Sharded compiled-plan cache** (runtime::ShardedLruCache keyed by
 //      mix_seed over core::pattern_hash, the machine fingerprint, the node
 //      count and the strategy name): a repeated query skips build_plan +
-//      CompiledPlan construction entirely and goes straight to replay.
+//      CompiledPlan construction entirely and goes straight to replay.  A
+//      repeated {"random": ...} spec also skips generating, hashing and
+//      summarizing its pattern: a bounded memo, sized like the pattern
+//      registry, keeps each spec's pattern hash and statistics.
 //   2. **Request windowing**: every request drained in one input window
 //      shares one compile per distinct plan; its measured requests then
 //      run as one core::RepRunner batch (the runner core::measure uses)

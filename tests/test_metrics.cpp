@@ -311,6 +311,56 @@ TEST(Summary, SingleSample) {
   EXPECT_DOUBLE_EQ(s.min, s.max);
 }
 
+TEST(LogLinearHistogram, EmptyReportsZeros) {
+  const obs::Summary s = obs::LogLinearHistogram().summary();
+  EXPECT_EQ(s.count, 0);
+  EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.p50, 0.0);
+  EXPECT_EQ(s.p99, 0.0);
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.max, 0.0);
+}
+
+TEST(LogLinearHistogram, QuantilesAreWithinHalfASubBinOfSortedSamples) {
+  // Durations spread over eight decades, as serve latency, queue wait,
+  // compile and execute times are, plus exact zeros and a sample past the
+  // histogram's range.
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> decade(-9.0, -1.0);
+  for (const std::size_t n : {1u, 2u, 99u, 100u, 101u, 4096u, 100000u}) {
+    obs::LogLinearHistogram hist;
+    std::vector<double> samples;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = i % 97 == 3 ? 0.0 : std::pow(10.0, decade(rng));
+      samples.push_back(v);
+      hist.observe(v);
+    }
+    if (n > 100) {
+      samples.push_back(4096.0);
+      hist.observe(4096.0);
+    }
+    const obs::Summary exact = obs::summarize(samples);
+    const obs::Summary got = hist.summary();
+    EXPECT_EQ(got.count, exact.count) << n;
+    EXPECT_NEAR(got.mean, exact.mean, 1e-9 * exact.mean) << n;
+    EXPECT_EQ(got.min, exact.min) << n;
+    EXPECT_EQ(got.max, exact.max) << n;
+    EXPECT_NEAR(got.p50, exact.p50, exact.p50 / 256.0) << n;
+    EXPECT_NEAR(got.p99, exact.p99, exact.p99 / 256.0) << n;
+  }
+}
+
+TEST(LogLinearHistogram, EqualSamplesReportThemselves) {
+  obs::LogLinearHistogram hist;
+  for (int i = 0; i < 10; ++i) hist.observe(3.7e-5);
+  const obs::Summary s = hist.summary();
+  EXPECT_EQ(s.p50, 3.7e-5);
+  EXPECT_EQ(s.p99, 3.7e-5);
+  obs::LogLinearHistogram zeros;
+  zeros.observe(0.0);
+  EXPECT_EQ(zeros.summary().p50, 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // EngineMetrics export
 

@@ -612,6 +612,199 @@ TEST(ServeTest, ZeroCapacityCacheCompilesEveryQuery) {
 }
 
 // ---------------------------------------------------------------------------
+// Repeated {"random": ...} specs.  A reply without the fields that time the
+// request or say whether its plan was cached -- latency_seconds, timing,
+// compile_seconds, cache, and retry_after_ms, which comes from the measured
+// drain rate -- depends only on the request.
+
+std::string stripped(const std::string& reply) {
+  const JsonValue doc = parse(reply);
+  JsonValue out = JsonValue::object();
+  for (const auto& [key, value] : doc.members()) {
+    if (key != "latency_seconds" && key != "timing" &&
+        key != "compile_seconds" && key != "cache" &&
+        key != "retry_after_ms") {
+      out.set(key, value);
+    }
+  }
+  std::string line = out.dump_string(0);
+  line.pop_back();  // the newline dump_string appends
+  return line;
+}
+
+/// A request's "nodes" and {"random": ...} "pattern" members.
+std::string random_spec(int nodes, int msgs, std::int64_t bytes, int seed) {
+  return R"("nodes": )" + std::to_string(nodes) +
+         R"(, "pattern": {"random": {"msgs_per_gpu": )" +
+         std::to_string(msgs) + R"(, "bytes": )" + std::to_string(bytes) +
+         R"(, "seed": )" + std::to_string(seed) + "}}";
+}
+
+/// The stripped replies to 8 random specs on 2 and 4 nodes, each sent 7
+/// times: first with the default ranking, then once in each of six request
+/// shapes, interleaved so every window mixes them.
+/// tests/data/serve_repeat_golden.ndjson holds them.
+std::vector<std::string> repeat_heavy_replies(Service& service) {
+  constexpr std::int64_t kBytes[4] = {1024, 4096, 16384, 65536};
+  std::vector<std::string> spec;
+  for (int i = 0; i < 8; ++i) {
+    spec.push_back(random_spec(i % 2 == 0 ? 2 : 4, 2 << (i % 3),
+                               kBytes[i / 2 % 4], 11 + 7 * i));
+  }
+  std::vector<std::string> hash(spec.size());
+  std::vector<std::string> replies;
+  for (int round = 0; round < 7; ++round) {
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      const std::string head = R"({"id": ")" + std::to_string(round) + "." +
+                               std::to_string(i) + R"(", )";
+      const std::string seed = std::to_string(round);
+      switch (round == 0 ? 0 : (i + static_cast<std::size_t>(round)) % 6) {
+        case 0:  // default ranking: the advisor picks
+          lines.push_back(head + spec[i] + R"(, "reps": 2, "seed": )" + seed +
+                          "}");
+          break;
+        case 1:
+          lines.push_back(head + spec[i] +
+                          R"(, "staged_only": true, "reps": 2})");
+          break;
+        case 2:
+          lines.push_back(head + spec[i] + R"(, "rank": false, "strategy": ")" +
+                          (i % 2 == 0 ? "split+MD" : "2-step (staged)") +
+                          R"(", "reps": 2, "seed": )" + seed + "}");
+          break;
+        case 3:
+          lines.push_back(head + spec[i] + R"(, "reps": 0})");
+          break;
+        case 4:  // expires before execution: a partial ranking
+          lines.push_back(head + spec[i] + R"(, "reps": 2, "deadline_ms": 0})");
+          break;
+        default:
+          lines.push_back(head + R"("nodes": )" + (i % 2 == 0 ? "2" : "4") +
+                          R"(, "pattern": {"ref": ")" + hash[i] +
+                          R"("}, "reps": 2, "seed": )" + seed + "}");
+          break;
+      }
+    }
+    // One line twice in the window: the second send adopts the first's plan.
+    lines.push_back(lines[static_cast<std::size_t>(round)]);
+    for (const std::string& reply : service.handle_window(lines)) {
+      replies.push_back(stripped(reply));
+    }
+    if (round == 0) {
+      for (std::size_t i = 0; i < spec.size(); ++i) {
+        hash[i] = parse(replies[i]).at("pattern_hash").as_string();
+      }
+    }
+  }
+  return replies;
+}
+
+TEST(ServeTest, RepeatedRandomSpecsMatchTheGolden) {
+  Service service;
+  const std::vector<std::string> replies = repeat_heavy_replies(service);
+  std::ifstream in(std::string(HETCOMM_TEST_DATA_DIR) +
+                   "/serve_repeat_golden.ndjson");
+  ASSERT_TRUE(in.good());
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) golden.push_back(line);
+  ASSERT_EQ(replies.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(replies[i], golden[i]) << "reply " << i;
+  }
+}
+
+TEST(ServeTest, RandomSpecAnswersTheSameAfterItsPatternIsEvicted) {
+  Service service;  // a registry of 1,024 patterns
+  const std::string spec =
+      "{" + random_spec(2, 4, 8192, 77) + R"(, "reps": 2, "seed": 5})";
+  const std::string first = stripped(service.handle_line(spec));
+  ASSERT_TRUE(parse(first).at("ok").as_bool()) << first;
+  const std::string hash = parse(first).at("pattern_hash").as_string();
+  const std::string by_ref = R"({"nodes": 2, "pattern": {"ref": ")" + hash +
+                             R"("}, "reps": 0})";
+  // 2,048 other patterns evict it from the registry: inline ones, which
+  // enter the registry alone, then random specs.
+  for (const bool inline_others : {true, false}) {
+    for (int k = 0; k < 2048; k += 64) {
+      std::vector<std::string> lines;
+      for (int j = 1000 + k; j < 1000 + k + 64; ++j) {
+        std::string line = "{";
+        if (inline_others) {
+          line += R"("nodes": 2, "pattern": {"gpus": 8, "msgs": [[0, 5, )";
+          line += std::to_string(j);
+          line += "]]}";
+        } else {
+          line += random_spec(2, 1, 512, j);
+        }
+        line += R"(, "reps": 0})";
+        lines.push_back(std::move(line));
+      }
+      for (const std::string& reply : service.handle_window(lines)) {
+        ASSERT_TRUE(parse(reply).at("ok").as_bool()) << reply;
+      }
+    }
+    const JsonValue gone = parse(service.handle_line(by_ref));
+    EXPECT_FALSE(gone.at("ok").as_bool());
+    EXPECT_NE(gone.at("error").as_string().find("unknown pattern ref"),
+              std::string::npos);
+    EXPECT_EQ(stripped(service.handle_line(spec)), first);
+    const JsonValue again = parse(service.handle_line(by_ref));
+    ASSERT_TRUE(again.at("ok").as_bool());
+    EXPECT_EQ(again.at("pattern_hash").as_string(), hash);
+  }
+}
+
+TEST(ServeTest, RandomSpecMemoCountsOnlyRandomSpecs) {
+  Service service;
+  const std::string a = "{" + random_spec(2, 4, 4096, 3) + R"(, "reps": 0})";
+  const std::string b = "{" + random_spec(4, 4, 4096, 3) + R"(, "reps": 0})";
+  const std::string hash =
+      parse(service.handle_line(a)).at("pattern_hash").as_string();
+  (void)service.handle_window({a, b, a});
+  (void)service.handle_line(R"({"nodes": 2, "pattern": {"ref": ")" + hash +
+                            R"("}, "reps": 0})");
+  (void)service.handle_line(R"({"nodes": 2, )" + pattern_body() +
+                            R"(, "reps": 0})");
+  const JsonValue metrics = service.metrics_json();
+  const JsonValue& cache = metrics.at("serve").at("cache");
+  const JsonValue& source = cache.at("source");
+  EXPECT_EQ(source.at("hits").as_int(), 2);    // a's second and third sends
+  EXPECT_EQ(source.at("misses").as_int(), 2);  // a, and b on 4 nodes
+  EXPECT_EQ(source.at("entries").as_int(), 2);
+  EXPECT_EQ(source.at("capacity").as_int(),
+            cache.at("pattern").at("capacity").as_int());
+  EXPECT_EQ(source.at("shards").as_int(),
+            cache.at("pattern").at("shards").as_int());
+}
+
+TEST(ServeTest, OversizedRandomSpecIsABadRequestOnEveryRepeat) {
+  Service service;
+  // 8 GPUs x 131,073 messages is 8 past kMaxPatternSize; 2^62-byte
+  // messages overflow the pattern's int64 byte total.
+  const std::string too_many =
+      "{" + random_spec(2, 131073, 8, 1) + R"(, "reps": 0})";
+  const std::string too_big =
+      "{" + random_spec(2, 4, std::int64_t{1} << 62, 1) + R"(, "reps": 0})";
+  for (const std::string& line : {too_many, too_big}) {
+    std::vector<std::string> replies = service.handle_window({line, line});
+    replies.push_back(service.handle_line(line));
+    for (const std::string& reply : replies) {
+      const JsonValue doc = parse(reply);
+      EXPECT_FALSE(doc.at("ok").as_bool()) << reply;
+      EXPECT_EQ(doc.at("error_code").as_string(), "bad_request");
+      EXPECT_EQ(doc.at("error").as_string(),
+                parse(replies.front()).at("error").as_string());
+    }
+  }
+  EXPECT_NE(parse(service.handle_line(too_many))
+                .at("error")
+                .as_string()
+                .find("1048584 messages"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
 // Exact reply bytes.  render() is a pure function of the request, the done
 // time, the retry hint and the control body, so fixed inputs pin every
 // byte, latency included.

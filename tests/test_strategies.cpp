@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -40,6 +41,28 @@ TEST_F(StrategyTest, NamesDistinguishTransport) {
             "3-step (device-aware)");
   EXPECT_EQ((StrategyConfig{StrategyKind::SplitMD, MemSpace::Host}).name(),
             "split+MD");
+  const char* const roster[] = {
+      "standard (staged)",
+      "standard (device-aware)",
+      "3-step (staged)",
+      "3-step (device-aware)",
+      "2-step (staged)",
+      "2-step (device-aware)",
+      "split+MD",
+      "split+DD",
+      "3-step (staged, striped)",
+      "3-step (device-aware, striped)",
+      "2-step (staged, striped)",
+      "standard (device-aware, striped)",
+      "standard (staged, chunked-pipeline)",
+      "2-step (staged, chunked-pipeline)",
+  };
+  const std::vector<StrategyConfig> all = all_strategies();
+  ASSERT_EQ(all.size(), std::size(roster));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].name(), roster[i]);
+    EXPECT_EQ(parse_strategy(roster[i]), all[i]) << roster[i];
+  }
 }
 
 TEST_F(StrategyTest, Table5HasEightConfigs) {

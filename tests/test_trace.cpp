@@ -155,6 +155,40 @@ TEST(TracerTest, ChromeExportEmitsEventsAndTrackNames) {
   EXPECT_TRUE(saw_engine_thread);
 }
 
+TEST(TracerTest, ChromeExportKeepsEveryDigitAndOneEventPerLine) {
+  Tracer tracer(small_ring(16));
+  SpanRecord span;
+  span.trace_id = tracer.begin_trace();
+  span.span_id = tracer.new_span_id();
+  span.name = tracer.intern("window");
+  span.t_start = 3.380931;  // past 1 s, where 6 significant digits fall short
+  span.t_end = 3.380992;
+  span.add_attr(tracer.intern("requests"), 2);
+  span.add_attr_slot(tracer.intern("cache"), tracer.intern("hit"));
+  tracer.record(0, span);
+
+  std::ostringstream os;
+  write_chrome_trace_artifact(os, tracer.to_json());
+  std::istringstream lines(os.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, R"({"traceEvents": [)");
+  int spans = 0;
+  while (std::getline(lines, line) && line != "]}") {
+    if (line.back() == ',') line.pop_back();
+    const JsonValue event = JsonValue::parse(line);  // a whole event
+    if (event.at("ph").as_string() != "X") continue;
+    ++spans;
+    EXPECT_NEAR(event.at("ts").as_double(), 3380931.0, 1e-3);
+    EXPECT_NEAR(event.at("dur").as_double(), 61.0, 1e-3);
+    EXPECT_EQ(event.at("args").at("requests").as_int(), 2);
+    EXPECT_EQ(event.at("args").at("cache").as_string(), "hit");
+  }
+  EXPECT_EQ(spans, 1);
+  EXPECT_EQ(line, "]}");
+  EXPECT_FALSE(std::getline(lines, line));
+}
+
 // ---- service integration ------------------------------------------------
 
 std::string measured_request(int id, int reps, std::uint64_t seed) {

@@ -7,13 +7,13 @@
 // contract CI relies on: schema tag, a "serve" section with request
 // counters that add up (control + errors + degraded + predict_only +
 // measured == total; errors_by_code sums to errors), cache sections
-// (plan + pattern) whose hit/miss accounting is internally consistent,
-// window counters, the resilience section (shed/deadline/fault-abort
-// counters consistent with errors_by_code, retry hint in range), and the
-// timing summaries (compile, execute, latency, queue_wait).  Exits
-// non-zero with
-// a one-line diagnostic on the first violation so a malformed serve-smoke
-// artifact fails the pipeline instead of uploading.
+// (plan, pattern and source) whose hit/miss accounting is internally
+// consistent, window counters, the resilience section (shed/deadline/
+// fault-abort counters consistent with errors_by_code, retry hint in
+// range), and the timing summaries (compile, execute, latency,
+// queue_wait).  Exits non-zero with a one-line diagnostic on the first
+// violation so a malformed serve-smoke artifact fails the pipeline instead
+// of uploading.
 
 #include <cstdint>
 #include <iostream>
@@ -124,6 +124,8 @@ void validate_file(const std::string& file) {
   }
   check_cache(file, require(file, cache, "pattern", JsonValue::Kind::Object),
               "serve.cache.pattern");
+  check_cache(file, require(file, cache, "source", JsonValue::Kind::Object),
+              "serve.cache.source");
 
   const JsonValue& batching =
       require(file, serve, "batching", JsonValue::Kind::Object);
