@@ -53,7 +53,9 @@ std::uint64_t fnv1a_bytes(std::string_view text,
 }
 
 /// Pattern registry entries (patterns addressable by {"ref": hash}), and
-/// resolved {"random": ...} specs.
+/// resolved {"random": ...} specs.  Only the serial resolve phase touches
+/// either cache, so each is one LRU: shards would buy no concurrency, and a
+/// shard that drew more than its share of the keys would thrash.
 constexpr std::size_t kPatternCapacity = 1024;
 
 bool blank(const std::string& line) {
@@ -67,8 +69,8 @@ struct Service::Impl {
       : options(std::move(opts)),
         pool(options.jobs),
         plans(options.cache_shards, options.cache_capacity),
-        patterns(std::max(1, options.cache_shards / 2), kPatternCapacity),
-        sources(patterns.num_shards(), kPatternCapacity) {
+        patterns(1, kPatternCapacity),
+        sources(1, kPatternCapacity) {
     if (options.window < 1) {
       throw std::invalid_argument("serve: window must be >= 1");
     }

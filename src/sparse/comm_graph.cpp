@@ -1,8 +1,10 @@
 #include "sparse/comm_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace hetcomm::sparse {
 
@@ -17,19 +19,33 @@ HaloMap halo_map(const CsrMatrix& a, const RowPartition& partition) {
   halo.needed.resize(static_cast<std::size_t>(partition.parts()));
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
+  // One bit per column.  A part marks its off-part columns, then reads back
+  // the words between the first and last it touched, in order, clearing
+  // them for the next part.
+  std::vector<std::uint64_t> marked(static_cast<std::size_t>(a.cols() + 63) /
+                                    64);
   for (int p = 0; p < partition.parts(); ++p) {
     const std::int64_t lo = partition.first_row(p);
     const std::int64_t hi = partition.last_row(p);
+    std::size_t first = marked.size();
+    std::size_t last = 0;
+    for (std::int64_t k = rp[static_cast<std::size_t>(lo)];
+         k < rp[static_cast<std::size_t>(hi)]; ++k) {
+      const std::int64_t c = ci[static_cast<std::size_t>(k)];
+      if (c >= lo && c < hi) continue;
+      const auto w = static_cast<std::size_t>(c) / 64;
+      marked[w] |= std::uint64_t{1} << (c % 64);
+      first = std::min(first, w);
+      last = std::max(last, w + 1);
+    }
     std::vector<std::int64_t>& need = halo.needed[static_cast<std::size_t>(p)];
-    for (std::int64_t r = lo; r < hi; ++r) {
-      for (std::int64_t k = rp[static_cast<std::size_t>(r)];
-           k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
-        const std::int64_t c = ci[static_cast<std::size_t>(k)];
-        if (c < lo || c >= hi) need.push_back(c);
+    for (std::size_t w = first; w < last; ++w) {
+      for (std::uint64_t bits = std::exchange(marked[w], 0); bits != 0;
+           bits &= bits - 1) {
+        need.push_back(static_cast<std::int64_t>(64 * w) +
+                       std::countr_zero(bits));
       }
     }
-    std::sort(need.begin(), need.end());
-    need.erase(std::unique(need.begin(), need.end()), need.end());
   }
   return halo;
 }

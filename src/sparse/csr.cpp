@@ -1,12 +1,62 @@
 #include "sparse/csr.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace hetcomm::sparse {
+
+namespace {
+
+/// A pattern row of more entries than this whose columns span at most
+/// kBitmapColumnsPerEntry per entry (four bitmap words) is finished through
+/// a column bitmap; any other pattern row is sorted.  Reading a bitmap word
+/// back costs far less than the comparisons a sort spends per entry, and
+/// the bitmap never outgrows eight times the row's own columns.
+constexpr std::int64_t kBitmapMinEntries = 16;
+constexpr std::int64_t kBitmapColumnsPerEntry = 256;
+
+/// Writes the distinct columns of the pattern row cols[begin, end), in
+/// order, from cols[out] (out <= begin); returns the new end of the output.
+/// `marked` is all zero on entry and on return.
+std::int64_t finish_pattern_row(std::int32_t* cols, std::int64_t begin,
+                                std::int64_t end, std::int64_t out,
+                                std::vector<std::uint64_t>& marked) {
+  const std::int64_t count = end - begin;
+  if (count > kBitmapMinEntries) {
+    const auto [lo_it, hi_it] = std::minmax_element(cols + begin, cols + end);
+    const std::int32_t lo = *lo_it;
+    const std::int64_t span = std::int64_t{*hi_it} - lo + 1;
+    if (span <= kBitmapColumnsPerEntry * count) {
+      // Mark each column's bit, then read the words back in order: sorted
+      // and distinct, with every word cleared for the next row.
+      const auto words = static_cast<std::size_t>((span + 63) / 64);
+      if (marked.size() < words) marked.resize(words);
+      for (std::int64_t k = begin; k < end; ++k) {
+        const auto bit = static_cast<std::uint32_t>(cols[k] - lo);
+        marked[bit / 64] |= std::uint64_t{1} << (bit % 64);
+      }
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = std::exchange(marked[w], 0); bits != 0;
+             bits &= bits - 1) {
+          cols[out++] =
+              lo + static_cast<std::int32_t>(64 * w) + std::countr_zero(bits);
+        }
+      }
+      return out;
+    }
+  }
+  std::sort(cols + begin, cols + end);
+  for (std::int64_t k = begin; k < end; ++k) {
+    if (k == begin || cols[k] != cols[k - 1]) cols[out++] = cols[k];
+  }
+  return out;
+}
+
+}  // namespace
 
 CsrMatrix::CsrMatrix(std::int64_t rows, std::int64_t cols)
     : rows_(rows), cols_(cols) {
@@ -50,16 +100,14 @@ void CsrMatrix::finish_assembly(const std::vector<std::int64_t>& next) {
   // input and a forward copy never overwrites an unread entry.
   std::int32_t* const cols = col_idx_.data();
   std::vector<std::pair<std::int32_t, double>> row;  // valued rows only
+  std::vector<std::uint64_t> marked;  // narrow pattern rows; zero between rows
   std::int64_t out = 0;
   for (std::size_t r = 0; r < rows; ++r) {
     const std::int64_t begin = row_ptr_[r];
     const std::int64_t end = row_ptr_[r + 1];
     row_ptr_[r] = out;
     if (values_.empty()) {
-      std::sort(cols + begin, cols + end);
-      for (std::int64_t k = begin; k < end; ++k) {
-        if (k == begin || cols[k] != cols[k - 1]) cols[out++] = cols[k];
-      }
+      out = finish_pattern_row(cols, begin, end, out, marked);
       continue;
     }
     row.clear();

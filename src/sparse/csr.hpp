@@ -13,9 +13,13 @@
 //      counts are prefix-summed into `row_ptr`;
 //   2. fill pass: each entry's column and value go to the next free slot of
 //      its row, in emission order.
-// Each row is then sorted by column (stably, so duplicates keep emission
-// order), duplicates are merged with their values summed in emission order,
-// and the result is compacted to exactly `nnz` entries.  No sort ever runs
+// Each row is then finished in place and the result compacted to exactly
+// `nnz` entries.  A valued row is sorted by column (stably, so duplicates
+// keep emission order) and its duplicates merged with their values summed
+// in emission order.  A pattern-only row of more than 16 entries whose
+// columns span at most 256 per entry marks them in a column bitmap and
+// reads them back sorted and distinct, with no comparison sort; any other
+// pattern-only row is sorted and its duplicates dropped.  No sort ever runs
 // over a whole matrix's entries, and no triplet buffer is built.
 //
 // Column indices are stored as std::int32_t, half the memory of 64-bit ones,

@@ -7,11 +7,17 @@
 // long-range couplings).  Values, when requested, make the matrix strictly
 // diagonally dominant so SpMV results are well-behaved.
 //
-// Each generator emits its entries straight into CsrMatrix::assemble,
-// re-seeding its RNG for the second pass.  A coupling may hit an entry
-// already emitted; duplicates sum on assembly, in emission order: the input
-// matrix's entries row by row (with_arrow, with_long_range), then the
-// couplings in RNG order, then the unit base diagonal.
+// Each generator emits its entries straight into CsrMatrix::assemble
+// through the coupling emitters of sparse/couplings.hpp, each of which
+// seeds its own RNG on every call, so assemble()'s two passes see the same
+// couplings.  A coupling may hit an entry already emitted; duplicates sum
+// on assembly, in emission order: the input matrix's entries row by row
+// (with_arrow, with_long_range), then the couplings in RNG order, then the
+// unit base diagonal.  A SuiteSparse stand-in (suitesparse_profiles.hpp) is
+// one pattern-only assembly of the union of the band's, the arrow's and the
+// long-range couplings through the same emitters: the pattern banded_fem,
+// with_arrow and with_long_range give when chained, without building the
+// matrices in between.
 
 #include <cstdint>
 

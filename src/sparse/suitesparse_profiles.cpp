@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sparse/generators.hpp"
+#include "sparse/couplings.hpp"
 
 namespace hetcomm::sparse {
 
@@ -47,18 +47,31 @@ CsrMatrix generate_standin(const MatrixProfile& profile, double scale,
       1, static_cast<std::int64_t>(
              std::llround(profile.band_fraction * static_cast<double>(n))));
 
-  CsrMatrix m = banded_fem(n, half_band, degree, seed, /*with_values=*/false);
+  std::int64_t head = 0;
   if (profile.arrow_head > 0 && profile.arrow_degree > 0) {
-    const std::int64_t head = std::max<std::int64_t>(
+    head = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(std::llround(
                static_cast<double>(profile.arrow_head) * scale)));
-    m = with_arrow(m, head, profile.arrow_degree, seed + 1);
   }
-  if (profile.long_range_per_row > 0) {
-    m = with_long_range(m, profile.long_range_per_row,
-                        profile.long_range_fraction, seed + 2);
+  const bool long_range = profile.long_range_per_row > 0;
+  if (head > n || (long_range && (profile.long_range_fraction < 0.0 ||
+                                  profile.long_range_fraction > 1.0))) {
+    throw std::invalid_argument("generate_standin: bad arrow or long-range "
+                                "parameters for " + profile.name);
   }
-  return m;
+  // One pattern-only assembly of the union of the couplings: the pattern
+  // banded_fem, then with_arrow, then with_long_range would give.
+  return CsrMatrix::assemble(n, n, /*with_values=*/false, [&](auto&& emit) {
+    detail::emit_band(emit, false, n, half_band, degree, seed);
+    if (head > 0) {
+      detail::emit_arrow(emit, false, n, head, profile.arrow_degree, seed + 1);
+    }
+    if (long_range) {
+      detail::emit_long_range(emit, false, n, profile.long_range_per_row,
+                              profile.long_range_fraction, seed + 2);
+    }
+    detail::emit_diagonal(emit, n);
+  });
 }
 
 }  // namespace hetcomm::sparse

@@ -41,7 +41,8 @@ struct MatrixProfile {
 [[nodiscard]] const MatrixProfile& profile_by_name(const std::string& name);
 
 /// Generate the stand-in at `scale` (0 < scale <= 1) of the published size.
-/// Pattern-only (no values) to keep large instances cheap.
+/// Pattern-only (no values) to keep large instances cheap, and one assembly
+/// of the union of its couplings (generators.hpp).
 [[nodiscard]] CsrMatrix generate_standin(const MatrixProfile& profile,
                                          double scale, std::uint64_t seed);
 

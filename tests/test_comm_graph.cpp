@@ -123,6 +123,66 @@ TEST(SpmvCommPattern, NodeAwarePatternHashesArePinned) {
   }
 }
 
+/// FNV-1a over the little-endian bytes of each part's count of needed
+/// columns, then of those columns.
+std::uint64_t halo_digest(const HaloMap& halo) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(x) >> (8 * b) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const std::vector<std::int64_t>& need : halo.needed) {
+    mix(static_cast<std::int64_t>(need.size()));
+    for (const std::int64_t c : need) mix(c);
+  }
+  return h;
+}
+
+TEST(SpmvCommPattern, StandinHalosAndPatternsArePinned) {
+  // Every stand-in as `hetcomm compare --standin` builds it (scale 0.01,
+  // seed 1, 800 bytes per value), on lassen at 2, 4 and 16 nodes.
+  struct Pinned {
+    const char* name;
+    int nodes;
+    std::uint64_t halo;
+    std::uint64_t pattern;
+  };
+  const Pinned kPinned[] = {
+      {"audikw_1", 2, 0x16c0cf3ef8d976a3ULL, 0x9aa99a735bcc581bULL},
+      {"audikw_1", 4, 0x3680075495551acfULL, 0x33452e13a2b58f0aULL},
+      {"audikw_1", 16, 0x82090599d9a448eeULL, 0x138949328eca4c66ULL},
+      {"Serena", 2, 0xff76651acdd56922ULL, 0xaa9ac37a94e129aeULL},
+      {"Serena", 4, 0x0a3c277fcc2df6ebULL, 0x43e2e9b25b047949ULL},
+      {"Serena", 16, 0x8c2ff4eff6c9a7e2ULL, 0xe56d1e1ff2b3debfULL},
+      {"ldoor", 2, 0x4ddd361ca068de6aULL, 0x25e1c879dc1887c8ULL},
+      {"ldoor", 4, 0x7f11f7e5e62b19adULL, 0x2a72bfea9e6e2137ULL},
+      {"ldoor", 16, 0x3c422b9582ff84b1ULL, 0xac3cb6577b04f781ULL},
+      {"thermal2", 2, 0xd47334857566387fULL, 0xd76c2b63d257d9a6ULL},
+      {"thermal2", 4, 0x8cf090dc7005e971ULL, 0x883dd68e3dc2d7b1ULL},
+      {"thermal2", 16, 0x21448ed79eabdf98ULL, 0x940c1057a14b5280ULL},
+      {"bone010", 2, 0x0b6f62c538af1b40ULL, 0xd1c61f9527f8110dULL},
+      {"bone010", 4, 0xf87783f9d6e6a1e2ULL, 0x16f4499a78294772ULL},
+      {"bone010", 16, 0xb3942acf504dfcbaULL, 0xe35ae188a5816784ULL},
+      {"Geo_1438", 2, 0x1c171900d2a69afdULL, 0x60291f3057bfe2d0ULL},
+      {"Geo_1438", 4, 0xe963688887b47965ULL, 0x1fa7365cd153a81cULL},
+      {"Geo_1438", 16, 0xc3afc9160967be05ULL, 0x22ff07054bca072aULL},
+  };
+  const machine::MachineModel lassen = machine::preset_machine("lassen");
+  for (const Pinned& p : kPinned) {
+    const CsrMatrix m = generate_standin(profile_by_name(p.name), 0.01, 1);
+    const Topology topo = lassen.topology(p.nodes);
+    const RowPartition part =
+        RowPartition::contiguous(m.rows(), topo.num_gpus());
+    EXPECT_EQ(halo_digest(halo_map(m, part)), p.halo)
+        << p.name << " on " << p.nodes << " nodes";
+    EXPECT_EQ(core::pattern_hash(spmv_comm_pattern(m, part, topo, 800)),
+              p.pattern)
+        << p.name << " on " << p.nodes << " nodes";
+  }
+}
+
 TEST(DistributedSpmv, MatchesSequentialKernel) {
   const CsrMatrix m = banded_fem(600, 25, 8, 77);
   std::vector<double> x(600);

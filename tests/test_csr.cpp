@@ -186,6 +186,57 @@ TEST(CsrAssembly, MatchesStableSortReference) {
     EXPECT_EQ(pattern.col_idx(), ref.col_idx);
     EXPECT_FALSE(pattern.has_values());
   }
+  // Pattern-only rows of 17-300 entries whose column span runs from one
+  // column to 2^20: narrow rows next to wide ones, spans a few columns
+  // either side of 32 to 512 columns per entry, rows on a handful of
+  // distinct columns, and rows pinned to column 0 or to the last column.
+  constexpr std::int64_t kMaxSpan = std::int64_t{1} << 20;
+  const auto span_for = [&](std::int64_t count) {
+    switch (rng() % 4) {
+      case 0:  // log-uniform over [1, 2^20]
+        return std::min(kMaxSpan, std::int64_t{1} << (rng() % 21)) -
+               static_cast<std::int64_t>(rng() % 2);
+      case 1: {  // near `per_entry` columns per entry
+        const std::int64_t per_entry = std::int64_t{32} << (rng() % 5);
+        const std::int64_t jitter = static_cast<std::int64_t>(rng() % 5) - 2;
+        return per_entry * count + jitter;
+      }
+      case 2:
+        return static_cast<std::int64_t>(1 + rng() % 64);
+      default:
+        return static_cast<std::int64_t>(1 + rng() % kMaxSpan);
+    }
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto rows = static_cast<std::int64_t>(1 + rng() % 4);
+    const std::int64_t cols = kMaxSpan + static_cast<std::int64_t>(rng() % 3);
+    std::vector<Triplet> t;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const auto count = static_cast<std::int64_t>(17 + rng() % 284);
+      const std::int64_t span = std::max<std::int64_t>(1, span_for(count));
+      std::int64_t lo = static_cast<std::int64_t>(rng() %
+                        static_cast<std::uint64_t>(cols - span + 1));
+      if (rng() % 4 == 0) lo = rng() % 2 == 0 ? 0 : cols - span;
+      std::uniform_int_distribution<std::int64_t> col(lo, lo + span - 1);
+      std::vector<std::int64_t> few(1 + rng() % 4);
+      for (std::int64_t& c : few) c = col(rng);
+      const bool duplicate_heavy = rng() % 3 == 0;
+      for (std::int64_t i = 0; i < count; ++i) {
+        std::int64_t c = duplicate_heavy ? few[rng() % few.size()] : col(rng);
+        if (i == 0) c = lo;
+        if (i == count - 1) c = lo + span - 1;
+        t.push_back({r, c, 1.0});
+      }
+      std::shuffle(t.end() - count, t.end(), rng);
+    }
+    const Assembled ref = reference_assembly(rows, t);
+    const CsrMatrix pattern = CsrMatrix::from_triplets(rows, cols, t, false);
+    SCOPED_TRACE("wide-row trial " + std::to_string(trial));
+    EXPECT_NO_THROW(pattern.validate());
+    EXPECT_EQ(pattern.row_ptr(), ref.row_ptr);
+    EXPECT_EQ(pattern.col_idx(), ref.col_idx);
+    EXPECT_FALSE(pattern.has_values());
+  }
   const CsrMatrix empty = CsrMatrix::from_triplets(0, 0, {});
   EXPECT_EQ(empty.row_ptr(), (std::vector<std::int64_t>{0}));
   EXPECT_EQ(empty.nnz(), 0);

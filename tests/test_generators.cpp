@@ -82,6 +82,14 @@ TEST(WithArrow, ValidatesArguments) {
   EXPECT_THROW((void)with_arrow(rect, 1, 1, 1), std::invalid_argument);
 }
 
+TEST(WithArrow, EmptyMatrixStaysEmpty) {
+  // No column range to draw from: neither generator may build a column
+  // distribution over [0, -1].
+  const CsrMatrix empty = CsrMatrix::from_triplets(0, 0, {});
+  EXPECT_EQ(with_arrow(empty, 0, 4, 1).nnz(), 0);
+  EXPECT_EQ(with_long_range(empty, 2, 0.5, 1).nnz(), 0);
+}
+
 TEST(WithLongRange, AddsScatteredCouplings) {
   const CsrMatrix base = banded_fem(2000, 5, 4, 5);
   const CsrMatrix lr = with_long_range(base, 2, 0.5, 8);

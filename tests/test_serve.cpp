@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/advisor.hpp"
@@ -776,6 +777,39 @@ TEST(ServeTest, RandomSpecMemoCountsOnlyRandomSpecs) {
             cache.at("pattern").at("capacity").as_int());
   EXPECT_EQ(source.at("shards").as_int(),
             cache.at("pattern").at("shards").as_int());
+}
+
+TEST(ServeTest, EveryChurnSpecHitsMemoAndRegistryOnItsSecondSend) {
+  // serve_churn's shape: 1,024 distinct specs on 4-node lassen, 8 or 16
+  // messages per GPU, three message sizes.  The memo and the registry each
+  // hold 1,024 entries, so a second cycle over the specs finds every one.
+  Service service;
+  constexpr std::int64_t kBytes[3] = {2048, 8192, 32768};
+  std::vector<std::string> lines;
+  for (int k = 0; k < 1024; ++k) {
+    std::string line = "{";
+    line += random_spec(4, k % 2 == 0 ? 8 : 16, kBytes[(k / 2) % 3],
+                        (7919 * k + 13) % 1000000);
+    line += R"(, "reps": 0})";
+    lines.push_back(std::move(line));
+  }
+  const auto counters = [&service](const char* cache) {
+    const JsonValue metrics = service.metrics_json();
+    const JsonValue& c = metrics.at("serve").at("cache").at(cache);
+    return std::pair{c.at("hits").as_int(), c.at("misses").as_int()};
+  };
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(parse(service.handle_line(line)).at("ok").as_bool()) << line;
+  }
+  const auto [source_hits, source_misses] = counters("source");
+  const auto [pattern_hits, pattern_misses] = counters("pattern");
+  EXPECT_EQ(source_misses, 1024);
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(parse(service.handle_line(line)).at("ok").as_bool()) << line;
+  }
+  EXPECT_EQ(counters("source"), std::pair(source_hits + 1024, source_misses));
+  EXPECT_EQ(counters("pattern"),
+            std::pair(pattern_hits + 1024, pattern_misses));
 }
 
 TEST(ServeTest, OversizedRandomSpecIsABadRequestOnEveryRepeat) {
